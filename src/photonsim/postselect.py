@@ -174,17 +174,19 @@ def admissible_outcomes(channels: int, polarized: bool, n: int, expr: PostSelect
             return clause.value + 1
         return 0
 
+    req = [lower_req(c) for c in expr.clauses]
+
+    def unmet(ci: int) -> int:
+        # Photons an incomplete clause still requires.
+        return max(0, req[ci] - sums[ci]) if remaining[ci] > 0 else 0
+
+    # With disjoint clauses the total demand is a valid bound, kept as a
+    # running sum updated only for the clauses a channel touches; otherwise
+    # the largest single demand is.
+    demand = sum(unmet(ci) for ci in range(len(req)))
+
     def photon_demand() -> int:
-        # Photons that incomplete clauses still require; a sum is only a
-        # valid bound when no two clauses share a mode.
-        demands = [
-            max(0, lower_req(expr.clauses[ci]) - sums[ci])
-            for ci in range(len(expr.clauses))
-            if remaining[ci] > 0
-        ]
-        if not demands:
-            return 0
-        return sum(demands) if disjoint else max(demands)
+        return demand if disjoint else max(map(unmet, range(len(req))), default=0)
 
     def feasible(ci: int, after: int) -> bool:
         clause = expr.clauses[ci]
@@ -200,21 +202,26 @@ def admissible_outcomes(channels: int, polarized: bool, n: int, expr: PostSelect
         return s + after > v  # ">"
 
     def walk(ch: int, left: int):
+        nonlocal demand
         if ch == channels:
             if left == 0:
                 yield tuple(occ)
             return
+        touched = clause_of_channel[ch]
+        before = demand
         for k in range(left, -1, -1):
             occ[ch] = k
-            touched = clause_of_channel[ch]
             for ci in touched:
+                demand -= unmet(ci)
                 sums[ci] += k
                 remaining[ci] -= 1
+                demand += unmet(ci)
             if all(feasible(ci, left - k) for ci in touched) and photon_demand() <= left - k:
                 yield from walk(ch + 1, left - k)
             for ci in touched:
                 sums[ci] -= k
                 remaining[ci] += 1
+            demand = before
         occ[ch] = 0
 
     yield from walk(0, n)

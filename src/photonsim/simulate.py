@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MixedSector, TooLarge
+from .errors import MixedSector, RegisterMismatch, TooLarge
 from .fock import FockState, StateVector, sort_key
 
 #: Hard default for the largest permanent, overridable via this env var.
@@ -26,6 +26,9 @@ _DEFAULT_CAP = 16
 
 # Above this size the batch-enumeration variant wins over the Python loop.
 _VECTOR_THRESHOLD = 10
+
+# batch_amplitudes sweeps 2^_CHUNK_BITS column subsets at a time.
+_CHUNK_BITS = 13
 
 
 def _configured_cap(cap: int | None) -> int:
@@ -113,43 +116,99 @@ def amplitude(matrix, source: FockState, target: FockState, cap: int | None = No
 
 
 def batch_amplitudes(matrix, source: FockState, targets, cap: int | None = None):
-    """Amplitudes <t| U |source> for a list of same-register targets.
+    """Amplitudes <t| U |source> for a list of targets, in the order given.
 
-    Ryser's column-subset sums depend only on the source, so one
-    (2^n x channels) sweep is shared by every target; each target then
-    reduces it with a product over its own row multiset.  Much faster than
-    per-pair `amplitude` calls when many outcomes share one input.
+    Ryser's column-subset sums depend only on the source, so one sweep over
+    the 2^n subsets of its n photon columns is shared by every target, and
+    each target reduces it with a product over its own row multiset.  The
+    targets are reduced in trie order: channels are ranked by how many
+    distinct occupations the targets take in them (pinned heralds first), the
+    targets are sorted in that order, and a stack of partial products lets
+    every shared prefix be multiplied once.  The sweep runs in chunks of
+    2^_CHUNK_BITS subsets, so its memory does not grow with n; `cap` bounds
+    the time.  Targets outside the source's photon-number sector give 0j.
+
+    Raises RegisterMismatch when U is not square or a register does not
+    match its side, and TooLarge when n exceeds `cap`.
     """
     u = np.asarray(matrix, dtype=complex)
+    targets = list(targets)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise RegisterMismatch(f"channel unitary must be square, got shape {u.shape}")
+    side = u.shape[0]
+    if source.channels != side or any(t.channels != side for t in targets):
+        raise RegisterMismatch(f"register does not match the {side}-channel unitary")
     n = source.n
     cap = _configured_cap(cap)
     if n > cap:
         raise TooLarge(f"permanent of size {n} exceeds cap {cap}")
+    out = [0j] * len(targets)
+    live = [i for i, t in enumerate(targets) if t.n == n]
+    if not live:
+        return out
+
+    # Channel order: fewest distinct occupations first, ties by index.
+    occs = [targets[i].occupations for i in live]
+    distinct = [len(set(column)) for column in zip(*occs)]
+    order = sorted(range(side), key=lambda j: (distinct[j], j))
+    # Each target as its steps: one code d * base + t per nonzero occupation
+    # t at position d in that order.  Sorting groups shared prefixes, whose
+    # length is precomputed.
+    base = n + 1
+    plan = []
+    prev: tuple = ()
+    for steps, i in sorted(
+        (tuple([d * base + occ[j] for d, j in enumerate(order) if occ[j]]), i)
+        for occ, i in zip(occs, live)
+    ):
+        common = 0
+        for a, b in zip(prev, steps):
+            if a != b:
+                break
+            common += 1
+        plan.append((i, common, steps))
+        prev = steps
+
     cols = [i for i, v in enumerate(source.occupations) for _ in range(v)]
-    count = 1 << n
-    sums = np.zeros((count, u.shape[0]), dtype=complex)
-    popcount = np.zeros(count, dtype=np.int64)
+    rows = u[order]
+    k = min(n, _CHUNK_BITS)
+    low, low_sign = _subset_sums(rows, cols[:k])
+    high, high_sign = _subset_sums(rows, cols[k:])
+    # Ryser's sign (-1)^(n - |S|): the low subset's part seeds the stack and
+    # the high subset's part scales each chunk's sums.
+    stack = [low_sign if n % 2 == 0 else -low_sign, *np.empty((n, 1 << k), dtype=complex)]
+    chunk = np.empty_like(low)
+    for h in range(high.shape[1]):
+        np.add(low, high[:, h : h + 1], out=chunk)
+        sign = float(high_sign[h])
+        for i, common, steps in plan:
+            for depth in range(common, len(steps)):
+                d, t = divmod(steps[depth], base)
+                np.multiply(
+                    stack[depth], chunk[d] if t == 1 else chunk[d] ** t, out=stack[depth + 1]
+                )
+            out[i] += sign * complex(stack[len(steps)].sum())
+
+    s_norm = math.prod(map(math.factorial, source.occupations))
+    for i, _, steps in plan:
+        t_norm = math.prod(math.factorial(code % base) for code in steps)
+        out[i] /= math.sqrt(s_norm * t_norm)
+    return out
+
+
+def _subset_sums(rows: np.ndarray, cols: list[int]):
+    """Row sums of `rows[:, S]` for every subset S of `cols`, and (-1)^|S|.
+
+    Subset S sits at the column whose bit b is set when cols[b] is in S.
+    """
+    sums = np.zeros((rows.shape[0], 1 << len(cols)), dtype=complex)
+    sign = np.ones(1 << len(cols))
     size = 1
     for j in cols:
-        sums[size : 2 * size] = sums[:size] + u[:, j]
-        popcount[size : 2 * size] = popcount[:size] + 1
+        np.add(sums[:, :size], rows[:, j : j + 1], out=sums[:, size : 2 * size])
+        np.negative(sign[:size], out=sign[size : 2 * size])
         size *= 2
-    signs = np.where((n - popcount) % 2 == 0, 1.0 + 0j, -1.0 + 0j)
-    s_norm = math.prod(math.factorial(v) for v in source.occupations)
-    out = []
-    for target in targets:
-        if target.n != n:
-            out.append(0j)
-            continue
-        acc = signs.copy()
-        for j, v in enumerate(target.occupations):
-            for _ in range(v):
-                acc *= sums[:, j]
-        norm = math.sqrt(
-            s_norm * math.prod(math.factorial(v) for v in target.occupations)
-        )
-        out.append(complex(acc.sum()) / norm)
-    return out
+    return sums, sign
 
 
 def sector_basis(n: int, channels: int):
@@ -184,18 +243,18 @@ class Distribution:
 
 
 def evolve(matrix, state: StateVector, cap: int | None = None) -> StateVector:
-    """Output amplitudes of a state vector under a channel unitary."""
+    """Output amplitudes of a state vector under a channel unitary.
+
+    Every outcome of the input's sector is reduced in one `batch_amplitudes`
+    call per input term; amplitudes of magnitude 1e-12 or less are dropped.
+    """
     n = state.require_sector()
-    out: dict[FockState, complex] = {}
     polarized = state.polarized
-    for occ in sector_basis(n, state.channels):
-        target = FockState(occ, polarized)
-        amp = sum(
-            coeff * amplitude(matrix, term, target, cap=cap)
-            for term, coeff in state.items()
-        )
-        if abs(amp) > 1e-12:
-            out[target] = amp
+    targets = [FockState(occ, polarized) for occ in sector_basis(n, state.channels)]
+    total = np.zeros(len(targets), dtype=complex)
+    for term, coeff in state.items():
+        total += coeff * np.asarray(batch_amplitudes(matrix, term, targets, cap=cap))
+    out = {t: complex(a) for t, a in zip(targets, total) if abs(a) > 1e-12}
     return StateVector(out, channels=state.channels, polarized=polarized)
 
 

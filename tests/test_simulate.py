@@ -12,9 +12,10 @@ import pytest
 
 from photonsim.circuit import Circuit
 from photonsim.components import BeamSplitter, Permutation, PhaseShifter
-from photonsim.errors import MixedSector, TooLarge
+from photonsim.errors import MixedSector, RegisterMismatch, TooLarge
 from photonsim.expansion import oracle_evolve
 from photonsim.fock import FockState, StateVector, make_state
+from photonsim.postselect import admissible_outcomes, parse_postselect
 from photonsim.simulate import (
     SplitMix64,
     amplitude,
@@ -25,6 +26,7 @@ from photonsim.simulate import (
     sample,
     sector_basis,
 )
+from photonsim import simulate
 from photonsim.simulate import _permanent_batched, _permanent_gray
 
 
@@ -130,6 +132,118 @@ def test_batch_amplitudes_match_single_calls():
 def test_batch_amplitudes_cap():
     with pytest.raises(TooLarge):
         batch_amplitudes(np.eye(20), make_state((1,) * 20), [make_state((1,) * 20)])
+
+
+def test_batch_amplitudes_rejects_non_square_unitary():
+    with pytest.raises(RegisterMismatch):
+        batch_amplitudes(np.ones((2, 3)), make_state((1, 0)), [make_state((1, 0))])
+    with pytest.raises(RegisterMismatch):
+        batch_amplitudes(np.ones(3), make_state((1, 0, 0)), [make_state((1, 0, 0))])
+
+
+def test_batch_amplitudes_rejects_register_length_mismatch():
+    with pytest.raises(RegisterMismatch):
+        batch_amplitudes(np.eye(2), make_state((1, 0)), [make_state((1, 0, 0))])
+    with pytest.raises(RegisterMismatch):
+        batch_amplitudes(np.eye(2), make_state((1, 0, 0)), [make_state((1, 0))])
+
+
+def _assert_matches_single_calls(u, src, targets, cap=None):
+    batch = batch_amplitudes(u, src, targets, cap=cap)
+    assert len(batch) == len(targets)
+    for target, got in zip(targets, batch):
+        want = amplitude(u, src, target, cap=cap)
+        assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+
+
+def test_batch_amplitudes_shuffled_duplicate_and_wrong_sector_targets():
+    rng = np.random.default_rng(11)
+    u = random_unitary(rng, 5)
+    src = make_state((1, 1, 0, 1, 0))
+    targets = [make_state(occ) for occ in sector_basis(3, 5)]
+    targets += targets[:4] + [make_state((1, 0, 0, 0, 0)), make_state((2, 2, 0, 0, 0))]
+    order = rng.permutation(len(targets))
+    shuffled = [targets[i] for i in order]
+    batch = batch_amplitudes(u, src, shuffled)
+    for target, got in zip(shuffled, batch):
+        if target.n != src.n:
+            assert got == 0j
+    _assert_matches_single_calls(u, src, shuffled)
+    assert batch_amplitudes(u, src, [make_state((0, 0, 0, 0, 4))]) == [0j]
+    assert batch_amplitudes(u, src, []) == []
+
+
+def test_batch_amplitudes_bunched_sources_and_targets_match_oracle():
+    rng = np.random.default_rng(12)
+    u = random_unitary(rng, 4)
+    for occ in ((3, 0, 1, 0), (0, 2, 0, 2), (4, 0, 0, 0)):
+        src = make_state(occ)
+        targets = [make_state(t) for t in sector_basis(4, 4)]
+        batch = batch_amplitudes(u, src, targets)
+        oracle = oracle_evolve(u, src)
+        for target, got in zip(targets, batch):
+            assert abs(got - oracle.amplitude(target)) < 1e-12
+        _assert_matches_single_calls(u, src, targets)
+
+
+def test_batch_amplitudes_herald_pinned_targets():
+    rng = np.random.default_rng(13)
+    u = random_unitary(rng, 7)
+    src = make_state((1, 0, 1, 0, 1, 1, 0))
+    expr = parse_postselect("[4]==1 & [5]==1 & [6]==0")
+    targets = [make_state(occ) for occ in admissible_outcomes(7, False, 4, expr)]
+    assert len(targets) == 10
+    _assert_matches_single_calls(u, src, targets)
+
+
+def test_batch_amplitudes_source_wider_than_one_chunk():
+    # 14 photons exceed the chunk width, so the sweep runs in several chunks.
+    assert 14 > simulate._CHUNK_BITS
+    rng = np.random.default_rng(14)
+    u = random_unitary(rng, 15)
+    src = make_state((1,) * 13 + (1, 0))
+    targets = [
+        make_state((0,) + (1,) * 14),
+        make_state((2, 0) + (1,) * 12 + (0,)),
+        make_state((1,) * 13 + (0, 1)),
+    ]
+    _assert_matches_single_calls(u, src, targets, cap=14)
+
+
+def test_batch_amplitudes_many_chunks_match_oracle(monkeypatch):
+    # A two-bit chunk forces every multi-photon sweep through several chunks.
+    monkeypatch.setattr(simulate, "_CHUNK_BITS", 2)
+    rng = np.random.default_rng(15)
+    for _ in range(10):
+        modes = int(rng.integers(2, 5))
+        occ = [0] * modes
+        for _ in range(int(rng.integers(1, 5))):
+            occ[int(rng.integers(0, modes))] += 1
+        u = random_unitary(rng, modes)
+        src = make_state(tuple(occ))
+        targets = [make_state(t) for t in sector_basis(src.n, modes)]
+        oracle = oracle_evolve(u, src)
+        for target, got in zip(targets, batch_amplitudes(u, src, targets[::-1])[::-1]):
+            assert abs(got - oracle.amplitude(target)) < 1e-12
+
+
+def test_evolve_superposition_matches_oracle():
+    rng = np.random.default_rng(16)
+    u = random_unitary(rng, 4)
+    a, b = make_state((2, 1, 0, 0)), make_state((0, 1, 1, 1))
+    state = StateVector({a: 0.6, b: 0.8j})
+    out = evolve(u, state)
+    assert abs(out.norm() - 1.0) < 1e-12
+    want_a, want_b = oracle_evolve(u, a), oracle_evolve(u, b)
+    for occ in sector_basis(3, 4):
+        s = make_state(occ)
+        want = 0.6 * want_a.amplitude(s) + 0.8j * want_b.amplitude(s)
+        assert abs(out.amplitude(s) - want) < 1e-12
+
+
+def test_distribution_rejects_register_mismatch():
+    with pytest.raises(RegisterMismatch):
+        distribution(np.eye(4), StateVector.basis(make_state((1, 1))))
 
 
 def test_evolve_preserves_norm_and_matches_oracle():
