@@ -53,8 +53,6 @@ from .qubits import (
     PolarizationEncoding,
     codeword_action,
     data_bits,
-    decode,
-    encode,
     heralded_cnot,
     postselected_cnot,
     single_qubit_gate,
@@ -119,10 +117,8 @@ __all__ = [
     "batch_amplitudes",
     "codeword_action",
     "data_bits",
-    "decode",
     "distribution",
     "dual_rail_grover_3q",
-    "encode",
     "evolve",
     "format_state",
     "grover_pipeline",

@@ -44,14 +44,12 @@ class Circuit:
     def channels(self) -> int:
         return 2 * self.modes if self.polarized else self.modes
 
-    def add(self, anchor, component, pol_target=None) -> "Circuit":
+    def add(self, anchor, component) -> "Circuit":
         """Place a component with its first mode at `anchor`.
 
         `anchor` may also be a contiguous ascending mode tuple, in which case
         it must match the component width.
         """
-        if pol_target is not None:
-            raise InvalidSpec("pol_target is reserved and not accepted")
         width = component.width
         if isinstance(anchor, (tuple, list)):
             span = tuple(anchor)

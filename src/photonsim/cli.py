@@ -25,12 +25,13 @@ from .components import (
     PolarizingBeamSplitter,
     WavePlate,
 )
-from .errors import EvalError, InvalidSpec, ParseError, SimulatorError
+from .errors import InvalidSpec, SimulatorError
 from .fock import FockState, StateVector
 from .notation import format_state, parse_state
-from .postselect import PostSelect, Processor, admissible_outcomes, parse_postselect
+from .postselect import Processor, parse_postselect
 from .qubits import GateSequence, NonCodeword, PolarizationEncoding, data_bits
-from .simulate import batch_amplitudes, sample, sector_basis
+from .simulate import sample
+from .simulate import batch_amplitudes  # noqa: F401  (bench/test_bench.py checks this binding)
 
 
 @dataclass(frozen=True)
@@ -167,10 +168,7 @@ def _apply_gate_record(seq: GateSequence, record: dict, index: int):
     if name in ("CZ", "CY"):
         if len(qubits) != 2:
             raise InvalidSpec(f"{what}: {name} takes [control, target]")
-        before, after = ("H", "H") if name == "CZ" else ("SDAG", "S")
-        seq.gate(before, qubits[1])
-        seq.cnot(qubits[0], qubits[1], flavour)
-        seq.gate(after, qubits[1])
+        seq.controlled_pauli(name, qubits[0], qubits[1], flavour)
         return
     if name == "CCX":
         if len(qubits) != 3:
@@ -278,26 +276,6 @@ def _cmd_unitary(args) -> int:
     return 0
 
 
-def _simulate_lines(loaded: LoadedCircuit, state: FockState, postselect, min_photons, cap=None):
-    unitary = loaded.circuit.compile()
-    n = state.n
-    channels = loaded.circuit.channels
-    if min_photons and n < min_photons:
-        return []
-    if postselect is not None:
-        if postselect.max_mode() >= loaded.circuit.modes:
-            raise EvalError(
-                f"predicate references mode {postselect.max_mode()} but the "
-                f"circuit has {loaded.circuit.modes} modes"
-            )
-        outcomes = admissible_outcomes(channels, loaded.circuit.polarized, n, postselect)
-    else:
-        outcomes = sector_basis(n, channels)
-    targets = [FockState(occ, loaded.circuit.polarized) for occ in outcomes]
-    amps = batch_amplitudes(unitary, state, targets, cap=cap)
-    return list(zip(targets, amps))
-
-
 def _cmd_simulate(args) -> int:
     try:
         loaded = load_circuit_file(args.circuit)
@@ -306,7 +284,9 @@ def _cmd_simulate(args) -> int:
     except (SimulatorError, OSError) as exc:
         return _fail(2, exc)
     try:
-        lines = _simulate_lines(loaded, state, postselect, args.min_photons)
+        processor = Processor(loaded.circuit, StateVector.basis(state), postselect,
+                              args.min_photons)
+        lines = processor.amplitudes()
     except SimulatorError as exc:
         return _fail(3, exc)
 

@@ -270,16 +270,6 @@ class GenericUnitary:
 SpatialComponent = (BeamSplitter, PhaseShifter, Permutation, GenericUnitary)
 JonesComponent = (WavePlate, PolarizationRotator)
 
-Component = (
-    BeamSplitter
-    | PhaseShifter
-    | Permutation
-    | WavePlate
-    | PolarizationRotator
-    | PolarizingBeamSplitter
-    | GenericUnitary
-)
-
 
 def _phase(phi: float) -> complex:
     return complex(math.cos(phi), math.sin(phi))

@@ -12,10 +12,9 @@ import math
 
 import numpy as np
 
+from .components import UNITARY_TOL
 from .errors import NotUnitary, RegisterMismatch
 from .fock import FockState, StateVector
-
-_UNITARY_TOL = 1e-9
 
 
 def oracle_evolve(matrix, state: FockState) -> StateVector:
@@ -27,8 +26,8 @@ def oracle_evolve(matrix, state: FockState) -> StateVector:
         raise RegisterMismatch(
             f"matrix on {u.shape[0]} channels, state on {state.channels}"
         )
-    if not np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=_UNITARY_TOL, rtol=0):
-        raise NotUnitary(f"matrix deviates from unitarity beyond {_UNITARY_TOL}")
+    if not np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=UNITARY_TOL, rtol=0):
+        raise NotUnitary(f"matrix deviates from unitarity beyond {UNITARY_TOL}")
 
     dim = state.channels
     start_coeff = 1.0 / math.sqrt(

@@ -81,10 +81,6 @@ def make_state(occupations: Iterable[int], polarized: bool = False) -> FockState
     return FockState(tuple(occupations), polarized)
 
 
-def same_register(a: FockState, b: FockState) -> bool:
-    return a.channels == b.channels and a.polarized == b.polarized
-
-
 def sort_key(state: FockState):
     """Canonical ordering key: descending lexicographic on occupations.
 

@@ -13,7 +13,6 @@ firing, the two searched qubits land on |01> with certainty.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -27,10 +26,11 @@ from .components import (
     half_wave_plate,
 )
 from .errors import InvalidSpec
-from .fock import FockState, StateVector
-from .postselect import admissible_outcomes
+from .fock import PRUNE_TOL, FockState, StateVector
+from .postselect import Processor
 from .qubits import GateSequence, NonCodeword, data_bits
-from .simulate import SplitMix64, batch_amplitudes, distribution
+from .simulate import distribution, inverse_cdf_counts
+from .simulate import batch_amplitudes  # noqa: F401  (bench/test_bench.py checks this binding)
 
 TARGETS = ("00", "01", "10", "11")
 VARIANTS = ("per_mode_PR", "uniform_PR0")
@@ -128,23 +128,11 @@ PIPELINE_INPUT = FockState((0, 0, 1, 0, 0, 0, 0, 0), polarized=True)
 
 
 def _sample_labels(probabilities: dict[str, float], shots: int, seed: int) -> dict[str, int]:
-    """Inverse-CDF label draws; label order is sorted, so reruns are
-    bit-identical for a fixed seed."""
-    if shots < 0:
-        raise ValueError(f"shots must be >= 0, got {shots}")
+    """Inverse-CDF label draws in sorted label order, so reruns are
+    bit-identical for a fixed seed; every label gets a count, zeros too."""
     labels = sorted(probabilities)
-    cumulative = []
-    acc = 0.0
-    for label in labels:
-        acc += probabilities[label]
-        cumulative.append(acc)
-    counts = dict.fromkeys(labels, 0)
-    rng = SplitMix64(seed)
-    for _ in range(shots):
-        u = rng.next_double() * acc
-        index = min(bisect.bisect_right(cumulative, u), len(labels) - 1)
-        counts[labels[index]] += 1
-    return counts
+    counts = inverse_cdf_counts([probabilities[label] for label in labels], shots, seed)
+    return dict(zip(labels, counts))
 
 
 @dataclass(frozen=True)
@@ -225,23 +213,18 @@ def dual_rail_grover_3q(shots: int = 0, seed: int = 0) -> DualRailGroverResult:
     """
     build = _three_qubit_sequence().build()
     source = build.input_state((0, 0, 0))
-    n = source.n
-    unitary = build.circuit.compile()
-    targets = [
-        FockState(occ)
-        for occ in admissible_outcomes(build.circuit.modes, False, n, build.condition)
-    ]
-    amps = batch_amplitudes(unitary, source, targets, cap=n)
-    success = sum(abs(a) ** 2 for a in amps)
+    processor = Processor(build.circuit, StateVector.basis(source), build.condition)
+    outcomes = processor.amplitudes(cap=source.n)
+    success = sum(abs(a) ** 2 for _, a in outcomes)
     root = math.sqrt(success)
     probabilities: dict[str, float] = {}
     amplitudes: dict[str, complex] = {}
     data_probabilities: dict[str, float] = {}
     leak = 0.0
-    for state, amp in zip(targets, amps):
-        p = abs(amp) ** 2 / success
-        if p <= 1e-18:
+    for state, amp in outcomes:
+        if abs(amp) < PRUNE_TOL:
             continue
+        p = abs(amp) ** 2 / success
         bits = data_bits(state, 3)
         if bits is NonCodeword:
             leak += p
@@ -251,7 +234,7 @@ def dual_rail_grover_3q(shots: int = 0, seed: int = 0) -> DualRailGroverResult:
         amplitudes[label] = amp / root
         pair = label[:2]
         data_probabilities[pair] = data_probabilities.get(pair, 0.0) + p
-    counts = _sample_labels(probabilities, shots, seed) if probabilities else {}
+    counts = _sample_labels(probabilities, shots, seed)
     return DualRailGroverResult(
         probabilities,
         amplitudes,

@@ -16,7 +16,12 @@ from .errors import MixedRegister, ParseError
 from .fock import FockState, Polarization
 
 
-class _Scanner:
+class Scanner:
+    """Whitespace-skipping reader over a string.
+
+    Every failure raises ParseError at the offset of the offending character.
+    """
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -29,12 +34,22 @@ class _Scanner:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def expect(self, ch: str):
+    def fail(self, expected: str):
         got = self.peek()
-        if got != ch:
-            shown = repr(got) if got else "end of input"
-            raise ParseError(f"expected {ch!r}, found {shown}", self.pos)
-        self.pos += 1
+        shown = repr(got) if got else "end of input"
+        raise ParseError(f"expected {expected}, found {shown}", self.pos)
+
+    def accept(self, token: str) -> bool:
+        """Consume `token` if it comes next."""
+        self.skip_ws()
+        if not self.text.startswith(token, self.pos):
+            return False
+        self.pos += len(token)
+        return True
+
+    def expect(self, ch: str):
+        if not self.accept(ch):
+            self.fail(repr(ch))
 
     def integer(self) -> int:
         self.skip_ws()
@@ -42,41 +57,37 @@ class _Scanner:
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
-            got = self.text[start] if start < len(self.text) else ""
-            shown = repr(got) if got else "end of input"
-            raise ParseError(f"expected a number, found {shown}", start)
+            self.fail("a number")
         return int(self.text[start : self.pos])
 
     def polarization(self) -> Polarization:
-        got = self.peek()
-        if got == "H":
-            self.pos += 1
+        if self.accept("H"):
             return Polarization.H
-        if got == "V":
-            self.pos += 1
+        if self.accept("V"):
             return Polarization.V
-        shown = repr(got) if got else "end of input"
-        raise ParseError(f"expected polarization H or V, found {shown}", self.pos)
+        self.fail("polarization H or V")
+
+    def end(self):
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise ParseError(f"trailing input {self.text[self.pos]!r}", self.pos)
 
 
-def _parse_entry(sc: _Scanner):
+def _parse_entry(sc: Scanner):
     """One mode entry: returns (plain_count, {pol: count}) with one side used."""
-    if sc.peek() == "{":
+    if sc.accept("{"):
         # {P:H} sugar for a single polarized photon
-        sc.expect("{")
         sc.expect("P")
         sc.expect(":")
         pol = sc.polarization()
         sc.expect("}")
         return None, {pol: 1}
     count = sc.integer()
-    if sc.peek() != ":":
+    if not sc.accept(":"):
         return count, None
-    sc.expect(":")
     pol = sc.polarization()
     parts = {pol: count}
-    while sc.peek() == "+":
-        sc.expect("+")
+    while sc.accept("+"):
         more = sc.integer()
         sc.expect(":")
         pol = sc.polarization()
@@ -90,21 +101,17 @@ def parse_state(text: str) -> FockState:
     Raises ParseError (with byte offset) on malformed input and
     MixedRegister when polarized and nonzero plain entries are mixed.
     """
-    sc = _Scanner(text)
+    sc = Scanner(text)
     sc.expect("|")
     entries = []
     offsets = []
     while True:
         offsets.append(sc.pos)
         entries.append(_parse_entry(sc))
-        if sc.peek() == ",":
-            sc.expect(",")
-            continue
-        break
+        if not sc.accept(","):
+            break
     sc.expect(">")
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise ParseError(f"trailing input {sc.text[sc.pos]!r}", sc.pos)
+    sc.end()
 
     polarized = any(parts is not None for _, parts in entries)
     if not polarized:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .circuit import Circuit
-from .errors import EvalError, ParseError
-from .fock import FockState, StateVector
-from .simulate import Distribution, batch_amplitudes, sector_basis
+from .errors import EvalError, RegisterMismatch
+from .fock import PRUNE_TOL, FockState, StateVector
+from .notation import Scanner
+from .simulate import Distribution, require_normalized, sector_basis, state_amplitudes
+from .simulate import batch_amplitudes  # noqa: F401  (bench/test_bench.py checks this binding)
 
 _OPS = ("==", "<=", ">=", "<", ">")
 
@@ -74,67 +74,21 @@ def _compare(total: int, op: str, value: int) -> bool:
 
 def parse_postselect(text: str) -> PostSelect:
     """Parse a predicate; raises ParseError with the byte offset on failure."""
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def error(expected: str):
-        skip_ws()
-        got = repr(text[pos]) if pos < len(text) else "end of input"
-        raise ParseError(f"expected {expected}, found {got}", pos)
-
-    def expect(ch: str):
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text) or text[pos] != ch:
-            error(repr(ch))
-        pos += 1
-
-    def integer() -> int:
-        nonlocal pos
-        skip_ws()
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            error("a number")
-        return int(text[start:pos])
-
-    def operator() -> str:
-        nonlocal pos
-        skip_ws()
-        for op in _OPS:
-            if text.startswith(op, pos):
-                pos += len(op)
-                return op
-        error("a comparison operator")
-
+    sc = Scanner(text)
     clauses = []
     while True:
-        expect("[")
-        modes = [integer()]
-        while True:
-            skip_ws()
-            if pos < len(text) and text[pos] == ",":
-                pos += 1
-                modes.append(integer())
-            else:
-                break
-        expect("]")
-        op = operator()
-        value = integer()
-        clauses.append(Clause(tuple(modes), op, value))
-        skip_ws()
-        if pos < len(text) and text[pos] == "&":
-            pos += 1
-            continue
-        break
-    skip_ws()
-    if pos != len(text):
-        raise ParseError(f"trailing input {text[pos]!r}", pos)
+        sc.expect("[")
+        modes = [sc.integer()]
+        while sc.accept(","):
+            modes.append(sc.integer())
+        sc.expect("]")
+        op = next((op for op in _OPS if sc.accept(op)), None)
+        if op is None:
+            sc.fail("a comparison operator")
+        clauses.append(Clause(tuple(modes), op, sc.integer()))
+        if not sc.accept("&"):
+            break
+    sc.end()
     return PostSelect(tuple(clauses))
 
 
@@ -236,17 +190,20 @@ class Processor:
     postselect: PostSelect | None = None
     min_detected_photons: int = 0
 
-    def run(self, cap: int | None = None) -> tuple[Distribution, float]:
-        """Conditioned output distribution and the success probability.
+    def amplitudes(self, cap: int | None = None) -> list[tuple[FockState, complex]]:
+        """Every admissible outcome with its unconditioned amplitude.
 
-        Without a predicate the raw distribution is returned with success 1.
-        With one, kept probabilities are renormalized and success is their
-        raw sum.
+        Outcomes come in canonical order: the whole photon-number sector
+        without a predicate, the outcomes that satisfy it otherwise, and none
+        when the input holds fewer than `min_detected_photons` photons.
+        Raises MixedSector for an input without a fixed photon number,
+        InvalidSpec for one that is not normalized, RegisterMismatch when it
+        does not fit the circuit and EvalError when the predicate reads a mode
+        the circuit lacks.
         """
         n = self.input_state.require_sector()
+        require_normalized(self.input_state)
         if self.input_state.channels != self.circuit.channels:
-            from .errors import RegisterMismatch
-
             raise RegisterMismatch(
                 f"input on {self.input_state.channels} channels, circuit on "
                 f"{self.circuit.channels}"
@@ -257,28 +214,29 @@ class Processor:
                 f"circuit has {self.circuit.modes} modes"
             )
         if n < self.min_detected_photons:
-            return Distribution({}, n), 0.0
-
-        u = self.circuit.compile()
-        polarized = self.circuit.polarized
+            return []
+        channels, polarized = self.circuit.channels, self.circuit.polarized
         if self.postselect is None:
-            outcomes = sector_basis(n, self.circuit.channels)
+            outcomes = sector_basis(n, channels)
         else:
-            outcomes = admissible_outcomes(
-                self.circuit.channels, polarized, n, self.postselect
-            )
+            outcomes = admissible_outcomes(channels, polarized, n, self.postselect)
         targets = [FockState(occ, polarized) for occ in outcomes]
-        total = np.zeros(len(targets), dtype=complex)
-        for term, coeff in self.input_state.items():
-            total += coeff * np.asarray(
-                batch_amplitudes(u, term, targets, cap=cap), dtype=complex
-            )
-        kept: dict[FockState, float] = {}
-        for target, amp in zip(targets, total):
-            p = abs(amp) ** 2
-            if p > 1e-24:
-                kept[target] = p
-        if self.postselect is None:
+        amps = state_amplitudes(self.circuit.compile(), self.input_state, targets, cap=cap)
+        return list(zip(targets, amps))
+
+    def run(self, cap: int | None = None) -> tuple[Distribution, float]:
+        """Conditioned output distribution and the success probability.
+
+        Outcomes of `amplitudes` whose amplitude is below fock.PRUNE_TOL are
+        dropped.  Without a predicate the raw distribution is returned with
+        success 1.  With one, kept probabilities are renormalized and success
+        is their raw sum.  Too few photons for `min_detected_photons` give
+        an empty distribution with success 0.
+        """
+        amplitudes = self.amplitudes(cap)
+        n = self.input_state.sector
+        kept = {t: abs(a) ** 2 for t, a in amplitudes if abs(a) >= PRUNE_TOL}
+        if self.postselect is None and n >= self.min_detected_photons:
             return Distribution(kept, n), 1.0
         success = sum(kept.values())
         if success == 0.0:

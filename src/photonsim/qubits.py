@@ -27,7 +27,7 @@ from .components import (
 )
 from .errors import InvalidGate, InvalidSpec, OutOfRange, RegisterMismatch
 from .fock import FockState, StateVector
-from .postselect import Clause, PostSelect
+from .postselect import Clause, PostSelect, Processor
 from .simulate import batch_amplitudes
 
 #: Splitter half-angle with reflectivity 1/3, used by the post-selected CNOT.
@@ -124,14 +124,6 @@ class PolarizationEncoding:
         return _POLARIZATION_DECODE.get(state.occupations, NonCodeword)
 
 
-def encode(bits, encoding) -> FockState:
-    return encoding.encode(bits)
-
-
-def decode(state: FockState, encoding):
-    return encoding.decode(state)
-
-
 @dataclass(frozen=True)
 class GateBuild:
     """A gate lowered to optics.
@@ -162,8 +154,6 @@ class GateBuild:
 
     def run(self, bits, cap: int | None = None):
         """Conditioned distribution and success probability for a bit input."""
-        from .postselect import Processor
-
         state = StateVector.basis(self.input_state(bits))
         return Processor(self.circuit, state, self.condition).run(cap=cap)
 
@@ -262,13 +252,7 @@ def single_qubit_gate(name: str, qubit: int, q: int, theta=None) -> GateBuild:
 
     SWAP exchanges `qubit` with `qubit + 1`; the rotations require `theta`.
     """
-    canonical = name.strip().upper()
-    placements = _single_placements(canonical, qubit, theta)
-    _check_qubit(qubit, q, span=2 if canonical == "SWAP" else 1)
-    circuit = Circuit(2 * q)
-    for anchor, component in placements:
-        circuit = circuit.add(anchor, component)
-    return GateBuild(circuit)
+    return GateSequence(q).gate(name, qubit, theta).build()
 
 
 # --- two-qubit gates --------------------------------------------------------
@@ -350,19 +334,7 @@ def postselected_cnot(control: int, target: int, q: int) -> GateBuild:
     only valid when no later component disturbs those modes; use the
     heralded variant inside longer sequences.
     """
-    _check_pair(control, target, q)
-    aux0, aux1 = 2 * q, 2 * q + 1
-    slots = (aux0, 2 * control, 2 * control + 1, 2 * target, 2 * target + 1, aux1)
-    circuit = _add_embedded(Circuit(2 * q + 2), slots, _postselected_core_placements())
-    condition = PostSelect(
-        (
-            Clause((2 * control, 2 * control + 1), "==", 1),
-            Clause((2 * target, 2 * target + 1), "==", 1),
-            Clause((aux0,), "==", 0),
-            Clause((aux1,), "==", 0),
-        )
-    )
-    return GateBuild(circuit, (0, 0), condition, 1.0 / 9.0)
+    return GateSequence(q).cnot(control, target, "postselected").build()
 
 
 _SQRT2 = math.sqrt(2.0)
@@ -406,46 +378,18 @@ def heralded_cnot(control: int, target: int, q: int) -> GateBuild:
     Success is announced by the auxiliary detectors alone, so the data
     qubits survive the gate and further gates can follow.
     """
-    _check_pair(control, target, q)
-    aux0, aux1 = 2 * q, 2 * q + 1
-    slots = (2 * control, 2 * control + 1, 2 * target, 2 * target + 1, aux0, aux1)
-    circuit = _add_embedded(
-        Circuit(2 * q + 2), slots, [(0, GenericUnitary(HERALDED_CNOT_MATRIX))]
-    )
-    condition = PostSelect(
-        (Clause((aux0,), "==", 1), Clause((aux1,), "==", 1))
-    )
-    return GateBuild(circuit, (1, 1), condition, 2.0 / 27.0)
+    return GateSequence(q).cnot(control, target, "heralded").build()
 
 
 def controlled_pauli(kind: str, control: int, target: int, q: int, cnot: str = "postselected") -> GateBuild:
-    """CZ or CY by conjugating a CNOT with target-side single-qubit gates.
+    """CZ or CY as a single-gate `GateSequence.controlled_pauli`."""
+    return GateSequence(q).controlled_pauli(kind, control, target, cnot).build()
 
-    CZ = H_t CX H_t and CY = S_t CX S_t^dag; the build inherits the chosen
-    CNOT's herald input, condition and success probability.
-    """
-    canonical = kind.strip().upper()
-    if canonical == "CZ":
-        before, after = "H", "H"
-    elif canonical == "CY":
-        before, after = "SDAG", "S"
-    else:
-        raise InvalidGate(f"unknown controlled-Pauli {kind!r}")
-    if cnot == "postselected":
-        inner = postselected_cnot(control, target, q)
-    elif cnot == "heralded":
-        inner = heralded_cnot(control, target, q)
-    else:
-        raise InvalidGate(f"unknown CNOT flavour {cnot!r}")
-    circuit = Circuit(inner.circuit.modes)
-    for anchor, component in _single_placements(before, target, None):
-        circuit = circuit.add(anchor, component)
-    circuit = circuit.compose(inner.circuit)
-    for anchor, component in _single_placements(after, target, None):
-        circuit = circuit.add(anchor, component)
-    return GateBuild(
-        circuit, inner.herald_input, inner.condition, inner.success_probability
-    )
+
+_CNOT_KINDS = ("heralded", "postselected")
+
+#: Target-side gates (before, after) that turn a CNOT into CZ or CY.
+_PAULI_CONJUGATION = {"CZ": ("H", "H"), "CY": ("SDAG", "S")}
 
 
 class GateSequence:
@@ -466,11 +410,27 @@ class GateSequence:
         return self
 
     def cnot(self, control: int, target: int, kind: str = "heralded") -> "GateSequence":
-        if kind not in ("heralded", "postselected"):
+        if kind not in _CNOT_KINDS:
             raise InvalidGate(f"unknown CNOT flavour {kind!r}")
         _check_pair(control, target, self.q)
         self._ops.append(("cnot", kind, control, target))
         return self
+
+    def controlled_pauli(self, kind: str, control: int, target: int, cnot: str = "postselected") -> "GateSequence":
+        """CZ or CY by conjugating a CNOT with target-side single-qubit gates.
+
+        CZ = H_t CX H_t and CY = S_t CX S_t^dag; the CNOT brings its herald
+        input, condition and success probability.  Everything is validated
+        before any gate is recorded.
+        """
+        canonical = kind.strip().upper()
+        if canonical not in _PAULI_CONJUGATION:
+            raise InvalidGate(f"unknown controlled-Pauli {kind!r}")
+        if cnot not in _CNOT_KINDS:
+            raise InvalidGate(f"unknown CNOT flavour {cnot!r}")
+        _check_pair(control, target, self.q)
+        before, after = _PAULI_CONJUGATION[canonical]
+        return self.gate(before, target).cnot(control, target, cnot).gate(after, target)
 
     def toffoli(self, c0: int, c1: int, target: int, kind: str = "heralded") -> "GateSequence":
         """CCX as six CNOTs with H/T phases: kickbacks on the target through

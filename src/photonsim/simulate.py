@@ -11,21 +11,21 @@ are evaluated with Ryser's inclusion-exclusion formula.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MixedSector, RegisterMismatch, TooLarge
+from .components import UNITARY_TOL
+from .errors import InvalidSpec, RegisterMismatch, TooLarge
 from .fock import FockState, StateVector, sort_key
 
 #: Hard default for the largest permanent, overridable via this env var.
 PERMANENT_CAP_ENV = "PHOTONSIM_PERMANENT_CAP"
 _DEFAULT_CAP = 16
-
-# Above this size the batch-enumeration variant wins over the Python loop.
-_VECTOR_THRESHOLD = 10
 
 # batch_amplitudes sweeps 2^_CHUNK_BITS column subsets at a time.
 _CHUNK_BITS = 13
@@ -40,28 +40,21 @@ def _configured_cap(cap: int | None) -> int:
 def permanent(matrix, cap: int | None = None) -> complex:
     """Permanent of a square complex matrix via Ryser's formula.
 
-    Subsets are visited in Gray-code order with single-row updates for small
-    matrices; larger ones use a vectorized batch enumeration of the same
-    inclusion-exclusion sum.  `cap` guards against runaway cost (default 16,
-    or the PHOTONSIM_PERMANENT_CAP environment variable).
+    The scalar reference: one Python loop over the 2^n column subsets in
+    Gray-code order, with a single-column update per step.  The evaluation
+    path uses `batch_amplitudes`; tests check it against this.  `cap` guards
+    against runaway cost (default 16, or the PHOTONSIM_PERMANENT_CAP
+    environment variable).  Raises RegisterMismatch for a non-square matrix.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise TooLarge(f"permanent needs a square matrix, got shape {a.shape}")
+        raise RegisterMismatch(f"permanent needs a square matrix, got shape {a.shape}")
     n = a.shape[0]
     cap = _configured_cap(cap)
     if n > cap:
         raise TooLarge(f"permanent of size {n} exceeds cap {cap}")
     if n == 0:
         return 1.0 + 0j
-    if n <= _VECTOR_THRESHOLD:
-        return _permanent_gray(a)
-    return _permanent_batched(a)
-
-
-def _permanent_gray(a: np.ndarray) -> complex:
-    """Ryser sum over column subsets, Gray-code order, O(2^n * n)."""
-    n = a.shape[0]
     rows = [list(row) for row in a]
     sums = [0j] * n
     total = 0j
@@ -82,22 +75,6 @@ def _permanent_gray(a: np.ndarray) -> complex:
             prod *= v
         total += prod if (n - gray.bit_count()) % 2 == 0 else -prod
     return total
-
-
-def _permanent_batched(a: np.ndarray) -> complex:
-    """Same Ryser sum, enumerating all column subsets in one array sweep."""
-    n = a.shape[0]
-    count = 1 << n
-    sums = np.zeros((count, n), dtype=complex)
-    popcount = np.zeros(count, dtype=np.int64)
-    size = 1
-    for j in range(n):
-        sums[size : 2 * size] = sums[:size] + a[:, j]
-        popcount[size : 2 * size] = popcount[:size] + 1
-        size *= 2
-    prods = np.prod(sums[1:], axis=1)
-    signs = np.where((n - popcount[1:]) % 2 == 0, 1.0, -1.0)
-    return complex(np.sum(signs * prods))
 
 
 def amplitude(matrix, source: FockState, target: FockState, cap: int | None = None) -> complex:
@@ -242,28 +219,45 @@ class Distribution:
         return self.entries.get(state, 0.0)
 
 
+def state_amplitudes(matrix, state: StateVector, targets, cap: int | None = None) -> list[complex]:
+    """Amplitudes <t| U |state> for a list of targets, in the order given.
+
+    The input terms are summed with one `batch_amplitudes` call each.
+    """
+    total = np.zeros(len(targets), dtype=complex)
+    for term, coeff in state.items():
+        total += coeff * np.asarray(batch_amplitudes(matrix, term, targets, cap=cap))
+    return total.tolist()
+
+
+def require_normalized(state: StateVector):
+    """Raise InvalidSpec when |<state|state> - 1| exceeds UNITARY_TOL."""
+    defect = abs(state.norm() ** 2 - 1.0)
+    if defect > UNITARY_TOL:
+        raise InvalidSpec(f"input state is not normalized: |norm^2 - 1| = {defect:.3g}")
+
+
 def evolve(matrix, state: StateVector, cap: int | None = None) -> StateVector:
     """Output amplitudes of a state vector under a channel unitary.
 
-    Every outcome of the input's sector is reduced in one `batch_amplitudes`
-    call per input term; amplitudes of magnitude 1e-12 or less are dropped.
+    Every outcome of the input's sector is evaluated by `state_amplitudes`;
+    the StateVector drops amplitudes below fock.PRUNE_TOL.
     """
     n = state.require_sector()
     polarized = state.polarized
     targets = [FockState(occ, polarized) for occ in sector_basis(n, state.channels)]
-    total = np.zeros(len(targets), dtype=complex)
-    for term, coeff in state.items():
-        total += coeff * np.asarray(batch_amplitudes(matrix, term, targets, cap=cap))
-    out = {t: complex(a) for t, a in zip(targets, total) if abs(a) > 1e-12}
-    return StateVector(out, channels=state.channels, polarized=polarized)
+    amplitudes = state_amplitudes(matrix, state, targets, cap=cap)
+    return StateVector(dict(zip(targets, amplitudes)), channels=state.channels, polarized=polarized)
 
 
 def distribution(matrix, state: StateVector, cap: int | None = None) -> Distribution:
     """Output probability distribution of a normalized state vector.
 
-    Raises MixedSector when the input has no fixed photon number.
+    Raises MixedSector when the input has no fixed photon number and
+    InvalidSpec when it is not normalized.
     """
     n = state.require_sector()
+    require_normalized(state)
     evolved = evolve(matrix, state, cap=cap)
     entries = {s: abs(a) ** 2 for s, a in evolved.items()}
     return Distribution(entries, n)
@@ -302,32 +296,29 @@ class SampleCount:
         return sorted(self.counts.items(), key=lambda kv: sort_key(kv[0]))
 
 
-def sample(dist: Distribution, shots: int, seed: int) -> SampleCount:
-    """Draw `shots` outcomes by inverse CDF over the canonical outcome order.
+def inverse_cdf_counts(weights, shots: int, seed: int) -> list[int]:
+    """Counts per index of `shots` inverse-CDF draws over `weights`.
 
-    Bit-identical across runs for the same distribution, shots and seed.
+    Each draw scales one SplitMix64 double by the weights' total, so the
+    counts are bit-identical across runs for the same weights, shots and
+    seed.  Empty weights give no counts.
     """
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
-    ordered = dist.items()
-    cumulative = []
-    acc = 0.0
-    for _, p in ordered:
-        acc += p
-        cumulative.append(acc)
+    counts = [0] * len(weights)
+    if not weights:
+        return counts
+    cumulative = list(itertools.accumulate(weights))
+    total, last = cumulative[-1], len(cumulative) - 1
     rng = SplitMix64(seed)
-    counts: dict[FockState, int] = {}
-    if not ordered:
-        return SampleCount({}, shots, seed)
     for _ in range(shots):
-        u = rng.next_double() * acc
-        lo, hi = 0, len(cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if u < cumulative[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        state = ordered[lo][0]
-        counts[state] = counts.get(state, 0) + 1
-    return SampleCount(counts, shots, seed)
+        counts[min(bisect.bisect_right(cumulative, rng.next_double() * total), last)] += 1
+    return counts
+
+
+def sample(dist: Distribution, shots: int, seed: int) -> SampleCount:
+    """Draw `shots` outcomes by `inverse_cdf_counts` over the canonical
+    outcome order; outcomes never drawn are left out of the counts."""
+    ordered = dist.items()
+    counts = inverse_cdf_counts([p for _, p in ordered], shots, seed)
+    return SampleCount({s: c for (s, _), c in zip(ordered, counts) if c}, shots, seed)

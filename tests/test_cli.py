@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from photonsim.cli import load_circuit_file, main
+from photonsim.qubits import controlled_pauli
 
 DATA = Path(__file__).parent / "data"
 
@@ -297,6 +298,29 @@ def test_predicate_out_of_range_exits_3(capsys):
     )
     assert code == 3
     assert "mode 9" in err
+
+
+def test_predicate_is_checked_before_min_photons(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--circuit", str(DATA / "h.json"), "--input", "|1,0,1,0>",
+        "--postselect", "[9]==0", "--min-photons", "5",
+    )
+    assert code == 3 and out == ""
+    assert "mode 9" in err
+
+
+@pytest.mark.parametrize("name", ["CZ", "CY"])
+@pytest.mark.parametrize("flavour", [None, "postselected", "heralded"])
+def test_controlled_pauli_gate_record_matches_api(tmp_path, name, flavour):
+    record = {"name": name, "qubits": [1, 0]}
+    if flavour is not None:
+        record["cnot"] = flavour
+    path = tmp_path / "cp.json"
+    path.write_text(json.dumps({"modes": 4, "gates": [record]}))
+    loaded = load_circuit_file(str(path))
+    build = controlled_pauli(name, 1, 0, 2, flavour or "postselected")
+    assert np.array_equal(loaded.circuit.compile(), build.circuit.compile())
+    assert loaded.herald_input == build.herald_input
 
 
 def test_unknown_gate_in_file_exits_2(capsys, tmp_path):

@@ -156,3 +156,11 @@ def test_three_qubit_counts():
     result = three_qubit_result()
     assert sum(result.counts.values()) == 100
     assert set(result.counts) == {"010", "011"}
+
+
+def test_sampler_streams_are_pinned():
+    # Literal counts recorded before the samplers were merged.
+    assert run_grover("10", "uniform_PR0", shots=500, seed=99).counts == {
+        "00": 0, "01": 0, "10": 500, "11": 0,
+    }
+    assert dual_rail_grover_3q(shots=300, seed=7).counts == {"010": 148, "011": 152}

@@ -4,7 +4,7 @@ import pytest
 
 from photonsim.circuit import Circuit
 from photonsim.components import BeamSplitter
-from photonsim.errors import EvalError, ParseError, RegisterMismatch
+from photonsim.errors import EvalError, InvalidSpec, ParseError, RegisterMismatch
 from photonsim.fock import StateVector, make_state
 from photonsim.postselect import (
     Clause,
@@ -171,6 +171,31 @@ def test_processor_predicate_out_of_range():
     )
     with pytest.raises(EvalError):
         proc.run()
+
+
+def test_processor_rejects_unnormalized_state():
+    both = StateVector.basis(make_state((1, 0))) + StateVector.basis(make_state((0, 1)))
+    proc = Processor(Circuit(2), both)
+    with pytest.raises(InvalidSpec):
+        proc.amplitudes()
+    with pytest.raises(InvalidSpec):
+        proc.run()
+
+
+def test_processor_amplitudes_underlie_run():
+    circuit = Circuit(3).add(0, BeamSplitter.h()).add(1, BeamSplitter.rx(0.7))
+    state = StateVector.basis(make_state((1, 1, 0)))
+    expr = parse_postselect("[2]<=1")
+    proc = Processor(circuit, state, expr)
+    outcomes = proc.amplitudes()
+    want = [s for s in sector_basis(2, 3) if expr.evaluate(make_state(s))]
+    assert [t.occupations for t, _ in outcomes] == want
+    assert all(type(a) is complex for _, a in outcomes)
+    dist, success = proc.run()
+    assert success == pytest.approx(sum(abs(a) ** 2 for _, a in outcomes))
+    for target, amp in outcomes:
+        assert dist.probability(target) == pytest.approx(abs(amp) ** 2 / success)
+    assert Processor(circuit, state, min_detected_photons=3).amplitudes() == []
 
 
 def test_success_probability_conserves_mass():

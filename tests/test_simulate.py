@@ -12,11 +12,12 @@ import pytest
 
 from photonsim.circuit import Circuit
 from photonsim.components import BeamSplitter, Permutation, PhaseShifter
-from photonsim.errors import MixedSector, RegisterMismatch, TooLarge
+from photonsim.errors import InvalidSpec, MixedSector, RegisterMismatch, TooLarge
 from photonsim.expansion import oracle_evolve
 from photonsim.fock import FockState, StateVector, make_state
 from photonsim.postselect import admissible_outcomes, parse_postselect
 from photonsim.simulate import (
+    Distribution,
     SplitMix64,
     amplitude,
     batch_amplitudes,
@@ -27,7 +28,6 @@ from photonsim.simulate import (
     sector_basis,
 )
 from photonsim import simulate
-from photonsim.simulate import _permanent_batched, _permanent_gray
 
 
 def naive_permanent(a):
@@ -63,9 +63,15 @@ def test_gray_and_batched_variants_agree():
     rng = np.random.default_rng(8)
     for n in (3, 5, 8):
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        g = _permanent_gray(a)
-        b = _permanent_batched(a)
+        ones = FockState((1,) * n)
+        g = permanent(a)
+        b = batch_amplitudes(a, ones, [ones])[0]
         assert abs(g - b) < 1e-9 * max(1.0, abs(g))
+
+
+def test_permanent_rejects_non_square_matrix():
+    with pytest.raises(RegisterMismatch):
+        permanent(np.ones((2, 3)))
 
 
 def test_permanent_cap():
@@ -307,6 +313,13 @@ def test_distribution_requires_fixed_sector():
         distribution(np.eye(2), mixed)
 
 
+def test_distribution_rejects_unnormalized_state():
+    both = StateVector.basis(make_state((1, 0))) + StateVector.basis(make_state((0, 1)))
+    with pytest.raises(InvalidSpec):
+        distribution(np.eye(2), both)
+    assert distribution(np.eye(2), both.normalized()).total() == pytest.approx(1.0)
+
+
 def test_splitmix64_reference_values():
     r = SplitMix64(0)
     assert r.next_uint64() == 0xE220A8397B1DCDAF
@@ -343,3 +356,27 @@ def test_sample_rejects_negative_shots():
     dist = distribution(np.eye(2), StateVector.basis(make_state((1, 0))))
     with pytest.raises(ValueError):
         sample(dist, -1, seed=0)
+
+
+def test_sample_stream_is_pinned():
+    # Literal counts recorded before the samplers were merged; a change here
+    # means the seeded stream or its mapping to outcomes moved.
+    circuit = (
+        Circuit(3)
+        .add(0, BeamSplitter.bs1(math.pi / 4))
+        .add(1, BeamSplitter.h(1.9106332362490186, phi_tl=math.pi, phi_br=math.pi))
+        .add(2, PhaseShifter(0.3))
+    )
+    dist = distribution(circuit.compile(), StateVector.basis(make_state((1, 1, 0))))
+    got = sample(dist, 1000, seed=2024)
+    assert [(s.occupations, c) for s, c in got.items()] == [
+        ((2, 0, 0), 486),
+        ((0, 2, 0), 56),
+        ((0, 1, 1), 207),
+        ((0, 0, 2), 251),
+    ]
+
+
+def test_sample_empty_distribution():
+    got = sample(Distribution({}, 2), 5, seed=1)
+    assert got.counts == {} and got.shots == 5 and got.seed == 1
