@@ -153,9 +153,9 @@ def _apply_gate_record(seq: GateSequence, record: dict, index: int):
     flavour = record.get("cnot", "postselected")
     if flavour not in ("postselected", "heralded"):
         raise InvalidSpec(f"{what}: cnot must be 'postselected' or 'heralded'")
+    if "cnot" in record and name in _SINGLE_GATES | {"CX", "HCX", "CCX"}:
+        raise InvalidSpec(f"{what}: 'cnot' only applies to CZ/CY")
     if name in _SINGLE_GATES:
-        if "cnot" in record:
-            raise InvalidSpec(f"{what}: 'cnot' only applies to CZ/CY")
         if len(qubits) != 1:
             raise InvalidSpec(f"{what}: {name} takes exactly one qubit")
         seq.gate(name, qubits[0], theta)

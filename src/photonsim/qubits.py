@@ -435,9 +435,13 @@ class GateSequence:
     def toffoli(self, c0: int, c1: int, target: int, kind: str = "heralded") -> "GateSequence":
         """CCX as six CNOTs with H/T phases: kickbacks on the target through
         alternating CNOTs from both controls, then a T-ladder on the
-        controls."""
+        controls.  Everything is validated before any gate is recorded."""
         if len({c0, c1, target}) != 3:
             raise InvalidSpec("Toffoli needs three distinct qubits")
+        if kind not in _CNOT_KINDS:
+            raise InvalidGate(f"unknown CNOT flavour {kind!r}")
+        for qubit in (c0, c1, target):
+            _check_qubit(qubit, self.q)
         self.gate("H", target)
         self.cnot(c1, target, kind)
         self.gate("TDAG", target)

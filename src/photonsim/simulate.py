@@ -11,7 +11,6 @@ are evaluated with Ryser's inclusion-exclusion formula.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import os
@@ -29,6 +28,9 @@ _DEFAULT_CAP = 16
 
 # batch_amplitudes sweeps 2^_CHUNK_BITS column subsets at a time.
 _CHUNK_BITS = 13
+
+# inverse_cdf_counts draws _DRAW_CHUNK shots at a time.
+_DRAW_CHUNK = 1 << 16
 
 
 def _configured_cap(cap: int | None) -> int:
@@ -264,7 +266,12 @@ def distribution(matrix, state: StateVector, cap: int | None = None) -> Distribu
 
 
 class SplitMix64:
-    """Deterministic 64-bit PRNG (splitmix increment-and-scramble)."""
+    """Deterministic 64-bit PRNG (splitmix increment-and-scramble).
+
+    The scalar reference for the seeded streams: draw k (from 1) is
+    mix(seed + k * gamma mod 2^64), so it depends on k alone.
+    `inverse_cdf_counts` computes the same stream as arrays; tests pin both.
+    """
 
     _MASK = (1 << 64) - 1
     _GAMMA = 0x9E3779B97F4A7C15
@@ -296,24 +303,47 @@ class SampleCount:
         return sorted(self.counts.items(), key=lambda kv: sort_key(kv[0]))
 
 
+def _splitmix64_doubles(seed: int, first: int, stop: int) -> np.ndarray:
+    """Draws first..stop-1 (counted from 1) of `SplitMix64(seed).next_double()`.
+
+    SplitMix64 is counter-based, so the states are one uint64 array, mixed in
+    place.  Array-only uint64 arithmetic wraps mod 2^64 like the scalar masks;
+    numpy scalar arithmetic would warn on the overflow instead.
+    """
+    z = np.arange(first, stop, dtype=np.uint64)
+    z *= np.uint64(SplitMix64._GAMMA)
+    z += np.uint64(seed & SplitMix64._MASK)
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(factor)
+    z ^= z >> np.uint64(31)
+    draws = (z >> np.uint64(11)).astype(float)
+    draws *= 2.0**-53
+    return draws
+
+
 def inverse_cdf_counts(weights, shots: int, seed: int) -> list[int]:
     """Counts per index of `shots` inverse-CDF draws over `weights`.
 
-    Each draw scales one SplitMix64 double by the weights' total, so the
-    counts are bit-identical across runs for the same weights, shots and
-    seed.  Empty weights give no counts.
+    Draw k scales the k-th `SplitMix64(seed).next_double()` by the weights'
+    total and finds its index by bisection in the running sums.  The stream
+    is counter-based, so `_splitmix64_doubles` computes it as arrays,
+    bit-identical to the scalar generator, in chunks of _DRAW_CHUNK draws;
+    memory does not grow with `shots`.  Empty weights give no counts.
     """
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
-    counts = [0] * len(weights)
     if not weights:
-        return counts
-    cumulative = list(itertools.accumulate(weights))
+        return []
+    cumulative = np.array(list(itertools.accumulate(weights)), dtype=float)
     total, last = cumulative[-1], len(cumulative) - 1
-    rng = SplitMix64(seed)
-    for _ in range(shots):
-        counts[min(bisect.bisect_right(cumulative, rng.next_double() * total), last)] += 1
-    return counts
+    counts = np.zeros(len(cumulative), dtype=np.int64)
+    for first in range(1, shots + 1, _DRAW_CHUNK):
+        draws = _splitmix64_doubles(seed, first, min(first + _DRAW_CHUNK, shots + 1))
+        draws *= total
+        index = np.minimum(np.searchsorted(cumulative, draws, side="right"), last)
+        counts += np.bincount(index, minlength=len(cumulative))
+    return counts.tolist()
 
 
 def sample(dist: Distribution, shots: int, seed: int) -> SampleCount:

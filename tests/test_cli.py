@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from photonsim.cli import load_circuit_file, main
+from photonsim.errors import InvalidSpec
 from photonsim.qubits import controlled_pauli
 
 DATA = Path(__file__).parent / "data"
@@ -321,6 +322,17 @@ def test_controlled_pauli_gate_record_matches_api(tmp_path, name, flavour):
     build = controlled_pauli(name, 1, 0, 2, flavour or "postselected")
     assert np.array_equal(loaded.circuit.compile(), build.circuit.compile())
     assert loaded.herald_input == build.herald_input
+
+
+@pytest.mark.parametrize(
+    "name, qubits, flavour",
+    [("CX", [0, 1], "heralded"), ("HCX", [0, 1], "postselected"), ("CCX", [0, 1, 2], "postselected")],
+)
+def test_cnot_key_rejected_on_cnot_gates(tmp_path, name, qubits, flavour):
+    path = tmp_path / "cx.json"
+    path.write_text(json.dumps({"modes": 6, "gates": [{"name": name, "qubits": qubits, "cnot": flavour}]}))
+    with pytest.raises(InvalidSpec, match="'cnot' only applies to CZ/CY"):
+        load_circuit_file(str(path))
 
 
 def test_unknown_gate_in_file_exits_2(capsys, tmp_path):

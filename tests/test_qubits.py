@@ -315,3 +315,14 @@ def test_sequence_validation():
         GateSequence(3).toffoli(0, 1, 1)
     with pytest.raises(InvalidSpec):
         GateSequence(0)
+
+
+@pytest.mark.parametrize(
+    "args, kind, error",
+    [((5, 1, 2), "heralded", OutOfRange), ((0, 1, 2), "bogus", InvalidGate)],
+)
+def test_failed_toffoli_records_nothing(args, kind, error):
+    seq = GateSequence(3).gate("X", 0)
+    with pytest.raises(error):
+        seq.toffoli(*args, kind=kind)
+    assert seq.build() == GateSequence(3).gate("X", 0).build()

@@ -4,6 +4,7 @@ The permanent is checked against a naive permutation-sum oracle, and the
 fast evolution path against the creation-operator expansion oracle.
 """
 
+import bisect
 import itertools
 import math
 
@@ -380,3 +381,45 @@ def test_sample_stream_is_pinned():
 def test_sample_empty_distribution():
     got = sample(Distribution({}, 2), 5, seed=1)
     assert got.counts == {} and got.shots == 5 and got.seed == 1
+
+
+def scalar_inverse_cdf_counts(weights, shots, seed):
+    """One `SplitMix64.next_double` and one bisection per shot."""
+    counts = [0] * len(weights)
+    cumulative = list(itertools.accumulate(weights))
+    rng = SplitMix64(seed)
+    for _ in range(shots):
+        index = bisect.bisect_right(cumulative, rng.next_double() * cumulative[-1])
+        counts[min(index, len(weights) - 1)] += 1
+    return counts
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, 2**63, 2**64 + 5, -(2**70)])
+def test_inverse_cdf_counts_match_scalar_reference(seed):
+    # The doubles themselves, since a low-bit error rarely moves a count.
+    ref = SplitMix64(seed)
+    want = [ref.next_double() for _ in range(200)]
+    assert simulate._splitmix64_doubles(seed, 1, 201).tolist() == want
+    assert simulate._splitmix64_doubles(seed, 151, 201).tolist() == want[150:]
+    rng = np.random.default_rng(abs(seed) % 2**32)
+    cases = [
+        [float(w) for w in rng.random(40)],
+        [float(w) if w > 0.5 else 0.0 for w in rng.random(25)],
+        [0.0] * 6,
+        [0.3],
+    ]
+    for weights in cases:
+        for shots in (0, 1, 300):
+            got = simulate.inverse_cdf_counts(weights, shots, seed)
+            assert got == scalar_inverse_cdf_counts(weights, shots, seed)
+            assert type(got) is list and all(type(c) is int for c in got)
+    assert simulate.inverse_cdf_counts([0.0] * 6, 9, seed) == [0] * 5 + [9]
+
+
+def test_inverse_cdf_counts_across_draw_chunks(monkeypatch):
+    monkeypatch.setattr(simulate, "_DRAW_CHUNK", 7)
+    weights = [0.1, 0.0, 0.25, 0.4, 0.05, 0.2]
+    for seed in (3, -(2**70)):
+        got = simulate.inverse_cdf_counts(weights, 50, seed)
+        assert got == scalar_inverse_cdf_counts(weights, 50, seed)
+        assert sum(got) == 50
