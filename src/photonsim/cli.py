@@ -362,6 +362,8 @@ _VARIANT_FLAGS = {"per-mode": "per_mode_PR", "uniform": "uniform_PR0"}
 
 def _cmd_grover(args) -> int:
     variant = _VARIANT_FLAGS[args.variant]
+    if args.shots < 0:
+        return _fail(2, InvalidSpec(f"shots must be >= 0, got {args.shots}"))
     try:
         result = grover_mod.run_grover(args.target, variant, args.shots, args.seed)
     except (SimulatorError, ValueError) as exc:

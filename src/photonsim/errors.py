@@ -38,7 +38,7 @@ class OutOfRange(SimulatorError):
 
 
 class TooLarge(SimulatorError):
-    """The requested computation exceeds the configured size cap."""
+    """The requested computation would exceed the simulator's work limit."""
 
 
 class InvalidGate(SimulatorError):

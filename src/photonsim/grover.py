@@ -214,7 +214,7 @@ def dual_rail_grover_3q(shots: int = 0, seed: int = 0) -> DualRailGroverResult:
     build = _three_qubit_sequence().build()
     source = build.input_state((0, 0, 0))
     processor = Processor(build.circuit, StateVector.basis(source), build.condition)
-    outcomes = processor.amplitudes(cap=source.n)
+    outcomes = processor.amplitudes()
     success = sum(abs(a) ** 2 for _, a in outcomes)
     root = math.sqrt(success)
     probabilities: dict[str, float] = {}

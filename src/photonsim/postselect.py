@@ -13,6 +13,7 @@ terminal: it filters the final distribution, never mid-circuit state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .circuit import Circuit
@@ -34,6 +35,13 @@ class Clause:
     def __str__(self) -> str:
         return f"[{','.join(str(m) for m in self.modes)}]{self.op}{self.value}"
 
+    @property
+    def bounds(self) -> tuple[int, float]:
+        """The inclusive range (lo, hi) the clause's photon count must lie in."""
+        v = self.value
+        return {"==": (v, v), "<=": (0, v), "<": (0, v - 1), ">=": (v, math.inf),
+                ">": (v + 1, math.inf)}[self.op]
+
 
 @dataclass(frozen=True)
 class PostSelect:
@@ -52,24 +60,13 @@ class PostSelect:
                         f"clause mode {m} outside register of {state.modes} modes"
                     )
                 total += state.mode_occupation(m)
-            if not _compare(total, clause.op, clause.value):
+            lo, hi = clause.bounds
+            if not lo <= total <= hi:
                 return False
         return True
 
     def max_mode(self) -> int:
         return max(m for c in self.clauses for m in c.modes)
-
-
-def _compare(total: int, op: str, value: int) -> bool:
-    if op == "==":
-        return total == value
-    if op == "<=":
-        return total <= value
-    if op == ">=":
-        return total >= value
-    if op == "<":
-        return total < value
-    return total > value
 
 
 def parse_postselect(text: str) -> PostSelect:
@@ -120,40 +117,24 @@ def admissible_outcomes(channels: int, polarized: bool, n: int, expr: PostSelect
         for i in range(len(mode_sets))
         for j in range(i + 1, len(mode_sets))
     )
-
-    def lower_req(clause: Clause) -> int:
-        if clause.op in ("==", ">="):
-            return clause.value
-        if clause.op == ">":
-            return clause.value + 1
-        return 0
-
-    req = [lower_req(c) for c in expr.clauses]
+    lo = [c.bounds[0] for c in expr.clauses]
+    hi = [c.bounds[1] for c in expr.clauses]
+    # The most a photon adds to a clause's sum: a clause may list a mode twice.
+    step = [max(map(c.modes.count, c.modes)) for c in expr.clauses]
 
     def unmet(ci: int) -> int:
         # Photons an incomplete clause still requires.
-        return max(0, req[ci] - sums[ci]) if remaining[ci] > 0 else 0
+        return max(0, -((sums[ci] - lo[ci]) // step[ci])) if remaining[ci] > 0 else 0
 
     # With disjoint clauses the total demand is a valid bound, kept as a
     # running sum updated only for the clauses a channel touches; otherwise
-    # the largest single demand is.
-    demand = sum(unmet(ci) for ci in range(len(req)))
+    # the largest single demand is.  The bound covers every lower end still
+    # open, so a channel checks a clause's upper end and, once the clause is
+    # complete, its lower end.
+    demand = sum(unmet(ci) for ci in range(len(lo)))
 
     def photon_demand() -> int:
-        return demand if disjoint else max(map(unmet, range(len(req))), default=0)
-
-    def feasible(ci: int, after: int) -> bool:
-        clause = expr.clauses[ci]
-        s, op, v = sums[ci], clause.op, clause.value
-        if remaining[ci] == 0:
-            return _compare(s, op, v)
-        if op in ("==", "<="):
-            return s <= v
-        if op == "<":
-            return s < v
-        if op == ">=":
-            return s + after >= v
-        return s + after > v  # ">"
+        return demand if disjoint else max(map(unmet, range(len(lo))), default=0)
 
     def walk(ch: int, left: int):
         nonlocal demand
@@ -165,12 +146,17 @@ def admissible_outcomes(channels: int, polarized: bool, n: int, expr: PostSelect
         before = demand
         for k in range(left, -1, -1):
             occ[ch] = k
+            ok = True
             for ci in touched:
-                demand -= unmet(ci)
-                sums[ci] += k
-                remaining[ci] -= 1
-                demand += unmet(ci)
-            if all(feasible(ci, left - k) for ci in touched) and photon_demand() <= left - k:
+                s, r = sums[ci], remaining[ci]
+                if r:
+                    demand -= max(0, -((s - lo[ci]) // step[ci]))
+                s, r = s + k, r - 1
+                sums[ci], remaining[ci] = s, r
+                if r:
+                    demand += max(0, -((s - lo[ci]) // step[ci]))
+                ok = ok and s <= hi[ci] and (r > 0 or s >= lo[ci])
+            if ok and photon_demand() <= left - k:
                 yield from walk(ch + 1, left - k)
             for ci in touched:
                 sums[ci] -= k
@@ -190,7 +176,7 @@ class Processor:
     postselect: PostSelect | None = None
     min_detected_photons: int = 0
 
-    def amplitudes(self, cap: int | None = None) -> list[tuple[FockState, complex]]:
+    def amplitudes(self) -> list[tuple[FockState, complex]]:
         """Every admissible outcome with its unconditioned amplitude.
 
         Outcomes come in canonical order: the whole photon-number sector
@@ -221,10 +207,10 @@ class Processor:
         else:
             outcomes = admissible_outcomes(channels, polarized, n, self.postselect)
         targets = [FockState(occ, polarized) for occ in outcomes]
-        amps = state_amplitudes(self.circuit.compile(), self.input_state, targets, cap=cap)
+        amps = state_amplitudes(self.circuit.compile(), self.input_state, targets)
         return list(zip(targets, amps))
 
-    def run(self, cap: int | None = None) -> tuple[Distribution, float]:
+    def run(self) -> tuple[Distribution, float]:
         """Conditioned output distribution and the success probability.
 
         Outcomes of `amplitudes` whose amplitude is below fock.PRUNE_TOL are
@@ -233,7 +219,7 @@ class Processor:
         is their raw sum.  Too few photons for `min_detected_photons` give
         an empty distribution with success 0.
         """
-        amplitudes = self.amplitudes(cap)
+        amplitudes = self.amplitudes()
         n = self.input_state.sector
         kept = {t: abs(a) ** 2 for t, a in amplitudes if abs(a) >= PRUNE_TOL}
         if self.postselect is None and n >= self.min_detected_photons:

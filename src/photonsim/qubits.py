@@ -152,10 +152,10 @@ class GateBuild:
         data = DualRailEncoding(self.qubits).encode(bits)
         return FockState(data.occupations + tuple(self.herald_input))
 
-    def run(self, bits, cap: int | None = None):
+    def run(self, bits):
         """Conditioned distribution and success probability for a bit input."""
         state = StateVector.basis(self.input_state(bits))
-        return Processor(self.circuit, state, self.condition).run(cap=cap)
+        return Processor(self.circuit, state, self.condition).run()
 
 
 def data_bits(state: FockState, q: int):
@@ -167,7 +167,7 @@ def _bit_tuples(q: int):
     return itertools.product((0, 1), repeat=q)
 
 
-def codeword_action(build: GateBuild, cap: int | None = None) -> np.ndarray:
+def codeword_action(build: GateBuild) -> np.ndarray:
     """The build's exact matrix on the codeword basis, heralds included.
 
     Entry (row, col) is the amplitude from encoded input `col` (with the
@@ -186,7 +186,7 @@ def codeword_action(build: GateBuild, cap: int | None = None) -> np.ndarray:
     dim = 2**q
     m = np.zeros((dim, dim), dtype=complex)
     for col, bits in enumerate(_bit_tuples(q)):
-        amps = batch_amplitudes(u, build.input_state(bits), targets, cap=cap)
+        amps = batch_amplitudes(u, build.input_state(bits), targets)
         m[:, col] = amps
     return m
 

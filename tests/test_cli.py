@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from photonsim import grover, simulate
 from photonsim.cli import load_circuit_file, main
 from photonsim.errors import InvalidSpec
 from photonsim.qubits import controlled_pauli
@@ -262,6 +263,25 @@ def test_bad_input_state_exits_2(capsys):
     )
     assert code == 2
     assert "offset" in err
+
+
+def test_simulate_over_the_work_bound_exits_3(capsys, monkeypatch):
+    # |1,0,1,0> on h.json: 2 photons over the 4-channel sector.
+    monkeypatch.setattr(simulate, "_MAX_WORK", 0)
+    code, out, err = run_cli(
+        capsys, "simulate", "--circuit", str(DATA / "h.json"), "--input", "|1,0,1,0>"
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error: the sweep needs 2^2 x ") and "more than the 0 allowed" in err
+
+
+def test_grover_rejects_negative_shots_first(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(grover, "run_grover", no_work)
+    code, out, err = run_cli(capsys, "grover", "--target", "00", "--shots", "-1")
+    assert (code, out, err) == (2, "", "error: shots must be >= 0, got -1\n")
 
 
 def test_wrong_register_width_exits_2(capsys):

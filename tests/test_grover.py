@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from photonsim.circuit import Circuit
-from photonsim.errors import InvalidSpec
+from photonsim import simulate
+from photonsim.errors import InvalidSpec, TooLarge
 from photonsim.fock import FockState, StateVector
 from photonsim.grover import (
     DETECTION_MODE,
@@ -156,6 +157,13 @@ def test_three_qubit_counts():
     result = three_qubit_result()
     assert sum(result.counts.values()) == 100
     assert set(result.counts) == {"010", "011"}
+
+
+def test_dual_rail_search_work(monkeypatch):
+    # 2^17 subsets x (20 channels + 90 prefix products + 56 targets).
+    monkeypatch.setattr(simulate, "_MAX_WORK", (1 << 17) * 166 - 1)
+    with pytest.raises(TooLarge, match=r"2\^17 x 166 = 21757952 vector elements"):
+        dual_rail_grover_3q()
 
 
 def test_sampler_streams_are_pinned():

@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
 
 from photonsim.circuit import Circuit
 from photonsim.components import BeamSplitter
-from photonsim.errors import EvalError, InvalidSpec, ParseError, RegisterMismatch
+from photonsim import simulate
+from photonsim.errors import EvalError, InvalidSpec, ParseError, RegisterMismatch, TooLarge
 from photonsim.fock import StateVector, make_state
 from photonsim.postselect import (
     Clause,
@@ -110,6 +112,38 @@ def test_admissible_outcomes_shared_mode_clauses():
     assert got == brute(4, False, 3, expr)
 
 
+def test_admissible_outcomes_repeated_mode():
+    # A mode listed twice counts twice, so one photon there meets [1,1]==2.
+    expr = parse_postselect("[1,1]==2 & [0]==0")
+    assert list(admissible_outcomes(3, False, 1, expr)) == [(0, 1, 0)]
+    assert list(admissible_outcomes(3, False, 1, expr)) == brute(3, False, 1, expr)
+
+
+def test_admissible_outcomes_random_predicates():
+    # Overlapping, repeated-mode, polarized and unsatisfiable clauses alike.
+    rng = random.Random(20)
+    for _ in range(150):
+        modes = rng.randint(1, 4)
+        polarized = rng.random() < 0.3
+        n = rng.randint(0, 4)
+        clauses = []
+        for _ in range(rng.randint(1, 3)):
+            picked = tuple(rng.choice(range(modes)) for _ in range(rng.randint(1, modes)))
+            clauses.append(Clause(picked, rng.choice(["==", "<=", ">=", "<", ">"]),
+                                  rng.randint(0, n + 1)))
+        expr = PostSelect(tuple(clauses))
+        channels = 2 * modes if polarized else modes
+        got = list(admissible_outcomes(channels, polarized, n, expr))
+        assert got == brute(channels, polarized, n, expr), str(expr)
+
+
+def test_clause_bounds():
+    bounds = {op: Clause((0,), op, 2).bounds for op in ("==", "<=", "<", ">=", ">")}
+    assert bounds == {"==": (2, 2), "<=": (0, 2), "<": (0, 1), ">=": (2, math.inf),
+                      ">": (3, math.inf)}
+    assert not parse_postselect("[0]<0").evaluate(make_state((0, 1)))
+
+
 def test_processor_without_predicate():
     circuit = Circuit(2).add(0, BeamSplitter.h())
     dist, success = Processor(circuit, StateVector.basis(make_state((1, 0)))).run()
@@ -211,3 +245,14 @@ def test_success_probability_conserves_mass():
 
 def test_max_mode():
     assert parse_postselect("[0,4]==1 & [2]==0").max_mode() == 4
+
+
+def test_processor_reports_the_work_bound(monkeypatch):
+    # |1,1> with [0]>=0 keeps the whole sector: 2^2 x (2 + 4 + 3) = 36.
+    monkeypatch.setattr(simulate, "_MAX_WORK", 35)
+    circuit = Circuit(2).add(0, BeamSplitter.h())
+    proc = Processor(circuit, StateVector.basis(make_state((1, 1))), parse_postselect("[0]>=0"))
+    with pytest.raises(TooLarge, match="36 vector elements"):
+        proc.amplitudes()
+    monkeypatch.setattr(simulate, "_MAX_WORK", 36)
+    assert len(proc.amplitudes()) == 3

@@ -78,16 +78,6 @@ def test_permanent_rejects_non_square_matrix():
 def test_permanent_cap():
     with pytest.raises(TooLarge):
         permanent(np.eye(17))
-    with pytest.raises(TooLarge):
-        permanent(np.eye(5), cap=4)
-    assert abs(permanent(np.eye(5), cap=5) - 1.0) < 1e-12
-
-
-def test_permanent_cap_env(monkeypatch):
-    monkeypatch.setenv("PHOTONSIM_PERMANENT_CAP", "3")
-    with pytest.raises(TooLarge):
-        permanent(np.eye(4))
-    assert abs(permanent(np.eye(3)) - 1.0) < 1e-12
 
 
 def test_amplitude_sector_mismatch_is_zero():
@@ -136,9 +126,34 @@ def test_batch_amplitudes_match_single_calls():
         assert abs(got - amplitude(u, src, target)) < 1e-12
 
 
-def test_batch_amplitudes_cap():
-    with pytest.raises(TooLarge):
-        batch_amplitudes(np.eye(20), make_state((1,) * 20), [make_state((1,) * 20)])
+def test_batch_amplitudes_twenty_photon_identity():
+    # 2^20 x (20 channels + 20 products + 1 target) is far below the limit.
+    ones = make_state((1,) * 20)
+    assert abs(batch_amplitudes(np.eye(20), ones, [ones])[0] - 1.0) < 1e-12
+
+
+def test_batch_amplitudes_work_bound(monkeypatch):
+    # |1,1> onto the 2-photon sector of 2 channels.  Channel order (0, 1);
+    # steps (1,1) -> (1, 4), (2,0) -> (2,), (0,2) -> (5,) share no prefix, so
+    # 4 products; work = 2^2 x (2 channels + 4 products + 3 targets) = 36.
+    u = BeamSplitter.h().matrix()
+    src = make_state((1, 1))
+    targets = [make_state(occ) for occ in sector_basis(2, 2)]
+    monkeypatch.setattr(simulate, "_MAX_WORK", 35)
+    with pytest.raises(TooLarge, match=r"2\^2 x 9 = 36 vector elements, more than the 35"):
+        batch_amplitudes(u, src, targets)
+    monkeypatch.setattr(simulate, "_MAX_WORK", 36)
+    assert abs(batch_amplitudes(u, src, targets)[1]) < 1e-12
+    # Targets outside the sector cost nothing.
+    monkeypatch.setattr(simulate, "_MAX_WORK", 0)
+    assert batch_amplitudes(u, src, [make_state((1, 0))]) == [0j]
+
+
+def test_distribution_reports_the_work_bound(monkeypatch):
+    monkeypatch.setattr(simulate, "_MAX_WORK", 35)
+    u = BeamSplitter.h().matrix()
+    with pytest.raises(TooLarge, match="36 vector elements"):
+        distribution(u, StateVector.basis(make_state((1, 1))))
 
 
 def test_batch_amplitudes_rejects_non_square_unitary():
@@ -155,11 +170,11 @@ def test_batch_amplitudes_rejects_register_length_mismatch():
         batch_amplitudes(np.eye(2), make_state((1, 0, 0)), [make_state((1, 0))])
 
 
-def _assert_matches_single_calls(u, src, targets, cap=None):
-    batch = batch_amplitudes(u, src, targets, cap=cap)
+def _assert_matches_single_calls(u, src, targets):
+    batch = batch_amplitudes(u, src, targets)
     assert len(batch) == len(targets)
     for target, got in zip(targets, batch):
-        want = amplitude(u, src, target, cap=cap)
+        want = amplitude(u, src, target)
         assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
 
@@ -214,7 +229,7 @@ def test_batch_amplitudes_source_wider_than_one_chunk():
         make_state((2, 0) + (1,) * 12 + (0,)),
         make_state((1,) * 13 + (0, 1)),
     ]
-    _assert_matches_single_calls(u, src, targets, cap=14)
+    _assert_matches_single_calls(u, src, targets)
 
 
 def test_batch_amplitudes_many_chunks_match_oracle(monkeypatch):
