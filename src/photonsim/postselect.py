@@ -8,7 +8,9 @@ Predicate grammar (whitespace-insensitive):
 
 A clause sums the photons in the listed spatial modes (H+V combined on
 polarized registers) and compares against the bound.  Post-selection is
-terminal: it filters the final distribution, never mid-circuit state.
+terminal: it filters the final distribution, never mid-circuit state.  The
+outcomes that satisfy a predicate come from `admissible_outcomes`, the same
+pruned walk over the sector that `sector_basis` runs without one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from .circuit import Circuit
 from .errors import EvalError, RegisterMismatch
 from .fock import PRUNE_TOL, FockState, StateVector
 from .notation import Scanner
-from .simulate import Distribution, require_normalized, sector_basis, state_amplitudes
+from .simulate import Distribution, require_normalized, state_amplitudes
+from .simulate import admissible_outcomes  # noqa: F401  (public here; one walk with sector_basis)
 from .simulate import batch_amplitudes  # noqa: F401  (bench/test_bench.py checks this binding)
 
 _OPS = ("==", "<=", ">=", "<", ">")
@@ -89,84 +92,6 @@ def parse_postselect(text: str) -> PostSelect:
     return PostSelect(tuple(clauses))
 
 
-def admissible_outcomes(channels: int, polarized: bool, n: int, expr: PostSelect):
-    """Sector outcomes satisfying `expr`, generated in canonical order.
-
-    Walks channels depth-first with per-clause partial sums, pruning branches
-    that can no longer satisfy a clause, so registers whose predicate pins
-    most modes stay cheap even when the full sector basis is astronomically
-    large.
-    """
-    clause_of_channel: list[list[int]] = [[] for _ in range(channels)]
-    for ci, clause in enumerate(expr.clauses):
-        for m in clause.modes:
-            if polarized:
-                clause_of_channel[2 * m].append(ci)
-                clause_of_channel[2 * m + 1].append(ci)
-            else:
-                clause_of_channel[m].append(ci)
-    remaining = [0] * len(expr.clauses)
-    for ch in range(channels):
-        for ci in clause_of_channel[ch]:
-            remaining[ci] += 1
-    sums = [0] * len(expr.clauses)
-    occ = [0] * channels
-    mode_sets = [set(c.modes) for c in expr.clauses]
-    disjoint = all(
-        not (mode_sets[i] & mode_sets[j])
-        for i in range(len(mode_sets))
-        for j in range(i + 1, len(mode_sets))
-    )
-    lo = [c.bounds[0] for c in expr.clauses]
-    hi = [c.bounds[1] for c in expr.clauses]
-    # The most a photon adds to a clause's sum: a clause may list a mode twice.
-    step = [max(map(c.modes.count, c.modes)) for c in expr.clauses]
-
-    def unmet(ci: int) -> int:
-        # Photons an incomplete clause still requires.
-        return max(0, -((sums[ci] - lo[ci]) // step[ci])) if remaining[ci] > 0 else 0
-
-    # With disjoint clauses the total demand is a valid bound, kept as a
-    # running sum updated only for the clauses a channel touches; otherwise
-    # the largest single demand is.  The bound covers every lower end still
-    # open, so a channel checks a clause's upper end and, once the clause is
-    # complete, its lower end.
-    demand = sum(unmet(ci) for ci in range(len(lo)))
-
-    def photon_demand() -> int:
-        return demand if disjoint else max(map(unmet, range(len(lo))), default=0)
-
-    def walk(ch: int, left: int):
-        nonlocal demand
-        if ch == channels:
-            if left == 0:
-                yield tuple(occ)
-            return
-        touched = clause_of_channel[ch]
-        before = demand
-        for k in range(left, -1, -1):
-            occ[ch] = k
-            ok = True
-            for ci in touched:
-                s, r = sums[ci], remaining[ci]
-                if r:
-                    demand -= max(0, -((s - lo[ci]) // step[ci]))
-                s, r = s + k, r - 1
-                sums[ci], remaining[ci] = s, r
-                if r:
-                    demand += max(0, -((s - lo[ci]) // step[ci]))
-                ok = ok and s <= hi[ci] and (r > 0 or s >= lo[ci])
-            if ok and photon_demand() <= left - k:
-                yield from walk(ch + 1, left - k)
-            for ci in touched:
-                sums[ci] -= k
-                remaining[ci] += 1
-            demand = before
-        occ[ch] = 0
-
-    yield from walk(0, n)
-
-
 @dataclass(frozen=True)
 class Processor:
     """A circuit, an input state, and an optional terminal post-selection."""
@@ -179,36 +104,31 @@ class Processor:
     def amplitudes(self) -> list[tuple[FockState, complex]]:
         """Every admissible outcome with its unconditioned amplitude.
 
-        Outcomes come in canonical order: the whole photon-number sector
-        without a predicate, the outcomes that satisfy it otherwise, and none
-        when the input holds fewer than `min_detected_photons` photons.
-        Raises MixedSector for an input without a fixed photon number,
-        InvalidSpec for one that is not normalized, RegisterMismatch when it
-        does not fit the circuit and EvalError when the predicate reads a mode
-        the circuit lacks.
+        The checked input goes through `state_amplitudes`, the one route from
+        (unitary, state, predicate) to amplitudes.  Outcomes come in canonical
+        order: the whole photon-number sector without a predicate, the
+        outcomes that satisfy it otherwise, and none when the input holds
+        fewer than `min_detected_photons` photons.  Raises MixedSector for an
+        input without a fixed photon number, InvalidSpec for one that is not
+        normalized, RegisterMismatch when its channels or polarization do not
+        fit the circuit and EvalError when the predicate reads a mode it lacks.
         """
-        n = self.input_state.require_sector()
-        require_normalized(self.input_state)
-        if self.input_state.channels != self.circuit.channels:
+        state, circuit = self.input_state, self.circuit
+        n = state.require_sector()
+        require_normalized(state)
+        if (state.channels, state.polarized) != (circuit.channels, circuit.polarized):
             raise RegisterMismatch(
-                f"input on {self.input_state.channels} channels, circuit on "
-                f"{self.circuit.channels}"
+                f"input on {state.channels} channels (polarized={state.polarized}), "
+                f"circuit on {circuit.channels} (polarized={circuit.polarized})"
             )
-        if self.postselect is not None and self.postselect.max_mode() >= self.circuit.modes:
+        if self.postselect is not None and self.postselect.max_mode() >= circuit.modes:
             raise EvalError(
                 f"predicate references mode {self.postselect.max_mode()} but the "
-                f"circuit has {self.circuit.modes} modes"
+                f"circuit has {circuit.modes} modes"
             )
         if n < self.min_detected_photons:
             return []
-        channels, polarized = self.circuit.channels, self.circuit.polarized
-        if self.postselect is None:
-            outcomes = sector_basis(n, channels)
-        else:
-            outcomes = admissible_outcomes(channels, polarized, n, self.postselect)
-        targets = [FockState(occ, polarized) for occ in outcomes]
-        amps = state_amplitudes(self.circuit.compile(), self.input_state, targets)
-        return list(zip(targets, amps))
+        return state_amplitudes(circuit.compile(), state, self.postselect)
 
     def run(self) -> tuple[Distribution, float]:
         """Conditioned output distribution and the success probability.

@@ -141,12 +141,7 @@ def batch_amplitudes(matrix, source: FockState, targets):
         plan.append((i, common, steps))
         per_subset += len(steps) - common
         prev = steps
-    work = (1 << n) * per_subset
-    if work > _MAX_WORK:
-        raise TooLarge(
-            f"the sweep needs 2^{n} x {per_subset} = {work} vector elements, "
-            f"more than the {_MAX_WORK} allowed"
-        )
+    _require_work(n, per_subset)
 
     cols = [i for i, v in enumerate(source.occupations) for _ in range(v)]
     rows = u[order]
@@ -176,6 +171,16 @@ def batch_amplitudes(matrix, source: FockState, targets):
     return out
 
 
+def _require_work(n: int, per_subset: int):
+    """Raise TooLarge when 2^n x per_subset vector elements exceed _MAX_WORK."""
+    work = (1 << n) * per_subset
+    if work > _MAX_WORK:
+        raise TooLarge(
+            f"the sweep needs 2^{n} x {per_subset} = {work} vector elements, "
+            f"more than the {_MAX_WORK} allowed"
+        )
+
+
 def _subset_sums(rows: np.ndarray, cols: list[int]):
     """Row sums of `rows[:, S]` for every subset S of `cols`, and (-1)^|S|.
 
@@ -191,18 +196,79 @@ def _subset_sums(rows: np.ndarray, cols: list[int]):
     return sums, sign
 
 
+def _outcomes(channels: int, polarized: bool, n: int, expr) -> list[tuple[int, ...]]:
+    """Occupation tuples of n photons over `channels` that satisfy `expr`
+    (all of them when it is None), in canonical order, by one depth-first
+    walk.  A clause weighs a channel by how often it lists its mode, caps
+    every channel it reads and must reach its lower end by the last of them.
+    A branch is cut when the clauses' summed shortfall needs more photons
+    than are left, at `reach` (the largest total weight of a channel) each.
+    """
+    clauses = () if expr is None else expr.clauses
+    lo = [c.bounds[0] for c in clauses]
+    # A clause's sum never exceeds n x len(modes), which closes an open range.
+    hi = [min(c.bounds[1], n * len(c.modes)) for c in clauses]
+    reads: list[list] = [[] for _ in range(channels)]  # (clause, weight, last channel?)
+    for ci, clause in enumerate(clauses):
+        read = [ch for m in clause.modes for ch in ((2 * m, 2 * m + 1) if polarized else (m,))]
+        for ch in set(read):
+            reads[ch].append((ci, read.count(ch), ch == max(read)))
+    reach = max((sum(w for _, w, _ in r) for r in reads if r), default=0)
+    sums = [0] * len(clauses)
+    occ = [0] * channels
+    out = []
+
+    def walk(ch: int, left: int, short: int):
+        if ch == channels:
+            if not left:
+                out.append(tuple(occ))
+            return
+        touched = reads[ch]
+        if not touched:
+            if ch == channels - 1:  # every clause has closed, so short is 0
+                occ[ch] = left
+                out.append(tuple(occ))
+                return
+            # The shortfall keeps ceil(short / reach) photons for later channels.
+            for k in range(left - (short and -(-short // reach)), -1, -1):
+                occ[ch] = k
+                walk(ch + 1, left - k, short)
+            return
+        top, bottom = left, left if ch == channels - 1 else 0
+        base = [sums[ci] for ci, _, _ in touched]
+        for (ci, w, closing), s in zip(touched, base):
+            top = min(top, (hi[ci] - s) // w)
+            if closing:
+                bottom = max(bottom, -((s - lo[ci]) // w))
+            short -= max(0, lo[ci] - s)
+        for k in range(top, bottom - 1, -1):
+            need = short
+            for (ci, w, _), s in zip(touched, base):
+                sums[ci] = s + w * k
+                need += max(0, lo[ci] - sums[ci])
+            if need <= (left - k) * reach:
+                occ[ch] = k
+                walk(ch + 1, left - k, need)
+        for (ci, _, _), s in zip(touched, base):
+            sums[ci] = s
+
+    walk(0, n, sum(max(0, v) for v in lo))
+    return out
+
+
 def sector_basis(n: int, channels: int):
     """All occupation tuples of n photons over `channels`, canonical order.
 
     Canonical order is descending lexicographic (first channel fills first):
     (n,0,...), (n-1,1,0,...), ..., (0,...,n).
     """
-    if channels == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in sector_basis(n - first, channels - 1):
-            yield (first,) + rest
+    yield from _outcomes(channels, False, n, None)
+
+
+def admissible_outcomes(channels: int, polarized: bool, n: int, expr):
+    """Sector outcomes satisfying the predicate `expr`, in canonical order;
+    every outcome of the sector when `expr` is None."""
+    yield from _outcomes(channels, polarized, n, expr)
 
 
 @dataclass(frozen=True)
@@ -222,15 +288,23 @@ class Distribution:
         return self.entries.get(state, 0.0)
 
 
-def state_amplitudes(matrix, state: StateVector, targets) -> list[complex]:
-    """Amplitudes <t| U |state> for a list of targets, in the order given.
-
-    The input terms are summed with one `batch_amplitudes` call each.
+def state_amplitudes(matrix, state: StateVector, predicate) -> list[tuple[FockState, complex]]:
+    """The outcomes of the state's sector that satisfy `predicate` (all of
+    them when it is None), from `admissible_outcomes`, each with <t| U |state>
+    summed over one `batch_amplitudes` call per input term.  Without a
+    predicate, TooLarge comes before any enumeration when the least sweep of
+    the sector, 2^n x (channels + outcomes) vector elements, exceeds _MAX_WORK.
     """
+    n = state.require_sector()
+    channels, polarized = state.channels, state.polarized
+    if predicate is None:
+        _require_work(n, channels + math.comb(n + channels - 1, n))
+    outcomes = admissible_outcomes(channels, polarized, n, predicate)
+    targets = [FockState(occ, polarized) for occ in outcomes]
     total = np.zeros(len(targets), dtype=complex)
     for term, coeff in state.items():
         total += coeff * np.asarray(batch_amplitudes(matrix, term, targets))
-    return total.tolist()
+    return list(zip(targets, total.tolist()))
 
 
 def require_normalized(state: StateVector):
@@ -243,14 +317,11 @@ def require_normalized(state: StateVector):
 def evolve(matrix, state: StateVector) -> StateVector:
     """Output amplitudes of a state vector under a channel unitary.
 
-    Every outcome of the input's sector is evaluated by `state_amplitudes`;
-    the StateVector drops amplitudes below fock.PRUNE_TOL.
+    Every outcome of the input's sector comes from `state_amplitudes`; the
+    StateVector drops amplitudes below fock.PRUNE_TOL.
     """
-    n = state.require_sector()
-    polarized = state.polarized
-    targets = [FockState(occ, polarized) for occ in sector_basis(n, state.channels)]
-    amplitudes = state_amplitudes(matrix, state, targets)
-    return StateVector(dict(zip(targets, amplitudes)), channels=state.channels, polarized=polarized)
+    amplitudes = state_amplitudes(matrix, state, None)
+    return StateVector(dict(amplitudes), channels=state.channels, polarized=state.polarized)
 
 
 def distribution(matrix, state: StateVector) -> Distribution:
@@ -323,6 +394,12 @@ def _splitmix64_doubles(seed: int, first: int, stop: int) -> np.ndarray:
     return draws
 
 
+def require_shots(shots: int):
+    """Raise ValueError for a negative shot count."""
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0, got {shots}")
+
+
 def inverse_cdf_counts(weights, shots: int, seed: int) -> list[int]:
     """Counts per index of `shots` inverse-CDF draws over `weights`.
 
@@ -332,8 +409,7 @@ def inverse_cdf_counts(weights, shots: int, seed: int) -> list[int]:
     bit-identical to the scalar generator, in chunks of _DRAW_CHUNK draws;
     memory does not grow with `shots`.  Empty weights give no counts.
     """
-    if shots < 0:
-        raise ValueError(f"shots must be >= 0, got {shots}")
+    require_shots(shots)
     if not weights:
         return []
     cumulative = np.array(list(itertools.accumulate(weights)), dtype=float)

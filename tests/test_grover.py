@@ -166,6 +166,17 @@ def test_dual_rail_search_work(monkeypatch):
         dual_rail_grover_3q()
 
 
+def test_negative_shots_fail_before_any_work(monkeypatch):
+    def no_compile(self):
+        raise AssertionError("compiled before checking shots")
+
+    monkeypatch.setattr(Circuit, "compile", no_compile)
+    with pytest.raises(ValueError, match="shots must be >= 0, got -1"):
+        run_grover("00", shots=-1)
+    with pytest.raises(ValueError, match="shots must be >= 0, got -3"):
+        dual_rail_grover_3q(shots=-3)
+
+
 def test_sampler_streams_are_pinned():
     # Literal counts recorded before the samplers were merged.
     assert run_grover("10", "uniform_PR0", shots=500, seed=99).counts == {

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -78,11 +79,13 @@ def test_evaluate_out_of_range_mode():
 
 
 def brute(channels, polarized, n, expr):
-    out = []
-    for occ in sector_basis(n, channels):
-        if expr.evaluate(make_state(occ, polarized)):
-            out.append(occ)
-    return out
+    # The sector from itertools.product, not from the walk that sector_basis
+    # and admissible_outcomes share.
+    sector = sorted(
+        (occ for occ in itertools.product(range(n + 1), repeat=channels) if sum(occ) == n),
+        reverse=True,
+    )
+    return [occ for occ in sector if expr is None or expr.evaluate(make_state(occ, polarized))]
 
 
 def test_admissible_outcomes_match_filtered_basis():
@@ -106,7 +109,7 @@ def test_admissible_outcomes_polarized():
 
 
 def test_admissible_outcomes_shared_mode_clauses():
-    # overlapping clause supports exercise the non-disjoint demand bound
+    # overlapping supports: channel 1 adds to both shortfalls, so reach is 2
     expr = parse_postselect("[0,1]>=2 & [1,2]>=2")
     got = list(admissible_outcomes(4, False, 3, expr))
     assert got == brute(4, False, 3, expr)
@@ -135,6 +138,12 @@ def test_admissible_outcomes_random_predicates():
         channels = 2 * modes if polarized else modes
         got = list(admissible_outcomes(channels, polarized, n, expr))
         assert got == brute(channels, polarized, n, expr), str(expr)
+    never = PostSelect((Clause((0,), "<", 0),))
+    for channels, polarized, n in [(1, False, 0), (1, False, 3), (3, False, 2), (4, True, 3)]:
+        assert list(admissible_outcomes(channels, polarized, n, None)) == brute(
+            channels, polarized, n, None)
+        assert list(sector_basis(n, channels)) == brute(channels, False, n, None)
+        assert list(admissible_outcomes(channels, polarized, n, never)) == []
 
 
 def test_clause_bounds():
@@ -196,6 +205,9 @@ def test_processor_register_mismatch():
     circuit = Circuit(3)
     with pytest.raises(RegisterMismatch):
         Processor(circuit, StateVector.basis(make_state((1, 0)))).run()
+    # Four channels on both sides, but only the circuit is polarized.
+    with pytest.raises(RegisterMismatch, match="polarized=False"):
+        Processor(Circuit(2, polarized=True), StateVector.basis(make_state((1, 0, 0, 0)))).run()
 
 
 def test_processor_predicate_out_of_range():

@@ -156,6 +156,22 @@ def test_distribution_reports_the_work_bound(monkeypatch):
         distribution(u, StateVector.basis(make_state((1, 1))))
 
 
+def test_distribution_counts_the_sector_before_enumerating(monkeypatch):
+    # Without a predicate the sweep needs at least 2^n x (channels + outcomes).
+    def no_walk(*args):
+        raise AssertionError("the sector was enumerated")
+
+    monkeypatch.setattr(simulate, "_outcomes", no_walk)
+    huge = StateVector.basis(make_state((16,) + (0,) * 9))
+    with pytest.raises(TooLarge, match=r"2\^16 x 2042985 = 133889064960 vector elements, "
+                                       r"more than the 17179869184 allowed"):
+        distribution(np.eye(10), huge)
+    # |1,1>: 2^2 x (2 channels + 3 outcomes) = 20, against the limit read now.
+    monkeypatch.setattr(simulate, "_MAX_WORK", 19)
+    with pytest.raises(TooLarge, match=r"2\^2 x 5 = 20 vector elements, more than the 19"):
+        distribution(BeamSplitter.h().matrix(), StateVector.basis(make_state((1, 1))))
+
+
 def test_batch_amplitudes_rejects_non_square_unitary():
     with pytest.raises(RegisterMismatch):
         batch_amplitudes(np.ones((2, 3)), make_state((1, 0)), [make_state((1, 0))])
