@@ -10,6 +10,7 @@ tuples over channels; the normalization convention is
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
@@ -40,11 +41,15 @@ class FockState:
     polarized: bool = False
 
     def __post_init__(self):
-        occ = tuple(int(n) for n in self.occupations)
+        try:
+            occ = tuple(map(operator.index, self.occupations))
+        except TypeError:
+            raise InvalidOccupation(
+                f"occupations must be integers, got {self.occupations!r}"
+            ) from None
         object.__setattr__(self, "occupations", occ)
-        for n in occ:
-            if n < 0:
-                raise InvalidOccupation(f"negative occupation {n} in {occ}")
+        if occ and min(occ) < 0:
+            raise InvalidOccupation(f"negative occupation {min(occ)} in {occ}")
         if self.polarized and len(occ) % 2 != 0:
             raise RegisterMismatch(
                 f"polarized register needs an even channel count, got {len(occ)}"
@@ -81,13 +86,14 @@ def make_state(occupations: Iterable[int], polarized: bool = False) -> FockState
     return FockState(tuple(occupations), polarized)
 
 
-def sort_key(state: FockState):
-    """Canonical ordering key: descending lexicographic on occupations.
+def canonical_items(pairs) -> list:
+    """(state, value) pairs in canonical order: descending lexicographic on
+    the states' occupations.
 
     This is the order in which sector bases are enumerated (first mode
     fills first), so |1,0> sorts before |0,1>.
     """
-    return tuple(-n for n in state.occupations)
+    return sorted(pairs, key=lambda kv: kv[0].occupations, reverse=True)
 
 
 class StateVector:
@@ -127,7 +133,7 @@ class StateVector:
 
     def items(self) -> list[tuple[FockState, complex]]:
         """Terms in canonical (descending lexicographic) order."""
-        return sorted(self._amp.items(), key=lambda kv: sort_key(kv[0]))
+        return canonical_items(self._amp.items())
 
     def amplitude(self, state: FockState) -> complex:
         return self._amp.get(state, 0j)

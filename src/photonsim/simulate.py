@@ -19,12 +19,24 @@ import numpy as np
 
 from .components import UNITARY_TOL
 from .errors import InvalidSpec, RegisterMismatch, TooLarge
-from .fock import FockState, StateVector, sort_key
+from .fock import FockState, StateVector, canonical_items
 
-# batch_amplitudes sweeps 2^_CHUNK_BITS column subsets at a time.
+# The kernel sweeps 2^_CHUNK_BITS column subsets at a time.
 _CHUNK_BITS = 13
 
-# batch_amplitudes refuses a sweep of more than _MAX_WORK vector elements:
+# One op of the trie reduction writes at most _BATCH_BYTES of rows: 64
+# nodes at 2^5 subsets, one node from 2^11 on.
+_BATCH_BYTES = 1 << 15
+
+# (-1)^|S| for each subset S of a chunk's columns, indexed as in _subset_sums.
+_SIGNS = np.ones(1)
+for _ in range(_CHUNK_BITS):
+    _SIGNS = np.concatenate((_SIGNS, -_SIGNS))
+
+# v! as a float for v up to 170, the largest that stays finite.
+_FACTORIALS = np.array([float(math.factorial(v)) for v in range(171)])
+
+# The kernel refuses a sweep of more than _MAX_WORK vector elements:
 # 30-40 s at the 1.8-2.4 ns per element measured on a 2-core Xeon.
 _MAX_WORK = 1 << 34
 
@@ -86,89 +98,210 @@ def amplitude(matrix, source: FockState, target: FockState) -> complex:
     return per / norm
 
 
-def batch_amplitudes(matrix, source: FockState, targets):
-    """Amplitudes <t| U |source> for a list of targets, in the order given.
+def batch_amplitudes(matrix, source: FockState, targets) -> list[complex]:
+    """Amplitudes <t| U |source> for a list of targets, in the order given;
+    0j for targets outside the source's photon-number sector.
 
-    Ryser's column-subset sums depend only on the source, so one sweep over
-    the 2^n subsets of its n photon columns is shared by every target, and
-    each target reduces it with a product over its own row multiset.  The
-    targets are reduced in trie order: channels are ranked by how many
-    distinct occupations the targets take in them (pinned heralds first), the
-    targets are sorted in that order, and a stack of partial products lets
-    every shared prefix be multiplied once.  The sweep runs in chunks of
-    2^_CHUNK_BITS subsets, so its memory does not grow with n.  Its time
-    does: per subset it adds the channels' column sums, multiplies each new
-    prefix product and sums each target, so the plan fixes the work at
-    2^n x (channels + prefix products + targets) vector elements before the
-    sweep starts.  Targets outside the source's photon-number sector give 0j.
-
+    A wrapper over the one kernel.  The targets become one integer array
+    and `_plan` builds their prefix trie: one shared Ryser sweep over the
+    source's 2^n column subsets, reduced one trie depth at a time, a window
+    of nodes per numpy op (see `_plan`).  Per subset the sweep adds each
+    channel's column sum, forms each power a target needs by repeated
+    multiplication (t - 1 products for occupation t), multiplies each trie
+    node and sums each distinct target; that count times 2^n is the work.
     Raises RegisterMismatch when U is not square or a register does not
-    match its side, and TooLarge, naming the work, when it exceeds _MAX_WORK.
+    match its side, and TooLarge, naming the work, when it exceeds
+    _MAX_WORK.
     """
-    u = np.asarray(matrix, dtype=complex)
     targets = list(targets)
+    u = _channel_unitary(matrix, source.channels, *(t.channels for t in targets))
+    outcomes = np.array([t.occupations for t in targets], dtype=np.int64).reshape(-1, len(u))
+    amps = np.zeros(len(targets), dtype=complex)
+    live = outcomes.sum(axis=1) == source.n
+    amps[live] = _evaluate(u, [(source, 1.0)], outcomes[live])
+    return amps.tolist()
+
+
+def _channel_unitary(matrix, *channels: int) -> np.ndarray:
+    """U as a complex array; RegisterMismatch unless it is square and each of
+    `channels` matches its side."""
+    u = np.asarray(matrix, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise RegisterMismatch(f"channel unitary must be square, got shape {u.shape}")
-    side = u.shape[0]
-    if source.channels != side or any(t.channels != side for t in targets):
-        raise RegisterMismatch(f"register does not match the {side}-channel unitary")
-    n = source.n
-    out = [0j] * len(targets)
-    live = [i for i, t in enumerate(targets) if t.n == n]
-    if not live:
-        return out
+    if any(c != len(u) for c in channels):
+        raise RegisterMismatch(f"register does not match the {len(u)}-channel unitary")
+    return u
 
-    # Channel order: fewest distinct occupations first, ties by index.
-    occs = [targets[i].occupations for i in live]
-    distinct = [len(set(column)) for column in zip(*occs)]
-    order = sorted(range(side), key=lambda j: (distinct[j], j))
-    # Each target as its steps: one code d * base + t per nonzero occupation
-    # t at position d in that order.  Sorting groups shared prefixes, whose
-    # length is precomputed.
-    base = n + 1
-    plan = []
-    prev: tuple = ()
-    per_subset = side + len(live)
-    for steps, i in sorted(
-        (tuple([d * base + occ[j] for d, j in enumerate(order) if occ[j]]), i)
-        for occ, i in zip(occs, live)
-    ):
-        common = 0
-        for a, b in zip(prev, steps):
-            if a != b:
-                break
-            common += 1
-        plan.append((i, common, steps))
-        per_subset += len(steps) - common
-        prev = steps
-    _require_work(n, per_subset)
 
-    cols = [i for i, v in enumerate(source.occupations) for _ in range(v)]
-    rows = u[order]
-    k = min(n, _CHUNK_BITS)
-    low, low_sign = _subset_sums(rows, cols[:k])
-    high_cols = [rows[:, j : j + 1] for j in cols[k:]]
-    # Ryser's sign (-1)^(n - |S|): the low subset's part seeds the stack and
-    # the high subset's part scales each chunk's sums.
-    stack = [low_sign if n % 2 == 0 else -low_sign, *np.empty((n, 1 << k), dtype=complex)]
-    chunk = np.empty_like(low)
-    for h in range(1 << len(high_cols)):
-        # The high subset's column sum, added in `_subset_sums` order.
-        np.add(low, sum(c for b, c in enumerate(high_cols) if h >> b & 1), out=chunk)
-        sign = -1.0 if h.bit_count() % 2 else 1.0
-        for i, common, steps in plan:
-            for depth in range(common, len(steps)):
-                d, t = divmod(steps[depth], base)
-                np.multiply(
-                    stack[depth], chunk[d] if t == 1 else chunk[d] ** t, out=stack[depth + 1]
-                )
-            out[i] += sign * complex(stack[len(steps)].sum())
+def _evaluate(u: np.ndarray, terms, outcomes: np.ndarray) -> np.ndarray:
+    """sum_k c_k <t| U |s_k> for each row t of `outcomes`, over the input
+    terms (s_k, c_k); the rows and terms share one photon-number sector.
+    One trie plan serves every term."""
+    n = terms[0][0].n
+    if n == 0 or not len(outcomes):  # no sweep: the vacuum goes to itself
+        return np.full(len(outcomes), sum(c for _, c in terms), dtype=complex)
+    plan = _plan(outcomes, n)
+    _require_work(n, plan.work)
+    t_norm = _FACTORIALS[outcomes].prod(axis=1)
+    total = np.zeros(len(outcomes), dtype=complex)
+    for source, coeff in terms:
+        per = _sweep(u, source.occupations, plan)
+        norm = np.sqrt(math.prod(map(math.factorial, source.occupations)) * t_norm)
+        # Divide the parts by the real norm: complex / float would scale by 1/norm.
+        np.divide(per.real, norm, out=per.real)
+        np.divide(per.imag, norm, out=per.imag)
+        total += coeff * per
+    return total
 
-    s_norm = math.prod(map(math.factorial, source.occupations))
-    for i, _, steps in plan:
-        t_norm = math.prod(math.factorial(code % base) for code in steps)
-        out[i] /= math.sqrt(s_norm * t_norm)
-    return out
+
+@dataclass(frozen=True)
+class _Plan:
+    """How `_sweep` reduces each chunk of subset sums for a set of targets.
+
+    The factor table's first rows hold the channels' column sums in `perm`
+    order.  Each `ladder` entry (dst, src, count) fills rows dst.. with rows
+    src.. times rows 0.., one more power of the first `count` channels.
+    Each op (depth, parents, factors, rows, leaves, into) multiplies parent
+    rows of the buffer above (the root's for depth 0) by factor rows into
+    `rows` of the depth's buffer, then sums its `leaves` rows into `into`.
+    """
+
+    n: int
+    perm: list[int]
+    ladder: tuple
+    factors: int
+    ops: tuple
+    depths: int
+    width: int
+    leaves: int
+    target_leaf: np.ndarray
+    work: int  # vector elements per subset
+
+
+def _plan(outcomes: np.ndarray, n: int) -> _Plan:
+    """The prefix trie of the n-photon targets in `outcomes`, one per row.
+
+    Channels are ranked by how many distinct occupations the targets take in
+    them (pinned heralds first, ties by index).  A target's steps are its
+    nonzero occupations t in that order, each a product with the t-th power
+    of a channel's sum.  With the targets sorted, a target adds a trie node
+    for each step after the prefix it shares with the one before; a node's
+    parent is the latest node one depth up and a target's last node is its
+    leaf.  The targets are cut into windows of `width` leaves, `width` rows
+    filling _BATCH_BYTES, and a window runs one op per depth.  Each depth's
+    buffer has two halves that its ops alternate between, so an op can still
+    read the latest node of the window before.  Consecutive rows are slices,
+    which numpy reads as views.  Per subset the plan costs one sum per
+    channel and one product per power step, trie node and leaf sum.
+    """
+    count, channels = outcomes.shape
+    taken = np.zeros((n + 1, channels), dtype=bool)  # occupations taken per channel
+    taken[outcomes, np.arange(channels)] = True
+    distinct = taken.sum(axis=0).tolist()
+    tops = outcomes.max(axis=0).tolist()
+    # Factor rows rank channels by top occupation, so each power is a prefix.
+    perm = sorted(range(channels), key=lambda c: -tops[c])
+    rank = {c: r for r, c in enumerate(perm)}
+    powers = [sum(v >= t for v in tops) for t in range(2, max(tops) + 1)]
+    first = [0, *itertools.accumulate([channels, *powers], initial=0)]  # power t, rank 0
+    ladder = tuple((first[t], first[t - 1], c) for t, c in enumerate(powers, 2))
+
+    order = sorted(range(channels), key=distinct.__getitem__)
+    trie = outcomes[:, order].astype(np.min_scalar_type(n))
+    # Sort the targets by their occupations in trie order, `group` channels
+    # of `bits` bits packed into each key.
+    bits = n.bit_length()
+    group = 63 // bits
+    weights = np.array([1 << (bits * (group - 1 - j)) for j in range(min(group, channels))])
+    by_occ = np.lexsort([trie[:, i : i + group] @ weights[: channels - i]
+                         for i in reversed(range(0, channels, group))])
+    trie = trie[by_occ]
+    step = trie > 0
+    depth = step.cumsum(axis=1, dtype=trie.dtype)  # steps up to each channel
+    differs = np.ones((count, channels), dtype=bool)  # from the target before, so far
+    np.not_equal(trie[1:], trie[:-1], out=differs[1:])
+    new = step & np.logical_or.accumulate(differs, axis=1)  # a trie node per new step
+    lead = new.any(axis=1).cumsum() - 1  # each target's leaf; duplicates share it
+    width = min(max(1, _BATCH_BYTES >> (min(n, _CHUNK_BITS) + 4)), int(lead[-1]) + 1)
+    steps = depth[:, -1].tolist()
+    code = [rank[c] for c in order]
+
+    # One pass in target order gives each node a row of its depth's buffer.
+    levels = max(steps)
+    latest = [0] * (levels + 1)  # row of the latest node one depth up; the root first
+    owner, half, used = [-1] * levels, [width] * levels, [0] * levels
+    segs: dict = {}
+    leaf, last = -1, -1  # the current target's leaf, in target order
+    target, col = new.nonzero()
+    for i, c, t, d in zip(target.tolist(), col.tolist(), trie[new].tolist(), depth[new].tolist()):
+        if i != last:
+            last, leaf = i, leaf + 1
+        w, d = leaf // width, d - 1
+        if owner[d] != w:  # the window's first node at this depth
+            owner[d], half[d], used[d] = w, width - half[d], 0
+            segs[w, d] = ([], [], half[d], [], [])
+        parents, factors, start, rows, leaves = segs[w, d]
+        latest[d + 1] = start + used[d]
+        used[d] += 1
+        parents.append(latest[d])
+        factors.append(first[t] + code[c])
+        if d == steps[i] - 1:
+            rows.append(latest[d + 1])
+            leaves.append(leaf)
+    ops, done = [], []
+    for (_, d), (parents, factors, start, rows, leaves) in sorted(segs.items()):
+        ops.append((d, _rows(parents), _rows(factors), slice(start, start + len(parents)),
+                    _rows(rows) if rows else None, slice(len(done), len(done) + len(rows))))
+        done += leaves
+    leaf_id = np.empty(len(done), dtype=np.int64)  # by target order, as `lead` counts
+    leaf_id[done] = np.arange(len(done))
+    target_leaf = np.empty(count, dtype=np.int64)
+    target_leaf[by_occ] = leaf_id[lead]
+    return _Plan(n, perm, ladder, first[-1], tuple(ops), levels, width, len(done),
+                 target_leaf, first[-1] + len(target) + len(done))
+
+
+def _rows(index: list[int]):
+    """Row indices as a slice, which numpy reads as a view, when they are
+    consecutive or all one row (which then broadcasts); else as an array."""
+    start = index[0]
+    if index == list(range(start, start + len(index))):
+        return slice(start, start + len(index))
+    if index.count(start) == len(index):
+        return slice(start, start + 1)
+    return np.array(index)
+
+
+def _sweep(u: np.ndarray, occupations, plan: _Plan) -> np.ndarray:
+    """Ryser's sum over the column subsets S of the source with these
+    occupations, sum_S (-1)^(n-|S|) prod_j (row j of U summed over S)^t_j,
+    for each target t of `plan`.
+
+    The sweep runs in chunks of 2^_CHUNK_BITS subsets, so its memory does
+    not grow with n.  Per chunk it adds the channels' column sums, builds
+    their powers and runs the plan's ops.
+    """
+    rows = u[plan.perm]
+    cols = [j for j, v in enumerate(occupations) for _ in range(v)]
+    k = min(plan.n, _CHUNK_BITS)
+    low, high = _subset_sums(rows, cols[:k]), _subset_sums(rows, cols[k:])
+    table = np.empty((plan.factors, 1 << k), dtype=complex)
+    # Ryser's sign (-1)^(n - |S|): the low subset's part seeds the root and
+    # the high subset's part says whether a chunk adds or subtracts.
+    root = _SIGNS[: 1 << k] if plan.n % 2 == 0 else -_SIGNS[: 1 << k]
+    bufs = [root[None], *np.empty((plan.depths, 2 * plan.width, 1 << k), dtype=complex)]
+    sums = np.empty(plan.leaves, dtype=complex)
+    total = np.zeros(plan.leaves, dtype=complex)
+    for h in range(high.shape[1]):
+        np.add(low, high[:, h : h + 1], out=table[: len(rows)])
+        for dst, src, c in plan.ladder:
+            np.multiply(table[src : src + c], table[:c], out=table[dst : dst + c])
+        for d, parents, fac, out, leaves, into in plan.ops:
+            np.multiply(bufs[d][parents], table[fac], out=bufs[d + 1][out])
+            if leaves is not None:
+                bufs[d + 1][leaves].sum(axis=1, out=sums[into])
+        (np.subtract if h.bit_count() % 2 else np.add)(total, sums, out=total)
+    return total[plan.target_leaf]
 
 
 def _require_work(n: int, per_subset: int):
@@ -181,30 +314,39 @@ def _require_work(n: int, per_subset: int):
         )
 
 
-def _subset_sums(rows: np.ndarray, cols: list[int]):
-    """Row sums of `rows[:, S]` for every subset S of `cols`, and (-1)^|S|.
+def _subset_sums(rows: np.ndarray, cols: list[int]) -> np.ndarray:
+    """Row sums of `rows[:, S]` for every subset S of `cols`.
 
     Subset S sits at the column whose bit b is set when cols[b] is in S.
     """
     sums = np.zeros((rows.shape[0], 1 << len(cols)), dtype=complex)
-    sign = np.ones(1 << len(cols))
     size = 1
     for j in cols:
         np.add(sums[:, :size], rows[:, j : j + 1], out=sums[:, size : 2 * size])
-        np.negative(sign[:size], out=sign[size : 2 * size])
         size *= 2
-    return sums, sign
+    return sums
 
 
-def _outcomes(channels: int, polarized: bool, n: int, expr) -> list[tuple[int, ...]]:
-    """Occupation tuples of n photons over `channels` that satisfy `expr`
-    (all of them when it is None), in canonical order, by one depth-first
-    walk.  A clause weighs a channel by how often it lists its mode, caps
-    every channel it reads and must reach its lower end by the last of them.
-    A branch is cut when the clauses' summed shortfall needs more photons
-    than are left, at `reach` (the largest total weight of a channel) each.
+def _outcomes(channels: int, polarized: bool, n: int, expr) -> np.ndarray:
+    """The occupations of n photons over `channels` that satisfy `expr`, one
+    row each, in canonical order.
+
+    Without a predicate the rows are the multisets of
+    `itertools.combinations_with_replacement`, counted per channel: their
+    lexicographic order is the canonical one.  With one, a depth-first walk
+    lists them.  A clause weighs a channel by how often it lists its mode,
+    caps every channel it reads and must reach its lower end by the last of
+    them.  A branch is cut when the clauses' summed shortfall needs more
+    photons than are left, at `reach` (the largest total weight of a
+    channel) each.
     """
-    clauses = () if expr is None else expr.clauses
+    if expr is None:
+        picks = itertools.combinations_with_replacement(range(channels), n)
+        flat = np.fromiter(itertools.chain.from_iterable(picks), dtype=np.int64)
+        count = len(flat) // n if n else 1
+        rows = np.repeat(np.arange(count) * channels, n)
+        return np.bincount(rows + flat, minlength=count * channels).reshape(count, channels)
+    clauses = expr.clauses
     lo = [c.bounds[0] for c in clauses]
     # A clause's sum never exceeds n x len(modes), which closes an open range.
     hi = [min(c.bounds[1], n * len(c.modes)) for c in clauses]
@@ -253,7 +395,7 @@ def _outcomes(channels: int, polarized: bool, n: int, expr) -> list[tuple[int, .
             sums[ci] = s
 
     walk(0, n, sum(max(0, v) for v in lo))
-    return out
+    return np.array(out, dtype=np.int64).reshape(len(out), channels)
 
 
 def sector_basis(n: int, channels: int):
@@ -262,13 +404,13 @@ def sector_basis(n: int, channels: int):
     Canonical order is descending lexicographic (first channel fills first):
     (n,0,...), (n-1,1,0,...), ..., (0,...,n).
     """
-    yield from _outcomes(channels, False, n, None)
+    yield from map(tuple, _outcomes(channels, False, n, None).tolist())
 
 
 def admissible_outcomes(channels: int, polarized: bool, n: int, expr):
     """Sector outcomes satisfying the predicate `expr`, in canonical order;
     every outcome of the sector when `expr` is None."""
-    yield from _outcomes(channels, polarized, n, expr)
+    yield from map(tuple, _outcomes(channels, polarized, n, expr).tolist())
 
 
 @dataclass(frozen=True)
@@ -279,7 +421,7 @@ class Distribution:
     sector: int
 
     def items(self) -> list[tuple[FockState, float]]:
-        return sorted(self.entries.items(), key=lambda kv: sort_key(kv[0]))
+        return canonical_items(self.entries.items())
 
     def total(self) -> float:
         return sum(self.entries.values())
@@ -290,21 +432,22 @@ class Distribution:
 
 def state_amplitudes(matrix, state: StateVector, predicate) -> list[tuple[FockState, complex]]:
     """The outcomes of the state's sector that satisfy `predicate` (all of
-    them when it is None), from `admissible_outcomes`, each with <t| U |state>
-    summed over one `batch_amplitudes` call per input term.  Without a
+    them when it is None), in canonical order, each with <t| U |state>.
+
+    The outcome rows of `_outcomes` go through one shared trie plan for
+    every input term and become FockStates here, once.  Without a
     predicate, TooLarge comes before any enumeration when the least sweep of
-    the sector, 2^n x (channels + outcomes) vector elements, exceeds _MAX_WORK.
+    the sector, 2^n x (channels + outcomes) vector elements, exceeds
+    _MAX_WORK.
     """
     n = state.require_sector()
     channels, polarized = state.channels, state.polarized
+    u = _channel_unitary(matrix, channels)
     if predicate is None:
         _require_work(n, channels + math.comb(n + channels - 1, n))
-    outcomes = admissible_outcomes(channels, polarized, n, predicate)
-    targets = [FockState(occ, polarized) for occ in outcomes]
-    total = np.zeros(len(targets), dtype=complex)
-    for term, coeff in state.items():
-        total += coeff * np.asarray(batch_amplitudes(matrix, term, targets))
-    return list(zip(targets, total.tolist()))
+    outcomes = _outcomes(channels, polarized, n, predicate)
+    amps = _evaluate(u, state.items(), outcomes)
+    return [(FockState(occ, polarized), a) for occ, a in zip(outcomes.tolist(), amps.tolist())]
 
 
 def require_normalized(state: StateVector):
@@ -372,7 +515,7 @@ class SampleCount:
     seed: int
 
     def items(self) -> list[tuple[FockState, int]]:
-        return sorted(self.counts.items(), key=lambda kv: sort_key(kv[0]))
+        return canonical_items(self.counts.items())
 
 
 def _splitmix64_doubles(seed: int, first: int, stop: int) -> np.ndarray:

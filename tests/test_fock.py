@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from photonsim.errors import (
@@ -14,10 +15,10 @@ from photonsim.fock import (
     StateVector,
     apply_annihilation,
     apply_creation,
+    canonical_items,
     channel,
     inner_product,
     make_state,
-    sort_key,
 )
 
 
@@ -45,6 +46,18 @@ def test_negative_occupation_rejected():
         make_state((1, -1))
 
 
+def test_non_integer_occupations_rejected():
+    # Floats are not truncated and strings are not parsed; Python and numpy
+    # integers pass as they are.
+    with pytest.raises(InvalidOccupation, match="must be integers"):
+        FockState((1.7, 0))
+    with pytest.raises(InvalidOccupation, match="must be integers"):
+        FockState(("2", 0))
+    state = FockState((np.int64(2), np.uint8(0)))
+    assert state.occupations == (2, 0)
+    assert all(type(v) is int for v in state.occupations)
+
+
 def test_polarized_needs_even_channels():
     with pytest.raises(RegisterMismatch):
         make_state((1, 0, 0), polarized=True)
@@ -52,8 +65,8 @@ def test_polarized_needs_even_channels():
 
 def test_canonical_order_is_descending_lexicographic():
     states = [make_state(o) for o in [(0, 2), (1, 1), (2, 0), (0, 0)]]
-    states.sort(key=sort_key)
-    assert [s.occupations for s in states] == [(2, 0), (1, 1), (0, 2), (0, 0)]
+    ordered = canonical_items((s, i) for i, s in enumerate(states))
+    assert [s.occupations for s, _ in ordered] == [(2, 0), (1, 1), (0, 2), (0, 0)]
 
 
 def test_statevector_basis_and_amplitude():

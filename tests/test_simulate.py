@@ -27,6 +27,7 @@ from photonsim.simulate import (
     permanent,
     sample,
     sector_basis,
+    state_amplitudes,
 )
 from photonsim import simulate
 
@@ -134,15 +135,16 @@ def test_batch_amplitudes_twenty_photon_identity():
 
 def test_batch_amplitudes_work_bound(monkeypatch):
     # |1,1> onto the 2-photon sector of 2 channels.  Channel order (0, 1);
-    # steps (1,1) -> (1, 4), (2,0) -> (2,), (0,2) -> (5,) share no prefix, so
-    # 4 products; work = 2^2 x (2 channels + 4 products + 3 targets) = 36.
+    # the steps of (2,0), (1,1) and (0,2) share no prefix, so 4 products.
+    # Both channels need their square, one product each.  Work = 2^2 x
+    # (2 channels + 2 powers + 4 products + 3 targets) = 44.
     u = BeamSplitter.h().matrix()
     src = make_state((1, 1))
     targets = [make_state(occ) for occ in sector_basis(2, 2)]
-    monkeypatch.setattr(simulate, "_MAX_WORK", 35)
-    with pytest.raises(TooLarge, match=r"2\^2 x 9 = 36 vector elements, more than the 35"):
+    monkeypatch.setattr(simulate, "_MAX_WORK", 43)
+    with pytest.raises(TooLarge, match=r"2\^2 x 11 = 44 vector elements, more than the 43"):
         batch_amplitudes(u, src, targets)
-    monkeypatch.setattr(simulate, "_MAX_WORK", 36)
+    monkeypatch.setattr(simulate, "_MAX_WORK", 44)
     assert abs(batch_amplitudes(u, src, targets)[1]) < 1e-12
     # Targets outside the sector cost nothing.
     monkeypatch.setattr(simulate, "_MAX_WORK", 0)
@@ -150,9 +152,9 @@ def test_batch_amplitudes_work_bound(monkeypatch):
 
 
 def test_distribution_reports_the_work_bound(monkeypatch):
-    monkeypatch.setattr(simulate, "_MAX_WORK", 35)
+    monkeypatch.setattr(simulate, "_MAX_WORK", 43)
     u = BeamSplitter.h().matrix()
-    with pytest.raises(TooLarge, match="36 vector elements"):
+    with pytest.raises(TooLarge, match="44 vector elements"):
         distribution(u, StateVector.basis(make_state((1, 1))))
 
 
@@ -170,6 +172,30 @@ def test_distribution_counts_the_sector_before_enumerating(monkeypatch):
     monkeypatch.setattr(simulate, "_MAX_WORK", 19)
     with pytest.raises(TooLarge, match=r"2\^2 x 5 = 20 vector elements, more than the 19"):
         distribution(BeamSplitter.h().matrix(), StateVector.basis(make_state((1, 1))))
+
+
+def test_work_counts_each_power_step(monkeypatch):
+    # (3,0,0) from |1,1,1>: 3 channel sums, the square and the cube of
+    # channel 0 (one product each), one prefix product and one target sum.
+    monkeypatch.setattr(simulate, "_MAX_WORK", 55)
+    with pytest.raises(TooLarge, match=r"2\^3 x 7 = 56 vector elements"):
+        batch_amplitudes(np.eye(3), make_state((1, 1, 1)), [make_state((3, 0, 0))])
+
+
+def test_state_amplitudes_are_linear_in_the_terms():
+    # One trie plan serves both terms; the result is the coefficient-weighted
+    # sum of the one-term results whatever order the terms were given in.
+    u = random_unitary(np.random.default_rng(11), 4)
+    a, b = make_state((1, 1, 1, 0)), make_state((0, 3, 0, 0))
+    ca, cb = 0.6 + 0.3j, -0.2 + 0.71j
+    both = state_amplitudes(u, StateVector({a: ca, b: cb}), None)
+    assert both == state_amplitudes(u, StateVector({b: cb, a: ca}), None)
+    one_a = state_amplitudes(u, StateVector.basis(a), None)
+    one_b = state_amplitudes(u, StateVector.basis(b), None)
+    assert len(both) == len(one_a) == len(one_b) == math.comb(6, 3)
+    for (s, x), (sa, ya), (sb, yb) in zip(both, one_a, one_b):
+        assert s == sa == sb
+        assert abs(x - (ca * ya + cb * yb)) < 1e-15
 
 
 def test_batch_amplitudes_rejects_non_square_unitary():
