@@ -284,7 +284,8 @@ def _sweep(u: np.ndarray, occupations, plan: _Plan) -> np.ndarray:
     rows = u[plan.perm]
     cols = [j for j, v in enumerate(occupations) for _ in range(v)]
     k = min(plan.n, _CHUNK_BITS)
-    low, high = _subset_sums(rows, cols[:k]), _subset_sums(rows, cols[k:])
+    low = _subset_sums(rows, cols[:k])
+    high_cols = [rows[:, j : j + 1] for j in cols[k:]]
     table = np.empty((plan.factors, 1 << k), dtype=complex)
     # Ryser's sign (-1)^(n - |S|): the low subset's part seeds the root and
     # the high subset's part says whether a chunk adds or subtracts.
@@ -292,8 +293,9 @@ def _sweep(u: np.ndarray, occupations, plan: _Plan) -> np.ndarray:
     bufs = [root[None], *np.empty((plan.depths, 2 * plan.width, 1 << k), dtype=complex)]
     sums = np.empty(plan.leaves, dtype=complex)
     total = np.zeros(plan.leaves, dtype=complex)
-    for h in range(high.shape[1]):
-        np.add(low, high[:, h : h + 1], out=table[: len(rows)])
+    for h in range(1 << len(high_cols)):
+        # The high subset's column sum, added in `_subset_sums` order.
+        np.add(low, sum(c for b, c in enumerate(high_cols) if h >> b & 1), out=table[: len(rows)])
         for dst, src, c in plan.ladder:
             np.multiply(table[src : src + c], table[:c], out=table[dst : dst + c])
         for d, parents, fac, out, leaves, into in plan.ops:

@@ -36,7 +36,8 @@ def sweeps(draw):
     picks = draw(st.lists(st.integers(0, len(sector) - 1), min_size=1, max_size=12))
     targets = [FockState(sector[i]) for i in picks]
     if draw(st.booleans()):
-        targets.insert(draw(st.integers(0, len(targets))), FockState((n + 1,) + (0,) * (modes - 1)))
+        outside = FockState((n + 1,) + (0,) * (modes - 1))
+        targets.insert(draw(st.integers(0, len(targets))), outside)
     return random_unitary(rng, modes), source, targets
 
 
