@@ -5,8 +5,9 @@ under a channel unitary U is
 
     amplitude = Per(U[t, s]) / sqrt(prod_i s_i! * prod_j t_j!)
 
-where U[t, s] repeats column i s_i times and row j t_j times.  Permanents
-are evaluated with Ryser's inclusion-exclusion formula.
+where U[t, s] repeats column i s_i times and row j t_j times.  The kernel
+evaluates permanents with Glynn's formula over 2^(n-1) column sign
+patterns; the scalar reference `permanent` uses Ryser's.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ for _ in range(_CHUNK_BITS):
 _FACTORIALS = np.array([float(math.factorial(v)) for v in range(171)])
 
 # The kernel refuses a sweep of more than _MAX_WORK vector elements:
-# 30-40 s at the 1.8-2.4 ns per element measured on a 2-core Xeon.
+# 26-33 s at the 1.5-1.9 ns per element measured at n = 20-24 on a 2-core Xeon.
 _MAX_WORK = 1 << 34
 
 # inverse_cdf_counts draws _DRAW_CHUNK shots at a time.
@@ -103,12 +104,13 @@ def batch_amplitudes(matrix, source: FockState, targets) -> list[complex]:
     0j for targets outside the source's photon-number sector.
 
     A wrapper over the one kernel.  The targets become one integer array
-    and `_plan` builds their prefix trie: one shared Ryser sweep over the
-    source's 2^n column subsets, reduced one trie depth at a time, a window
-    of nodes per numpy op (see `_plan`).  Per subset the sweep adds each
-    channel's column sum, forms each power a target needs by repeated
-    multiplication (t - 1 products for occupation t), multiplies each trie
-    node and sums each distinct target; that count times 2^n is the work.
+    and `_plan` builds their prefix trie: one shared Glynn sweep over
+    2^(n-1) subsets of the source's columns, reduced one trie depth at a
+    time, a window of nodes per numpy op (see `_plan`).  Per subset the
+    sweep adds each channel's column sum, forms each power a target needs
+    by repeated multiplication (t - 1 products for occupation t), multiplies
+    each trie node and sums each distinct target; that count times 2^(n-1)
+    is the work.
     Raises RegisterMismatch when U is not square or a register does not
     match its side, and TooLarge, naming the work, when it exceeds
     _MAX_WORK.
@@ -222,7 +224,7 @@ def _plan(outcomes: np.ndarray, n: int) -> _Plan:
     np.not_equal(trie[1:], trie[:-1], out=differs[1:])
     new = step & np.logical_or.accumulate(differs, axis=1)  # a trie node per new step
     lead = new.any(axis=1).cumsum() - 1  # each target's leaf; duplicates share it
-    width = min(max(1, _BATCH_BYTES >> (min(n, _CHUNK_BITS) + 4)), int(lead[-1]) + 1)
+    width = min(max(1, _BATCH_BYTES >> (min(n - 1, _CHUNK_BITS) + 4)), int(lead[-1]) + 1)
     steps = depth[:, -1].tolist()
     code = [rank[c] for c in order]
 
@@ -273,9 +275,14 @@ def _rows(index: list[int]):
 
 
 def _sweep(u: np.ndarray, occupations, plan: _Plan) -> np.ndarray:
-    """Ryser's sum over the column subsets S of the source with these
-    occupations, sum_S (-1)^(n-|S|) prod_j (row j of U summed over S)^t_j,
-    for each target t of `plan`.
+    """Glynn's sum for the source with these occupations, for each target t
+    of `plan`: with the sign of the source's first column fixed at +1,
+
+        2^-(n-1) sum_S (-1)^|S| prod_j (row j of U summed over the columns,
+                                         minus twice over S)^t_j
+
+    over the subsets S of the other n - 1 columns.  Its sums are smaller
+    than Ryser's, so less cancels, and it needs half the subsets.
 
     The sweep runs in chunks of 2^_CHUNK_BITS subsets, so its memory does
     not grow with n.  Per chunk it adds the channels' column sums, builds
@@ -283,14 +290,14 @@ def _sweep(u: np.ndarray, occupations, plan: _Plan) -> np.ndarray:
     """
     rows = u[plan.perm]
     cols = [j for j, v in enumerate(occupations) for _ in range(v)]
-    k = min(plan.n, _CHUNK_BITS)
-    low = _subset_sums(rows, cols[:k])
-    high_cols = [rows[:, j : j + 1] for j in cols[k:]]
+    flips = -2 * rows  # what flipping a column's sign adds to the row sums
+    k = min(plan.n - 1, _CHUNK_BITS)
+    low = _subset_sums(rows[:, cols].sum(axis=1), flips, cols[1 : k + 1])
+    high_cols = [flips[:, j : j + 1] for j in cols[k + 1 :]]
     table = np.empty((plan.factors, 1 << k), dtype=complex)
-    # Ryser's sign (-1)^(n - |S|): the low subset's part seeds the root and
-    # the high subset's part says whether a chunk adds or subtracts.
-    root = _SIGNS[: 1 << k] if plan.n % 2 == 0 else -_SIGNS[: 1 << k]
-    bufs = [root[None], *np.empty((plan.depths, 2 * plan.width, 1 << k), dtype=complex)]
+    # The sign (-1)^|S|: the low subset's part seeds the root and the high
+    # subset's part says whether a chunk adds or subtracts.
+    bufs = [_SIGNS[None, : 1 << k], *np.empty((plan.depths, 2 * plan.width, 1 << k), dtype=complex)]
     sums = np.empty(plan.leaves, dtype=complex)
     total = np.zeros(plan.leaves, dtype=complex)
     for h in range(1 << len(high_cols)):
@@ -303,28 +310,32 @@ def _sweep(u: np.ndarray, occupations, plan: _Plan) -> np.ndarray:
             if leaves is not None:
                 bufs[d + 1][leaves].sum(axis=1, out=sums[into])
         (np.subtract if h.bit_count() % 2 else np.add)(total, sums, out=total)
+    total *= 0.5 ** (plan.n - 1)  # a power of two, so exact
     return total[plan.target_leaf]
 
 
 def _require_work(n: int, per_subset: int):
-    """Raise TooLarge when 2^n x per_subset vector elements exceed _MAX_WORK."""
-    work = (1 << n) * per_subset
+    """Raise TooLarge when Glynn's 2^(n-1) subsets x per_subset vector
+    elements exceed _MAX_WORK (no subsets for n = 0)."""
+    work = ((1 << n) >> 1) * per_subset
     if work > _MAX_WORK:
         raise TooLarge(
-            f"the sweep needs 2^{n} x {per_subset} = {work} vector elements, "
+            f"the sweep needs 2^{n - 1} x {per_subset} = {work} vector elements, "
             f"more than the {_MAX_WORK} allowed"
         )
 
 
-def _subset_sums(rows: np.ndarray, cols: list[int]) -> np.ndarray:
-    """Row sums of `rows[:, S]` for every subset S of `cols`.
+def _subset_sums(base: np.ndarray, steps: np.ndarray, cols: list[int]) -> np.ndarray:
+    """base plus the sum of the columns `steps[:, S]`, for every subset S of
+    `cols`.
 
     Subset S sits at the column whose bit b is set when cols[b] is in S.
     """
-    sums = np.zeros((rows.shape[0], 1 << len(cols)), dtype=complex)
+    sums = np.empty((len(base), 1 << len(cols)), dtype=complex)
+    sums[:, 0] = base
     size = 1
     for j in cols:
-        np.add(sums[:, :size], rows[:, j : j + 1], out=sums[:, size : 2 * size])
+        np.add(sums[:, :size], steps[:, j : j + 1], out=sums[:, size : 2 * size])
         size *= 2
     return sums
 
@@ -439,7 +450,7 @@ def state_amplitudes(matrix, state: StateVector, predicate) -> list[tuple[FockSt
     The outcome rows of `_outcomes` go through one shared trie plan for
     every input term and become FockStates here, once.  Without a
     predicate, TooLarge comes before any enumeration when the least sweep of
-    the sector, 2^n x (channels + outcomes) vector elements, exceeds
+    the sector, 2^(n-1) x (channels + outcomes) vector elements, exceeds
     _MAX_WORK.
     """
     n = state.require_sector()

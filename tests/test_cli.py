@@ -272,7 +272,7 @@ def test_simulate_over_the_work_bound_exits_3(capsys, monkeypatch):
         capsys, "simulate", "--circuit", str(DATA / "h.json"), "--input", "|1,0,1,0>"
     )
     assert code == 3 and out == ""
-    assert err.startswith("error: the sweep needs 2^2 x ") and "more than the 0 allowed" in err
+    assert err.startswith("error: the sweep needs 2^1 x ") and "more than the 0 allowed" in err
 
 
 def test_grover_rejects_negative_shots_first(capsys, monkeypatch):

@@ -160,11 +160,11 @@ def test_three_qubit_counts():
 
 
 def test_dual_rail_search_work(monkeypatch):
-    # 2^17 subsets x (20 channels + 12 power steps + 90 prefix products +
-    # 56 targets): six data channels take up to three photons, so each needs
-    # its square and its cube.
-    monkeypatch.setattr(simulate, "_MAX_WORK", (1 << 17) * 178 - 1)
-    with pytest.raises(TooLarge, match=r"2\^17 x 178 = 23330816 vector elements"):
+    # Glynn's 2^16 subsets x (20 channels + 12 power steps + 90 prefix
+    # products + 56 targets): six data channels take up to three photons, so
+    # each needs its square and its cube.
+    monkeypatch.setattr(simulate, "_MAX_WORK", (1 << 16) * 178 - 1)
+    with pytest.raises(TooLarge, match=r"2\^16 x 178 = 11665408 vector elements"):
         dual_rail_grover_3q()
 
 

@@ -260,11 +260,11 @@ def test_max_mode():
 
 
 def test_processor_reports_the_work_bound(monkeypatch):
-    # |1,1> with [0]>=0 keeps the whole sector: 2^2 x (2 + 2 + 4 + 3) = 44.
-    monkeypatch.setattr(simulate, "_MAX_WORK", 43)
+    # |1,1> with [0]>=0 keeps the whole sector: 2^1 x (2 + 2 + 4 + 3) = 22.
+    monkeypatch.setattr(simulate, "_MAX_WORK", 21)
     circuit = Circuit(2).add(0, BeamSplitter.h())
     proc = Processor(circuit, StateVector.basis(make_state((1, 1))), parse_postselect("[0]>=0"))
-    with pytest.raises(TooLarge, match="44 vector elements"):
+    with pytest.raises(TooLarge, match="22 vector elements"):
         proc.amplitudes()
-    monkeypatch.setattr(simulate, "_MAX_WORK", 44)
+    monkeypatch.setattr(simulate, "_MAX_WORK", 22)
     assert len(proc.amplitudes()) == 3

@@ -201,6 +201,15 @@ def test_postselected_direction():
     assert abs(dist.entries[expect] - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("kind", ["postselected", "heralded"])
+def test_success_constants_match_codeword_action(kind):
+    # GateSequence.build hard-codes 1/9 and 2/27: every codeword must go to
+    # its CNOT image with exactly that probability, and nowhere else.
+    build = GateSequence(2).cnot(0, 1, kind).build()
+    probabilities = np.abs(codeword_action(build)) ** 2
+    assert np.max(np.abs(probabilities - build.success_probability * CNOT.real)) < 1e-14
+
+
 # --- heralded CNOT ----------------------------------------------------------
 
 

@@ -128,7 +128,7 @@ def test_batch_amplitudes_match_single_calls():
 
 
 def test_batch_amplitudes_twenty_photon_identity():
-    # 2^20 x (20 channels + 20 products + 1 target) is far below the limit.
+    # 2^19 x (20 channels + 20 products + 1 target) is far below the limit.
     ones = make_state((1,) * 20)
     assert abs(batch_amplitudes(np.eye(20), ones, [ones])[0] - 1.0) < 1e-12
 
@@ -136,15 +136,15 @@ def test_batch_amplitudes_twenty_photon_identity():
 def test_batch_amplitudes_work_bound(monkeypatch):
     # |1,1> onto the 2-photon sector of 2 channels.  Channel order (0, 1);
     # the steps of (2,0), (1,1) and (0,2) share no prefix, so 4 products.
-    # Both channels need their square, one product each.  Work = 2^2 x
-    # (2 channels + 2 powers + 4 products + 3 targets) = 44.
+    # Both channels need their square, one product each.  Work = 2^1 x
+    # (2 channels + 2 powers + 4 products + 3 targets) = 22.
     u = BeamSplitter.h().matrix()
     src = make_state((1, 1))
     targets = [make_state(occ) for occ in sector_basis(2, 2)]
-    monkeypatch.setattr(simulate, "_MAX_WORK", 43)
-    with pytest.raises(TooLarge, match=r"2\^2 x 11 = 44 vector elements, more than the 43"):
+    monkeypatch.setattr(simulate, "_MAX_WORK", 21)
+    with pytest.raises(TooLarge, match=r"2\^1 x 11 = 22 vector elements, more than the 21"):
         batch_amplitudes(u, src, targets)
-    monkeypatch.setattr(simulate, "_MAX_WORK", 44)
+    monkeypatch.setattr(simulate, "_MAX_WORK", 22)
     assert abs(batch_amplitudes(u, src, targets)[1]) < 1e-12
     # Targets outside the sector cost nothing.
     monkeypatch.setattr(simulate, "_MAX_WORK", 0)
@@ -152,33 +152,33 @@ def test_batch_amplitudes_work_bound(monkeypatch):
 
 
 def test_distribution_reports_the_work_bound(monkeypatch):
-    monkeypatch.setattr(simulate, "_MAX_WORK", 43)
+    monkeypatch.setattr(simulate, "_MAX_WORK", 21)
     u = BeamSplitter.h().matrix()
-    with pytest.raises(TooLarge, match="44 vector elements"):
+    with pytest.raises(TooLarge, match="22 vector elements"):
         distribution(u, StateVector.basis(make_state((1, 1))))
 
 
 def test_distribution_counts_the_sector_before_enumerating(monkeypatch):
-    # Without a predicate the sweep needs at least 2^n x (channels + outcomes).
+    # Without a predicate the sweep needs at least 2^(n-1) x (channels + outcomes).
     def no_walk(*args):
         raise AssertionError("the sector was enumerated")
 
     monkeypatch.setattr(simulate, "_outcomes", no_walk)
     huge = StateVector.basis(make_state((16,) + (0,) * 9))
-    with pytest.raises(TooLarge, match=r"2\^16 x 2042985 = 133889064960 vector elements, "
+    with pytest.raises(TooLarge, match=r"2\^15 x 2042985 = 66944532480 vector elements, "
                                        r"more than the 17179869184 allowed"):
         distribution(np.eye(10), huge)
-    # |1,1>: 2^2 x (2 channels + 3 outcomes) = 20, against the limit read now.
-    monkeypatch.setattr(simulate, "_MAX_WORK", 19)
-    with pytest.raises(TooLarge, match=r"2\^2 x 5 = 20 vector elements, more than the 19"):
+    # |1,1>: 2^1 x (2 channels + 3 outcomes) = 10, against the limit read now.
+    monkeypatch.setattr(simulate, "_MAX_WORK", 9)
+    with pytest.raises(TooLarge, match=r"2\^1 x 5 = 10 vector elements, more than the 9"):
         distribution(BeamSplitter.h().matrix(), StateVector.basis(make_state((1, 1))))
 
 
 def test_work_counts_each_power_step(monkeypatch):
     # (3,0,0) from |1,1,1>: 3 channel sums, the square and the cube of
     # channel 0 (one product each), one prefix product and one target sum.
-    monkeypatch.setattr(simulate, "_MAX_WORK", 55)
-    with pytest.raises(TooLarge, match=r"2\^3 x 7 = 56 vector elements"):
+    monkeypatch.setattr(simulate, "_MAX_WORK", 27)
+    with pytest.raises(TooLarge, match=r"2\^2 x 7 = 28 vector elements"):
         batch_amplitudes(np.eye(3), make_state((1, 1, 1)), [make_state((3, 0, 0))])
 
 
@@ -261,15 +261,16 @@ def test_batch_amplitudes_herald_pinned_targets():
 
 
 def test_batch_amplitudes_source_wider_than_one_chunk():
-    # 14 photons exceed the chunk width, so the sweep runs in several chunks.
+    # Glynn sweeps the 14 columns after the first of 15 photons, more than
+    # the chunk width, so the sweep runs in several chunks.
     assert 14 > simulate._CHUNK_BITS
     rng = np.random.default_rng(14)
-    u = random_unitary(rng, 15)
-    src = make_state((1,) * 13 + (1, 0))
+    u = random_unitary(rng, 16)
+    src = make_state((1,) * 14 + (1, 0))
     targets = [
-        make_state((0,) + (1,) * 14),
-        make_state((2, 0) + (1,) * 12 + (0,)),
-        make_state((1,) * 13 + (0, 1)),
+        make_state((0,) + (1,) * 15),
+        make_state((2, 0) + (1,) * 13 + (0,)),
+        make_state((1,) * 14 + (0, 1)),
     ]
     _assert_matches_single_calls(u, src, targets)
 
