@@ -1,10 +1,11 @@
 """Circuits: ordered component placements on a fixed mode register.
 
-``compile`` multiplies the embedded component unitaries in placement order,
-with later placements applied on the left, so the first component added acts
+Each placement names the modes its component acts on, in the component's
+own order.  ``compile`` multiplies each component's block into the rows of
+those modes' channels, in placement order, so the first component added acts
 first on states.  On a polarized register the compiled matrix lives on
 channels (2 per spatial mode); spatial components act identically on the H
-and V blocks, Jones components act inside one mode's (H, V) pair, and the
+and V channels, Jones components act inside one mode's (H, V) pair, and the
 polarizing beam splitter couples two modes' channel quadruple.
 """
 
@@ -24,8 +25,10 @@ from .errors import InvalidSpec, OutOfRange, PolarizationMismatch, RegisterMisma
 
 @dataclass(frozen=True)
 class PlacedComponent:
+    """A component and the register modes its local modes 0, 1, ... act on."""
+
     component: object
-    anchor: int
+    modes: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -45,27 +48,28 @@ class Circuit:
         return 2 * self.modes if self.polarized else self.modes
 
     def add(self, anchor, component) -> "Circuit":
-        """Place a component with its first mode at `anchor`.
+        """Place a component on modes `anchor .. anchor + width - 1`.
 
-        `anchor` may also be a contiguous ascending mode tuple, in which case
-        it must match the component width.
+        `anchor` may also be a tuple of `width` distinct modes, which the
+        component's local modes 0, 1, ... map to in order.
         """
         width = component.width
         if isinstance(anchor, (tuple, list)):
-            span = tuple(anchor)
-            if list(span) != list(range(span[0], span[0] + len(span))):
-                raise InvalidSpec(f"mode tuple {span} is not contiguous ascending")
-            if len(span) != width:
+            modes = tuple(int(m) for m in anchor)
+            if len(modes) != width or len(set(modes)) != width:
                 raise InvalidSpec(
-                    f"mode tuple {span} does not match component width {width}"
+                    f"mode tuple {modes} is not {width} distinct modes"
                 )
-            anchor = span[0]
-        anchor = int(anchor)
-        if anchor < 0 or anchor + width > self.modes:
-            raise OutOfRange(
-                f"component of width {width} at anchor {anchor} does not fit "
-                f"in {self.modes} modes"
-            )
+            if not all(0 <= m < self.modes for m in modes):
+                raise OutOfRange(f"mode tuple {modes} does not fit in {self.modes} modes")
+        else:
+            anchor = int(anchor)
+            if anchor < 0 or anchor + width > self.modes:
+                raise OutOfRange(
+                    f"component of width {width} at anchor {anchor} does not fit "
+                    f"in {self.modes} modes"
+                )
+            modes = tuple(range(anchor, anchor + width))
         if isinstance(component, JonesComponent + (PolarizingBeamSplitter,)):
             if not self.polarized:
                 raise PolarizationMismatch(
@@ -76,7 +80,7 @@ class Circuit:
         return Circuit(
             self.modes,
             self.polarized,
-            self.placements + (PlacedComponent(component, anchor),),
+            self.placements + (PlacedComponent(component, modes),),
         )
 
     def compose(self, other: "Circuit") -> "Circuit":
@@ -90,29 +94,20 @@ class Circuit:
 
     def compile(self) -> np.ndarray:
         """Total channel unitary, first placement rightmost in the product."""
-        dim = self.channels
-        total = np.eye(dim, dtype=complex)
+        total = np.eye(self.channels, dtype=complex)
         for placed in self.placements:
-            total = self._embed(placed) @ total
+            comp, modes = placed.component, placed.modes
+            if isinstance(comp, SpatialComponent):
+                block = comp.matrix()
+                if not self.polarized:
+                    blocks = [(list(modes), block)]
+                else:
+                    blocks = [([2 * m + p for m in modes], block) for p in (0, 1)]
+            elif isinstance(comp, JonesComponent):
+                blocks = [([2 * modes[0], 2 * modes[0] + 1], comp.jones())]
+            else:  # polarizing beam splitter
+                chans = [2 * m + p for m in modes for p in (0, 1)]
+                blocks = [(chans, comp.channel_matrix())]
+            for chans, block in blocks:
+                total[chans] = block @ total[chans]
         return total
-
-    def _embed(self, placed: PlacedComponent) -> np.ndarray:
-        dim = self.channels
-        comp, anchor = placed.component, placed.anchor
-        out = np.eye(dim, dtype=complex)
-        if isinstance(comp, SpatialComponent):
-            block = comp.matrix()
-            w = comp.width
-            if not self.polarized:
-                out[anchor : anchor + w, anchor : anchor + w] = block
-            else:
-                for p in (0, 1):
-                    chans = [2 * (anchor + k) + p for k in range(w)]
-                    out[np.ix_(chans, chans)] = block
-        elif isinstance(comp, JonesComponent):
-            ch = 2 * anchor
-            out[ch : ch + 2, ch : ch + 2] = comp.jones()
-        else:  # polarizing beam splitter
-            ch = 2 * anchor
-            out[ch : ch + 4, ch : ch + 4] = comp.channel_matrix()
-        return out

@@ -30,7 +30,7 @@ from .fock import FockState, StateVector
 from .notation import format_state, parse_state
 from .postselect import Processor, parse_postselect
 from .qubits import GateSequence, NonCodeword, PolarizationEncoding, data_bits
-from .simulate import sample
+from .simulate import require_shots, sample
 from .simulate import batch_amplitudes  # noqa: F401  (bench/test_bench.py checks this binding)
 
 
@@ -183,7 +183,7 @@ def load_circuit_file(path: str) -> LoadedCircuit:
     with open(path, encoding="utf-8") as handle:
         try:
             document = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise InvalidSpec(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(document, dict):
         raise InvalidSpec(f"{path}: top level must be an object")
@@ -331,9 +331,8 @@ def _cmd_sample(args) -> int:
         loaded = load_circuit_file(args.circuit)
         state = _prepare_input(loaded, args.input)
         postselect = parse_postselect(args.postselect) if args.postselect else None
-        if args.shots < 0:
-            raise InvalidSpec(f"shots must be >= 0, got {args.shots}")
-    except (SimulatorError, OSError) as exc:
+        require_shots(args.shots)
+    except (SimulatorError, OSError, ValueError) as exc:
         return _fail(2, exc)
     try:
         processor = Processor(loaded.circuit, StateVector.basis(state), postselect,
@@ -362,8 +361,10 @@ _VARIANT_FLAGS = {"per-mode": "per_mode_PR", "uniform": "uniform_PR0"}
 
 def _cmd_grover(args) -> int:
     variant = _VARIANT_FLAGS[args.variant]
-    if args.shots < 0:
-        return _fail(2, InvalidSpec(f"shots must be >= 0, got {args.shots}"))
+    try:
+        require_shots(args.shots)
+    except ValueError as exc:
+        return _fail(2, exc)
     try:
         result = grover_mod.run_grover(args.target, variant, args.shots, args.seed)
     except (SimulatorError, ValueError) as exc:

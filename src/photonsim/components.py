@@ -29,7 +29,8 @@ zero phases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,6 +40,28 @@ from .errors import InvalidSpec, NotUnitary
 UNITARY_TOL = 1e-9
 
 _BS_CONVENTIONS = ("bs1", "bs2", "bs3", "h", "rx", "ry")
+
+
+def require_unitary(matrix: np.ndarray):
+    """Raise NotUnitary unless every entry of U^dag U - I is within
+    UNITARY_TOL in magnitude (a NaN entry never is)."""
+    with np.errstate(invalid="ignore", over="ignore"):  # inf entries give NaN
+        defect = np.abs(matrix.conj().T @ matrix - np.eye(len(matrix))).max(initial=0.0)
+    if not defect <= UNITARY_TOL:
+        raise NotUnitary(f"matrix deviates from unitarity beyond {UNITARY_TOL}")
+
+
+def _require_finite_parameters(component):
+    """Raise InvalidSpec unless every float field is a finite real number."""
+    for f in fields(component):
+        value = getattr(component, f.name)
+        if f.type != "float":
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise InvalidSpec(
+                f"{type(component).__name__}.{f.name} must be a finite real number, "
+                f"got {value!r}"
+            )
 
 
 def theta_from_reflectivity(r: float) -> float:
@@ -65,6 +88,7 @@ class BeamSplitter:
     width = 2
 
     def __post_init__(self):
+        _require_finite_parameters(self)
         if self.convention not in _BS_CONVENTIONS:
             raise InvalidSpec(
                 f"unknown beam-splitter convention {self.convention!r}; "
@@ -155,6 +179,9 @@ class PhaseShifter:
 
     width = 1
 
+    def __post_init__(self):
+        _require_finite_parameters(self)
+
     def matrix(self) -> np.ndarray:
         return np.array([[_phase(self.phi)]])
 
@@ -195,6 +222,9 @@ class WavePlate:
 
     width = 1
 
+    def __post_init__(self):
+        _require_finite_parameters(self)
+
     def jones(self) -> np.ndarray:
         cd, sd = math.cos(self.delta), math.sin(self.delta)
         c2, s2 = math.cos(2 * self.xi), math.sin(2 * self.xi)
@@ -218,6 +248,9 @@ class PolarizationRotator:
     theta: float
 
     width = 1
+
+    def __post_init__(self):
+        _require_finite_parameters(self)
 
     def jones(self) -> np.ndarray:
         c, s = math.cos(self.theta), math.sin(self.theta)
@@ -249,8 +282,7 @@ class GenericUnitary:
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidSpec(f"unitary block must be square, got shape {m.shape}")
-        if not np.allclose(m.conj().T @ m, np.eye(m.shape[0]), atol=UNITARY_TOL, rtol=0):
-            raise NotUnitary(f"matrix deviates from unitarity beyond {UNITARY_TOL}")
+        require_unitary(m)
         self._values = tuple(map(tuple, m))
 
     @property

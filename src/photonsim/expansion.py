@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .components import UNITARY_TOL
-from .errors import NotUnitary, RegisterMismatch
+from .components import require_unitary
+from .errors import RegisterMismatch
 from .fock import FockState, StateVector
 
 
@@ -26,8 +26,7 @@ def oracle_evolve(matrix, state: FockState) -> StateVector:
         raise RegisterMismatch(
             f"matrix on {u.shape[0]} channels, state on {state.channels}"
         )
-    if not np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=UNITARY_TOL, rtol=0):
-        raise NotUnitary(f"matrix deviates from unitarity beyond {UNITARY_TOL}")
+    require_unitary(u)
 
     dim = state.channels
     start_coeff = 1.0 / math.sqrt(

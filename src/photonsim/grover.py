@@ -39,12 +39,6 @@ VARIANTS = ("per_mode_PR", "uniform_PR0")
 DETECTION_MODE = {"11": 0, "10": 1, "01": 2, "00": 3}
 
 
-def _append(full: Circuit, sub: Circuit, offset: int = 0) -> Circuit:
-    for placed in sub.placements:
-        full = full.add(placed.anchor + offset, placed.component)
-    return full
-
-
 def init_circuit() -> Circuit:
     """Uniform superposition from |0,1:H>: half-wave plate splits the
     polarization, the Ry splitter the spatial mode."""
@@ -119,8 +113,9 @@ def grover_pipeline(target: str, variant: str = "per_mode_PR") -> Circuit:
     """Init, oracle, inversion (on modes 0-1) and detection, on 4 modes."""
     full = Circuit(4, polarized=True)
     for sub in (init_circuit(), oracle_circuit(target, variant), inversion_circuit()):
-        full = _append(full, sub)
-    return _append(full, detection_circuit())
+        for placed in sub.placements:
+            full = full.add(placed.modes, placed.component)
+    return full.compose(detection_circuit())
 
 
 #: Pipeline input: the single photon enters mode 1 horizontally polarized.

@@ -258,39 +258,6 @@ def single_qubit_gate(name: str, qubit: int, q: int, theta=None) -> GateBuild:
 # --- two-qubit gates --------------------------------------------------------
 
 
-def _sandwich_targets(total: int, slots):
-    """Permutation pair moving the slot modes to the register front and back.
-
-    `slots[k]` is the register mode that must sit at position k while the
-    core components run; spectator modes park behind them in ascending
-    order.
-    """
-    pre = [None] * total
-    for position, mode in enumerate(slots):
-        pre[mode] = position
-    nxt = len(slots)
-    for mode in range(total):
-        if pre[mode] is None:
-            pre[mode] = nxt
-            nxt += 1
-    post = [None] * total
-    for mode, position in enumerate(pre):
-        post[position] = mode
-    return tuple(pre), tuple(post)
-
-
-def _add_embedded(circuit: Circuit, slots, core_placements) -> Circuit:
-    pre, post = _sandwich_targets(circuit.modes, slots)
-    identity = pre == tuple(range(circuit.modes))
-    if not identity:
-        circuit = circuit.add(0, Permutation(pre))
-    for anchor, component in core_placements:
-        circuit = circuit.add(anchor, component)
-    if not identity:
-        circuit = circuit.add(0, Permutation(post))
-    return circuit
-
-
 def _postselected_core_placements():
     """Post-selected CNOT core on slots (aux_c, c0, c1, t0, t1, aux_t).
 
@@ -496,7 +463,9 @@ class GateSequence:
                     Clause((aux1,), "==", 0),
                 ]
                 success *= 1.0 / 9.0
-            circuit = _add_embedded(circuit, slots, core)
+            # A core component at slot a acts on slots[a : a + width].
+            for a, component in core:
+                circuit = circuit.add(slots[a : a + component.width], component)
         condition = PostSelect(tuple(clauses)) if clauses else None
         return GateBuild(circuit, tuple(herald), condition, success)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .components import UNITARY_TOL
+from .components import UNITARY_TOL, require_unitary
 from .errors import InvalidSpec, RegisterMismatch, TooLarge
 from .fock import FockState, StateVector, canonical_items
 
@@ -451,11 +451,12 @@ def state_amplitudes(matrix, state: StateVector, predicate) -> list[tuple[FockSt
     every input term and become FockStates here, once.  Without a
     predicate, TooLarge comes before any enumeration when the least sweep of
     the sector, 2^(n-1) x (channels + outcomes) vector elements, exceeds
-    _MAX_WORK.
+    _MAX_WORK.  Raises NotUnitary when U is not unitary within UNITARY_TOL.
     """
     n = state.require_sector()
     channels, polarized = state.channels, state.polarized
     u = _channel_unitary(matrix, channels)
+    require_unitary(u)
     if predicate is None:
         _require_work(n, channels + math.comb(n + channels - 1, n))
     outcomes = _outcomes(channels, polarized, n, predicate)

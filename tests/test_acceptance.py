@@ -122,7 +122,7 @@ def test_criterion_3_heralded_cnot():
     hadamard = single_qubit_gate("H", 0, 2)
     bell_circuit = Circuit(6)
     for placed in hadamard.circuit.placements:
-        bell_circuit = bell_circuit.add(placed.anchor, placed.component)
+        bell_circuit = bell_circuit.add(placed.modes, placed.component)
     bell_circuit = bell_circuit.compose(build.circuit)
     bell = GateBuild(bell_circuit, build.herald_input, build.condition, build.success_probability)
     dist, success = bell.run((0, 0))

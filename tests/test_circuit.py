@@ -49,13 +49,29 @@ def test_anchor_embedding():
     assert u[0, 0] == 1.0 and u[3, 3] == 1.0
 
 
-def test_tuple_anchor_must_be_contiguous():
+def test_tuple_anchor_names_distinct_modes():
     c = Circuit(4).add((1, 2), BeamSplitter.h())
-    assert c.placements[0].anchor == 1
+    assert c.placements[0].modes == (1, 2)
+    # Non-adjacent modes: the splitter couples modes 1 and 3 only.
+    u = Circuit(4).add((1, 3), BeamSplitter.h()).compile()
+    assert np.array_equal(u[np.ix_((1, 3), (1, 3))], BeamSplitter.h().matrix())
+    assert np.array_equal(u[np.ix_((0, 2), (0, 2))], np.eye(2))
+    assert np.count_nonzero(u) == 6
     with pytest.raises(InvalidSpec):
-        Circuit(4).add((1, 3), BeamSplitter.h())
+        Circuit(4).add((1, 1), BeamSplitter.h())
     with pytest.raises(InvalidSpec):
         Circuit(4).add((1,), BeamSplitter.h())
+    with pytest.raises(OutOfRange):
+        Circuit(4).add((1, 4), BeamSplitter.h())
+    with pytest.raises(OutOfRange):
+        Circuit(4).add((-1, 0), BeamSplitter.h())
+
+
+def test_empty_permutation_is_a_no_op():
+    for polarized in (False, True):
+        c = Circuit(3, polarized).add(0, Permutation(()))
+        assert c.placements[0].modes == ()
+        assert np.array_equal(c.compile(), np.eye(c.channels))
 
 
 def test_out_of_range_anchor():

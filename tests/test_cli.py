@@ -377,3 +377,38 @@ def test_argparse_errors_return_2(capsys):
     assert main(["grover", "--target", "22"]) == 2
     assert main([]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        '{"modes": 2, "components": [{"type": "bs", "anchor": 0, "theta": NaN}]}',
+        '{"modes": 1, "components": [{"type": "ps", "mode": 0, "phi": Infinity}]}',
+        '{"modes": 2, "gates": [{"name": "RX", "qubits": [0], "theta": NaN}]}',
+    ],
+)
+@pytest.mark.parametrize("command", ["unitary", "simulate", "sample"])
+def test_non_finite_parameters_exit_2(capsys, tmp_path, document, command):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(document)
+    extra = {"unitary": [], "simulate": ["--input", "|1,0>"],
+             "sample": ["--input", "|1,0>", "--shots", "5"]}[command]
+    code, out, err = run_cli(capsys, command, "--circuit", str(path), *extra)
+    assert (code, out) == (2, "")
+    assert "must be a finite real number" in err
+
+
+def test_non_utf8_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run_cli(capsys, "unitary", "--circuit", str(path))
+    assert (code, out) == (2, "")
+    assert "not valid JSON" in err
+
+
+def test_sample_rejects_negative_shots(capsys):
+    code, out, err = run_cli(
+        capsys, "sample", "--circuit", str(DATA / "h.json"), "--input", "|1,0,1,0>",
+        "--shots", "-2",
+    )
+    assert (code, out, err) == (2, "", "error: shots must be >= 0, got -2\n")

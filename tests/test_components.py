@@ -182,3 +182,26 @@ def test_random_components_are_unitary():
     for _ in range(1000):
         m = _random_component(rng)
         assert close(m.conj().T @ m, np.eye(m.shape[0]), tol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.5", None, True, 1j])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: BeamSplitter.h(v),
+        lambda v: BeamSplitter.h(phi_br=v),
+        lambda v: BeamSplitter.bs1(0.3, phi_0=v),
+        lambda v: PhaseShifter(v),
+        lambda v: WavePlate(v, 0.1),
+        lambda v: WavePlate(0.1, v),
+        lambda v: PolarizationRotator(v),
+    ],
+)
+def test_parameters_must_be_finite_reals(make, bad):
+    with pytest.raises(InvalidSpec, match="must be a finite real number"):
+        make(bad)
+
+
+def test_numpy_and_integer_parameters_are_accepted():
+    assert close(PhaseShifter(np.float64(math.pi)).matrix(), PhaseShifter(math.pi).matrix())
+    assert close(BeamSplitter.ry(np.int64(1)).matrix(), BeamSplitter.ry(1.0).matrix())

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from photonsim.circuit import Circuit
-from photonsim import simulate
+from photonsim import grover, simulate
+from photonsim.components import Permutation
 from photonsim.errors import InvalidSpec, TooLarge
 from photonsim.fock import FockState, StateVector
 from photonsim.grover import (
@@ -185,3 +186,12 @@ def test_sampler_streams_are_pinned():
         "00": 0, "01": 0, "10": 500, "11": 0,
     }
     assert dual_rail_grover_3q(shots=300, seed=7).counts == {"010": 148, "011": 152}
+
+
+def test_dual_rail_search_placements():
+    # 25 single-qubit gate components (seven X permutations among them) and
+    # seven heralded CNOT cores, each placed on its own slot modes.
+    placements = grover._three_qubit_sequence().build().circuit.placements
+    assert len(placements) == 32
+    perms = [p for p in placements if isinstance(p.component, Permutation)]
+    assert len(perms) == 7 and all(len(p.modes) == 2 for p in perms)

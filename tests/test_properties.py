@@ -1,7 +1,9 @@
-"""Properties of the array kernel on small random cases.
+"""Properties of the array kernel and of placement on small random cases.
 
 The kernel is checked against the scalar references: `amplitude`, one
 Ryser loop per target, and the sector as an `itertools.product` filter.
+A placement on arbitrary modes is checked against the same component at
+anchor 0 between two full-register permutations.
 Examples are derandomized and few, so the suite stays fast and repeatable.
 """
 
@@ -9,11 +11,23 @@ import itertools
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonsim import simulate
+from photonsim import qubits, simulate
+from photonsim.circuit import Circuit
+from photonsim.components import (
+    BeamSplitter,
+    GenericUnitary,
+    Permutation,
+    PhaseShifter,
+    PolarizationRotator,
+    PolarizingBeamSplitter,
+    WavePlate,
+)
 from photonsim.fock import FockState
+from photonsim.qubits import GateSequence
 from photonsim.simulate import amplitude, batch_amplitudes, sector_basis
 
 SETTINGS = settings(max_examples=50, derandomize=True, deadline=None, database=None)
@@ -60,3 +74,92 @@ def test_sector_enumeration_matches_brute_force(n, channels):
     canonical = sorted(sector, reverse=True)
     assert list(sector_basis(n, channels)) == canonical
     assert simulate._outcomes(channels, False, n, None).tolist() == [list(o) for o in canonical]
+
+
+def sandwich(register, slots):
+    """Permutations (pre, post): pre moves mode slots[k] to position k and
+    parks the other modes behind them in ascending order; post undoes it."""
+    rest = [m for m in range(register) if m not in slots]
+    post = tuple(slots) + tuple(rest)
+    pre = tuple(post.index(m) for m in range(register))
+    return Permutation(pre), Permutation(post)
+
+
+def add_all(circuit, placements):
+    for anchor, component in placements:
+        circuit = circuit.add(anchor, component)
+    return circuit
+
+
+def sandwiched(circuit, slots, placements):
+    pre, post = sandwich(circuit.modes, slots)
+    return add_all(circuit.add(0, pre), placements).add(0, post)
+
+
+@st.composite
+def placements(draw):
+    """A register, a component it admits and distinct modes for it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=4)
+    kind = draw(st.sampled_from(["bs", "ps", "perm", "unitary", "wp", "pr", "pbs"]))
+    width = draw(st.integers(1, 4))
+    if kind == "bs":
+        conv = draw(st.sampled_from(["bs1", "bs2", "bs3", "h", "rx", "ry"]))
+        if conv in ("h", "rx"):
+            component = BeamSplitter(conv, angles[0], phi_tl=angles[1], phi_br=angles[2])
+        else:
+            component = BeamSplitter(conv, angles[0], phi_r=angles[1], phi_t=angles[2])
+    elif kind == "ps":
+        component = PhaseShifter(angles[0])
+    elif kind == "perm":
+        component = Permutation(tuple(rng.permutation(width)))
+    elif kind == "unitary":
+        component = GenericUnitary(random_unitary(rng, width))
+    elif kind == "wp":
+        component = WavePlate(angles[0], angles[1])
+    elif kind == "pr":
+        component = PolarizationRotator(angles[0])
+    else:
+        component = PolarizingBeamSplitter()
+    spatial = kind in ("bs", "ps", "perm", "unitary")
+    polarized = draw(st.booleans()) if spatial else True
+    register = draw(st.integers(component.width, 6))
+    modes = tuple(int(m) for m in rng.permutation(register)[: component.width])
+    return Circuit(register, polarized), component, modes
+
+
+@SETTINGS
+@given(placements())
+def test_placement_on_modes_is_a_relabelled_anchor_0_placement(case):
+    circuit, component, modes = case
+    got = circuit.add(modes, component).compile()
+    want = sandwiched(circuit, modes, [(0, component)]).compile()
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("flavour", ["heralded", "postselected"])
+@pytest.mark.parametrize("gate", ["CX", "CZ", "CY"])
+def test_cnot_builds_match_the_permutation_sandwich(gate, flavour):
+    # The lowering before placements named their modes: the core at the
+    # register front between two full-register permutations.
+    for control, target in itertools.permutations(range(3), 2):
+        seq = GateSequence(3)
+        if gate == "CX":
+            seq.cnot(control, target, flavour)
+        else:
+            seq.controlled_pauli(gate, control, target, flavour)
+        c_pair, t_pair = (2 * control, 2 * control + 1), (2 * target, 2 * target + 1)
+        if flavour == "heralded":
+            slots = c_pair + t_pair + (6, 7)
+            core = [(0, GenericUnitary(qubits.HERALDED_CNOT_MATRIX))]
+        else:
+            slots = (6,) + c_pair + t_pair + (7,)
+            core = qubits._postselected_core_placements()
+        before, after = {"CX": ((), ()), "CZ": (("H",), ("H",)), "CY": (("SDAG",), ("S",))}[gate]
+        want = Circuit(8)
+        for name in before:
+            want = add_all(want, qubits._single_placements(name, target, None))
+        want = sandwiched(want, slots, core)
+        for name in after:
+            want = add_all(want, qubits._single_placements(name, target, None))
+        assert np.array_equal(seq.build().circuit.compile(), want.compile())

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from photonsim.components import GenericUnitary, Permutation
 from photonsim.errors import (
     InvalidGate,
     InvalidSpec,
@@ -335,3 +336,24 @@ def test_failed_toffoli_records_nothing(args, kind, error):
     with pytest.raises(error):
         seq.toffoli(*args, kind=kind)
     assert seq.build() == GateSequence(3).gate("X", 0).build()
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, "0.5"])
+def test_rotation_angle_must_be_a_finite_real(theta):
+    seq = GateSequence(1)
+    with pytest.raises(InvalidSpec):
+        seq.gate("RX", 0, theta)
+    assert seq.build() == GateSequence(1).build()
+
+
+def test_cnot_cores_sit_on_their_slot_modes():
+    # No relabelling permutations: the Toffoli's 15 placements are its nine
+    # single-qubit gate components and six heralded cores on
+    # (c0, c1, t0, t1, a0, a1).
+    build = toffoli_decomposed(0, 2, 1, 3)
+    placements = build.circuit.placements
+    assert len(placements) == 15
+    assert not any(isinstance(p.component, Permutation) for p in placements)
+    cores = [p.modes for p in placements if p.component == GenericUnitary(HERALDED_CNOT_MATRIX)]
+    assert cores[:2] == [(4, 5, 2, 3, 6, 7), (0, 1, 2, 3, 8, 9)]
+    assert len(cores) == 6

@@ -13,7 +13,7 @@ import pytest
 
 from photonsim.circuit import Circuit
 from photonsim.components import BeamSplitter, Permutation, PhaseShifter
-from photonsim.errors import InvalidSpec, MixedSector, RegisterMismatch, TooLarge
+from photonsim.errors import InvalidSpec, MixedSector, NotUnitary, RegisterMismatch, TooLarge
 from photonsim.expansion import oracle_evolve
 from photonsim.fock import FockState, StateVector, make_state
 from photonsim.postselect import admissible_outcomes, parse_postselect
@@ -481,3 +481,21 @@ def test_inverse_cdf_counts_across_draw_chunks(monkeypatch):
         got = simulate.inverse_cdf_counts(weights, 50, seed)
         assert got == scalar_inverse_cdf_counts(weights, 50, seed)
         assert sum(got) == 50
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [2 * np.eye(2), np.full((2, 2), np.nan), np.full((2, 2), np.inf), np.eye(2) + 1e-6],
+)
+def test_evaluation_route_rejects_non_unitary_matrices(matrix):
+    state = StateVector.basis(FockState((1, 0)))
+    with pytest.raises(NotUnitary):
+        distribution(matrix, state)
+    with pytest.raises(NotUnitary):
+        state_amplitudes(matrix, state, None)
+
+
+def test_unitarity_check_allows_rounding_below_the_tolerance():
+    u = np.eye(2) * (1 + 1e-12)
+    amps = state_amplitudes(u, StateVector.basis(FockState((1, 0))), None)
+    assert abs(dict(amps)[FockState((1, 0))] - 1.0) < 1e-11
