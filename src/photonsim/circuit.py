@@ -92,22 +92,28 @@ class Circuit:
             )
         return Circuit(self.modes, self.polarized, self.placements + other.placements)
 
-    def compile(self) -> np.ndarray:
-        """Total channel unitary, first placement rightmost in the product."""
-        total = np.eye(self.channels, dtype=complex)
+    def blocks(self):
+        """(channels, block) for each placement, in placement order: the
+        component's matrix and the register channels its rows and columns
+        act on.  A spatial component on a polarized register yields its H
+        block, then its V block."""
         for placed in self.placements:
             comp, modes = placed.component, placed.modes
             if isinstance(comp, SpatialComponent):
                 block = comp.matrix()
                 if not self.polarized:
-                    blocks = [(list(modes), block)]
+                    yield list(modes), block
                 else:
-                    blocks = [([2 * m + p for m in modes], block) for p in (0, 1)]
+                    for p in (0, 1):
+                        yield [2 * m + p for m in modes], block
             elif isinstance(comp, JonesComponent):
-                blocks = [([2 * modes[0], 2 * modes[0] + 1], comp.jones())]
+                yield [2 * modes[0], 2 * modes[0] + 1], comp.jones()
             else:  # polarizing beam splitter
-                chans = [2 * m + p for m in modes for p in (0, 1)]
-                blocks = [(chans, comp.channel_matrix())]
-            for chans, block in blocks:
-                total[chans] = block @ total[chans]
+                yield [2 * m + p for m in modes for p in (0, 1)], comp.channel_matrix()
+
+    def compile(self) -> np.ndarray:
+        """Total channel unitary, first placement rightmost in the product."""
+        total = np.eye(self.channels, dtype=complex)
+        for chans, block in self.blocks():
+            total[chans] = block @ total[chans]
         return total

@@ -7,10 +7,13 @@ Predicate grammar (whitespace-insensitive):
     op     := '==' | '<=' | '>=' | '<' | '>'
 
 A clause sums the photons in the listed spatial modes (H+V combined on
-polarized registers) and compares against the bound.  Post-selection is
-terminal: it filters the final distribution, never mid-circuit state.  The
-outcomes that satisfy a predicate come from `admissible_outcomes`, the same
-pruned walk over the sector that `sector_basis` runs without one.
+polarized registers) and compares against the bound.  Post-selection means
+terminal post-selection: its result is the final distribution filtered by
+the predicate.  The stepwise route may apply a clause to the mid-circuit
+state, right after the last block that touches its modes; no later block
+changes their occupations, so that gives the same amplitudes.  The outcomes
+that satisfy a predicate come from `admissible_outcomes`, the same pruned
+walk over the sector that `sector_basis` runs without one.
 """
 
 from __future__ import annotations
@@ -22,7 +25,13 @@ from .circuit import Circuit
 from .errors import EvalError, RegisterMismatch
 from .fock import PRUNE_TOL, FockState, StateVector
 from .notation import Scanner
-from .simulate import Distribution, require_normalized, state_amplitudes
+from .simulate import (
+    Distribution,
+    projects_early,
+    require_normalized,
+    state_amplitudes,
+    stepwise_amplitudes,
+)
 from .simulate import admissible_outcomes  # noqa: F401  (public here; one walk with sector_basis)
 from .simulate import batch_amplitudes  # noqa: F401  (bench/test_bench.py checks this binding)
 
@@ -104,14 +113,19 @@ class Processor:
     def amplitudes(self) -> list[tuple[FockState, complex]]:
         """Every admissible outcome with its unconditioned amplitude.
 
-        The checked input goes through `state_amplitudes`, the one route from
-        (unitary, state, predicate) to amplitudes.  Outcomes come in canonical
-        order: the whole photon-number sector without a predicate, the
-        outcomes that satisfy it otherwise, and none when the input holds
-        fewer than `min_detected_photons` photons.  Raises MixedSector for an
-        input without a fixed photon number, InvalidSpec for one that is not
-        normalized, RegisterMismatch when its channels or polarization do not
-        fit the circuit and EvalError when the predicate reads a mode it lacks.
+        The checked input takes one of two routes to the same amplitudes.
+        When a clause of the predicate reads no channel of the circuit's last
+        block, `stepwise_amplitudes` evolves it block by block and projects
+        each clause after the last block that touches it.  Otherwise (and
+        always without a predicate) `state_amplitudes` sweeps the compiled
+        unitary.  Outcomes come in canonical order: the whole photon-number
+        sector without a predicate, the outcomes that satisfy it otherwise,
+        and none when the input holds fewer than `min_detected_photons`
+        photons.  Raises MixedSector for an input without a fixed photon
+        number, InvalidSpec for one that is not normalized, RegisterMismatch
+        when its channels or polarization do not fit the circuit, EvalError
+        when the predicate reads a mode it lacks, NotUnitary for a
+        non-unitary block or U and TooLarge above the work limit.
         """
         state, circuit = self.input_state, self.circuit
         n = state.require_sector()
@@ -128,6 +142,10 @@ class Processor:
             )
         if n < self.min_detected_photons:
             return []
+        if self.postselect is not None:
+            blocks = list(circuit.blocks())
+            if projects_early(blocks, state, self.postselect):
+                return stepwise_amplitudes(blocks, state, self.postselect)
         return state_amplitudes(circuit.compile(), state, self.postselect)
 
     def run(self) -> tuple[Distribution, float]:

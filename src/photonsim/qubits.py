@@ -370,8 +370,11 @@ class GateSequence:
         self._ops: list[tuple] = []
 
     def gate(self, name: str, qubit: int, theta=None) -> "GateSequence":
+        """Record a catalog gate; only RX, RY and RZ take (and need) `theta`."""
         canonical = name.strip().upper()
         _single_placements(canonical, 0, theta)  # validate name/theta early
+        if theta is not None and canonical not in _ROTATIONS:
+            raise InvalidGate(f"{canonical} takes no rotation angle, got {theta!r}")
         _check_qubit(qubit, self.q, span=2 if canonical == "SWAP" else 1)
         self._ops.append(("single", canonical, qubit, theta))
         return self

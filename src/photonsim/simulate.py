@@ -147,13 +147,19 @@ def _evaluate(u: np.ndarray, terms, outcomes: np.ndarray) -> np.ndarray:
     t_norm = _FACTORIALS[outcomes].prod(axis=1)
     total = np.zeros(len(outcomes), dtype=complex)
     for source, coeff in terms:
-        per = _sweep(u, source.occupations, plan)
-        norm = np.sqrt(math.prod(map(math.factorial, source.occupations)) * t_norm)
-        # Divide the parts by the real norm: complex / float would scale by 1/norm.
-        np.divide(per.real, norm, out=per.real)
-        np.divide(per.imag, norm, out=per.imag)
-        total += coeff * per
+        total += coeff * _normalized_sweep(u, source.occupations, plan, t_norm)
     return total
+
+
+def _normalized_sweep(u: np.ndarray, occupations, plan: "_Plan", t_norm: np.ndarray) -> np.ndarray:
+    """<t| U |s> for each target t of `plan` from the source s with these
+    occupations; `t_norm` holds prod_j t_j! per target."""
+    per = _sweep(u, occupations, plan)
+    norm = np.sqrt(math.prod(map(math.factorial, occupations)) * t_norm)
+    # Divide the parts by the real norm: complex / float would scale by 1/norm.
+    np.divide(per.real, norm, out=per.real)
+    np.divide(per.imag, norm, out=per.imag)
+    return per
 
 
 @dataclass(frozen=True)
@@ -364,10 +370,10 @@ def _outcomes(channels: int, polarized: bool, n: int, expr) -> np.ndarray:
     # A clause's sum never exceeds n x len(modes), which closes an open range.
     hi = [min(c.bounds[1], n * len(c.modes)) for c in clauses]
     reads: list[list] = [[] for _ in range(channels)]  # (clause, weight, last channel?)
-    for ci, clause in enumerate(clauses):
-        read = [ch for m in clause.modes for ch in ((2 * m, 2 * m + 1) if polarized else (m,))]
-        for ch in set(read):
-            reads[ch].append((ci, read.count(ch), ch == max(read)))
+    for ci, row in enumerate(_clause_weights(clauses, channels, polarized)):
+        read = [ch for ch, w in enumerate(row) if w]
+        for ch in read:
+            reads[ch].append((ci, row[ch], ch == read[-1]))
     reach = max((sum(w for _, w, _ in r) for r in reads if r), default=0)
     sums = [0] * len(clauses)
     occ = [0] * channels
@@ -409,6 +415,17 @@ def _outcomes(channels: int, polarized: bool, n: int, expr) -> np.ndarray:
 
     walk(0, n, sum(max(0, v) for v in lo))
     return np.array(out, dtype=np.int64).reshape(len(out), channels)
+
+
+def _clause_weights(clauses, channels: int, polarized: bool) -> np.ndarray:
+    """How many times each clause counts each channel, one row per clause:
+    once per listing of its mode, in both H and V on a polarized register."""
+    weights = [[0] * channels for _ in clauses]
+    for row, clause in zip(weights, clauses):
+        for m in clause.modes:
+            for ch in (2 * m, 2 * m + 1) if polarized else (m,):
+                row[ch] += 1
+    return weights
 
 
 def sector_basis(n: int, channels: int):
@@ -462,6 +479,228 @@ def state_amplitudes(matrix, state: StateVector, predicate) -> list[tuple[FockSt
     outcomes = _outcomes(channels, polarized, n, predicate)
     amps = _evaluate(u, state.items(), outcomes)
     return [(FockState(occ, polarized), a) for occ, a in zip(outcomes.tolist(), amps.tolist())]
+
+
+def projects_early(blocks, state: StateVector, predicate) -> bool:
+    """True when a clause of `predicate` reads no channel of the last of
+    `blocks`, the (channels, block) list of a circuit: `stepwise_amplitudes`
+    can then project it mid-circuit."""
+    last = _last_touches(blocks, state.channels)
+    return any(max((last[ch] for ch, w in enumerate(row) if w), default=-1) < len(blocks) - 1
+               for row in _clause_weights(predicate.clauses, state.channels, state.polarized))
+
+
+def _last_touches(blocks, channels: int) -> list[int]:
+    """Per channel, the index of the last block that touches it, or -1."""
+    last = [-1] * channels
+    for step, (chans, _) in enumerate(blocks):
+        for ch in chans:
+            last[ch] = step
+    return last
+
+
+def stepwise_amplitudes(blocks, state: StateVector, predicate) -> list[tuple[FockState, complex]]:
+    """What `state_amplitudes` gives for the circuit whose (channels, block)
+    list is `blocks` under `predicate`, evolved one block at a time.
+
+    The state travels as occupation rows and amplitudes; a superposition
+    starts as its terms.  No block after a clause's last touch changes the
+    occupations the clause reads, so projecting onto the clause right after
+    that block keeps exactly what the terminal post-selection keeps, and the
+    state stays small.  A block with one nonzero per column moves
+    occupations and multiplies phase powers.  Any other block expands each
+    row over the outputs of its local photons that satisfy the clauses
+    closing inside it, with amplitudes from the one Glynn kernel: one plan
+    per (block, local photon number, closing clauses) and one sweep per
+    distinct local input.  Equal rows are then summed.
+
+    Every block must be unitary within UNITARY_TOL.  TooLarge is raised when
+    the row-outcome products of the steps, summed, or one sweep's work
+    exceed _MAX_WORK.  The outcomes are those of the walk, in canonical
+    order, with 0 for an outcome no row reached.
+    """
+    n = state.require_sector()
+    channels, polarized = state.channels, state.polarized
+    clauses = predicate.clauses
+    weights = np.array(_clause_weights(clauses, channels, polarized), dtype=np.int64)
+    weights = weights.reshape(len(clauses), channels)
+    lo = np.array([c.bounds[0] for c in clauses], dtype=np.int64)
+    hi = np.array([min(c.bounds[1], n * len(c.modes)) for c in clauses], dtype=np.int64)
+    blocks = [(list(chans), np.asarray(block, dtype=complex)) for chans, block in blocks]
+    # Per clause, the last block that touches its channels (-1: none does).
+    steps = np.where(weights > 0, _last_touches(blocks, channels), -1).max(axis=1, initial=-1)
+    terms = state.items()
+    rows = np.array([s.occupations for s, _ in terms], dtype=np.int64)
+    amps = np.array([a for _, a in terms], dtype=complex)
+    rows, amps = _project(rows, amps, weights, lo, hi, steps == -1)
+    moves: dict = {}  # block bytes -> (destination, phase) of a monomial block, or None
+    plans: dict = {}  # (pattern, local photons) -> (outputs, plan, their factorials)
+    sweeps: dict = {}  # (pattern, local input) -> amplitudes over the outputs
+    work = 0
+    for step, (chans, block) in enumerate(blocks):
+        if not len(rows):
+            break
+        key = block.tobytes()
+        if key not in moves:
+            require_unitary(block)
+            nonzero = block != 0
+            dest = nonzero.argmax(axis=0)
+            monomial = (nonzero.sum(axis=0) == 1).all()
+            moves[key] = (dest, block[dest, np.arange(len(block))]) if monomial else None
+        closing = steps == step
+        if moves[key]:
+            work = _require_steps(work + len(rows), step)
+            dest, phase = moves[key]
+            occ = rows[:, chans]
+            if (phase != 1).any():
+                amps = amps * np.prod(phase**occ, axis=1)
+            rows[:, [chans[d] for d in dest]] = occ
+        else:
+            inside = closing & (weights[:, chans].sum(axis=1) == weights.sum(axis=1))
+            local = (weights[inside][:, chans], lo[inside], hi[inside])
+            pattern = (key, *(a.tobytes() for a in local))
+            parts = _local_parts(rows[:, chans], block, local, pattern, plans, sweeps)
+            work = _require_steps(work + sum(len(sel) * len(outs) for sel, outs, _ in parts), step)
+            rows, amps = _expand(rows, amps, chans, parts)
+            closing &= ~inside
+        rows, amps = _project(rows, amps, weights, lo, hi, closing)
+    outcomes = _outcomes(channels, polarized, n, predicate)
+    result = np.zeros(len(outcomes), dtype=complex)
+    if len(rows):
+        # The walk's outcomes are distinct and come first, so a row's first
+        # copy is its place in the walk; every row satisfies every clause, so
+        # none lies past it (that would raise IndexError).
+        first, inverse = _row_ids(np.concatenate([outcomes, rows]))
+        result[first[inverse[len(outcomes):]]] = amps
+    return [(FockState(occ, polarized), a) for occ, a in zip(outcomes.tolist(), result.tolist())]
+
+
+def _project(rows, amps, weights, lo, hi, clauses):
+    """The rows, with their amplitudes, that satisfy the selected clauses."""
+    if not clauses.any():
+        return rows, amps
+    sums = rows @ weights[clauses].T
+    keep = ((sums >= lo[clauses]) & (sums <= hi[clauses])).all(axis=1)
+    return rows[keep], amps[keep]
+
+
+def _require_steps(work: int, step: int) -> int:
+    """`work`, the row-outcome products so far; TooLarge above _MAX_WORK."""
+    if work > _MAX_WORK:
+        raise TooLarge(
+            f"the stepwise evolution reaches {work} row-outcome products at block {step}, "
+            f"more than the {_MAX_WORK} allowed"
+        )
+    return work
+
+
+def _local_parts(occ, block, clauses, pattern, plans, sweeps):
+    """Per local photon number m: the rows with m photons in the block's
+    channels (`occ` holds those occupations), the local outputs that
+    `clauses` allow and each row's amplitudes over them."""
+    first, inverse = _row_ids(occ)
+    inputs = occ[first]
+    counts = inputs.sum(axis=1)
+    row_counts = counts[inverse]
+    rank = np.empty(len(first), dtype=np.int64)  # of each input among those with its m
+    parts = []
+    for m in np.unique(counts).tolist():
+        ids = np.flatnonzero(counts == m)
+        rank[ids] = np.arange(len(ids))
+        sel = np.flatnonzero(row_counts == m)
+        outs, table = _local_amplitudes(block, clauses, pattern, m, inputs[ids], plans, sweeps)
+        parts.append((sel, outs, table[rank[inverse[sel]]]))
+    return parts
+
+
+def _local_amplitudes(block, clauses, pattern, m, inputs, plans, sweeps):
+    """The outputs of m photons over the block's channels that `clauses`
+    (weights on the block's channels, lows, highs) allow, in canonical
+    order, and a row of amplitudes <output| block |input> per input row.
+    `plans` memoizes the plan per (pattern, m) and `sweeps` the amplitudes
+    per (pattern, input), where `pattern` names the block and the clauses."""
+    if (pattern, m) not in plans:
+        weights, lo, hi = clauses
+        outs = _outcomes(len(block), False, m, None)
+        sums = outs @ weights.T
+        outs = outs[((sums >= lo) & (sums <= hi)).all(axis=1)]
+        plan = None
+        if m and len(outs):
+            plan = _plan(outs, m)
+            _require_work(m, plan.work)
+        plans[pattern, m] = outs, plan, _FACTORIALS[outs].prod(axis=1)
+    outs, plan, t_norm = plans[pattern, m]
+    table = []
+    for occupations in map(tuple, inputs.tolist()):
+        if (pattern, occupations) not in sweeps:
+            sweeps[pattern, occupations] = (
+                np.ones(len(outs), dtype=complex) if plan is None
+                else _normalized_sweep(block, occupations, plan, t_norm))
+        table.append(sweeps[pattern, occupations])
+    return outs, np.array(table).reshape(len(table), len(outs))
+
+
+def _expand(rows, amps, chans, parts):
+    """Each row of a part becomes one row per local output, with the
+    block's amplitude as a factor; equal rows are summed and zeros dropped.
+
+    Two new rows are equal when their occupations outside the block and
+    their local outputs are, so they are keyed by those two ids and only
+    the distinct ones are built.
+    """
+    outer = rows.copy()
+    outer[:, chans] = 0
+    _, outer_id = _row_ids(outer)
+    outs = np.concatenate([o for _, o, _ in parts])
+    source, output, products, offset = [], [], [], 0
+    for sel, o, table in parts:
+        source.append(np.repeat(sel, len(o)))
+        output.append(np.arange(len(sel) * len(o)) % len(o) + offset)
+        products.append((amps[sel, None] * table).ravel())
+        offset += len(o)
+    source, output, products = map(np.concatenate, (source, output, products))
+    live = products != 0
+    source, output, products = source[live], output[live], products[live]
+    _, first, inverse = np.unique(outer_id[source] * len(outs) + output,
+                                  return_index=True, return_inverse=True)
+    new = rows[source[first]]
+    new[:, chans] = outs[output[first]]
+    summed = np.empty(len(first), dtype=complex)
+    summed.real = np.bincount(inverse, products.real, len(first))
+    summed.imag = np.bincount(inverse, products.imag, len(first))
+    return new, summed
+
+
+def _row_ids(rows: np.ndarray):
+    """(first, inverse) as from np.unique over the rows of a nonempty integer
+    array: the index of each distinct row's first copy, and each row's
+    distinct-row number.
+
+    The rows are packed into exact mixed-radix int64 keys: per column, the
+    radix is max - min + 1 over the rows, and a column that would take the
+    radix product to 2^63 starts a further key.  Several keys are compared
+    as rows of keys.
+    """
+    low = rows.min(axis=0)
+    spans = (rows.max(axis=0) - low + 1).tolist()
+    shifted = rows - low
+    keys, cols, places, size = [], [], [], 1
+    for c, span in enumerate(spans):
+        if span == 1:
+            continue
+        if size * span >= 1 << 63:
+            keys.append(shifted[:, cols] @ np.array(places, dtype=np.int64))
+            cols, places, size = [], [], 1
+        cols.append(c)
+        places.append(size)
+        size *= span
+    keys.append(shifted[:, cols] @ np.array(places, dtype=np.int64))
+    if len(keys) == 1:
+        _, first, inverse = np.unique(keys[0], return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(np.stack(keys, axis=1), axis=0, return_index=True,
+                                      return_inverse=True)
+    return first, inverse.reshape(-1)
 
 
 def require_normalized(state: StateVector):

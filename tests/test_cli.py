@@ -398,6 +398,17 @@ def test_non_finite_parameters_exit_2(capsys, tmp_path, document, command):
     assert "must be a finite real number" in err
 
 
+@pytest.mark.parametrize("theta", ["NaN", "0.5"])
+@pytest.mark.parametrize("command", ["unitary", "simulate"])
+def test_angle_on_a_fixed_gate_exits_2(capsys, tmp_path, theta, command):
+    path = tmp_path / "angled.json"
+    path.write_text(f'{{"modes": 2, "gates": [{{"name": "H", "qubits": [0], "theta": {theta}}}]}}')
+    extra = ["--input", "|1,0>"] if command == "simulate" else []
+    code, out, err = run_cli(capsys, command, "--circuit", str(path), *extra)
+    assert (code, out) == (2, "")
+    assert "H takes no rotation angle" in err
+
+
 def test_non_utf8_file_exits_2(capsys, tmp_path):
     path = tmp_path / "binary.json"
     path.write_bytes(b"\xff\xfe{")

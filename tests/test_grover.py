@@ -161,12 +161,26 @@ def test_three_qubit_counts():
 
 
 def test_dual_rail_search_work(monkeypatch):
-    # Glynn's 2^16 subsets x (20 channels + 12 power steps + 90 prefix
-    # products + 56 targets): six data channels take up to three photons, so
-    # each needs its square and its cube.
+    # The global route: Glynn's 2^16 subsets x (20 channels + 12 power steps
+    # + 90 prefix products + 56 targets): six data channels take up to three
+    # photons, so each needs its square and its cube.
+    build = grover._three_qubit_sequence().build()
+    source = StateVector.basis(build.input_state((0, 0, 0)))
     monkeypatch.setattr(simulate, "_MAX_WORK", (1 << 16) * 178 - 1)
     with pytest.raises(TooLarge, match=r"2\^16 x 178 = 11665408 vector elements"):
+        simulate.state_amplitudes(build.circuit.compile(), source, build.condition)
+
+
+def test_dual_rail_search_stepwise_work(monkeypatch):
+    # The search takes the stepwise route, whose row-outcome products over
+    # its 32 blocks count against the same bound; each local sweep is far
+    # smaller.
+    monkeypatch.setattr(simulate, "_MAX_WORK", 4864)
+    with pytest.raises(TooLarge, match="reaches 4865 row-outcome products at block 31, "
+                                       "more than the 4864 allowed"):
         dual_rail_grover_3q()
+    monkeypatch.setattr(simulate, "_MAX_WORK", 4865)
+    assert abs(dual_rail_grover_3q().data_probabilities["01"] - 1.0) < 1e-12
 
 
 def test_negative_shots_fail_before_any_work(monkeypatch):

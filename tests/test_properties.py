@@ -1,9 +1,11 @@
-"""Properties of the array kernel and of placement on small random cases.
+"""Properties of the array kernel, of placement and of the stepwise route
+on small random cases.
 
 The kernel is checked against the scalar references: `amplitude`, one
 Ryser loop per target, and the sector as an `itertools.product` filter.
 A placement on arbitrary modes is checked against the same component at
-anchor 0 between two full-register permutations.
+anchor 0 between two full-register permutations.  The stepwise evolution
+is checked against the global kernel on random gate sequences.
 Examples are derandomized and few, so the suite stays fast and repeatable.
 """
 
@@ -26,7 +28,8 @@ from photonsim.components import (
     PolarizingBeamSplitter,
     WavePlate,
 )
-from photonsim.fock import FockState
+from photonsim.fock import FockState, StateVector
+from photonsim.postselect import Clause, PostSelect
 from photonsim.qubits import GateSequence
 from photonsim.simulate import amplitude, batch_amplitudes, sector_basis
 
@@ -163,3 +166,75 @@ def test_cnot_builds_match_the_permutation_sandwich(gate, flavour):
         for name in after:
             want = add_all(want, qubits._single_placements(name, target, None))
         assert np.array_equal(seq.build().circuit.compile(), want.compile())
+
+
+_GATES = ["X", "Y", "Z", "H", "S", "SDAG", "T", "TDAG", "RX", "RY", "RZ"]
+
+
+@st.composite
+def gate_circuits(draw):
+    """A 1-3 qubit gate sequence of single-qubit gates and heralded or
+    post-selected CNOTs, its condition and a basis or superposition input."""
+    q = draw(st.sampled_from([3, 2, 1]))
+    kinds = draw(st.lists(st.sampled_from(["cnot", "gate"]), min_size=1, max_size=6))
+    seq = GateSequence(q)
+    for kind in kinds + ["cnot"] * ("cnot" not in kinds):
+        if q > 1 and kind == "cnot":
+            control, target = draw(st.permutations(range(q)))[:2]
+            seq.cnot(control, target, draw(st.sampled_from(["heralded", "postselected"])))
+        else:
+            name = draw(st.sampled_from(_GATES))
+            theta = draw(st.floats(-6.3, 6.3)) if name.startswith("R") else None
+            seq.gate(name, draw(st.integers(0, q - 1)), theta)
+    build = seq.build()
+    words = draw(st.lists(st.tuples(*[st.integers(0, 1)] * q), min_size=1, max_size=3, unique=True))
+    coeffs = [draw(st.floats(0.1, 1)) * np.exp(1j * draw(st.floats(-3.2, 3.2))) for _ in words]
+    state = StateVector({build.input_state(w): c for w, c in zip(words, coeffs)}).normalized()
+    # Without a CNOT there is no condition; a clause every outcome meets
+    # still sends the sequence through the stepper.
+    condition = build.condition or PostSelect((Clause((0,), "<=", 1),))
+    return build.circuit, state, condition
+
+
+def assert_routes_agree(circuit, state, condition):
+    """Same outcomes in the same order, amplitudes within 1e-12."""
+    stepwise = simulate.stepwise_amplitudes(circuit.blocks(), state, condition)
+    global_ = simulate.state_amplitudes(circuit.compile(), state, condition)
+    assert [s for s, _ in stepwise] == [s for s, _ in global_]
+    for (_, a), (_, b) in zip(stepwise, global_):
+        assert abs(a - b) < 1e-12
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(gate_circuits())
+def test_stepwise_route_matches_the_global_kernel(case):
+    assert_routes_agree(*case)
+
+
+@st.composite
+def component_circuits(draw):
+    """Up to five random components on random modes of a register, a
+    predicate of one or two random clauses and a bunched Fock input."""
+    circuit, component, modes = draw(placements())
+    circuit = circuit.add(modes, component)
+    for _ in range(draw(st.integers(0, 4))):
+        register, component, modes = draw(placements())
+        if component.width <= circuit.modes and register.polarized == circuit.polarized:
+            modes = tuple(draw(st.permutations(range(circuit.modes)))[: component.width])
+            circuit = circuit.add(modes, component)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3))
+    source = FockState(np.bincount(rng.integers(0, circuit.channels, n), minlength=circuit.channels),
+                       circuit.polarized)
+    clauses = [
+        Clause(tuple(draw(st.lists(st.integers(0, circuit.modes - 1), min_size=1, max_size=2))),
+               draw(st.sampled_from(["==", "<=", ">=", "<", ">"])), draw(st.integers(0, 2)))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    return circuit, StateVector.basis(source), PostSelect(tuple(clauses))
+
+
+@SETTINGS
+@given(component_circuits())
+def test_stepwise_route_matches_the_global_kernel_on_components(case):
+    assert_routes_agree(*case)

@@ -11,8 +11,10 @@ from photonsim.errors import (
     InvalidSpec,
     OutOfRange,
     RegisterMismatch,
+    TooLarge,
 )
-from photonsim.fock import FockState, make_state
+from photonsim.fock import FockState, StateVector, make_state
+from photonsim.postselect import Processor
 from photonsim.qubits import (
     HERALDED_CNOT_MATRIX,
     DualRailEncoding,
@@ -28,6 +30,7 @@ from photonsim.qubits import (
     single_qubit_gate,
     toffoli_decomposed,
 )
+from photonsim.simulate import state_amplitudes
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -338,6 +341,16 @@ def test_failed_toffoli_records_nothing(args, kind, error):
     assert seq.build() == GateSequence(3).gate("X", 0).build()
 
 
+@pytest.mark.parametrize("name, theta", [("X", "junk"), ("H", math.nan), ("T", 0.5), ("swap", 0.0)])
+def test_fixed_gates_take_no_angle(name, theta):
+    seq = GateSequence(2)
+    with pytest.raises(InvalidGate, match="takes no rotation angle"):
+        seq.gate(name, 0, theta)
+    with pytest.raises(InvalidGate, match="takes no rotation angle"):
+        single_qubit_gate(name, 0, 2, theta)
+    assert seq.build() == GateSequence(2).build()
+
+
 @pytest.mark.parametrize("theta", [math.nan, math.inf, "0.5"])
 def test_rotation_angle_must_be_a_finite_real(theta):
     seq = GateSequence(1)
@@ -357,3 +370,36 @@ def test_cnot_cores_sit_on_their_slot_modes():
     cores = [p.modes for p in placements if p.component == GenericUnitary(HERALDED_CNOT_MATRIX)]
     assert cores[:2] == [(4, 5, 2, 3, 6, 7), (0, 1, 2, 3, 8, 9)]
     assert len(cores) == 6
+
+
+def _ccx(bits, c0, c1, target):
+    out = list(bits)
+    out[target] ^= bits[c0] & bits[c1]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("bits", [(1, 1, 0, 1), (0, 1, 1, 1)])
+def test_forty_photon_circuit_runs_stepwise(bits):
+    # Three Toffolis on four qubits: 18 heralded CNOTs, 40 photons on 44
+    # modes.  Each herald is projected after its CNOT core, so the state
+    # stays on the data photons; the global sweep would need 2^39 subsets.
+    toffolis = [(0, 1, 2), (1, 2, 3), (3, 0, 1)]
+    seq = GateSequence(4)
+    for gate in toffolis:
+        seq.toffoli(*gate)
+    build = seq.build()
+    source = build.input_state(bits)
+    assert (source.n, build.circuit.modes) == (40, 44)
+    want = bits
+    for gate in toffolis:
+        want = _ccx(want, *gate)
+    dist, success = build.run(bits)
+    assert abs(success - (2 / 27) ** 18) <= 1e-12 * (2 / 27) ** 18
+    assert [(data_bits(s, 4), round(p, 12)) for s, p in dist.items()] == [(want, 1.0)]
+    processor = Processor(build.circuit, StateVector.basis(source), build.condition)
+    scale = math.sqrt(success)
+    for state, amp in processor.amplitudes():
+        ideal = 1.0 if data_bits(state, 4) == want else 0.0
+        assert abs(amp / scale - ideal) < 1e-12
+    with pytest.raises(TooLarge, match=r"2\^39 x 883 = "):
+        state_amplitudes(build.circuit.compile(), StateVector.basis(source), build.condition)

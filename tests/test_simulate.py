@@ -499,3 +499,21 @@ def test_unitarity_check_allows_rounding_below_the_tolerance():
     u = np.eye(2) * (1 + 1e-12)
     amps = state_amplitudes(u, StateVector.basis(FockState((1, 0))), None)
     assert abs(dict(amps)[FockState((1, 0))] - 1.0) < 1e-11
+
+
+def test_row_ids_split_keys_past_int64():
+    # 21 columns of radix 10 pack to 10^21 > 2^63, so the rows take two keys.
+    rows = np.random.default_rng(5).integers(0, 10, size=(200, 21))
+    rows = np.concatenate([rows, rows[::3]])
+    first, inverse = simulate._row_ids(rows)
+    assert np.array_equal(rows[first][inverse], rows)
+    assert len(first) == len(np.unique(rows, axis=0)) == 200
+
+
+def test_stepwise_route_refuses_unitary_defects():
+    # The stepper checks each distinct block as the global route checks U.
+    circuit = Circuit(2).add(0, BeamSplitter.h())
+    blocks = [(chans, 2 * block) for chans, block in circuit.blocks()]
+    state = StateVector.basis(FockState((1, 0)))
+    with pytest.raises(NotUnitary):
+        simulate.stepwise_amplitudes(blocks, state, parse_postselect("[0]==1"))
