@@ -96,9 +96,11 @@ class Circuit:
         """(channels, block) for each placement, in placement order: the
         component's matrix and the register channels its rows and columns
         act on.  A spatial component on a polarized register yields its H
-        block, then its V block."""
+        block, then its V block.  A placement on no modes yields nothing."""
         for placed in self.placements:
             comp, modes = placed.component, placed.modes
+            if not modes:
+                continue
             if isinstance(comp, SpatialComponent):
                 block = comp.matrix()
                 if not self.polarized:
@@ -113,7 +115,13 @@ class Circuit:
 
     def compile(self) -> np.ndarray:
         """Total channel unitary, first placement rightmost in the product."""
-        total = np.eye(self.channels, dtype=complex)
-        for chans, block in self.blocks():
-            total[chans] = block @ total[chans]
-        return total
+        return compile_blocks(self.blocks(), self.channels)
+
+
+def compile_blocks(blocks, channels: int) -> np.ndarray:
+    """The unitary on `channels` channels of (channels, block) pairs such
+    as `Circuit.blocks` yields, the first block rightmost in the product."""
+    total = np.eye(channels, dtype=complex)
+    for chans, block in blocks:
+        total[chans] = block @ total[chans]
+    return total

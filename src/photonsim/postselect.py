@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit
+from .circuit import Circuit, compile_blocks
 from .errors import EvalError, RegisterMismatch
 from .fock import PRUNE_TOL, FockState, StateVector
 from .notation import Scanner
@@ -116,10 +116,11 @@ class Processor:
         The checked input takes one of two routes to the same amplitudes.
         When a clause of the predicate reads no channel of the circuit's last
         block, `stepwise_amplitudes` evolves it block by block and projects
-        each clause after the last block that touches it.  Otherwise (and
-        always without a predicate) `state_amplitudes` sweeps the compiled
-        unitary.  Outcomes come in canonical order: the whole photon-number
-        sector without a predicate, the outcomes that satisfy it otherwise,
+        each clause after the last block that touches it, unless its work
+        would pass the global sweep's.  Otherwise (and always without a
+        predicate) `state_amplitudes` sweeps the compiled unitary.  Outcomes
+        come in canonical order: the whole photon-number sector without a
+        predicate, the outcomes that satisfy it otherwise,
         and none when the input holds fewer than `min_detected_photons`
         photons.  Raises MixedSector for an input without a fixed photon
         number, InvalidSpec for one that is not normalized, RegisterMismatch
@@ -142,11 +143,10 @@ class Processor:
             )
         if n < self.min_detected_photons:
             return []
-        if self.postselect is not None:
-            blocks = list(circuit.blocks())
-            if projects_early(blocks, state, self.postselect):
-                return stepwise_amplitudes(blocks, state, self.postselect)
-        return state_amplitudes(circuit.compile(), state, self.postselect)
+        blocks = list(circuit.blocks())
+        if self.postselect is not None and projects_early(blocks, state, self.postselect):
+            return stepwise_amplitudes(blocks, state, self.postselect)
+        return state_amplitudes(compile_blocks(blocks, circuit.channels), state, self.postselect)
 
     def run(self) -> tuple[Distribution, float]:
         """Conditioned output distribution and the success probability.

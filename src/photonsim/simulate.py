@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuit import compile_blocks
 from .components import UNITARY_TOL, require_unitary
 from .errors import InvalidSpec, RegisterMismatch, TooLarge
 from .fock import FockState, StateVector, canonical_items
@@ -135,14 +136,15 @@ def _channel_unitary(matrix, *channels: int) -> np.ndarray:
     return u
 
 
-def _evaluate(u: np.ndarray, terms, outcomes: np.ndarray) -> np.ndarray:
+def _evaluate(u: np.ndarray, terms, outcomes: np.ndarray, plan=None) -> np.ndarray:
     """sum_k c_k <t| U |s_k> for each row t of `outcomes`, over the input
     terms (s_k, c_k); the rows and terms share one photon-number sector.
-    One trie plan serves every term."""
+    One trie plan serves every term; `plan`, when given, is the outcomes'."""
     n = terms[0][0].n
     if n == 0 or not len(outcomes):  # no sweep: the vacuum goes to itself
         return np.full(len(outcomes), sum(c for _, c in terms), dtype=complex)
-    plan = _plan(outcomes, n)
+    if plan is None:
+        plan = _plan(outcomes, n)
     _require_work(n, plan.work)
     t_norm = _FACTORIALS[outcomes].prod(axis=1)
     total = np.zeros(len(outcomes), dtype=complex)
@@ -499,7 +501,12 @@ def _last_touches(blocks, channels: int) -> list[int]:
     return last
 
 
-def stepwise_amplitudes(blocks, state: StateVector, predicate) -> list[tuple[FockState, complex]]:
+class _PastLimit(Exception):
+    """The stepwise evolution's work count would pass its cap."""
+
+
+def stepwise_amplitudes(blocks, state: StateVector, predicate,
+                        fallback: bool = True) -> list[tuple[FockState, complex]]:
     """What `state_amplitudes` gives for the circuit whose (channels, block)
     list is `blocks` under `predicate`, evolved one block at a time.
 
@@ -514,90 +521,133 @@ def stepwise_amplitudes(blocks, state: StateVector, predicate) -> list[tuple[Foc
     per (block, local photon number, closing clauses) and one sweep per
     distinct local input.  Equal rows are then summed.
 
-    Every block must be unitary within UNITARY_TOL.  TooLarge is raised when
-    the row-outcome products of the steps, summed, or one sweep's work
-    exceed _MAX_WORK.  The outcomes are those of the walk, in canonical
-    order, with 0 for an outcome no row reached.
+    Every block must be unitary within UNITARY_TOL.  Work is counted in
+    vector elements before it is done: a row costs 1 at a monomial block
+    and, at any other, the C(m + k - 1, m) outputs of its m photons on the
+    block's k channels; a sweep costs 2^(m-1) x its plan's work.  With
+    `fallback`, the count may reach 2^(n-1) x (channels + 2 x outcomes),
+    the least the global route's sweep over the walk's outcomes can cost.
+    Past that, when the global route's own count is within _MAX_WORK, the
+    outcomes come from its sweep of the folded blocks instead, so the
+    stepper never costs much more than that route.  TooLarge is raised when
+    the count would pass _MAX_WORK and the global route's does too, or,
+    without `fallback`, whenever it would pass _MAX_WORK.  The outcomes are
+    those of the walk, in canonical order, with 0 for an outcome no row
+    reached.
     """
     n = state.require_sector()
     channels, polarized = state.channels, state.polarized
+    outcomes = _outcomes(channels, polarized, n, predicate)
     clauses = predicate.clauses
     weights = np.array(_clause_weights(clauses, channels, polarized), dtype=np.int64)
     weights = weights.reshape(len(clauses), channels)
     lo = np.array([c.bounds[0] for c in clauses], dtype=np.int64)
     hi = np.array([min(c.bounds[1], n * len(c.modes)) for c in clauses], dtype=np.int64)
     blocks = [(list(chans), np.asarray(block, dtype=complex)) for chans, block in blocks]
-    # Per clause, the last block that touches its channels (-1: none does).
-    steps = np.where(weights > 0, _last_touches(blocks, channels), -1).max(axis=1, initial=-1)
-    terms = state.items()
-    rows = np.array([s.occupations for s, _ in terms], dtype=np.int64)
-    amps = np.array([a for _, a in terms], dtype=complex)
-    rows, amps = _project(rows, amps, weights, lo, hi, steps == -1)
+    keys = [block.tobytes() for _, block in blocks]
     moves: dict = {}  # block bytes -> (destination, phase) of a monomial block, or None
-    plans: dict = {}  # (pattern, local photons) -> (outputs, plan, their factorials)
-    sweeps: dict = {}  # (pattern, local input) -> amplitudes over the outputs
-    work = 0
-    for step, (chans, block) in enumerate(blocks):
-        if not len(rows):
-            break
-        key = block.tobytes()
+    for key, (_, block) in zip(keys, blocks):
         if key not in moves:
             require_unitary(block)
             nonzero = block != 0
             dest = nonzero.argmax(axis=0)
             monomial = (nonzero.sum(axis=0) == 1).all()
             moves[key] = (dest, block[dest, np.arange(len(block))]) if monomial else None
-        closing = steps == step
-        if moves[key]:
-            work = _require_steps(work + len(rows), step)
-            dest, phase = moves[key]
-            occ = rows[:, chans]
-            if (phase != 1).any():
-                amps = amps * np.prod(phase**occ, axis=1)
-            rows[:, [chans[d] for d in dest]] = occ
-        else:
-            inside = closing & (weights[:, chans].sum(axis=1) == weights.sum(axis=1))
-            local = (weights[inside][:, chans], lo[inside], hi[inside])
-            pattern = (key, *(a.tobytes() for a in local))
-            parts = _local_parts(rows[:, chans], block, local, pattern, plans, sweeps)
-            work = _require_steps(work + sum(len(sel) * len(outs) for sel, outs, _ in parts), step)
-            rows, amps = _expand(rows, amps, chans, parts)
-            closing &= ~inside
-        rows, amps = _project(rows, amps, weights, lo, hi, closing)
-    outcomes = _outcomes(channels, polarized, n, predicate)
-    result = np.zeros(len(outcomes), dtype=complex)
-    if len(rows):
-        # The walk's outcomes are distinct and come first, so a row's first
-        # copy is its place in the walk; every row satisfies every clause, so
-        # none lies past it (that would raise IndexError).
-        first, inverse = _row_ids(np.concatenate([outcomes, rows]))
-        result[first[inverse[len(outcomes):]]] = amps
+    # Per clause, the last block that touches its channels (-1: none does).
+    steps = np.where(weights > 0, _last_touches(blocks, channels), -1).max(axis=1, initial=-1)
+
+    # A plan has at least a factor row per channel and a node and a leaf
+    # sum per target, so the global route's count is at least `lower`.  Its
+    # exact count needs its plan, which is built only once the stepper's
+    # count passes `lower`, and then serves the global sweep.
+    lower = ((1 << n) >> 1) * (channels + 2 * len(outcomes))
+    cap = min(lower, _MAX_WORK) if fallback else _MAX_WORK
+    spent = 0  # the stepper's count
+    whole, plan = None, None  # the global route's count and plan, once needed
+
+    def charge(work: int):
+        nonlocal spent, cap, whole, plan
+        spent += work
+        if spent > cap and fallback and whole is None:
+            whole = lower
+            if n and len(outcomes) and lower <= _MAX_WORK:
+                plan = _plan(outcomes, n)
+                whole = ((1 << n) >> 1) * plan.work
+            if whole <= _MAX_WORK:
+                raise _PastLimit
+            cap = _MAX_WORK
+        if spent > cap:
+            raise _PastLimit
+
+    terms = state.items()
+    rows = np.array([s.occupations for s, _ in terms], dtype=np.int64)
+    amps = np.array([a for _, a in terms], dtype=complex)
+    rows, amps = _project(rows, amps, weights, lo, hi, steps == -1)
+    plans: dict = {}  # (pattern, local photons) -> (outputs, plan, their factorials)
+    sweeps: dict = {}  # (pattern, local input) -> amplitudes over the outputs
+    try:
+        for step, (chans, block) in enumerate(blocks):
+            if not len(rows):
+                break
+            closing = steps == step
+            if moves[keys[step]]:
+                charge(len(rows))
+                dest, phase = moves[keys[step]]
+                occ = rows[:, chans]
+                if (phase != 1).any():
+                    amps = amps * np.prod(phase**occ, axis=1)
+                rows[:, [chans[d] for d in dest]] = occ
+            else:
+                inside = closing & (weights[:, chans].sum(axis=1) == weights.sum(axis=1))
+                local = (weights[inside][:, chans], lo[inside], hi[inside])
+                pattern = (keys[step], *(a.tobytes() for a in local))
+                parts = _local_parts(rows[:, chans], block, local, pattern, plans, sweeps, charge)
+                rows, amps = _expand(rows, amps, chans, parts)
+                closing &= ~inside
+            rows, amps = _project(rows, amps, weights, lo, hi, closing)
+    except _PastLimit:
+        if whole is None or whole > _MAX_WORK:
+            needs = "" if whole is None else f" and the global sweep at least {whole}"
+            raise TooLarge(
+                f"the stepwise evolution reaches {spent} vector elements at block {step}"
+                f"{needs}, more than the {_MAX_WORK} allowed"
+            ) from None
+        # The global route, as `state_amplitudes` runs it, on the walk and plan at hand.
+        u = compile_blocks(blocks, channels)
+        require_unitary(u)
+        result = _evaluate(u, terms, outcomes, plan)
+    else:
+        result = np.zeros(len(outcomes), dtype=complex)
+        if len(rows):
+            # The walk's outcomes are distinct and come first, so a row's
+            # first copy is its place in the walk; every row satisfies every
+            # clause, so none lies past it (that would raise IndexError).
+            first, inverse = _row_ids(np.concatenate([outcomes, rows]))
+            result[first[inverse[len(outcomes):]]] = amps
     return [(FockState(occ, polarized), a) for occ, a in zip(outcomes.tolist(), result.tolist())]
+
+
+def _meets(rows, weights, lo, hi) -> np.ndarray:
+    """Per row, whether each clause's weighted sum (a row of `weights`)
+    lies in its [lo, hi]."""
+    sums = rows @ weights.T
+    return ((sums >= lo) & (sums <= hi)).all(axis=1)
 
 
 def _project(rows, amps, weights, lo, hi, clauses):
     """The rows, with their amplitudes, that satisfy the selected clauses."""
     if not clauses.any():
         return rows, amps
-    sums = rows @ weights[clauses].T
-    keep = ((sums >= lo[clauses]) & (sums <= hi[clauses])).all(axis=1)
+    keep = _meets(rows, weights[clauses], lo[clauses], hi[clauses])
     return rows[keep], amps[keep]
 
 
-def _require_steps(work: int, step: int) -> int:
-    """`work`, the row-outcome products so far; TooLarge above _MAX_WORK."""
-    if work > _MAX_WORK:
-        raise TooLarge(
-            f"the stepwise evolution reaches {work} row-outcome products at block {step}, "
-            f"more than the {_MAX_WORK} allowed"
-        )
-    return work
-
-
-def _local_parts(occ, block, clauses, pattern, plans, sweeps):
+def _local_parts(occ, block, clauses, pattern, plans, sweeps, charge):
     """Per local photon number m: the rows with m photons in the block's
     channels (`occ` holds those occupations), the local outputs that
-    `clauses` allow and each row's amplitudes over them."""
+    `clauses` allow and each row's amplitudes over them.  Before a part is
+    built, `charge` takes its rows times the C(m + k - 1, m) outputs of m
+    photons on the block's k channels."""
     first, inverse = _row_ids(occ)
     inputs = occ[first]
     counts = inputs.sum(axis=1)
@@ -608,35 +658,42 @@ def _local_parts(occ, block, clauses, pattern, plans, sweeps):
         ids = np.flatnonzero(counts == m)
         rank[ids] = np.arange(len(ids))
         sel = np.flatnonzero(row_counts == m)
-        outs, table = _local_amplitudes(block, clauses, pattern, m, inputs[ids], plans, sweeps)
+        charge(len(sel) * math.comb(m + len(block) - 1, m))
+        outs, table = _local_amplitudes(block, clauses, pattern, m, inputs[ids], plans, sweeps,
+                                        charge)
         parts.append((sel, outs, table[rank[inverse[sel]]]))
     return parts
 
 
-def _local_amplitudes(block, clauses, pattern, m, inputs, plans, sweeps):
+def _local_amplitudes(block, clauses, pattern, m, inputs, plans, sweeps, charge):
     """The outputs of m photons over the block's channels that `clauses`
     (weights on the block's channels, lows, highs) allow, in canonical
     order, and a row of amplitudes <output| block |input> per input row.
     `plans` memoizes the plan per (pattern, m) and `sweeps` the amplitudes
-    per (pattern, input), where `pattern` names the block and the clauses."""
+    per (pattern, input), where `pattern` names the block and the clauses.
+    Before the new sweeps run, `charge` takes 2^(m-1) x the plan's work
+    for each, and a new plan's least share of that before it is built."""
+    subsets, paid = (1 << m) >> 1, 0
     if (pattern, m) not in plans:
-        weights, lo, hi = clauses
         outs = _outcomes(len(block), False, m, None)
-        sums = outs @ weights.T
-        outs = outs[((sums >= lo) & (sums <= hi)).all(axis=1)]
+        outs = outs[_meets(outs, *clauses)]
         plan = None
         if m and len(outs):
+            # A new plan has a sweep to run, which costs at least a factor row
+            # per channel and a node and a leaf sum per output for each subset.
+            paid = subsets * (len(block) + 2 * len(outs))
+            charge(paid)
             plan = _plan(outs, m)
-            _require_work(m, plan.work)
         plans[pattern, m] = outs, plan, _FACTORIALS[outs].prod(axis=1)
     outs, plan, t_norm = plans[pattern, m]
-    table = []
-    for occupations in map(tuple, inputs.tolist()):
-        if (pattern, occupations) not in sweeps:
-            sweeps[pattern, occupations] = (
-                np.ones(len(outs), dtype=complex) if plan is None
-                else _normalized_sweep(block, occupations, plan, t_norm))
-        table.append(sweeps[pattern, occupations])
+    occupations = list(map(tuple, inputs.tolist()))
+    new = [occ for occ in occupations if (pattern, occ) not in sweeps]
+    if plan is not None:
+        charge(len(new) * subsets * plan.work - paid)
+    for occ in new:
+        sweeps[pattern, occ] = (np.ones(len(outs), dtype=complex) if plan is None
+                                else _normalized_sweep(block, occ, plan, t_norm))
+    table = [sweeps[pattern, occ] for occ in occupations]
     return outs, np.array(table).reshape(len(table), len(outs))
 
 
@@ -676,29 +733,17 @@ def _row_ids(rows: np.ndarray):
     array: the index of each distinct row's first copy, and each row's
     distinct-row number.
 
-    The rows are packed into exact mixed-radix int64 keys: per column, the
-    radix is max - min + 1 over the rows, and a column that would take the
-    radix product to 2^63 starts a further key.  Several keys are compared
-    as rows of keys.
+    The rows are packed into exact mixed-radix int64 keys, per column a
+    radix of max - min + 1 over the rows, which sort much faster than rows.
+    When the radix product reaches 2^63 the rows themselves are compared.
     """
     low = rows.min(axis=0)
     spans = (rows.max(axis=0) - low + 1).tolist()
-    shifted = rows - low
-    keys, cols, places, size = [], [], [], 1
-    for c, span in enumerate(spans):
-        if span == 1:
-            continue
-        if size * span >= 1 << 63:
-            keys.append(shifted[:, cols] @ np.array(places, dtype=np.int64))
-            cols, places, size = [], [], 1
-        cols.append(c)
-        places.append(size)
-        size *= span
-    keys.append(shifted[:, cols] @ np.array(places, dtype=np.int64))
-    if len(keys) == 1:
-        _, first, inverse = np.unique(keys[0], return_index=True, return_inverse=True)
+    if math.prod(spans) >= 1 << 63:
+        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
     else:
-        _, first, inverse = np.unique(np.stack(keys, axis=1), axis=0, return_index=True,
+        places = np.cumprod([1, *spans[:-1]], dtype=np.int64)
+        _, first, inverse = np.unique((rows - low) @ places, return_index=True,
                                       return_inverse=True)
     return first, inverse.reshape(-1)
 

@@ -172,22 +172,24 @@ def test_dual_rail_search_work(monkeypatch):
 
 
 def test_dual_rail_search_stepwise_work(monkeypatch):
-    # The search takes the stepwise route, whose row-outcome products over
-    # its 32 blocks count against the same bound; each local sweep is far
-    # smaller.
-    monkeypatch.setattr(simulate, "_MAX_WORK", 4864)
-    with pytest.raises(TooLarge, match="reaches 4865 row-outcome products at block 31, "
-                                       "more than the 4864 allowed"):
+    # The search takes the stepwise route, which counts the local outputs of
+    # its rows and the work of its 44 local sweeps against the same bound.
+    # The global route's least count, 2^16 x (20 channels + 2 x 56 outcomes),
+    # passes it too, so the search is refused.
+    monkeypatch.setattr(simulate, "_MAX_WORK", 69224)
+    with pytest.raises(TooLarge, match="reaches 69225 vector elements at block 31 and the global "
+                                       "sweep at least 8650752, more than the 69224 allowed"):
         dual_rail_grover_3q()
-    monkeypatch.setattr(simulate, "_MAX_WORK", 4865)
+    monkeypatch.setattr(simulate, "_MAX_WORK", 69225)
     assert abs(dual_rail_grover_3q().data_probabilities["01"] - 1.0) < 1e-12
 
 
 def test_negative_shots_fail_before_any_work(monkeypatch):
-    def no_compile(self):
-        raise AssertionError("compiled before checking shots")
+    # Both evaluation routes read the circuit's blocks first.
+    def no_blocks(self):
+        raise AssertionError("lowered the circuit before checking shots")
 
-    monkeypatch.setattr(Circuit, "compile", no_compile)
+    monkeypatch.setattr(Circuit, "blocks", no_blocks)
     with pytest.raises(ValueError, match="shots must be >= 0, got -1"):
         run_grover("00", shots=-1)
     with pytest.raises(ValueError, match="shots must be >= 0, got -3"):

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from photonsim.circuit import Circuit
-from photonsim.components import BeamSplitter, Permutation, PhaseShifter
+from photonsim.components import BeamSplitter, GenericUnitary, Permutation, PhaseShifter
 from photonsim.errors import InvalidSpec, MixedSector, NotUnitary, RegisterMismatch, TooLarge
 from photonsim.expansion import oracle_evolve
 from photonsim.fock import FockState, StateVector, make_state
-from photonsim.postselect import admissible_outcomes, parse_postselect
+from photonsim.postselect import Processor, admissible_outcomes, parse_postselect
 from photonsim.simulate import (
     Distribution,
     SplitMix64,
@@ -501,13 +501,36 @@ def test_unitarity_check_allows_rounding_below_the_tolerance():
     assert abs(dict(amps)[FockState((1, 0))] - 1.0) < 1e-11
 
 
-def test_row_ids_split_keys_past_int64():
-    # 21 columns of radix 10 pack to 10^21 > 2^63, so the rows take two keys.
+def test_row_ids_past_int64_keys():
+    # 21 columns of radix 10 would pack to 10^21 > 2^63 keys, so the rows
+    # themselves are compared.
     rows = np.random.default_rng(5).integers(0, 10, size=(200, 21))
     rows = np.concatenate([rows, rows[::3]])
     first, inverse = simulate._row_ids(rows)
     assert np.array_equal(rows[first][inverse], rows)
     assert len(first) == len(np.unique(rows, axis=0)) == 200
+    # Packed anyway, column 20's place 10^20 would wrap mod 2^64 to a key
+    # that the digits of a second row spell in columns 0-18.
+    wrapped = [int(d) for d in reversed(str(10**20 % 2**64))]
+    rows = np.zeros((4, 21), dtype=np.int64)
+    rows[1] = 9
+    rows[2, 20] = 1
+    rows[3, : len(wrapped)] = wrapped
+    first, _ = simulate._row_ids(rows)
+    assert len(first) == 4
+
+
+def test_stepwise_route_moves_photons_along_a_cycle():
+    # A 3-cycle is not its own inverse, so moving photons the wrong way
+    # round changes the outcomes.
+    circuit = Circuit(4).add(0, Permutation((1, 2, 0))).add(0, BeamSplitter.h())
+    condition = parse_postselect("[3]==0")
+    for occ in ((1, 0, 0, 0), (0, 2, 1, 0)):
+        state = StateVector.basis(FockState(occ))
+        amps = simulate.stepwise_amplitudes(circuit.blocks(), state, condition, fallback=False)
+        expected = state_amplitudes(circuit.compile(), state, condition)
+        assert [s for s, _ in amps] == [s for s, _ in expected]
+        assert max(abs(a - b) for (_, a), (_, b) in zip(amps, expected)) < 1e-12
 
 
 def test_stepwise_route_refuses_unitary_defects():
@@ -517,3 +540,55 @@ def test_stepwise_route_refuses_unitary_defects():
     state = StateVector.basis(FockState((1, 0)))
     with pytest.raises(NotUnitary):
         simulate.stepwise_amplitudes(blocks, state, parse_postselect("[0]==1"))
+
+
+def wide_blocks_case():
+    """8 photons through two 8-mode unitaries, with a clause on the idle
+    ninth mode that closes before the first block: the stepper's second
+    block would run 6435 sweeps, the global route one."""
+    rng = np.random.default_rng(11)
+    circuit = (Circuit(9).add(0, GenericUnitary(random_unitary(rng, 8)))
+               .add(0, GenericUnitary(random_unitary(rng, 8))))
+    return circuit, StateVector.basis(FockState((1,) * 8 + (0,))), parse_postselect("[8]==0")
+
+
+def test_stepwise_route_hands_a_costlier_circuit_to_the_global_sweep(monkeypatch):
+    # Its first block alone reaches 2^7 x (9 channels + 2 x 6435 outcomes),
+    # the least the global sweep can cost, so that sweep runs instead, on the
+    # walk and the plan the stepper already has.
+    circuit, state, condition = wide_blocks_case()
+    calls = {"_plan": 0, "_normalized_sweep": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(simulate, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(simulate, name, counted)
+    amps = Processor(circuit, state, condition).amplitudes()
+    assert calls == {"_plan": 1, "_normalized_sweep": 1}
+    expected = state_amplitudes(circuit.compile(), state, condition)
+    assert [s for s, _ in amps] == [s for s, _ in expected]
+    assert max(abs(a - b) for (_, a), (_, b) in zip(amps, expected)) < 1e-12
+
+
+def test_stepwise_route_refuses_when_both_routes_pass_the_limit(monkeypatch):
+    # The first block's 6435 local outputs pass the limit, and so does the
+    # global route's least count, 2^7 x 12879: refused before any plan.
+    circuit, state, condition = wide_blocks_case()
+    monkeypatch.setattr(simulate, "_MAX_WORK", 6434)
+    monkeypatch.setattr(simulate, "_plan", None)
+    with pytest.raises(TooLarge, match="reaches 6435 vector elements at block 0 and the global "
+                                       "sweep at least 1648512, more than the 6434 allowed"):
+        Processor(circuit, state, condition).amplitudes()
+
+
+def test_empty_placement_does_not_change_the_route():
+    # A trailing no-op placement yields no block, so [2]==0 still closes
+    # before the last block and the stepper runs.
+    circuit = Circuit(3).add(0, BeamSplitter.h()).add(0, Permutation(()))
+    assert [chans for chans, _ in circuit.blocks()] == [[0, 1]]
+    state = StateVector.basis(FockState((1, 1, 0)))
+    condition = parse_postselect("[2]==0")
+    amps = Processor(circuit, state, condition).amplitudes()
+    expected = state_amplitudes(circuit.compile(), state, condition)
+    assert [s for s, _ in amps] == [s for s, _ in expected]
+    assert max(abs(a - b) for (_, a), (_, b) in zip(amps, expected)) < 1e-12
