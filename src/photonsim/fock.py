@@ -35,7 +35,11 @@ def channel(mode: int, pol: Polarization | None = None) -> int:
 
 @dataclass(frozen=True)
 class FockState:
-    """Occupation numbers over the channels of one register."""
+    """Occupation numbers over the channels of one register.
+
+    The hash is computed once, on construction: outcomes are dict keys in
+    every distribution, so each is hashed several times.
+    """
 
     occupations: tuple[int, ...]
     polarized: bool = False
@@ -54,6 +58,25 @@ class FockState:
             raise RegisterMismatch(
                 f"polarized register needs an even channel count, got {len(occ)}"
             )
+        object.__setattr__(self, "_hash", hash((occ, self.polarized)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Pickle the fields only; loading rebuilds the hash.
+        return FockState, (self.occupations, self.polarized)
+
+    @classmethod
+    def _unchecked(cls, occupations: tuple, polarized: bool) -> "FockState":
+        """The state of a tuple of nonnegative Python ints that fits a
+        register, as the outcome enumerator makes them, without the checks:
+        a third of the cost of a checked construction."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "occupations", occupations)
+        object.__setattr__(state, "polarized", polarized)
+        object.__setattr__(state, "_hash", hash((occupations, polarized)))
+        return state
 
     @property
     def n(self) -> int:

@@ -44,6 +44,10 @@ class Clause:
     op: str
     value: int
 
+    def __post_init__(self):
+        # A tuple, so a predicate can key the sector structure simulate keeps.
+        object.__setattr__(self, "modes", tuple(self.modes))
+
     def __str__(self) -> str:
         return f"[{','.join(str(m) for m in self.modes)}]{self.op}{self.value}"
 
@@ -58,6 +62,9 @@ class Clause:
 @dataclass(frozen=True)
 class PostSelect:
     clauses: tuple[Clause, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "clauses", tuple(self.clauses))
 
     def __str__(self) -> str:
         return " & ".join(str(c) for c in self.clauses)

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +47,9 @@ _MAX_WORK = 1 << 34
 
 # inverse_cdf_counts draws _DRAW_CHUNK shots at a time.
 _DRAW_CHUNK = 1 << 16
+
+# The sector structure kept between calls holds at most this many bytes.
+_STRUCTURE_BYTES = 32 << 20
 
 
 def permanent(matrix) -> complex:
@@ -146,18 +152,17 @@ def _evaluate(u: np.ndarray, terms, outcomes: np.ndarray, plan=None) -> np.ndarr
     if plan is None:
         plan = _plan(outcomes, n)
     _require_work(n, plan.work)
-    t_norm = _FACTORIALS[outcomes].prod(axis=1)
     total = np.zeros(len(outcomes), dtype=complex)
     for source, coeff in terms:
-        total += coeff * _normalized_sweep(u, source.occupations, plan, t_norm)
+        total += coeff * _normalized_sweep(u, source.occupations, plan)
     return total
 
 
-def _normalized_sweep(u: np.ndarray, occupations, plan: "_Plan", t_norm: np.ndarray) -> np.ndarray:
+def _normalized_sweep(u: np.ndarray, occupations, plan: "_Plan") -> np.ndarray:
     """<t| U |s> for each target t of `plan` from the source s with these
-    occupations; `t_norm` holds prod_j t_j! per target."""
+    occupations."""
     per = _sweep(u, occupations, plan)
-    norm = np.sqrt(math.prod(map(math.factorial, occupations)) * t_norm)
+    norm = np.sqrt(math.prod(map(math.factorial, occupations)) * plan.t_norm)
     # Divide the parts by the real norm: complex / float would scale by 1/norm.
     np.divide(per.real, norm, out=per.real)
     np.divide(per.imag, norm, out=per.imag)
@@ -185,6 +190,7 @@ class _Plan:
     width: int
     leaves: int
     target_leaf: np.ndarray
+    t_norm: np.ndarray  # prod_j t_j! per target
     work: int  # vector elements per subset
 
 
@@ -268,7 +274,8 @@ def _plan(outcomes: np.ndarray, n: int) -> _Plan:
     target_leaf = np.empty(count, dtype=np.int64)
     target_leaf[by_occ] = leaf_id[lead]
     return _Plan(n, perm, ladder, first[-1], tuple(ops), levels, width, len(done),
-                 target_leaf, first[-1] + len(target) + len(done))
+                 target_leaf, _FACTORIALS[outcomes].prod(axis=1),
+                 first[-1] + len(target) + len(done))
 
 
 def _rows(index: list[int]):
@@ -430,19 +437,128 @@ def _clause_weights(clauses, channels: int, polarized: bool) -> np.ndarray:
     return weights
 
 
+class _Sector:
+    """What no unitary changes about the outcomes of a photon-number sector
+    under a predicate: their rows in canonical order, read-only, and, built
+    on first use, their FockStates and trie plan."""
+
+    def __init__(self, rows: np.ndarray, n: int, polarized: bool):
+        rows.setflags(write=False)
+        self.rows, self.n, self.polarized = rows, n, polarized
+        self.nbytes = rows.nbytes
+        self.kept = False  # whether _STRUCTURES counts it
+        self._states = self._trie = None
+
+    def states(self) -> tuple:
+        """One FockState per row."""
+        if self._states is None:
+            self._states = tuple(FockState._unchecked(occ, self.polarized)
+                                 for occ in map(tuple, self.rows.tolist()))
+            _STRUCTURES.grew(self, _states_bytes(self._states))
+        return self._states
+
+    def plan(self):
+        """The rows' trie plan; None when there is nothing to sweep."""
+        if self._trie is None and self.n and len(self.rows):
+            self._trie = _plan(self.rows, self.n)
+            _STRUCTURES.grew(self, _plan_bytes(self._trie))
+        return self._trie
+
+
+def _states_bytes(states: tuple) -> int:
+    """The bytes a tuple of same-register FockStates holds."""
+    if not states:
+        return sys.getsizeof(states)
+    s = states[0]
+    each = sys.getsizeof(s) + sys.getsizeof(s.occupations) + sys.getsizeof(hash(s))
+    return sys.getsizeof(states) + len(states) * each
+
+
+def _plan_bytes(plan: _Plan) -> int:
+    """About the bytes a plan holds: two 8-byte values per target, at most
+    two 8-byte row indices per unit of work, and ~500 bytes per op for its
+    tuple, slices and array headers (measured with tracemalloc)."""
+    return 16 * (len(plan.target_leaf) + plan.work) + 500 * len(plan.ops)
+
+
+class _Structures:
+    """Sector records by key for every call in the process, least recently
+    used first out once they hold more than _STRUCTURE_BYTES: a record
+    larger than that is used and not kept.  No unitary, amplitude or sweep
+    is kept."""
+
+    def __init__(self):
+        self._records: OrderedDict = OrderedDict()
+        self._lock = threading.RLock()
+        self.held = 0  # bytes
+
+    def clear(self):
+        with self._lock:
+            for record in self._records.values():
+                record.kept = False
+            self._records.clear()
+            self.held = 0
+
+    def get(self, key, rows, n: int, polarized: bool) -> _Sector:
+        """The record for `key`, built from `rows()` when it is not kept."""
+        with self._lock:
+            record = self._records.get(key)
+            if record is None:
+                record = self._records[key] = _Sector(rows(), n, polarized)
+                record.kept = True
+                self.held += record.nbytes
+                self._trim()
+            else:
+                self._records.move_to_end(key)
+            return record
+
+    def grew(self, record: _Sector, nbytes: int):
+        """Count `nbytes` more for a record that built a part."""
+        with self._lock:
+            record.nbytes += nbytes
+            if record.kept:
+                self.held += nbytes
+                self._trim()
+
+    def _trim(self):
+        while self.held > _STRUCTURE_BYTES:
+            _, old = self._records.popitem(last=False)
+            old.kept = False
+            self.held -= old.nbytes
+
+
+_STRUCTURES = _Structures()
+
+
+def _sector(channels: int, polarized: bool, n: int, predicate) -> _Sector:
+    """The record of the outcomes of `_outcomes(channels, polarized, n,
+    predicate)`; PostSelect and Clause are frozen, so a predicate is a key."""
+    return _STRUCTURES.get((channels, polarized, n, predicate),
+                           lambda: _outcomes(channels, polarized, n, predicate), n, polarized)
+
+
+def _local_sector(k: int, m: int, clauses) -> _Sector:
+    """The record of the outputs of m photons over a block's k channels that
+    `clauses` (weights on those channels, lows, highs) allow."""
+    def rows():
+        outs = _sector(k, False, m, None).rows
+        return outs[_meets(outs, *clauses)]
+    return _STRUCTURES.get((k, m, *(a.tobytes() for a in clauses)), rows, m, False)
+
+
 def sector_basis(n: int, channels: int):
     """All occupation tuples of n photons over `channels`, canonical order.
 
     Canonical order is descending lexicographic (first channel fills first):
     (n,0,...), (n-1,1,0,...), ..., (0,...,n).
     """
-    yield from map(tuple, _outcomes(channels, False, n, None).tolist())
+    yield from map(tuple, _sector(channels, False, n, None).rows.tolist())
 
 
 def admissible_outcomes(channels: int, polarized: bool, n: int, expr):
     """Sector outcomes satisfying the predicate `expr`, in canonical order;
     every outcome of the sector when `expr` is None."""
-    yield from map(tuple, _outcomes(channels, polarized, n, expr).tolist())
+    yield from map(tuple, _sector(channels, polarized, n, expr).rows.tolist())
 
 
 @dataclass(frozen=True)
@@ -467,10 +583,13 @@ def state_amplitudes(matrix, state: StateVector, predicate) -> list[tuple[FockSt
     them when it is None), in canonical order, each with <t| U |state>.
 
     The outcome rows of `_outcomes` go through one shared trie plan for
-    every input term and become FockStates here, once.  Without a
-    predicate, TooLarge comes before any enumeration when the least sweep of
-    the sector, 2^(n-1) x (channels + outcomes) vector elements, exceeds
-    _MAX_WORK.  Raises NotUnitary when U is not unitary within UNITARY_TOL.
+    every input term.  The rows, their plan and their FockStates depend on
+    (channels, polarization, n, predicate) alone, so they are built on the
+    first call for that key and kept for later ones (see `_Structures`); U
+    and the amplitudes are not kept.  Without a predicate, TooLarge comes
+    before any enumeration when the least sweep of the sector, 2^(n-1) x
+    (channels + outcomes) vector elements, exceeds _MAX_WORK, on every call.
+    Raises NotUnitary when U is not unitary within UNITARY_TOL.
     """
     n = state.require_sector()
     channels, polarized = state.channels, state.polarized
@@ -478,9 +597,9 @@ def state_amplitudes(matrix, state: StateVector, predicate) -> list[tuple[FockSt
     require_unitary(u)
     if predicate is None:
         _require_work(n, channels + math.comb(n + channels - 1, n))
-    outcomes = _outcomes(channels, polarized, n, predicate)
-    amps = _evaluate(u, state.items(), outcomes)
-    return [(FockState(occ, polarized), a) for occ, a in zip(outcomes.tolist(), amps.tolist())]
+    sector = _sector(channels, polarized, n, predicate)
+    amps = _evaluate(u, state.items(), sector.rows, sector.plan())
+    return list(zip(sector.states(), amps.tolist()))
 
 
 def projects_early(blocks, state: StateVector, predicate) -> bool:
@@ -534,10 +653,17 @@ def stepwise_amplitudes(blocks, state: StateVector, predicate,
     without `fallback`, whenever it would pass _MAX_WORK.  The outcomes are
     those of the walk, in canonical order, with 0 for an outcome no row
     reached.
+
+    The walk's rows, their FockStates and the hand-off's plan come from the
+    record `state_amplitudes` keeps; each block's local outputs and plan are
+    kept per (block size, local photons, closing clauses).  The count does
+    not depend on what was kept: a local plan is charged as new the first
+    time a call uses it.
     """
     n = state.require_sector()
     channels, polarized = state.channels, state.polarized
-    outcomes = _outcomes(channels, polarized, n, predicate)
+    sector = _sector(channels, polarized, n, predicate)
+    outcomes = sector.rows
     clauses = predicate.clauses
     weights = np.array(_clause_weights(clauses, channels, polarized), dtype=np.int64)
     weights = weights.reshape(len(clauses), channels)
@@ -571,7 +697,7 @@ def stepwise_amplitudes(blocks, state: StateVector, predicate,
         if spent > cap and fallback and whole is None:
             whole = lower
             if n and len(outcomes) and lower <= _MAX_WORK:
-                plan = _plan(outcomes, n)
+                plan = sector.plan()
                 whole = ((1 << n) >> 1) * plan.work
             if whole <= _MAX_WORK:
                 raise _PastLimit
@@ -583,7 +709,7 @@ def stepwise_amplitudes(blocks, state: StateVector, predicate,
     rows = np.array([s.occupations for s, _ in terms], dtype=np.int64)
     amps = np.array([a for _, a in terms], dtype=complex)
     rows, amps = _project(rows, amps, weights, lo, hi, steps == -1)
-    plans: dict = {}  # (pattern, local photons) -> (outputs, plan, their factorials)
+    planned: set = set()  # (pattern, local photons) whose plan this call charged
     sweeps: dict = {}  # (pattern, local input) -> amplitudes over the outputs
     try:
         for step, (chans, block) in enumerate(blocks):
@@ -601,7 +727,7 @@ def stepwise_amplitudes(blocks, state: StateVector, predicate,
                 inside = closing & (weights[:, chans].sum(axis=1) == weights.sum(axis=1))
                 local = (weights[inside][:, chans], lo[inside], hi[inside])
                 pattern = (keys[step], *(a.tobytes() for a in local))
-                parts = _local_parts(rows[:, chans], block, local, pattern, plans, sweeps, charge)
+                parts = _local_parts(rows[:, chans], block, local, pattern, planned, sweeps, charge)
                 rows, amps = _expand(rows, amps, chans, parts)
                 closing &= ~inside
             rows, amps = _project(rows, amps, weights, lo, hi, closing)
@@ -624,7 +750,7 @@ def stepwise_amplitudes(blocks, state: StateVector, predicate,
             # clause, so none lies past it (that would raise IndexError).
             first, inverse = _row_ids(np.concatenate([outcomes, rows]))
             result[first[inverse[len(outcomes):]]] = amps
-    return [(FockState(occ, polarized), a) for occ, a in zip(outcomes.tolist(), result.tolist())]
+    return list(zip(sector.states(), result.tolist()))
 
 
 def _meets(rows, weights, lo, hi) -> np.ndarray:
@@ -642,7 +768,7 @@ def _project(rows, amps, weights, lo, hi, clauses):
     return rows[keep], amps[keep]
 
 
-def _local_parts(occ, block, clauses, pattern, plans, sweeps, charge):
+def _local_parts(occ, block, clauses, pattern, planned, sweeps, charge):
     """Per local photon number m: the rows with m photons in the block's
     channels (`occ` holds those occupations), the local outputs that
     `clauses` allow and each row's amplitudes over them.  Before a part is
@@ -659,40 +785,40 @@ def _local_parts(occ, block, clauses, pattern, plans, sweeps, charge):
         rank[ids] = np.arange(len(ids))
         sel = np.flatnonzero(row_counts == m)
         charge(len(sel) * math.comb(m + len(block) - 1, m))
-        outs, table = _local_amplitudes(block, clauses, pattern, m, inputs[ids], plans, sweeps,
+        outs, table = _local_amplitudes(block, clauses, pattern, m, inputs[ids], planned, sweeps,
                                         charge)
         parts.append((sel, outs, table[rank[inverse[sel]]]))
     return parts
 
 
-def _local_amplitudes(block, clauses, pattern, m, inputs, plans, sweeps, charge):
+def _local_amplitudes(block, clauses, pattern, m, inputs, planned, sweeps, charge):
     """The outputs of m photons over the block's channels that `clauses`
     (weights on the block's channels, lows, highs) allow, in canonical
     order, and a row of amplitudes <output| block |input> per input row.
-    `plans` memoizes the plan per (pattern, m) and `sweeps` the amplitudes
-    per (pattern, input), where `pattern` names the block and the clauses.
-    Before the new sweeps run, `charge` takes 2^(m-1) x the plan's work
-    for each, and a new plan's least share of that before it is built."""
+    The outputs and their plan come from the kept `_local_sector`;
+    `planned` holds the (pattern, m) whose plan this call has charged and
+    `sweeps` the amplitudes per (pattern, input), where `pattern` names the
+    block and the clauses.  Before the new sweeps run, `charge` takes
+    2^(m-1) x the plan's work for each, and a plan new to this call its
+    least share of that before it is read."""
     subsets, paid = (1 << m) >> 1, 0
-    if (pattern, m) not in plans:
-        outs = _outcomes(len(block), False, m, None)
-        outs = outs[_meets(outs, *clauses)]
-        plan = None
+    local = _local_sector(len(block), m, clauses)
+    outs = local.rows
+    if (pattern, m) not in planned:
+        planned.add((pattern, m))
         if m and len(outs):
             # A new plan has a sweep to run, which costs at least a factor row
             # per channel and a node and a leaf sum per output for each subset.
             paid = subsets * (len(block) + 2 * len(outs))
             charge(paid)
-            plan = _plan(outs, m)
-        plans[pattern, m] = outs, plan, _FACTORIALS[outs].prod(axis=1)
-    outs, plan, t_norm = plans[pattern, m]
+    plan = local.plan()
     occupations = list(map(tuple, inputs.tolist()))
     new = [occ for occ in occupations if (pattern, occ) not in sweeps]
     if plan is not None:
         charge(len(new) * subsets * plan.work - paid)
     for occ in new:
         sweeps[pattern, occ] = (np.ones(len(outs), dtype=complex) if plan is None
-                                else _normalized_sweep(block, occ, plan, t_norm))
+                                else _normalized_sweep(block, occ, plan))
     table = [sweeps[pattern, occ] for occ in occupations]
     return outs, np.array(table).reshape(len(table), len(outs))
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -56,6 +57,24 @@ def test_non_integer_occupations_rejected():
     state = FockState((np.int64(2), np.uint8(0)))
     assert state.occupations == (2, 0)
     assert all(type(v) is int for v in state.occupations)
+
+
+def test_equal_states_hash_equal_and_survive_pickling():
+    # The hash is computed on construction; it follows equality, and a
+    # polarized state never equals the unpolarized one with its occupations.
+    a = FockState((1, 0, 2, 0))
+    b = FockState([np.int64(1), 0, 2, np.uint8(0)])
+    c = FockState((1, 0, 2, 0), polarized=True)
+    assert a == b and hash(a) == hash(b) == hash(((1, 0, 2, 0), False))
+    assert a != c and {a: 1, b: 2, c: 3} == {a: 2, c: 3}
+    # The enumerator's unchecked states are the same states.
+    for state in (a, c):
+        fast = FockState._unchecked(state.occupations, state.polarized)
+        assert fast == state and hash(fast) == hash(state) and repr(fast) == repr(state)
+    for state in (a, c):
+        copy = pickle.loads(pickle.dumps(state))
+        assert copy == state and hash(copy) == hash(state) and repr(copy) == repr(state)
+    assert repr(c) == "FockState(occupations=(1, 0, 2, 0), polarized=True)"
 
 
 def test_polarized_needs_even_channels():

@@ -29,7 +29,7 @@ from photonsim.components import (
     WavePlate,
 )
 from photonsim.fock import FockState, StateVector
-from photonsim.postselect import Clause, PostSelect
+from photonsim.postselect import Clause, PostSelect, Processor
 from photonsim.qubits import GateSequence
 from photonsim.simulate import amplitude, batch_amplitudes, sector_basis
 
@@ -239,3 +239,25 @@ def component_circuits(draw):
 @given(component_circuits())
 def test_stepwise_route_matches_the_global_kernel_on_components(case):
     assert_routes_agree(*case)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(st.one_of(component_circuits(), gate_circuits()), st.booleans())
+def test_kept_structure_changes_no_result(case, predicated):
+    # Each call on cleared caches and its repeat on what the calls kept give
+    # ==-identical results, on the global and the stepwise route.
+    circuit, state, condition = case
+    condition = condition if predicated else None
+    calls = [
+        lambda: Processor(circuit, state, condition).amplitudes(),
+        lambda: simulate.state_amplitudes(circuit.compile(), state, condition),
+        lambda: simulate.distribution(circuit.compile(), state).items(),
+    ]
+    if condition is not None:
+        calls.append(lambda: simulate.stepwise_amplitudes(circuit.blocks(), state, condition,
+                                                          fallback=False))
+    cold = []
+    for call in calls:
+        simulate._STRUCTURES.clear()
+        cold.append(call())
+    assert [call() for call in reversed(calls)] == cold[::-1]

@@ -160,6 +160,9 @@ def test_distribution_reports_the_work_bound(monkeypatch):
 
 def test_distribution_counts_the_sector_before_enumerating(monkeypatch):
     # Without a predicate the sweep needs at least 2^(n-1) x (channels + outcomes).
+    # No sector is kept, so a walk would show.
+    simulate._STRUCTURES.clear()
+
     def no_walk(*args):
         raise AssertionError("the sector was enumerated")
 
@@ -555,7 +558,8 @@ def wide_blocks_case():
 def test_stepwise_route_hands_a_costlier_circuit_to_the_global_sweep(monkeypatch):
     # Its first block alone reaches 2^7 x (9 channels + 2 x 6435 outcomes),
     # the least the global sweep can cost, so that sweep runs instead, on the
-    # walk and the plan the stepper already has.
+    # walk and the plan the stepper already has.  No plan is kept yet.
+    simulate._STRUCTURES.clear()
     circuit, state, condition = wide_blocks_case()
     calls = {"_plan": 0, "_normalized_sweep": 0}
     for name in calls:
@@ -573,6 +577,7 @@ def test_stepwise_route_hands_a_costlier_circuit_to_the_global_sweep(monkeypatch
 def test_stepwise_route_refuses_when_both_routes_pass_the_limit(monkeypatch):
     # The first block's 6435 local outputs pass the limit, and so does the
     # global route's least count, 2^7 x 12879: refused before any plan.
+    simulate._STRUCTURES.clear()
     circuit, state, condition = wide_blocks_case()
     monkeypatch.setattr(simulate, "_MAX_WORK", 6434)
     monkeypatch.setattr(simulate, "_plan", None)
