@@ -9,6 +9,7 @@ decimal radians.  Exit codes: 0 success, 2 bad input, 3 evaluation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -28,7 +29,7 @@ from .components import (
 from .errors import InvalidSpec, SimulatorError
 from .fock import FockState, StateVector
 from .notation import format_state, parse_state
-from .postselect import Processor, parse_postselect
+from .postselect import Processor, parse_postselect, require_min_photons
 from .qubits import GateSequence, NonCodeword, PolarizationEncoding, data_bits
 from .simulate import require_shots, sample
 from .simulate import batch_amplitudes  # noqa: F401  (bench/test_bench.py checks this binding)
@@ -281,6 +282,7 @@ def _cmd_simulate(args) -> int:
         loaded = load_circuit_file(args.circuit)
         state = _prepare_input(loaded, args.input)
         postselect = parse_postselect(args.postselect) if args.postselect else None
+        require_min_photons(args.min_photons)
     except (SimulatorError, OSError) as exc:
         return _fail(2, exc)
     try:
@@ -332,6 +334,7 @@ def _cmd_sample(args) -> int:
         state = _prepare_input(loaded, args.input)
         postselect = parse_postselect(args.postselect) if args.postselect else None
         require_shots(args.shots)
+        require_min_photons(args.min_photons)
     except (SimulatorError, OSError, ValueError) as exc:
         return _fail(2, exc)
     try:
@@ -397,7 +400,11 @@ def _fail(code: int, exc) -> int:
     return code
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Shared by every `main` call: `parse_args` returns a fresh namespace
+    each time and every default is an immutable scalar, so no call sees
+    another's flags."""
     parser = argparse.ArgumentParser(
         prog="photonsim",
         description="Exact simulator for discrete-variable photonic circuits.",
@@ -436,6 +443,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    `main` can be called repeatedly in one process.  The argument parser is
+    built on the first call and reused; each call parses `argv` (default
+    `sys.argv[1:]`) afresh and writes to the current `sys.stdout` and
+    `sys.stderr`.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .circuit import Circuit, compile_blocks
-from .errors import EvalError, RegisterMismatch
+from .errors import EvalError, InvalidSpec, RegisterMismatch
 from .fock import PRUNE_TOL, FockState, StateVector
 from .notation import Scanner
 from .simulate import (
@@ -36,6 +36,12 @@ from .simulate import admissible_outcomes  # noqa: F401  (public here; one walk 
 from .simulate import batch_amplitudes  # noqa: F401  (bench/test_bench.py checks this binding)
 
 _OPS = ("==", "<=", ">=", "<", ">")
+
+
+def require_min_photons(count: int):
+    """Raise InvalidSpec for a negative minimum detected-photon count."""
+    if count < 0:
+        raise InvalidSpec(f"minimum photon count must be >= 0, got {count}")
 
 
 @dataclass(frozen=True)
@@ -129,12 +135,14 @@ class Processor:
         come in canonical order: the whole photon-number sector without a
         predicate, the outcomes that satisfy it otherwise,
         and none when the input holds fewer than `min_detected_photons`
-        photons.  Raises MixedSector for an input without a fixed photon
-        number, InvalidSpec for one that is not normalized, RegisterMismatch
-        when its channels or polarization do not fit the circuit, EvalError
-        when the predicate reads a mode it lacks, NotUnitary for a
-        non-unitary block or U and TooLarge above the work limit.
+        photons.  Raises InvalidSpec for a negative `min_detected_photons`
+        or an input that is not normalized, MixedSector for an input without
+        a fixed photon number, RegisterMismatch when its channels or
+        polarization do not fit the circuit, EvalError when the predicate
+        reads a mode it lacks, NotUnitary for a non-unitary block or U and
+        TooLarge above the work limit.
         """
+        require_min_photons(self.min_detected_photons)
         state, circuit = self.input_state, self.circuit
         n = state.require_sector()
         require_normalized(state)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from photonsim import grover, simulate
-from photonsim.cli import load_circuit_file, main
+from photonsim.cli import _build_parser, load_circuit_file, main
 from photonsim.errors import InvalidSpec
 from photonsim.qubits import controlled_pauli
 
@@ -227,6 +227,27 @@ def test_grover_target11_component_file_routes_to_mode_0(capsys):
     assert winners[0].startswith("|1:")  # the photon exits in spatial mode 0
 
 
+def test_repeated_main_calls_share_the_parser_but_no_flags(capsys):
+    bell = ("sample", "--circuit", str(DATA / "bell_pair.json"), "--input", "|1,0,1,0>",
+            "--shots", "400", "--postselect", "[4]==1 & [5]==1")
+    first = run_cli(capsys, *bell)
+    assert first[0] == 0 and run_cli(capsys, *bell) == first
+    seeded = run_cli(capsys, *bell, "--seed", "5")
+    assert seeded[0] == 0 and seeded[1] != first[1]
+    assert run_cli(capsys, *bell) == first == run_cli(capsys, *bell, "--seed", "0")
+
+    h = ("simulate", "--circuit", str(DATA / "h.json"), "--input", "|1,0,1,0>")
+    plain = run_cli(capsys, *h)
+    assert plain[0] == 0 and "success=" not in plain[1]
+    assert "\nsuccess=" in run_cli(capsys, *h, "--renormalize")[1]
+    assert run_cli(capsys, *h) == plain
+
+    code, out, err = run_cli(capsys, "simulate", "--bogus")
+    assert (code, out) == (2, "") and err.startswith("usage: photonsim simulate")
+    assert run_cli(capsys, *h) == plain
+    assert _build_parser() is _build_parser()
+
+
 # --- failure modes ----------------------------------------------------------
 
 
@@ -423,3 +444,12 @@ def test_sample_rejects_negative_shots(capsys):
         "--shots", "-2",
     )
     assert (code, out, err) == (2, "", "error: shots must be >= 0, got -2\n")
+
+
+@pytest.mark.parametrize("command, extra", [("simulate", []), ("sample", ["--shots", "5"])])
+def test_negative_min_photons_exits_2(capsys, command, extra):
+    code, out, err = run_cli(
+        capsys, command, "--circuit", str(DATA / "h.json"), "--input", "|1,0,1,0>",
+        "--min-photons", "-5", *extra,
+    )
+    assert (code, out, err) == (2, "", "error: minimum photon count must be >= 0, got -5\n")

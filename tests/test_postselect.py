@@ -228,6 +228,14 @@ def test_processor_rejects_unnormalized_state():
         proc.run()
 
 
+def test_processor_rejects_negative_min_detected_photons():
+    proc = Processor(Circuit(2), StateVector.basis(make_state((1, 0))), min_detected_photons=-1)
+    with pytest.raises(InvalidSpec, match="minimum photon count must be >= 0, got -1"):
+        proc.amplitudes()
+    with pytest.raises(InvalidSpec):
+        proc.run()
+
+
 def test_processor_amplitudes_underlie_run():
     circuit = Circuit(3).add(0, BeamSplitter.h()).add(1, BeamSplitter.rx(0.7))
     state = StateVector.basis(make_state((1, 1, 0)))
