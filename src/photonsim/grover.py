@@ -29,7 +29,7 @@ from .errors import InvalidSpec
 from .fock import PRUNE_TOL, FockState, StateVector
 from .postselect import Processor
 from .qubits import GateSequence, NonCodeword, data_bits
-from .simulate import distribution, inverse_cdf_counts, require_shots
+from .simulate import distribution, inverse_cdf_counts, require_seed, require_shots
 from .simulate import batch_amplitudes  # noqa: F401  (bench/test_bench.py checks this binding)
 
 TARGETS = ("00", "01", "10", "11")
@@ -146,9 +146,10 @@ def run_grover(target: str, variant: str = "per_mode_PR", shots: int = 0, seed: 
     """Exact label distribution of the full pipeline, plus seeded counts.
 
     Polarization is summed out per spatial mode; the photon's exit mode
-    names the found element via DETECTION_MODE.  Negative shots fail first.
+    names the found element via DETECTION_MODE.  Bad shots or seeds fail first.
     """
     require_shots(shots)
+    require_seed(seed)
     circuit = grover_pipeline(target, variant)
     dist = distribution(circuit.compile(), StateVector.basis(PIPELINE_INPUT))
     by_mode = [0.0, 0.0, 0.0, 0.0]
@@ -205,9 +206,10 @@ def dual_rail_grover_3q(shots: int = 0, seed: int = 0) -> DualRailGroverResult:
 
     Works directly with amplitudes so the sign of the surviving branch is
     observable: the herald amplitude of each CNOT is real positive, which
-    makes the overall sign meaningful.  Negative shots fail first.
+    makes the overall sign meaningful.  Bad shots or seeds fail first.
     """
     require_shots(shots)
+    require_seed(seed)
     build = _three_qubit_sequence().build()
     source = build.input_state((0, 0, 0))
     processor = Processor(build.circuit, StateVector.basis(source), build.condition)

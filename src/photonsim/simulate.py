@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import operator
 import sys
 import threading
 from collections import OrderedDict
@@ -951,7 +953,8 @@ def _splitmix64_doubles(seed: int, first: int, stop: int) -> np.ndarray:
     """
     z = np.arange(first, stop, dtype=np.uint64)
     z *= np.uint64(SplitMix64._GAMMA)
-    z += np.uint64(seed & SplitMix64._MASK)
+    # A numpy integer seed would overflow in `& _MASK`; a Python int wraps.
+    z += np.uint64(operator.index(seed) & SplitMix64._MASK)
     for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         z ^= z >> np.uint64(shift)
         z *= np.uint64(factor)
@@ -961,33 +964,72 @@ def _splitmix64_doubles(seed: int, first: int, stop: int) -> np.ndarray:
     return draws
 
 
+def _require_integer(name: str, value):
+    """Raise ValueError unless `value` is a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def require_shots(shots: int):
-    """Raise ValueError for a negative shot count."""
+    """Raise ValueError for a shot count that is not a non-negative integer."""
+    _require_integer("shots", shots)
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
+
+
+def require_seed(seed: int):
+    """Raise ValueError for a seed that is not an integer; any integer wraps mod 2^64."""
+    _require_integer("seed", seed)
 
 
 def inverse_cdf_counts(weights, shots: int, seed: int) -> list[int]:
     """Counts per index of `shots` inverse-CDF draws over `weights`.
 
-    Draw k scales the k-th `SplitMix64(seed).next_double()` by the weights'
-    total and finds its index by bisection in the running sums.  The stream
-    is counter-based, so `_splitmix64_doubles` computes it as arrays,
-    bit-identical to the scalar generator, in chunks of _DRAW_CHUNK draws;
-    memory does not grow with `shots`.  Empty weights give no counts.
+    Draw k is the k-th `SplitMix64(seed).next_double()` scaled by the
+    weights' total; its index is `bisect_right` of it in the running sums,
+    clamped to the last index.  The stream is counter-based, so
+    `_splitmix64_doubles` computes it as arrays, bit-identical to the
+    scalar generator, in chunks of _DRAW_CHUNK draws; memory does not grow
+    with `shots`.
+
+    Each chunk is counted without a search per draw: the draws are sorted,
+    and each running sum c[i] but the last is located among them, which
+    gives #{d < c[i]}.  For non-decreasing sums, `bisect_right` puts d at an
+    index <= i exactly when d < c[i], so the differences of those counts
+    are the per-index counts, and the last index takes the rest.  Both make
+    the same float comparisons, so the counts match draw-by-draw bisection.
+
+    Raises ValueError for shots or a seed that is not an integer (bools
+    included) or negative shots, and InvalidSpec for a weight that is NaN,
+    infinite or negative, or weights whose total overflows.  Empty weights
+    give no counts; all-zero weights put every draw on the last index.
     """
     require_shots(shots)
-    if not weights:
+    require_seed(seed)
+    weights = np.asarray(weights, dtype=float)
+    if not weights.size:
         return []
-    cumulative = np.array(list(itertools.accumulate(weights)), dtype=float)
-    total, last = cumulative[-1], len(cumulative) - 1
-    counts = np.zeros(len(cumulative), dtype=np.int64)
+    # add.accumulate sums in order, as itertools.accumulate does; an
+    # overflow or inf - inf is reported below rather than warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cumulative = np.add.accumulate(weights)
+    total, edges = cumulative[-1], cumulative[:-1]
+    if not ((weights >= 0).all() and np.isfinite(total)):
+        bad = np.flatnonzero(~(weights >= 0) | ~np.isfinite(weights))
+        if bad.size:
+            where = f"weight {bad[0]} is {float(weights[bad[0]])!r}"
+        else:
+            where = f"their total is {float(total)!r}"
+        raise InvalidSpec(f"sampling weights must be finite and >= 0; {where}")
+    # below[i]: draws at indices < i, so the counts are its differences.
+    below = np.zeros(len(weights) + 1, dtype=np.int64)
+    below[-1] = shots
     for first in range(1, shots + 1, _DRAW_CHUNK):
         draws = _splitmix64_doubles(seed, first, min(first + _DRAW_CHUNK, shots + 1))
         draws *= total
-        index = np.minimum(np.searchsorted(cumulative, draws, side="right"), last)
-        counts += np.bincount(index, minlength=len(cumulative))
-    return counts.tolist()
+        draws.sort()
+        below[1:-1] += np.searchsorted(draws, edges)
+    return np.diff(below).tolist()
 
 
 def sample(dist: Distribution, shots: int, seed: int) -> SampleCount:

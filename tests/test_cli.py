@@ -438,6 +438,17 @@ def test_non_utf8_file_exits_2(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+def test_sample_matches_golden_output_across_draw_chunks(capsys):
+    # The golden file was written by the per-draw bisection sampler; 200,000
+    # shots cross the 65,536-draw chunk boundary three times.
+    code, out, err = run_cli(
+        capsys, "sample", "--circuit", str(DATA / "bell_pair.json"), "--input", "|1,0,1,0>",
+        "--postselect", "[4]==1 & [5]==1", "--shots", "200000", "--seed", "7", "--json",
+    )
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / "golden" / "bell_pair_sample_200k.json").read_bytes()
+
+
 def test_sample_rejects_negative_shots(capsys):
     code, out, err = run_cli(
         capsys, "sample", "--circuit", str(DATA / "h.json"), "--input", "|1,0,1,0>",

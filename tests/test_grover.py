@@ -196,6 +196,19 @@ def test_negative_shots_fail_before_any_work(monkeypatch):
         dual_rail_grover_3q(shots=-3)
 
 
+def test_non_integer_shots_and_seeds_fail_before_any_work(monkeypatch):
+    def no_blocks(self):
+        raise AssertionError("lowered the circuit before checking shots and seed")
+
+    monkeypatch.setattr(Circuit, "blocks", no_blocks)
+    with pytest.raises(ValueError, match="shots must be an integer, got True"):
+        run_grover("00", shots=True)
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+        run_grover("00", shots=10, seed=1.5)
+    with pytest.raises(ValueError, match="seed must be an integer, got None"):
+        dual_rail_grover_3q(shots=10, seed=None)
+
+
 def test_sampler_streams_are_pinned():
     # Literal counts recorded before the samplers were merged.
     assert run_grover("10", "uniform_PR0", shots=500, seed=99).counts == {

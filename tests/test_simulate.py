@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonsim.circuit import Circuit
 from photonsim.components import BeamSplitter, GenericUnitary, Permutation, PhaseShifter
@@ -484,6 +486,90 @@ def test_inverse_cdf_counts_across_draw_chunks(monkeypatch):
         got = simulate.inverse_cdf_counts(weights, 50, seed)
         assert got == scalar_inverse_cdf_counts(weights, 50, seed)
         assert sum(got) == 50
+
+
+def test_draw_on_a_cdf_edge_goes_to_the_upper_outcome():
+    # With weights [d, 1 - d] the first draw is d itself, exactly on the edge
+    # between the two outcomes; bisect_right sends it up.
+    for seed in range(5):
+        d = SplitMix64(seed).next_double()
+        assert d * (d + (1.0 - d)) == d
+        assert simulate.inverse_cdf_counts([d, 1.0 - d], 1, seed) == [0, 1]
+        assert scalar_inverse_cdf_counts([d, 1.0 - d], 1, seed) == [0, 1]
+
+
+def test_inverse_cdf_counts_match_per_draw_search_over_a_haar_distribution():
+    # 2002 outcomes and 1e5 shots, across the 65,536-draw chunk boundary.
+    u = random_unitary(np.random.default_rng(5), 10)
+    dist = distribution(u, StateVector.basis(make_state((1, 0, 1, 0, 1, 0, 1, 0, 1, 0))))
+    weights = [p for _, p in dist.items()]
+    assert len(weights) == 2002
+    shots, seed = 100_000, 9301
+    assert shots > simulate._DRAW_CHUNK
+    cumulative = np.array(list(itertools.accumulate(weights)))
+    draws = simulate._splitmix64_doubles(seed, 1, shots + 1) * cumulative[-1]
+    index = np.minimum(np.searchsorted(cumulative, draws, side="right"), len(weights) - 1)
+    want = np.bincount(index, minlength=len(weights)).tolist()
+    assert simulate.inverse_cdf_counts(weights, shots, seed) == want
+    got = sample(dist, shots, seed)
+    assert got.counts == {s: c for (s, _), c in zip(dist.items(), want) if c}
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(
+    weights=st.lists(
+        st.sampled_from([0.0, 0.0, 0.5, 1e-300, 2.0]) | st.floats(0.0, 10.0),
+        min_size=1,
+        max_size=30,
+    )
+    | st.lists(st.just(0.0), min_size=1, max_size=4),
+    shots=st.integers(0, 120),
+    seed=st.integers(-(2**70), 2**70),
+)
+def test_inverse_cdf_counts_property_with_zeros_and_plateaus(weights, shots, seed):
+    # Zeros make plateaus in the running sums, so several edges coincide;
+    # all-zero weights put every draw exactly on the edges.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_DRAW_CHUNK", 7)
+        got = simulate.inverse_cdf_counts(weights, shots, seed)
+    assert got == scalar_inverse_cdf_counts(weights, shots, seed)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [[math.nan, 0.5], [-1.0, 0.5, 0.7], [0.5, math.inf], [-0.0, -1e-300], [1e308, 1e308]],
+)
+def test_inverse_cdf_counts_reject_bad_weights(weights):
+    with pytest.raises(InvalidSpec, match="sampling weights must be finite and >= 0"):
+        simulate.inverse_cdf_counts(weights, 0, 1)
+
+
+def test_sample_rejects_a_nan_probability():
+    dist = Distribution({FockState((1, 0)): math.nan, FockState((0, 1)): 0.5}, 1)
+    with pytest.raises(InvalidSpec, match="weight 0 is nan"):
+        sample(dist, 10, seed=0)
+
+
+@pytest.mark.parametrize(
+    "shots, seed, message",
+    [
+        (True, 0, "shots must be an integer, got True"),
+        (2.5, 0, "shots must be an integer, got 2.5"),
+        (3, 1.5, "seed must be an integer, got 1.5"),
+        (3, None, "seed must be an integer, got None"),
+        (3, False, "seed must be an integer, got False"),
+    ],
+)
+def test_inverse_cdf_counts_reject_non_integer_shots_and_seeds(shots, seed, message):
+    with pytest.raises(ValueError, match=message):
+        simulate.inverse_cdf_counts([0.5, 0.5], shots, seed)
+
+
+def test_inverse_cdf_counts_accept_numpy_integers():
+    weights = [0.2, 0.0, 0.5, 0.3]
+    want = scalar_inverse_cdf_counts(weights, 40, -1)
+    assert simulate.inverse_cdf_counts(weights, np.int64(40), np.int64(-1)) == want
+    assert simulate.inverse_cdf_counts(weights, np.uint32(40), -1) == want
 
 
 @pytest.mark.parametrize(
