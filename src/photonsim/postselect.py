@@ -9,11 +9,12 @@ Predicate grammar (whitespace-insensitive):
 A clause sums the photons in the listed spatial modes (H+V combined on
 polarized registers) and compares against the bound.  Post-selection means
 terminal post-selection: its result is the final distribution filtered by
-the predicate.  The stepwise route may apply a clause to the mid-circuit
-state, right after the last block that touches its modes; no later block
-changes their occupations, so that gives the same amplitudes.  The outcomes
-that satisfy a predicate come from `admissible_outcomes`, the same pruned
-walk over the sector that `sector_basis` runs without one.
+the predicate.  `Processor` hands (circuit, input, predicate) to
+`simulate.circuit_amplitudes`, which alone picks the route: one sweep of the
+compiled unitary, or a block-by-block evolution that applies each clause
+right after the last block touching its modes (no later block changes them,
+so the amplitudes are the same).  The outcomes that satisfy a predicate come
+from `admissible_outcomes`, the walk `sector_basis` runs without one.
 """
 
 from __future__ import annotations
@@ -21,17 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, compile_blocks
+from .circuit import Circuit
 from .errors import EvalError, InvalidSpec, RegisterMismatch
 from .fock import PRUNE_TOL, FockState, StateVector
 from .notation import Scanner
-from .simulate import (
-    Distribution,
-    projects_early,
-    require_normalized,
-    state_amplitudes,
-    stepwise_amplitudes,
-)
+from .simulate import Distribution, circuit_amplitudes, require_normalized
 from .simulate import admissible_outcomes  # noqa: F401  (public here; one walk with sector_basis)
 from .simulate import batch_amplitudes  # noqa: F401  (bench/test_bench.py checks this binding)
 
@@ -77,18 +72,23 @@ class PostSelect:
 
     def evaluate(self, state: FockState) -> bool:
         """True when every clause holds for the given outcome."""
+        self.require_modes(state.modes)
         for clause in self.clauses:
-            total = 0
-            for m in clause.modes:
-                if not 0 <= m < state.modes:
-                    raise EvalError(
-                        f"clause mode {m} outside register of {state.modes} modes"
-                    )
-                total += state.mode_occupation(m)
+            total = sum(state.mode_occupation(m) for m in clause.modes)
             lo, hi = clause.bounds
             if not lo <= total <= hi:
                 return False
         return True
+
+    def require_modes(self, modes: int):
+        """Raise InvalidSpec for a clause that lists no mode and EvalError
+        for a mode outside [0, modes)."""
+        for clause in self.clauses:
+            if not clause.modes:
+                raise InvalidSpec(f"clause {clause} lists no mode")
+            for m in clause.modes:
+                if not 0 <= m < modes:
+                    raise EvalError(f"clause mode {m} outside register of {modes} modes")
 
     def max_mode(self) -> int:
         return max(m for c in self.clauses for m in c.modes)
@@ -126,21 +126,17 @@ class Processor:
     def amplitudes(self) -> list[tuple[FockState, complex]]:
         """Every admissible outcome with its unconditioned amplitude.
 
-        The checked input takes one of two routes to the same amplitudes.
-        When a clause of the predicate reads no channel of the circuit's last
-        block, `stepwise_amplitudes` evolves it block by block and projects
-        each clause after the last block that touches it, unless its work
-        would pass the global sweep's.  Otherwise (and always without a
-        predicate) `state_amplitudes` sweeps the compiled unitary.  Outcomes
-        come in canonical order: the whole photon-number sector without a
-        predicate, the outcomes that satisfy it otherwise,
+        After the checks below, one call to `circuit_amplitudes`, which owns
+        the route, gives them in canonical order: the whole photon-number
+        sector without a predicate, the outcomes that satisfy it otherwise,
         and none when the input holds fewer than `min_detected_photons`
-        photons.  Raises InvalidSpec for a negative `min_detected_photons`
-        or an input that is not normalized, MixedSector for an input without
-        a fixed photon number, RegisterMismatch when its channels or
-        polarization do not fit the circuit, EvalError when the predicate
-        reads a mode it lacks, NotUnitary for a non-unitary block or U and
-        TooLarge above the work limit.
+        photons.  Raises InvalidSpec for a negative `min_detected_photons`,
+        an input that is not normalized or a clause without modes,
+        MixedSector for an input without a fixed photon number,
+        RegisterMismatch when its channels or polarization do not fit the
+        circuit, EvalError when the predicate reads a mode it lacks,
+        NotUnitary for a non-unitary block or U and TooLarge above the work
+        limit.
         """
         require_min_photons(self.min_detected_photons)
         state, circuit = self.input_state, self.circuit
@@ -151,17 +147,11 @@ class Processor:
                 f"input on {state.channels} channels (polarized={state.polarized}), "
                 f"circuit on {circuit.channels} (polarized={circuit.polarized})"
             )
-        if self.postselect is not None and self.postselect.max_mode() >= circuit.modes:
-            raise EvalError(
-                f"predicate references mode {self.postselect.max_mode()} but the "
-                f"circuit has {circuit.modes} modes"
-            )
+        if self.postselect is not None:
+            self.postselect.require_modes(circuit.modes)
         if n < self.min_detected_photons:
             return []
-        blocks = list(circuit.blocks())
-        if self.postselect is not None and projects_early(blocks, state, self.postselect):
-            return stepwise_amplitudes(blocks, state, self.postselect)
-        return state_amplitudes(compile_blocks(blocks, circuit.channels), state, self.postselect)
+        return circuit_amplitudes(circuit.blocks(), state, self.postselect)
 
     def run(self) -> tuple[Distribution, float]:
         """Conditioned output distribution and the success probability.

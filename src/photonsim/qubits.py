@@ -28,7 +28,7 @@ from .components import (
 from .errors import InvalidGate, InvalidSpec, OutOfRange, RegisterMismatch
 from .fock import FockState, StateVector
 from .postselect import Clause, PostSelect, Processor
-from .simulate import batch_amplitudes
+from .simulate import batch_amplitudes  # noqa: F401  (bench/test_bench.py checks this binding)
 
 #: Splitter half-angle with reflectivity 1/3, used by the post-selected CNOT.
 THETA_13 = theta_from_reflectivity(1.0 / 3.0)
@@ -174,11 +174,11 @@ def codeword_action(build: GateBuild) -> np.ndarray:
     herald input occupations) to encoded output `row` with the heralds
     measured back in their input occupations.  For unit-success gates this
     is the gate matrix itself; for post-selected gates it is the gate times
-    the success amplitude.
+    the success amplitude.  The amplitudes come from `Processor.amplitudes`
+    under the build's condition; a target it does not keep has amplitude 0.
     """
     q = build.qubits
     enc = DualRailEncoding(q)
-    u = build.circuit.compile()
     herald = tuple(build.herald_input)
     targets = [
         FockState(enc.encode(bits).occupations + herald) for bits in _bit_tuples(q)
@@ -186,8 +186,9 @@ def codeword_action(build: GateBuild) -> np.ndarray:
     dim = 2**q
     m = np.zeros((dim, dim), dtype=complex)
     for col, bits in enumerate(_bit_tuples(q)):
-        amps = batch_amplitudes(u, build.input_state(bits), targets)
-        m[:, col] = amps
+        state = StateVector.basis(build.input_state(bits))
+        amps = dict(Processor(build.circuit, state, build.condition).amplitudes())
+        m[:, col] = [amps.get(t, 0j) for t in targets]
     return m
 
 

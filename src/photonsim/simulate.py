@@ -357,36 +357,32 @@ def _subset_sums(base: np.ndarray, steps: np.ndarray, cols: list[int]) -> np.nda
     return sums
 
 
-def _outcomes(channels: int, polarized: bool, n: int, expr) -> np.ndarray:
-    """The occupations of n photons over `channels` that satisfy `expr`, one
-    row each, in canonical order.
+def _outcomes(channels: int, n: int, lowered) -> np.ndarray:
+    """The occupations of n photons over `channels` that satisfy a lowered
+    predicate (see `_lower`), one row each, in canonical order.
 
-    Without a predicate the rows are the multisets of
+    Without one the rows are the multisets of
     `itertools.combinations_with_replacement`, counted per channel: their
     lexicographic order is the canonical one.  With one, a depth-first walk
-    lists them.  A clause weighs a channel by how often it lists its mode,
-    caps every channel it reads and must reach its lower end by the last of
-    them.  A branch is cut when the clauses' summed shortfall needs more
-    photons than are left, at `reach` (the largest total weight of a
-    channel) each.
+    lists them.  A clause caps every channel it reads and must reach its
+    lower end by the last of them.  A branch is cut when the clauses' summed
+    shortfall needs more photons than are left, at `reach` (the largest
+    total weight of a channel) each.
     """
-    if expr is None:
+    if lowered is None:
         picks = itertools.combinations_with_replacement(range(channels), n)
         flat = np.fromiter(itertools.chain.from_iterable(picks), dtype=np.int64)
         count = len(flat) // n if n else 1
         rows = np.repeat(np.arange(count) * channels, n)
         return np.bincount(rows + flat, minlength=count * channels).reshape(count, channels)
-    clauses = expr.clauses
-    lo = [c.bounds[0] for c in clauses]
-    # A clause's sum never exceeds n x len(modes), which closes an open range.
-    hi = [min(c.bounds[1], n * len(c.modes)) for c in clauses]
+    weights, lo, hi = (a.tolist() for a in lowered)
     reads: list[list] = [[] for _ in range(channels)]  # (clause, weight, last channel?)
-    for ci, row in enumerate(_clause_weights(clauses, channels, polarized)):
+    for ci, row in enumerate(weights):
         read = [ch for ch, w in enumerate(row) if w]
         for ch in read:
             reads[ch].append((ci, row[ch], ch == read[-1]))
     reach = max((sum(w for _, w, _ in r) for r in reads if r), default=0)
-    sums = [0] * len(clauses)
+    sums = [0] * len(lo)
     occ = [0] * channels
     out = []
 
@@ -428,25 +424,35 @@ def _outcomes(channels: int, polarized: bool, n: int, expr) -> np.ndarray:
     return np.array(out, dtype=np.int64).reshape(len(out), channels)
 
 
-def _clause_weights(clauses, channels: int, polarized: bool) -> np.ndarray:
-    """How many times each clause counts each channel, one row per clause:
-    once per listing of its mode, in both H and V on a polarized register."""
-    weights = [[0] * channels for _ in clauses]
+def _lower(predicate, channels: int, polarized: bool, n: int):
+    """The predicate as (weights, lo, hi) int64 arrays, one entry per clause:
+    how many times it counts each channel (once per listing of its mode, in
+    both H and V on a polarized register) and the inclusive range its sum
+    must lie in.  Raises InvalidSpec for a clause that lists no mode and
+    EvalError for a mode outside the register."""
+    predicate.require_modes(channels // 2 if polarized else channels)
+    clauses = predicate.clauses
+    weights = np.zeros((len(clauses), channels), dtype=np.int64)
     for row, clause in zip(weights, clauses):
         for m in clause.modes:
-            for ch in (2 * m, 2 * m + 1) if polarized else (m,):
-                row[ch] += 1
-    return weights
+            row[[2 * m, 2 * m + 1] if polarized else m] += 1
+    # A clause's sum lies in [0, n x len(modes)]: an open range closes at its
+    # top, and a bound past either end moves to one past it, which fits int64.
+    tops = [n * len(c.modes) for c in clauses]
+    lo = np.array([min(max(c.bounds[0], -1), t + 1) for c, t in zip(clauses, tops)], dtype=np.int64)
+    hi = np.array([max(min(c.bounds[1], t), -1) for c, t in zip(clauses, tops)], dtype=np.int64)
+    return weights, lo, hi
 
 
 class _Sector:
     """What no unitary changes about the outcomes of a photon-number sector
-    under a predicate: their rows in canonical order, read-only, and, built
-    on first use, their FockStates and trie plan."""
+    under a predicate: the predicate's lowering (None without one), their
+    rows in canonical order, read-only, and, built on first use, their
+    FockStates and trie plan."""
 
-    def __init__(self, rows: np.ndarray, n: int, polarized: bool):
+    def __init__(self, lowered, n: int, polarized: bool, rows: np.ndarray):
         rows.setflags(write=False)
-        self.rows, self.n, self.polarized = rows, n, polarized
+        self.lowered, self.rows, self.n, self.polarized = lowered, rows, n, polarized
         self.nbytes = rows.nbytes
         self.kept = False  # whether _STRUCTURES counts it
         self._states = self._trie = None
@@ -501,12 +507,12 @@ class _Structures:
             self._records.clear()
             self.held = 0
 
-    def get(self, key, rows, n: int, polarized: bool) -> _Sector:
-        """The record for `key`, built from `rows()` when it is not kept."""
+    def get(self, key, build) -> _Sector:
+        """The record for `key`, from `build()` when it is not kept."""
         with self._lock:
             record = self._records.get(key)
             if record is None:
-                record = self._records[key] = _Sector(rows(), n, polarized)
+                record = self._records[key] = build()
                 record.kept = True
                 self.held += record.nbytes
                 self._trim()
@@ -533,19 +539,22 @@ _STRUCTURES = _Structures()
 
 
 def _sector(channels: int, polarized: bool, n: int, predicate) -> _Sector:
-    """The record of the outcomes of `_outcomes(channels, polarized, n,
-    predicate)`; PostSelect and Clause are frozen, so a predicate is a key."""
-    return _STRUCTURES.get((channels, polarized, n, predicate),
-                           lambda: _outcomes(channels, polarized, n, predicate), n, polarized)
+    """The record of the outcomes of n photons over `channels` that satisfy
+    `predicate`, which is lowered here, once per record; PostSelect and
+    Clause are frozen, so a predicate is a key."""
+    def build():
+        lowered = None if predicate is None else _lower(predicate, channels, polarized, n)
+        return _Sector(lowered, n, polarized, _outcomes(channels, n, lowered))
+    return _STRUCTURES.get((channels, polarized, n, predicate), build)
 
 
-def _local_sector(k: int, m: int, clauses) -> _Sector:
+def _local_sector(k: int, m: int, local) -> _Sector:
     """The record of the outputs of m photons over a block's k channels that
-    `clauses` (weights on those channels, lows, highs) allow."""
-    def rows():
-        outs = _sector(k, False, m, None).rows
-        return outs[_meets(outs, *clauses)]
-    return _STRUCTURES.get((k, m, *(a.tobytes() for a in clauses)), rows, m, False)
+    the lowered clauses `local` allow: the whole sector's when there are none."""
+    if not len(local[1]):
+        return _sector(k, False, m, None)
+    return _STRUCTURES.get((k, m, *(a.tobytes() for a in local)),
+                           lambda: _Sector(local, m, False, _outcomes(k, m, local)))
 
 
 def sector_basis(n: int, channels: int):
@@ -584,52 +593,98 @@ def state_amplitudes(matrix, state: StateVector, predicate) -> list[tuple[FockSt
     """The outcomes of the state's sector that satisfy `predicate` (all of
     them when it is None), in canonical order, each with <t| U |state>.
 
-    The outcome rows of `_outcomes` go through one shared trie plan for
-    every input term.  The rows, their plan and their FockStates depend on
-    (channels, polarization, n, predicate) alone, so they are built on the
-    first call for that key and kept for later ones (see `_Structures`); U
-    and the amplitudes are not kept.  Without a predicate, TooLarge comes
-    before any enumeration when the least sweep of the sector, 2^(n-1) x
-    (channels + outcomes) vector elements, exceeds _MAX_WORK, on every call.
-    Raises NotUnitary when U is not unitary within UNITARY_TOL.
+    The global route: the outcome rows of `_outcomes` go through one shared
+    trie plan for every input term.  The rows, their plan and their
+    FockStates depend on (channels, polarization, n, predicate) alone, so
+    they are built on the first call for that key and kept for later ones
+    (see `_Structures`); U and the amplitudes are not kept.  Without a
+    predicate, TooLarge comes before any enumeration when the least sweep of
+    the sector, 2^(n-1) x (channels + outcomes) vector elements, exceeds
+    _MAX_WORK, on every call.  Raises NotUnitary when U is not unitary
+    within UNITARY_TOL.
     """
     n = state.require_sector()
-    channels, polarized = state.channels, state.polarized
-    u = _channel_unitary(matrix, channels)
+    return _swept(_channel_unitary(matrix, state.channels), state, n, predicate)
+
+
+def _swept(u: np.ndarray, state: StateVector, n: int, predicate,
+           sector: _Sector | None = None) -> list[tuple[FockState, complex]]:
+    """`state_amplitudes` on a square U; `sector`, when given, is the record
+    of the state's register and photon number under `predicate`."""
     require_unitary(u)
     if predicate is None:
-        _require_work(n, channels + math.comb(n + channels - 1, n))
-    sector = _sector(channels, polarized, n, predicate)
+        _require_work(n, state.channels + math.comb(n + state.channels - 1, n))
+    if sector is None:
+        sector = _sector(state.channels, state.polarized, n, predicate)
     amps = _evaluate(u, state.items(), sector.rows, sector.plan())
     return list(zip(sector.states(), amps.tolist()))
 
 
-def projects_early(blocks, state: StateVector, predicate) -> bool:
-    """True when a clause of `predicate` reads no channel of the last of
-    `blocks`, the (channels, block) list of a circuit: `stepwise_amplitudes`
-    can then project it mid-circuit."""
-    last = _last_touches(blocks, state.channels)
-    return any(max((last[ch] for ch, w in enumerate(row) if w), default=-1) < len(blocks) - 1
-               for row in _clause_weights(predicate.clauses, state.channels, state.polarized))
+def circuit_amplitudes(blocks, state: StateVector, predicate) -> list[tuple[FockState, complex]]:
+    """The outcomes of the state's sector that satisfy `predicate` (all of
+    them when it is None), in canonical order, each with its amplitude under
+    the circuit whose (channels, block) list is `blocks`.
+
+    The one owner of the route.  Without a predicate, or when every clause
+    reads a channel of the last block, the compiled blocks take the global
+    route of `state_amplitudes`.  When a clause closes before the last
+    block, `_stepwise` evolves the state block by block under the least
+    count the global sweep can have, 2^(n-1) x (channels + 2 x outcomes)
+    vector elements.  Past that, the global sweep's exact count comes from
+    its plan, built then: within _MAX_WORK, the global route runs on the
+    walk and plan at hand; past it, the stepper runs again under _MAX_WORK,
+    and TooLarge names both counts when it passes that too.  Blocks are not
+    fused between projection points: a segment meets more distinct local
+    inputs, which made the three-qubit search 2x slower.
+    """
+    n = state.require_sector()
+    blocks = list(blocks)
+    sector = None
+    if predicate is not None:
+        sector = _sector(state.channels, state.polarized, n, predicate)
+        if (_closing_steps(blocks, sector.lowered[0]) < len(blocks) - 1).any():
+            subsets = (1 << n) >> 1
+            # A plan has at least a factor row per channel and a node and a
+            # leaf sum per target, so the global sweep costs at least `lower`.
+            lower = subsets * (state.channels + 2 * len(sector.rows))
+            try:
+                return _stepwise(blocks, state, sector, min(lower, _MAX_WORK))
+            except _PastLimit as past:
+                spent, step = past.args
+            whole = lower
+            if n and len(sector.rows) and lower <= _MAX_WORK:
+                whole = subsets * sector.plan().work
+            if whole > _MAX_WORK:
+                if lower < _MAX_WORK:  # the first cap was below the limit
+                    try:
+                        return _stepwise(blocks, state, sector, _MAX_WORK)
+                    except _PastLimit as past:
+                        spent, step = past.args
+                raise TooLarge(
+                    f"the stepwise evolution reaches {spent} vector elements at block {step} "
+                    f"and the global sweep at least {whole}, more than the {_MAX_WORK} allowed"
+                )
+    return _swept(compile_blocks(blocks, state.channels), state, n, predicate, sector)
 
 
-def _last_touches(blocks, channels: int) -> list[int]:
-    """Per channel, the index of the last block that touches it, or -1."""
-    last = [-1] * channels
+def _closing_steps(blocks, weights: np.ndarray) -> np.ndarray:
+    """Per clause (a row of lowered `weights`), the index of the last of
+    `blocks` that touches a channel it reads, or -1 when none does."""
+    last = [-1] * weights.shape[1]
     for step, (chans, _) in enumerate(blocks):
         for ch in chans:
             last[ch] = step
-    return last
+    return np.where(weights > 0, last, -1).max(axis=1, initial=-1)
 
 
 class _PastLimit(Exception):
-    """The stepwise evolution's work count would pass its cap."""
+    """The stepper's count would pass its cap; args: the count, the block."""
 
 
-def stepwise_amplitudes(blocks, state: StateVector, predicate,
-                        fallback: bool = True) -> list[tuple[FockState, complex]]:
-    """What `state_amplitudes` gives for the circuit whose (channels, block)
-    list is `blocks` under `predicate`, evolved one block at a time.
+def _stepwise(blocks, state: StateVector, sector: _Sector,
+              cap: int) -> list[tuple[FockState, complex]]:
+    """The global route's amplitudes on `sector`'s outcomes (the state's
+    under a predicate), evolved through `blocks` one block at a time.
 
     The state travels as occupation rows and amplitudes; a superposition
     starts as its terms.  No block after a clause's last touch changes the
@@ -645,32 +700,18 @@ def stepwise_amplitudes(blocks, state: StateVector, predicate,
     Every block must be unitary within UNITARY_TOL.  Work is counted in
     vector elements before it is done: a row costs 1 at a monomial block
     and, at any other, the C(m + k - 1, m) outputs of its m photons on the
-    block's k channels; a sweep costs 2^(m-1) x its plan's work.  With
-    `fallback`, the count may reach 2^(n-1) x (channels + 2 x outcomes),
-    the least the global route's sweep over the walk's outcomes can cost.
-    Past that, when the global route's own count is within _MAX_WORK, the
-    outcomes come from its sweep of the folded blocks instead, so the
-    stepper never costs much more than that route.  TooLarge is raised when
-    the count would pass _MAX_WORK and the global route's does too, or,
-    without `fallback`, whenever it would pass _MAX_WORK.  The outcomes are
-    those of the walk, in canonical order, with 0 for an outcome no row
-    reached.
+    block's k channels; a sweep costs 2^(m-1) x its plan's work.  _PastLimit
+    is raised when the count would pass `cap`.  The outcomes are those of
+    the walk, in canonical order, with 0 for an outcome no row reached.
 
-    The walk's rows, their FockStates and the hand-off's plan come from the
-    record `state_amplitudes` keeps; each block's local outputs and plan are
+    The clauses are the record's lowering, and the walk's rows and their
+    FockStates are the record's; each block's local outputs and plan are
     kept per (block size, local photons, closing clauses).  The count does
     not depend on what was kept: a local plan is charged as new the first
     time a call uses it.
     """
-    n = state.require_sector()
-    channels, polarized = state.channels, state.polarized
-    sector = _sector(channels, polarized, n, predicate)
+    weights, lo, hi = sector.lowered
     outcomes = sector.rows
-    clauses = predicate.clauses
-    weights = np.array(_clause_weights(clauses, channels, polarized), dtype=np.int64)
-    weights = weights.reshape(len(clauses), channels)
-    lo = np.array([c.bounds[0] for c in clauses], dtype=np.int64)
-    hi = np.array([min(c.bounds[1], n * len(c.modes)) for c in clauses], dtype=np.int64)
     blocks = [(list(chans), np.asarray(block, dtype=complex)) for chans, block in blocks]
     keys = [block.tobytes() for _, block in blocks]
     moves: dict = {}  # block bytes -> (destination, phase) of a monomial block, or None
@@ -681,31 +722,14 @@ def stepwise_amplitudes(blocks, state: StateVector, predicate,
             dest = nonzero.argmax(axis=0)
             monomial = (nonzero.sum(axis=0) == 1).all()
             moves[key] = (dest, block[dest, np.arange(len(block))]) if monomial else None
-    # Per clause, the last block that touches its channels (-1: none does).
-    steps = np.where(weights > 0, _last_touches(blocks, channels), -1).max(axis=1, initial=-1)
-
-    # A plan has at least a factor row per channel and a node and a leaf
-    # sum per target, so the global route's count is at least `lower`.  Its
-    # exact count needs its plan, which is built only once the stepper's
-    # count passes `lower`, and then serves the global sweep.
-    lower = ((1 << n) >> 1) * (channels + 2 * len(outcomes))
-    cap = min(lower, _MAX_WORK) if fallback else _MAX_WORK
-    spent = 0  # the stepper's count
-    whole, plan = None, None  # the global route's count and plan, once needed
+    steps = _closing_steps(blocks, weights)
+    spent = 0
 
     def charge(work: int):
-        nonlocal spent, cap, whole, plan
+        nonlocal spent
         spent += work
-        if spent > cap and fallback and whole is None:
-            whole = lower
-            if n and len(outcomes) and lower <= _MAX_WORK:
-                plan = sector.plan()
-                whole = ((1 << n) >> 1) * plan.work
-            if whole <= _MAX_WORK:
-                raise _PastLimit
-            cap = _MAX_WORK
         if spent > cap:
-            raise _PastLimit
+            raise _PastLimit(spent, step)
 
     terms = state.items()
     rows = np.array([s.occupations for s, _ in terms], dtype=np.int64)
@@ -713,69 +737,51 @@ def stepwise_amplitudes(blocks, state: StateVector, predicate,
     rows, amps = _project(rows, amps, weights, lo, hi, steps == -1)
     planned: set = set()  # (pattern, local photons) whose plan this call charged
     sweeps: dict = {}  # (pattern, local input) -> amplitudes over the outputs
-    try:
-        for step, (chans, block) in enumerate(blocks):
-            if not len(rows):
-                break
-            closing = steps == step
-            if moves[keys[step]]:
-                charge(len(rows))
-                dest, phase = moves[keys[step]]
-                occ = rows[:, chans]
-                if (phase != 1).any():
-                    amps = amps * np.prod(phase**occ, axis=1)
-                rows[:, [chans[d] for d in dest]] = occ
-            else:
-                inside = closing & (weights[:, chans].sum(axis=1) == weights.sum(axis=1))
-                local = (weights[inside][:, chans], lo[inside], hi[inside])
-                pattern = (keys[step], *(a.tobytes() for a in local))
-                parts = _local_parts(rows[:, chans], block, local, pattern, planned, sweeps, charge)
-                rows, amps = _expand(rows, amps, chans, parts)
-                closing &= ~inside
-            rows, amps = _project(rows, amps, weights, lo, hi, closing)
-    except _PastLimit:
-        if whole is None or whole > _MAX_WORK:
-            needs = "" if whole is None else f" and the global sweep at least {whole}"
-            raise TooLarge(
-                f"the stepwise evolution reaches {spent} vector elements at block {step}"
-                f"{needs}, more than the {_MAX_WORK} allowed"
-            ) from None
-        # The global route, as `state_amplitudes` runs it, on the walk and plan at hand.
-        u = compile_blocks(blocks, channels)
-        require_unitary(u)
-        result = _evaluate(u, terms, outcomes, plan)
-    else:
-        result = np.zeros(len(outcomes), dtype=complex)
-        if len(rows):
-            # The walk's outcomes are distinct and come first, so a row's
-            # first copy is its place in the walk; every row satisfies every
-            # clause, so none lies past it (that would raise IndexError).
-            first, inverse = _row_ids(np.concatenate([outcomes, rows]))
-            result[first[inverse[len(outcomes):]]] = amps
+    for step, (chans, block) in enumerate(blocks):
+        if not len(rows):
+            break
+        closing = steps == step
+        if moves[keys[step]]:
+            charge(len(rows))
+            dest, phase = moves[keys[step]]
+            occ = rows[:, chans]
+            if (phase != 1).any():
+                amps = amps * np.prod(phase**occ, axis=1)
+            rows[:, [chans[d] for d in dest]] = occ
+        else:
+            inside = closing & (weights[:, chans].sum(axis=1) == weights.sum(axis=1))
+            local = (weights[inside][:, chans], lo[inside], hi[inside])
+            pattern = (keys[step], *(a.tobytes() for a in local))
+            parts = _local_parts(rows[:, chans], block, local, pattern, planned, sweeps, charge)
+            rows, amps = _expand(rows, amps, chans, parts)
+            closing &= ~inside
+        rows, amps = _project(rows, amps, weights, lo, hi, closing)
+    result = np.zeros(len(outcomes), dtype=complex)
+    if len(rows):
+        # The walk's outcomes are distinct and come first, so a row's first
+        # copy is its place in the walk; every row satisfies every clause,
+        # so none lies past it (that would raise IndexError).
+        first, inverse = _row_ids(np.concatenate([outcomes, rows]))
+        result[first[inverse[len(outcomes):]]] = amps
     return list(zip(sector.states(), result.tolist()))
 
 
-def _meets(rows, weights, lo, hi) -> np.ndarray:
-    """Per row, whether each clause's weighted sum (a row of `weights`)
-    lies in its [lo, hi]."""
-    sums = rows @ weights.T
-    return ((sums >= lo) & (sums <= hi)).all(axis=1)
-
-
 def _project(rows, amps, weights, lo, hi, clauses):
-    """The rows, with their amplitudes, that satisfy the selected clauses."""
+    """The rows, with their amplitudes, whose weighted sum under each
+    selected clause (a row of `weights`) lies in its [lo, hi]."""
     if not clauses.any():
         return rows, amps
-    keep = _meets(rows, weights[clauses], lo[clauses], hi[clauses])
+    sums = rows @ weights[clauses].T
+    keep = ((sums >= lo[clauses]) & (sums <= hi[clauses])).all(axis=1)
     return rows[keep], amps[keep]
 
 
-def _local_parts(occ, block, clauses, pattern, planned, sweeps, charge):
+def _local_parts(occ, block, local, pattern, planned, sweeps, charge):
     """Per local photon number m: the rows with m photons in the block's
-    channels (`occ` holds those occupations), the local outputs that
-    `clauses` allow and each row's amplitudes over them.  Before a part is
-    built, `charge` takes its rows times the C(m + k - 1, m) outputs of m
-    photons on the block's k channels."""
+    channels (`occ` holds those occupations), the local outputs that the
+    lowered clauses `local` allow and each row's amplitudes over them.
+    Before a part is built, `charge` takes its rows times the C(m + k - 1, m)
+    outputs of m photons on the block's k channels."""
     first, inverse = _row_ids(occ)
     inputs = occ[first]
     counts = inputs.sum(axis=1)
@@ -787,25 +793,25 @@ def _local_parts(occ, block, clauses, pattern, planned, sweeps, charge):
         rank[ids] = np.arange(len(ids))
         sel = np.flatnonzero(row_counts == m)
         charge(len(sel) * math.comb(m + len(block) - 1, m))
-        outs, table = _local_amplitudes(block, clauses, pattern, m, inputs[ids], planned, sweeps,
+        outs, table = _local_amplitudes(block, local, pattern, m, inputs[ids], planned, sweeps,
                                         charge)
         parts.append((sel, outs, table[rank[inverse[sel]]]))
     return parts
 
 
-def _local_amplitudes(block, clauses, pattern, m, inputs, planned, sweeps, charge):
-    """The outputs of m photons over the block's channels that `clauses`
-    (weights on the block's channels, lows, highs) allow, in canonical
-    order, and a row of amplitudes <output| block |input> per input row.
-    The outputs and their plan come from the kept `_local_sector`;
+def _local_amplitudes(block, local, pattern, m, inputs, planned, sweeps, charge):
+    """The outputs of m photons over the block's channels that `local`
+    (lowered clauses: weights on the block's channels, lows, highs) allow,
+    in canonical order, and a row of amplitudes <output| block |input> per
+    input row.  The outputs and their plan come from the kept `_local_sector`;
     `planned` holds the (pattern, m) whose plan this call has charged and
     `sweeps` the amplitudes per (pattern, input), where `pattern` names the
     block and the clauses.  Before the new sweeps run, `charge` takes
     2^(m-1) x the plan's work for each, and a plan new to this call its
     least share of that before it is read."""
     subsets, paid = (1 << m) >> 1, 0
-    local = _local_sector(len(block), m, clauses)
-    outs = local.rows
+    record = _local_sector(len(block), m, local)
+    outs = record.rows
     if (pattern, m) not in planned:
         planned.add((pattern, m))
         if m and len(outs):
@@ -813,7 +819,7 @@ def _local_amplitudes(block, clauses, pattern, m, inputs, planned, sweeps, charg
             # per channel and a node and a leaf sum per output for each subset.
             paid = subsets * (len(block) + 2 * len(outs))
             charge(paid)
-    plan = local.plan()
+    plan = record.plan()
     occupations = list(map(tuple, inputs.tolist()))
     new = [occ for occ in occupations if (pattern, occ) not in sweeps]
     if plan is not None:
@@ -918,7 +924,7 @@ class SplitMix64:
     _GAMMA = 0x9E3779B97F4A7C15
 
     def __init__(self, seed: int):
-        self._state = seed & self._MASK
+        self._state = operator.index(seed) & self._MASK
 
     def next_uint64(self) -> int:
         self._state = (self._state + self._GAMMA) & self._MASK

@@ -449,6 +449,18 @@ def test_sample_matches_golden_output_across_draw_chunks(capsys):
     assert out.encode() == (DATA / "golden" / "bell_pair_sample_200k.json").read_bytes()
 
 
+def test_sample_on_the_stepwise_route_matches_golden_output(capsys):
+    # The first CNOT's heralds close before the last block, so the stepper
+    # runs; the golden file was written before the route had one owner.
+    code, out, err = run_cli(
+        capsys, "sample", "--circuit", str(DATA / "two_heralded_cnots.json"),
+        "--input", "|1,0,1,0>", "--postselect", "[4]==1 & [5]==1 & [6]==1 & [7]==1",
+        "--shots", "100000", "--seed", "5", "--json",
+    )
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / "golden" / "two_heralded_cnots_sample_100k.json").read_bytes()
+
+
 def test_sample_rejects_negative_shots(capsys):
     code, out, err = run_cli(
         capsys, "sample", "--circuit", str(DATA / "h.json"), "--input", "|1,0,1,0>",

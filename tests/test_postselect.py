@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from photonsim.circuit import Circuit
@@ -276,3 +277,46 @@ def test_processor_reports_the_work_bound(monkeypatch):
         proc.amplitudes()
     monkeypatch.setattr(simulate, "_MAX_WORK", 22)
     assert len(proc.amplitudes()) == 3
+
+
+def test_clause_mode_past_the_register_is_an_eval_error():
+    # Mode 3 of a 3-mode register used to raise a bare IndexError.
+    expr = parse_postselect("[3]==0")
+    with pytest.raises(EvalError, match="clause mode 3 outside register of 3 modes"):
+        list(admissible_outcomes(3, False, 1, expr))
+    with pytest.raises(EvalError):
+        simulate.state_amplitudes(np.eye(3), StateVector.basis(make_state((1, 0, 0))), expr)
+    # Blocks whose route would be the stepper: the clause reads no block.
+    blocks = Circuit(3).add(0, BeamSplitter.h()).add(1, BeamSplitter.h()).blocks()
+    with pytest.raises(EvalError):
+        simulate.circuit_amplitudes(blocks, StateVector.basis(make_state((1, 0, 0))), expr)
+
+
+def test_negative_clause_mode_is_an_eval_error():
+    # Mode -1 used to read the last mode: |0,1> kept with amplitude 0.707.
+    expr = PostSelect((Clause((-1,), "==", 1),))
+    with pytest.raises(EvalError, match="clause mode -1 outside register of 2 modes"):
+        list(admissible_outcomes(2, False, 1, expr))
+    circuit = Circuit(2).add(0, BeamSplitter.h())
+    with pytest.raises(EvalError):
+        Processor(circuit, StateVector.basis(make_state((1, 0))), expr).amplitudes()
+
+
+def test_clause_without_modes_is_invalid():
+    # It used to fail in Processor with "max() arg is an empty sequence".
+    expr = PostSelect((Clause((), "==", 0),))
+    with pytest.raises(InvalidSpec, match="lists no mode"):
+        list(admissible_outcomes(2, False, 1, expr))
+    with pytest.raises(InvalidSpec, match="lists no mode"):
+        Processor(Circuit(2), StateVector.basis(make_state((1, 0))), expr).amplitudes()
+
+
+def test_clause_bound_past_int64_keeps_both_routes_exact():
+    # The stepper lowered 10^20 to an int64 array and raised OverflowError.
+    circuit = Circuit(3).add(0, BeamSplitter.h())
+    state = StateVector.basis(make_state((1, 1, 0)))
+    for text, kept in (("[2]==100000000000000000000", 0), ("[2]<100000000000000000000", 6)):
+        expr = parse_postselect(text)
+        amps = Processor(circuit, state, expr).amplitudes()
+        assert len(amps) == kept
+        assert amps == simulate.state_amplitudes(circuit.compile(), state, expr)

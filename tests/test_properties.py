@@ -76,7 +76,7 @@ def test_sector_enumeration_matches_brute_force(n, channels):
     sector = [occ for occ in itertools.product(range(n + 1), repeat=channels) if sum(occ) == n]
     canonical = sorted(sector, reverse=True)
     assert list(sector_basis(n, channels)) == canonical
-    assert simulate._outcomes(channels, False, n, None).tolist() == [list(o) for o in canonical]
+    assert simulate._outcomes(channels, n, None).tolist() == [list(o) for o in canonical]
 
 
 def sandwich(register, slots):
@@ -196,13 +196,20 @@ def gate_circuits(draw):
     return build.circuit, state, condition
 
 
+def stepwise(blocks, state, condition):
+    """The stepper alone, under the work limit, with no hand-off to the
+    global sweep: the route tests reach it directly."""
+    sector = simulate._sector(state.channels, state.polarized, state.require_sector(), condition)
+    return simulate._stepwise(blocks, state, sector, simulate._MAX_WORK)
+
+
 def assert_routes_agree(circuit, state, condition):
     """Same outcomes in the same order, amplitudes within 1e-12.  The
     stepper may not hand these small circuits to the global route."""
-    stepwise = simulate.stepwise_amplitudes(circuit.blocks(), state, condition, fallback=False)
+    stepped = stepwise(circuit.blocks(), state, condition)
     global_ = simulate.state_amplitudes(circuit.compile(), state, condition)
-    assert [s for s, _ in stepwise] == [s for s, _ in global_]
-    for (_, a), (_, b) in zip(stepwise, global_):
+    assert [s for s, _ in stepped] == [s for s, _ in global_]
+    for (_, a), (_, b) in zip(stepped, global_):
         assert abs(a - b) < 1e-12
 
 
@@ -254,10 +261,45 @@ def test_kept_structure_changes_no_result(case, predicated):
         lambda: simulate.distribution(circuit.compile(), state).items(),
     ]
     if condition is not None:
-        calls.append(lambda: simulate.stepwise_amplitudes(circuit.blocks(), state, condition,
-                                                          fallback=False))
+        calls.append(lambda: stepwise(circuit.blocks(), state, condition))
     cold = []
     for call in calls:
         simulate._STRUCTURES.clear()
         cold.append(call())
     assert [call() for call in reversed(calls)] == cold[::-1]
+
+
+@st.composite
+def predicates(draw):
+    """A register of at most 5 modes, polarized or not, at most 4 photons
+    and a predicate of 1-3 clauses over all five operators; a clause that
+    lists a mode twice weighs it 2."""
+    modes, polarized, n = draw(st.integers(1, 5)), draw(st.booleans()), draw(st.integers(0, 4))
+    clauses = [
+        Clause(tuple(draw(st.lists(st.integers(0, modes - 1), min_size=1, max_size=3))),
+               draw(st.sampled_from(["==", "<=", ">=", "<", ">"])), draw(st.integers(0, 4)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return modes, polarized, n, PostSelect(tuple(clauses))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(predicates(), st.data())
+def test_the_one_walk_enumerates_exactly_what_the_predicate_keeps(case, data):
+    modes, polarized, n, expr = case
+    channels = 2 * modes if polarized else modes
+    table = list(sector_basis(n, channels))
+    kept = [occ for occ in table if expr.evaluate(FockState(occ, polarized))]
+    assert list(simulate.admissible_outcomes(channels, polarized, n, expr)) == kept
+    # A block's local outputs: the walk over its columns of the lowered
+    # weights, for the clauses that read no other column, against the
+    # block's composition table filtered by those clauses.
+    weights, lo, hi = simulate._lower(expr, channels, polarized, n)
+    chans = data.draw(st.permutations(range(channels)))[: data.draw(st.integers(1, channels))]
+    inside = weights[:, chans].sum(axis=1) == weights.sum(axis=1)
+    local = (weights[inside][:, chans], lo[inside], hi[inside])
+    m = data.draw(st.integers(min(n, 1), n))
+    outs = np.array(list(sector_basis(m, len(chans))), dtype=np.int64)
+    sums = outs @ local[0].T
+    want = outs[((sums >= local[1]) & (sums <= local[2])).all(axis=1)]
+    assert np.array_equal(simulate._local_sector(len(chans), m, local).rows, want)

@@ -565,6 +565,17 @@ def test_inverse_cdf_counts_reject_non_integer_shots_and_seeds(shots, seed, mess
         simulate.inverse_cdf_counts([0.5, 0.5], shots, seed)
 
 
+@pytest.mark.parametrize("seed", [np.int64(3), np.int64(-7), np.uint32(2**32 - 1)])
+def test_scalar_and_array_streams_agree_on_numpy_seeds(seed):
+    # The scalar reference takes numpy integers, as inverse_cdf_counts does,
+    # and gives the stream of the equal Python int.
+    plain = SplitMix64(int(seed))
+    want = [plain.next_double() for _ in range(50)]
+    ref = SplitMix64(seed)
+    assert [ref.next_double() for _ in range(50)] == want
+    assert simulate._splitmix64_doubles(seed, 1, 51).tolist() == want
+
+
 def test_inverse_cdf_counts_accept_numpy_integers():
     weights = [0.2, 0.0, 0.5, 0.3]
     want = scalar_inverse_cdf_counts(weights, 40, -1)
@@ -609,6 +620,13 @@ def test_row_ids_past_int64_keys():
     assert len(first) == 4
 
 
+def stepwise(blocks, state, condition):
+    """The stepper alone, under the work limit, with no hand-off to the
+    global sweep: the route tests reach it directly."""
+    sector = simulate._sector(state.channels, state.polarized, state.require_sector(), condition)
+    return simulate._stepwise(blocks, state, sector, simulate._MAX_WORK)
+
+
 def test_stepwise_route_moves_photons_along_a_cycle():
     # A 3-cycle is not its own inverse, so moving photons the wrong way
     # round changes the outcomes.
@@ -616,7 +634,7 @@ def test_stepwise_route_moves_photons_along_a_cycle():
     condition = parse_postselect("[3]==0")
     for occ in ((1, 0, 0, 0), (0, 2, 1, 0)):
         state = StateVector.basis(FockState(occ))
-        amps = simulate.stepwise_amplitudes(circuit.blocks(), state, condition, fallback=False)
+        amps = stepwise(circuit.blocks(), state, condition)
         expected = state_amplitudes(circuit.compile(), state, condition)
         assert [s for s, _ in amps] == [s for s, _ in expected]
         assert max(abs(a - b) for (_, a), (_, b) in zip(amps, expected)) < 1e-12
@@ -628,7 +646,7 @@ def test_stepwise_route_refuses_unitary_defects():
     blocks = [(chans, 2 * block) for chans, block in circuit.blocks()]
     state = StateVector.basis(FockState((1, 0)))
     with pytest.raises(NotUnitary):
-        simulate.stepwise_amplitudes(blocks, state, parse_postselect("[0]==1"))
+        stepwise(blocks, state, parse_postselect("[0]==1"))
 
 
 def wide_blocks_case():
