@@ -14,7 +14,7 @@ the predicate.  `Processor` hands (circuit, input, predicate) to
 compiled unitary, or a block-by-block evolution that applies each clause
 right after the last block touching its modes (no later block changes them,
 so the amplitudes are the same).  The outcomes that satisfy a predicate come
-from `admissible_outcomes`, the walk `sector_basis` runs without one.
+from `admissible_outcomes`, the enumeration `sector_basis` runs without one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import EvalError, InvalidSpec, RegisterMismatch
 from .fock import PRUNE_TOL, FockState, StateVector
 from .notation import Scanner
 from .simulate import Distribution, circuit_amplitudes, require_normalized
-from .simulate import admissible_outcomes  # noqa: F401  (public here; one walk with sector_basis)
+from .simulate import admissible_outcomes  # noqa: F401  (public here; one enumerator with sector_basis)
 from .simulate import batch_amplitudes  # noqa: F401  (bench/test_bench.py checks this binding)
 
 _OPS = ("==", "<=", ">=", "<", ">")
@@ -89,9 +89,6 @@ class PostSelect:
             for m in clause.modes:
                 if not 0 <= m < modes:
                     raise EvalError(f"clause mode {m} outside register of {modes} modes")
-
-    def max_mode(self) -> int:
-        return max(m for c in self.clauses for m in c.modes)
 
 
 def parse_postselect(text: str) -> PostSelect:

@@ -53,6 +53,9 @@ _DRAW_CHUNK = 1 << 16
 # The sector structure kept between calls holds at most this many bytes.
 _STRUCTURE_BYTES = 32 << 20
 
+# The outcome enumeration refuses a step whose rows would hold more bytes.
+_ENUMERATION_BYTES = 1 << 30
+
 
 def permanent(matrix) -> complex:
     """Permanent of a square complex matrix via Ryser's formula.
@@ -359,69 +362,66 @@ def _subset_sums(base: np.ndarray, steps: np.ndarray, cols: list[int]) -> np.nda
 
 def _outcomes(channels: int, n: int, lowered) -> np.ndarray:
     """The occupations of n photons over `channels` that satisfy a lowered
-    predicate (see `_lower`), one row each, in canonical order.
+    predicate (see `_lower`; all of them when it is None), one row each, in
+    canonical order.
 
-    Without one the rows are the multisets of
-    `itertools.combinations_with_replacement`, counted per channel: their
-    lexicographic order is the canonical one.  With one, a depth-first walk
-    lists them.  A clause caps every channel it reads and must reach its
-    lower end by the last of them.  A branch is cut when the clauses' summed
-    shortfall needs more photons than are left, at `reach` (the largest
-    total weight of a channel) each.
+    One pass over the channels expands every prefix into its counts for the
+    channel, highest first, so the rows stay in canonical order.  A clause
+    caps every channel it reads and must reach its lower end by the last of
+    them; the last channel takes the photons left.  A row is dropped when
+    the clauses' summed shortfall needs more photons than are left, at
+    `reach` (the largest total weight of a channel) each.  Each step keeps
+    its rows' parents and counts, read back into rows at the end.  TooLarge
+    comes before a step whose rows would hold more than _ENUMERATION_BYTES,
+    at 8 bytes a row per channel, clause and counter (parent, count,
+    photons left, shortfall).
     """
     if lowered is None:
-        picks = itertools.combinations_with_replacement(range(channels), n)
-        flat = np.fromiter(itertools.chain.from_iterable(picks), dtype=np.int64)
-        count = len(flat) // n if n else 1
-        rows = np.repeat(np.arange(count) * channels, n)
-        return np.bincount(rows + flat, minlength=count * channels).reshape(count, channels)
-    weights, lo, hi = (a.tolist() for a in lowered)
-    reads: list[list] = [[] for _ in range(channels)]  # (clause, weight, last channel?)
-    for ci, row in enumerate(weights):
-        read = [ch for ch, w in enumerate(row) if w]
-        for ch in read:
-            reads[ch].append((ci, row[ch], ch == read[-1]))
-    reach = max((sum(w for _, w, _ in r) for r in reads if r), default=0)
-    sums = [0] * len(lo)
-    occ = [0] * channels
-    out = []
-
-    def walk(ch: int, left: int, short: int):
-        if ch == channels:
-            if not left:
-                out.append(tuple(occ))
-            return
-        touched = reads[ch]
-        if not touched:
-            if ch == channels - 1:  # every clause has closed, so short is 0
-                occ[ch] = left
-                out.append(tuple(occ))
-                return
+        empty = np.zeros(0, dtype=np.int64)
+        lowered = (empty.reshape(0, channels), empty, empty)
+    weights, lo, hi = lowered
+    reach = max(int(weights.sum(axis=0).max(initial=0)), 1)
+    closes = np.where(weights > 0, np.arange(channels), -1).max(axis=1, initial=-1)
+    row_bytes = 8 * (channels + len(lo) + 4)
+    left = np.array([n], dtype=np.int64)
+    short = np.maximum(lo, 0).sum(keepdims=True)
+    sums = np.zeros((len(lo), 1), dtype=np.int64)
+    steps = []
+    for ch in range(channels):
+        read = np.flatnonzero(weights[:, ch])
+        bottom = left if ch == channels - 1 else 0
+        if len(read):
+            w = weights[read, ch][:, None]
+            top = np.minimum(left, ((hi[read, None] - sums[read]) // w).min(axis=0))
+            closing = closes[read] == ch
+            need = -((sums[read[closing]] - lo[read[closing], None]) // w[closing])
+            bottom = np.maximum(bottom, need.max(axis=0, initial=0))
+        else:
             # The shortfall keeps ceil(short / reach) photons for later channels.
-            for k in range(left - (short and -(-short // reach)), -1, -1):
-                occ[ch] = k
-                walk(ch + 1, left - k, short)
-            return
-        top, bottom = left, left if ch == channels - 1 else 0
-        base = [sums[ci] for ci, _, _ in touched]
-        for (ci, w, closing), s in zip(touched, base):
-            top = min(top, (hi[ci] - s) // w)
-            if closing:
-                bottom = max(bottom, -((s - lo[ci]) // w))
-            short -= max(0, lo[ci] - s)
-        for k in range(top, bottom - 1, -1):
-            need = short
-            for (ci, w, _), s in zip(touched, base):
-                sums[ci] = s + w * k
-                need += max(0, lo[ci] - sums[ci])
-            if need <= (left - k) * reach:
-                occ[ch] = k
-                walk(ch + 1, left - k, need)
-        for (ci, _, _), s in zip(touched, base):
-            sums[ci] = s
-
-    walk(0, n, sum(max(0, v) for v in lo))
-    return np.array(out, dtype=np.int64).reshape(len(out), channels)
+            top = left + (-short // reach)
+        count = np.maximum(top - bottom + 1, 0)
+        total = int(count.sum())
+        if total * row_bytes > _ENUMERATION_BYTES:
+            raise TooLarge(
+                f"the outcome enumeration reaches {total} rows at channel {ch} of {channels}, "
+                f"{total * row_bytes} bytes, more than the {_ENUMERATION_BYTES} allowed"
+            )
+        parent = np.repeat(np.arange(len(left)), count)
+        k = np.repeat(top + np.cumsum(count) - count, count) - np.arange(total)
+        left, short, sums = left[parent] - k, short[parent], sums[:, parent]
+        if len(read):
+            sums[read] += w * k
+            short = np.maximum(lo[:, None] - sums, 0).sum(axis=0)
+            keep = short <= left * reach
+            parent, k, left, short, sums = parent[keep], k[keep], left[keep], short[keep], sums[:, keep]
+        steps.append((parent, k))
+    at = np.flatnonzero(left == 0)  # all rows, or with no channel the one of n = 0
+    rows = np.empty((len(at), channels), dtype=np.int64)
+    for ch in range(channels - 1, -1, -1):
+        parent, k = steps[ch]
+        rows[:, ch] = k[at]
+        at = parent[at]
+    return rows
 
 
 def _lower(predicate, channels: int, polarized: bool, n: int):
@@ -632,7 +632,7 @@ def circuit_amplitudes(blocks, state: StateVector, predicate) -> list[tuple[Fock
     count the global sweep can have, 2^(n-1) x (channels + 2 x outcomes)
     vector elements.  Past that, the global sweep's exact count comes from
     its plan, built then: within _MAX_WORK, the global route runs on the
-    walk and plan at hand; past it, the stepper runs again under _MAX_WORK,
+    outcomes and plan at hand; past it, the stepper runs again under _MAX_WORK,
     and TooLarge names both counts when it passes that too.  Blocks are not
     fused between projection points: a segment meets more distinct local
     inputs, which made the three-qubit search 2x slower.
@@ -701,10 +701,10 @@ def _stepwise(blocks, state: StateVector, sector: _Sector,
     vector elements before it is done: a row costs 1 at a monomial block
     and, at any other, the C(m + k - 1, m) outputs of its m photons on the
     block's k channels; a sweep costs 2^(m-1) x its plan's work.  _PastLimit
-    is raised when the count would pass `cap`.  The outcomes are those of
-    the walk, in canonical order, with 0 for an outcome no row reached.
+    is raised when the count would pass `cap`.  The outcomes are the
+    record's rows, in canonical order, with 0 for an outcome no row reached.
 
-    The clauses are the record's lowering, and the walk's rows and their
+    The clauses are the record's lowering, and the outcome rows and their
     FockStates are the record's; each block's local outputs and plan are
     kept per (block size, local photons, closing clauses).  The count does
     not depend on what was kept: a local plan is charged as new the first
@@ -758,8 +758,8 @@ def _stepwise(blocks, state: StateVector, sector: _Sector,
         rows, amps = _project(rows, amps, weights, lo, hi, closing)
     result = np.zeros(len(outcomes), dtype=complex)
     if len(rows):
-        # The walk's outcomes are distinct and come first, so a row's first
-        # copy is its place in the walk; every row satisfies every clause,
+        # The outcomes are distinct and come first, so a row's first copy
+        # is its place among them; every row satisfies every clause,
         # so none lies past it (that would raise IndexError).
         first, inverse = _row_ids(np.concatenate([outcomes, rows]))
         result[first[inverse[len(outcomes):]]] = amps

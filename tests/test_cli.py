@@ -296,6 +296,17 @@ def test_simulate_over_the_work_bound_exits_3(capsys, monkeypatch):
     assert err.startswith("error: the sweep needs 2^1 x ") and "more than the 0 allowed" in err
 
 
+def test_simulate_past_the_enumeration_budget_exits_3(capsys, monkeypatch):
+    # 86,493,225 outcomes keep [0]==0; the lowered budget refuses them early.
+    monkeypatch.setattr(simulate, "_ENUMERATION_BYTES", 1 << 20)
+    code, out, err = run_cli(
+        capsys, "simulate", "--circuit", str(DATA / "wide20.json"),
+        "--input", "|" + ",".join(["1"] * 12 + ["0"] * 8) + ">", "--postselect", "[0]==0",
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error: the outcome enumeration reaches ")
+
+
 def test_grover_rejects_negative_shots_first(capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("the pipeline ran")

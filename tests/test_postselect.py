@@ -80,8 +80,8 @@ def test_evaluate_out_of_range_mode():
 
 
 def brute(channels, polarized, n, expr):
-    # The sector from itertools.product, not from the walk that sector_basis
-    # and admissible_outcomes share.
+    # The sector from itertools.product, not from the enumerator that
+    # sector_basis and admissible_outcomes share.
     sector = sorted(
         (occ for occ in itertools.product(range(n + 1), repeat=channels) if sum(occ) == n),
         reverse=True,
@@ -264,10 +264,6 @@ def test_success_probability_conserves_mass():
     assert abs(success - kept) < 1e-12
 
 
-def test_max_mode():
-    assert parse_postselect("[0,4]==1 & [2]==0").max_mode() == 4
-
-
 def test_processor_reports_the_work_bound(monkeypatch):
     # |1,1> with [0]>=0 keeps the whole sector: 2^1 x (2 + 2 + 4 + 3) = 22.
     monkeypatch.setattr(simulate, "_MAX_WORK", 21)
@@ -277,6 +273,17 @@ def test_processor_reports_the_work_bound(monkeypatch):
         proc.amplitudes()
     monkeypatch.setattr(simulate, "_MAX_WORK", 22)
     assert len(proc.amplitudes()) == 3
+
+
+def test_processor_refuses_a_huge_sector_before_enumerating_it(monkeypatch):
+    # 12 photons on 20 modes keep C(30, 12) = 86,493,225 outcomes under
+    # [0]==0; the enumeration ran before any work check and died of
+    # MemoryError.  The budget is lowered to refuse after a few thousand rows.
+    monkeypatch.setattr(simulate, "_ENUMERATION_BYTES", 1 << 20)
+    circuit = Circuit(20).add(0, BeamSplitter.h())
+    state = StateVector.basis(make_state((1,) * 12 + (0,) * 8))
+    with pytest.raises(TooLarge, match="the outcome enumeration reaches .* rows at channel"):
+        Processor(circuit, state, parse_postselect("[0]==0")).amplitudes()
 
 
 def test_clause_mode_past_the_register_is_an_eval_error():

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photonsim import qubits, simulate
@@ -29,7 +29,7 @@ from photonsim.components import (
     WavePlate,
 )
 from photonsim.fock import FockState, StateVector
-from photonsim.postselect import Clause, PostSelect, Processor
+from photonsim.postselect import Clause, PostSelect, Processor, parse_postselect
 from photonsim.qubits import GateSequence
 from photonsim.simulate import amplitude, batch_amplitudes, sector_basis
 
@@ -273,33 +273,44 @@ def test_kept_structure_changes_no_result(case, predicated):
 def predicates(draw):
     """A register of at most 5 modes, polarized or not, at most 4 photons
     and a predicate of 1-3 clauses over all five operators; a clause that
-    lists a mode twice weighs it 2."""
+    lists a mode twice weighs it 2.  Also a block: some of the register's
+    channels, in any order, and a local photon number."""
     modes, polarized, n = draw(st.integers(1, 5)), draw(st.booleans()), draw(st.integers(0, 4))
     clauses = [
         Clause(tuple(draw(st.lists(st.integers(0, modes - 1), min_size=1, max_size=3))),
                draw(st.sampled_from(["==", "<=", ">=", "<", ">"])), draw(st.integers(0, 4)))
         for _ in range(draw(st.integers(1, 3)))
     ]
-    return modes, polarized, n, PostSelect(tuple(clauses))
+    channels = 2 * modes if polarized else modes
+    chans = draw(st.permutations(range(channels)))[: draw(st.integers(1, channels))]
+    return modes, polarized, n, PostSelect(tuple(clauses)), chans, draw(st.integers(min(n, 1), n))
+
+
+def product_table(n, channels):
+    """The sector of n photons over `channels` in canonical order, from
+    itertools.product rather than the enumerator under test."""
+    table = (occ for occ in itertools.product(range(n + 1), repeat=channels) if sum(occ) == n)
+    return sorted(table, reverse=True)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None, database=None)
-@given(predicates(), st.data())
-def test_the_one_walk_enumerates_exactly_what_the_predicate_keeps(case, data):
-    modes, polarized, n, expr = case
+@given(predicates())
+@example((2, False, 0, parse_postselect("[0]==0 & [1]<=1"), [1, 0], 0))
+@example((2, True, 2, PostSelect((Clause((0,), ">=", -1), Clause((1, 1), "<=", 2))), [2, 3, 1], 2))
+@example((3, False, 2, parse_postselect("[0,1]<5 & [2]>=1"), [2, 0], 1))
+@example((3, False, 2, parse_postselect("[1]==0 & [2]==0"), [0, 1, 2], 2))
+def test_the_one_enumerator_lists_exactly_what_the_predicate_keeps(case):
+    modes, polarized, n, expr, chans, m = case
     channels = 2 * modes if polarized else modes
-    table = list(sector_basis(n, channels))
-    kept = [occ for occ in table if expr.evaluate(FockState(occ, polarized))]
+    kept = [occ for occ in product_table(n, channels) if expr.evaluate(FockState(occ, polarized))]
     assert list(simulate.admissible_outcomes(channels, polarized, n, expr)) == kept
-    # A block's local outputs: the walk over its columns of the lowered
-    # weights, for the clauses that read no other column, against the
-    # block's composition table filtered by those clauses.
+    # A block's local outputs: the enumerator over its columns of the
+    # lowered weights, for the clauses that read no other column, against
+    # the block's composition table filtered by those clauses.
     weights, lo, hi = simulate._lower(expr, channels, polarized, n)
-    chans = data.draw(st.permutations(range(channels)))[: data.draw(st.integers(1, channels))]
     inside = weights[:, chans].sum(axis=1) == weights.sum(axis=1)
     local = (weights[inside][:, chans], lo[inside], hi[inside])
-    m = data.draw(st.integers(min(n, 1), n))
-    outs = np.array(list(sector_basis(m, len(chans))), dtype=np.int64)
+    outs = np.array(product_table(m, len(chans)), dtype=np.int64)
     sums = outs @ local[0].T
     want = outs[((sums >= local[1]) & (sums <= local[2])).all(axis=1)]
     assert np.array_equal(simulate._local_sector(len(chans), m, local).rows, want)

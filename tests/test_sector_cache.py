@@ -67,10 +67,10 @@ def test_kept_rows_are_read_only():
 
 
 def test_a_sector_over_the_byte_bound_is_not_kept(monkeypatch):
-    walks = []
+    enumerations = []
 
     def counted(*args, original=simulate._outcomes):
-        walks.append(args)
+        enumerations.append(args)
         return original(*args)
 
     monkeypatch.setattr(simulate, "_outcomes", counted)
@@ -78,14 +78,14 @@ def test_a_sector_over_the_byte_bound_is_not_kept(monkeypatch):
     pair, single = (StateVector.basis(make_state(occ)) for occ in ((1, 1), (1, 0)))
     simulate._STRUCTURES.clear()
     first = distribution(u, pair)
-    assert distribution(u, pair) == first and len(walks) == 1
+    assert distribution(u, pair) == first and len(enumerations) == 1
     held = simulate._STRUCTURES.held
     assert held == sum(r.nbytes for r in simulate._STRUCTURES._records.values()) > 0
     # One byte short: computed and returned, but not kept.
     simulate._STRUCTURES.clear()
     monkeypatch.setattr(simulate, "_STRUCTURE_BYTES", held - 1)
     assert distribution(u, pair) == first and distribution(u, pair) == first
-    assert len(walks) == 3 and simulate._STRUCTURES.held == 0
+    assert len(enumerations) == 3 and simulate._STRUCTURES.held == 0
     # Room for that sector alone: the least recently used goes first.
     monkeypatch.setattr(simulate, "_STRUCTURE_BYTES", held)
     distribution(u, pair)

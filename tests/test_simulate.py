@@ -119,6 +119,22 @@ def test_sector_basis_count():
         assert len(list(sector_basis(n, m))) == math.comb(n + m - 1, n)
 
 
+def test_sector_enumeration_byte_budget(monkeypatch):
+    # Two photons on 3 channels grow 3, 6 and 6 rows of 8 x (3 + 4) bytes.
+    simulate._STRUCTURES.clear()
+    monkeypatch.setattr(simulate, "_ENUMERATION_BYTES", 6 * 56)
+    assert len(list(sector_basis(2, 3))) == 6
+    simulate._STRUCTURES.clear()
+    monkeypatch.setattr(simulate, "_ENUMERATION_BYTES", 6 * 56 - 1)
+    with pytest.raises(TooLarge, match="reaches 6 rows at channel 1 of 3, 336 bytes, more than the 335"):
+        list(sector_basis(2, 3))
+    # C(41, 12) = 7.1e9 rows; the budget is lowered so that the refusal
+    # comes after a few thousand rows instead of millions.
+    monkeypatch.setattr(simulate, "_ENUMERATION_BYTES", 1 << 20)
+    with pytest.raises(TooLarge, match="rows at channel 4 of 30"):
+        next(sector_basis(12, 30))
+
+
 def test_batch_amplitudes_match_single_calls():
     rng = np.random.default_rng(5)
     u = random_unitary(rng, 5)
@@ -162,13 +178,13 @@ def test_distribution_reports_the_work_bound(monkeypatch):
 
 def test_distribution_counts_the_sector_before_enumerating(monkeypatch):
     # Without a predicate the sweep needs at least 2^(n-1) x (channels + outcomes).
-    # No sector is kept, so a walk would show.
+    # No sector is kept, so an enumeration would show.
     simulate._STRUCTURES.clear()
 
-    def no_walk(*args):
+    def no_enumeration(*args):
         raise AssertionError("the sector was enumerated")
 
-    monkeypatch.setattr(simulate, "_outcomes", no_walk)
+    monkeypatch.setattr(simulate, "_outcomes", no_enumeration)
     huge = StateVector.basis(make_state((16,) + (0,) * 9))
     with pytest.raises(TooLarge, match=r"2\^15 x 2042985 = 66944532480 vector elements, "
                                        r"more than the 17179869184 allowed"):
@@ -662,7 +678,7 @@ def wide_blocks_case():
 def test_stepwise_route_hands_a_costlier_circuit_to_the_global_sweep(monkeypatch):
     # Its first block alone reaches 2^7 x (9 channels + 2 x 6435 outcomes),
     # the least the global sweep can cost, so that sweep runs instead, on the
-    # walk and the plan the stepper already has.  No plan is kept yet.
+    # outcomes and the plan the stepper already has.  No plan is kept yet.
     simulate._STRUCTURES.clear()
     circuit, state, condition = wide_blocks_case()
     calls = {"_plan": 0, "_normalized_sweep": 0}
