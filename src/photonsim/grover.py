@@ -13,6 +13,7 @@ firing, the two searched qubits land on |01> with certainty.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -187,6 +188,13 @@ def _three_qubit_sequence() -> GateSequence:
     return seq
 
 
+@functools.cache
+def _search_build():
+    """The search's gates lowered to optics, once per process; GateBuild
+    and Circuit are frozen, so every call can share it."""
+    return _three_qubit_sequence().build()
+
+
 @dataclass(frozen=True)
 class DualRailGroverResult:
     """Herald-conditioned outcome of the three-qubit dual-rail pipeline."""
@@ -210,7 +218,7 @@ def dual_rail_grover_3q(shots: int = 0, seed: int = 0) -> DualRailGroverResult:
     """
     require_shots(shots)
     require_seed(seed)
-    build = _three_qubit_sequence().build()
+    build = _search_build()
     source = build.input_state((0, 0, 0))
     processor = Processor(build.circuit, StateVector.basis(source), build.condition)
     outcomes = processor.amplitudes()

@@ -47,6 +47,9 @@ _FACTORIALS = np.array([float(math.factorial(v)) for v in range(171)])
 # 26-33 s at the 1.5-1.9 ns per element measured at n = 20-24 on a 2-core Xeon.
 _MAX_WORK = 1 << 34
 
+# The stepper's pruning budget, relative to the state's norm (see _prune).
+_PRUNE_NORM = 1e-14
+
 # inverse_cdf_counts draws _DRAW_CHUNK shots at a time.
 _DRAW_CHUNK = 1 << 16
 
@@ -632,8 +635,11 @@ def circuit_amplitudes(blocks, state: StateVector, predicate) -> list[tuple[Fock
     count the global sweep can have, 2^(n-1) x (channels + 2 x outcomes)
     vector elements.  Past that, the global sweep's exact count comes from
     its plan, built then: within _MAX_WORK, the global route runs on the
-    outcomes and plan at hand; past it, the stepper runs again under _MAX_WORK,
-    and TooLarge names both counts when it passes that too.  Blocks are not
+    outcomes and plan at hand; past it, the stepper raises its cap to
+    _MAX_WORK and goes on where it stopped, and TooLarge names both counts
+    when it passes that too.  Before each expanding block the stepper drops
+    rows of rounding noise, at most _PRUNE_NORM x the state's norm, which
+    moves each amplitude by at most that (see `_stepwise`).  Blocks are not
     fused between projection points: a segment meets more distinct local
     inputs, which made the three-qubit search 2x slower.
     """
@@ -647,23 +653,24 @@ def circuit_amplitudes(blocks, state: StateVector, predicate) -> list[tuple[Fock
             # A plan has at least a factor row per channel and a node and a
             # leaf sum per target, so the global sweep costs at least `lower`.
             lower = subsets * (state.channels + 2 * len(sector.rows))
-            try:
-                return _stepwise(blocks, state, sector, min(lower, _MAX_WORK))
-            except _PastLimit as past:
-                spent, step = past.args
-            whole = lower
-            if n and len(sector.rows) and lower <= _MAX_WORK:
-                whole = subsets * sector.plan().work
-            if whole > _MAX_WORK:
-                if lower < _MAX_WORK:  # the first cap was below the limit
-                    try:
-                        return _stepwise(blocks, state, sector, _MAX_WORK)
-                    except _PastLimit as past:
-                        spent, step = past.args
+
+            def over(spent: int, step: int) -> int:
+                whole = lower
+                if n and len(sector.rows) and lower <= _MAX_WORK:
+                    whole = subsets * sector.plan().work
+                if whole <= _MAX_WORK:
+                    raise _PastLimit(spent, step)
+                if spent <= _MAX_WORK:
+                    return _MAX_WORK
                 raise TooLarge(
                     f"the stepwise evolution reaches {spent} vector elements at block {step} "
                     f"and the global sweep at least {whole}, more than the {_MAX_WORK} allowed"
                 )
+
+            try:
+                return _stepwise(blocks, state, sector, min(lower, _MAX_WORK), over)
+            except _PastLimit:
+                pass
     return _swept(compile_blocks(blocks, state.channels), state, n, predicate, sector)
 
 
@@ -681,8 +688,8 @@ class _PastLimit(Exception):
     """The stepper's count would pass its cap; args: the count, the block."""
 
 
-def _stepwise(blocks, state: StateVector, sector: _Sector,
-              cap: int) -> list[tuple[FockState, complex]]:
+def _stepwise(blocks, state: StateVector, sector: _Sector, cap: int,
+              over=None) -> list[tuple[FockState, complex]]:
     """The global route's amplitudes on `sector`'s outcomes (the state's
     under a predicate), evolved through `blocks` one block at a time.
 
@@ -695,13 +702,17 @@ def _stepwise(blocks, state: StateVector, sector: _Sector,
     row over the outputs of its local photons that satisfy the clauses
     closing inside it, with amplitudes from the one Glynn kernel: one plan
     per (block, local photon number, closing clauses) and one sweep per
-    distinct local input.  Equal rows are then summed.
+    distinct local input.  Equal rows are then summed.  Right before such a
+    block, `_prune` drops the smallest rows whose summed |amp|^2 stays within
+    _PRUNE_NORM^2 x the state's; every later step is unitary or a projection,
+    so each returned amplitude moves by at most that dropped norm.
 
     Every block must be unitary within UNITARY_TOL.  Work is counted in
     vector elements before it is done: a row costs 1 at a monomial block
     and, at any other, the C(m + k - 1, m) outputs of its m photons on the
-    block's k channels; a sweep costs 2^(m-1) x its plan's work.  _PastLimit
-    is raised when the count would pass `cap`.  The outcomes are the
+    block's k channels; a sweep costs 2^(m-1) x its plan's work.  When the
+    count would pass `cap`, `over(count, block)` gives the new cap, or
+    without `over` _PastLimit is raised.  The outcomes are the
     record's rows, in canonical order, with 0 for an outcome no row reached.
 
     The clauses are the record's lowering, and the outcome rows and their
@@ -726,10 +737,12 @@ def _stepwise(blocks, state: StateVector, sector: _Sector,
     spent = 0
 
     def charge(work: int):
-        nonlocal spent
+        nonlocal spent, cap
         spent += work
         if spent > cap:
-            raise _PastLimit(spent, step)
+            if over is None:
+                raise _PastLimit(spent, step)
+            cap = over(spent, step)
 
     terms = state.items()
     rows = np.array([s.occupations for s, _ in terms], dtype=np.int64)
@@ -738,6 +751,8 @@ def _stepwise(blocks, state: StateVector, sector: _Sector,
     planned: set = set()  # (pattern, local photons) whose plan this call charged
     sweeps: dict = {}  # (pattern, local input) -> amplitudes over the outputs
     for step, (chans, block) in enumerate(blocks):
+        if not moves[keys[step]]:
+            rows, amps = _prune(rows, amps)
         if not len(rows):
             break
         closing = steps == step
@@ -764,6 +779,16 @@ def _stepwise(blocks, state: StateVector, sector: _Sector,
         first, inverse = _row_ids(np.concatenate([outcomes, rows]))
         result[first[inverse[len(outcomes):]]] = amps
     return list(zip(sector.states(), result.tolist()))
+
+
+def _prune(rows, amps):
+    """The rows and amplitudes without the smallest rows whose summed
+    |amp|^2 stays within _PRUNE_NORM^2 x the rows' total, kept in order."""
+    weight = amps.real**2 + amps.imag**2
+    order = np.argsort(weight, kind="stable")
+    cut = np.searchsorted(np.cumsum(weight[order]), _PRUNE_NORM**2 * weight.sum(), side="right")
+    keep = np.sort(order[cut:])
+    return rows[keep], amps[keep]
 
 
 def _project(rows, amps, weights, lo, hi, clauses):

@@ -9,6 +9,7 @@ from photonsim import grover, simulate
 from photonsim.components import Permutation
 from photonsim.errors import InvalidSpec, TooLarge
 from photonsim.fock import FockState, StateVector
+from photonsim.postselect import Processor
 from photonsim.grover import (
     DETECTION_MODE,
     PIPELINE_INPUT,
@@ -173,15 +174,57 @@ def test_dual_rail_search_work(monkeypatch):
 
 def test_dual_rail_search_stepwise_work(monkeypatch):
     # The search takes the stepwise route, which counts the local outputs of
-    # its rows and the work of its 44 local sweeps against the same bound.
-    # The global route's least count, 2^16 x (20 channels + 2 x 56 outcomes),
-    # passes it too, so the search is refused.
-    monkeypatch.setattr(simulate, "_MAX_WORK", 69224)
-    with pytest.raises(TooLarge, match="reaches 69225 vector elements at block 31 and the global "
-                                       "sweep at least 8650752, more than the 69224 allowed"):
+    # its rows and the work of its 6 local sweeps against the same bound;
+    # rows pruned as rounding noise cost nothing.  The global route's least
+    # count, 2^16 x (20 channels + 2 x 56 outcomes), passes it too, so the
+    # search is refused.
+    monkeypatch.setattr(simulate, "_MAX_WORK", 5442)
+    with pytest.raises(TooLarge, match="reaches 5443 vector elements at block 31 and the global "
+                                       "sweep at least 8650752, more than the 5442 allowed"):
         dual_rail_grover_3q()
-    monkeypatch.setattr(simulate, "_MAX_WORK", 69225)
+    monkeypatch.setattr(simulate, "_MAX_WORK", 5443)
     assert abs(dual_rail_grover_3q().data_probabilities["01"] - 1.0) < 1e-12
+
+
+def test_dual_rail_search_runs_six_local_sweeps(monkeypatch):
+    # Before each expanding block the stepper drops the rows that hold only
+    # rounding noise, so a warm call sweeps 6 distinct local inputs (44
+    # without the pruning).
+    dual_rail_grover_3q()
+    calls = []
+    original = simulate._normalized_sweep
+    monkeypatch.setattr(simulate, "_normalized_sweep", lambda *args: calls.append(1) or original(*args))
+    result = dual_rail_grover_3q()
+    assert len(calls) == 6
+    assert abs(result.success_probability - (2 / 27) ** 7) <= 1e-12 * (2 / 27) ** 7
+    assert abs(result.data_probabilities["01"] - 1.0) < 1e-12
+
+
+def test_dual_rail_search_is_built_once(monkeypatch):
+    built = []
+    original = grover._three_qubit_sequence
+    monkeypatch.setattr(grover, "_three_qubit_sequence", lambda: built.append(1) or original())
+    grover._search_build.cache_clear()
+    first, second = dual_rail_grover_3q(50, seed=3), dual_rail_grover_3q(50, seed=3)
+    assert len(built) == 1
+    assert first == second
+
+
+def test_pruning_keeps_the_search_exact(monkeypatch):
+    # Pruned against unpruned (a zero budget drops only rows of amplitude
+    # exactly 0): the amplitudes agree to 1e-12 of the norm and the seeded
+    # counts are identical.
+    build = grover._search_build()
+    processor = Processor(build.circuit, StateVector.basis(build.input_state((0, 0, 0))),
+                          build.condition)
+    pruned = processor.amplitudes()
+    counts = [dual_rail_grover_3q(1000, seed).counts for seed in range(10)]
+    monkeypatch.setattr(simulate, "_PRUNE_NORM", 0.0)
+    exact = processor.amplitudes()
+    norm = math.sqrt(sum(abs(a) ** 2 for _, a in exact))
+    assert [s for s, _ in pruned] == [s for s, _ in exact]
+    assert max(abs(a - b) for (_, a), (_, b) in zip(pruned, exact)) <= 1e-12 * norm
+    assert [dual_rail_grover_3q(1000, seed).counts for seed in range(10)] == counts
 
 
 def test_negative_shots_fail_before_any_work(monkeypatch):

@@ -13,6 +13,7 @@ from photonsim.errors import (
     RegisterMismatch,
     TooLarge,
 )
+from photonsim import simulate
 from photonsim.fock import FockState, StateVector, make_state
 from photonsim.postselect import Processor
 from photonsim.qubits import (
@@ -30,7 +31,7 @@ from photonsim.qubits import (
     single_qubit_gate,
     toffoli_decomposed,
 )
-from photonsim.simulate import state_amplitudes
+from photonsim.simulate import sample, state_amplitudes
 
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -403,3 +404,41 @@ def test_forty_photon_circuit_runs_stepwise(bits):
         assert abs(amp / scale - ideal) < 1e-12
     with pytest.raises(TooLarge, match=r"2\^39 x 883 = "):
         state_amplitudes(build.circuit.compile(), StateVector.basis(source), build.condition)
+
+
+def test_pruning_keeps_the_forty_photon_circuit_exact(monkeypatch):
+    # Pruned against unpruned (a zero budget drops only rows of amplitude
+    # exactly 0): the amplitudes agree to 1e-12 of the norm and the seeded
+    # counts are identical.
+    seq = GateSequence(4)
+    for gate in [(0, 1, 2), (1, 2, 3), (3, 0, 1)]:
+        seq.toffoli(*gate)
+    build = seq.build()
+    processor = Processor(build.circuit, StateVector.basis(build.input_state((1, 1, 0, 1))),
+                          build.condition)
+
+    def run():
+        dist, _ = build.run((1, 1, 0, 1))
+        return processor.amplitudes(), [sample(dist, 1000, seed).counts for seed in range(10)]
+
+    pruned, counts = run()
+    monkeypatch.setattr(simulate, "_PRUNE_NORM", 0.0)
+    exact, exact_counts = run()
+    norm = math.sqrt(sum(abs(a) ** 2 for _, a in exact))
+    assert [s for s, _ in pruned] == [s for s, _ in exact]
+    assert max(abs(a - b) for (_, a), (_, b) in zip(pruned, exact)) <= 1e-12 * norm
+    assert counts == exact_counts
+
+
+@pytest.mark.parametrize("k", [18, 22, 30])
+def test_long_heralded_chain_keeps_its_norm(k):
+    # The pruning budget is relative to the state's norm, which shrinks as
+    # (2/27)^k along the chain: an absolute budget would empty it.
+    seq = GateSequence(2)
+    for _ in range(k):
+        seq.cnot(0, 1)
+    build = seq.build()
+    state = StateVector.basis(build.input_state((1, 0)))
+    amplitudes = Processor(build.circuit, state, build.condition).amplitudes()
+    total = sum(abs(a) ** 2 for _, a in amplitudes)
+    assert abs(total - (2 / 27) ** k) <= 1e-12 * (2 / 27) ** k

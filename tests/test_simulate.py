@@ -706,6 +706,39 @@ def test_stepwise_route_refuses_when_both_routes_pass_the_limit(monkeypatch):
         Processor(circuit, state, condition).amplitudes()
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-20])
+def test_prune_drops_rows_within_the_norm_budget(scale):
+    # |amp|^2 of 9e-30 and 1.6e-29 sum to 2.5e-29, within 1e-28 of the total;
+    # adding the next smallest, 1e-26, would pass it.  The budget scales
+    # with the state, and the kept rows keep their order.
+    amps = scale * np.array([1e-13, 1.0, 4e-15j, 0.5, 3e-15])
+    rows = np.arange(10).reshape(5, 2)
+    kept, kept_amps = simulate._prune(rows, amps)
+    assert kept.tolist() == [[0, 1], [2, 3], [6, 7]]
+    assert kept_amps.tolist() == amps[[0, 1, 3]].tolist()
+
+
+@pytest.mark.parametrize("limit, spent", [(1648513, 1654819), (2094847, 2101155)])
+def test_stepwise_route_resumes_past_its_first_cap(monkeypatch, limit, spent):
+    # Between the global sweep's least count (1648512) and its exact one
+    # (2094848), the stepper raises its cap to the limit and goes on from
+    # where it stopped: block 0's local outputs are built once, in one
+    # stepwise run, before the refusal.
+    simulate._STRUCTURES.clear()
+    circuit, state, condition = wide_blocks_case()
+    monkeypatch.setattr(simulate, "_MAX_WORK", limit)
+    calls = {"_stepwise": 0, "_local_parts": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(simulate, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(simulate, name, counted)
+    with pytest.raises(TooLarge, match=f"reaches {spent} vector elements at block 0 and the global "
+                                       f"sweep at least 2094848, more than the {limit} allowed"):
+        Processor(circuit, state, condition).amplitudes()
+    assert calls == {"_stepwise": 1, "_local_parts": 1}
+
+
 def test_empty_placement_does_not_change_the_route():
     # A trailing no-op placement yields no block, so [2]==0 still closes
     # before the last block and the stepper runs.
