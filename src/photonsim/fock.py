@@ -151,6 +151,15 @@ class StateVector:
         self.polarized = polarized
 
     @classmethod
+    def _unchecked(cls, amplitudes: dict, channels: int, polarized: bool) -> "StateVector":
+        """The vector of a dict of Python complex amplitudes, each at least
+        PRUNE_TOL in magnitude, on states that fit the register, as
+        `simulate.evolve` makes them, without the checks."""
+        vector = object.__new__(cls)
+        vector._amp, vector.channels, vector.polarized = amplitudes, channels, polarized
+        return vector
+
+    @classmethod
     def basis(cls, state: FockState) -> "StateVector":
         return cls({state: 1.0 + 0j})
 

@@ -163,8 +163,8 @@ class Processor:
         n = self.input_state.sector
         kept = {t: abs(a) ** 2 for t, a in amplitudes if abs(a) >= PRUNE_TOL}
         if self.postselect is None and n >= self.min_detected_photons:
-            return Distribution(kept, n), 1.0
+            return Distribution(kept, n, _canonical=True), 1.0
         success = sum(kept.values())
         if success == 0.0:
-            return Distribution({}, n), 0.0
-        return Distribution({s: p / success for s, p in kept.items()}, n), success
+            return Distribution({}, n, _canonical=True), 0.0
+        return Distribution({s: p / success for s, p in kept.items()}, n, _canonical=True), success

@@ -19,21 +19,24 @@ import operator
 import sys
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuit import compile_blocks
 from .components import UNITARY_TOL, require_unitary
 from .errors import InvalidSpec, RegisterMismatch, TooLarge
-from .fock import FockState, StateVector, canonical_items
+from .fock import PRUNE_TOL, FockState, StateVector, canonical_items
 
 # The kernel sweeps 2^_CHUNK_BITS column subsets at a time.
 _CHUNK_BITS = 13
 
-# One op of the trie reduction writes at most _BATCH_BYTES of rows: 64
-# nodes at 2^5 subsets, one node from 2^11 on.
-_BATCH_BYTES = 1 << 15
+# One op of the trie reduction writes at most _BATCH_BYTES of rows while a
+# row is shorter than _VIEW_BYTES (512 nodes at 2^4 subsets, 8 at 2^10), and
+# one node from 2^11 subsets on: measured, a wider window there gathers
+# copies of long rows and ran 1.2-1.9x slower at n = 12-14 (see _plan).
+_BATCH_BYTES = 1 << 17
+_VIEW_BYTES = 1 << 15
 
 # (-1)^|S| for each subset S of a chunk's columns, indexed as in _subset_sums.
 _SIGNS = np.ones(1)
@@ -211,12 +214,15 @@ def _plan(outcomes: np.ndarray, n: int) -> _Plan:
     of a channel's sum.  With the targets sorted, a target adds a trie node
     for each step after the prefix it shares with the one before; a node's
     parent is the latest node one depth up and a target's last node is its
-    leaf.  The targets are cut into windows of `width` leaves, `width` rows
-    filling _BATCH_BYTES, and a window runs one op per depth.  Each depth's
-    buffer has two halves that its ops alternate between, so an op can still
-    read the latest node of the window before.  Consecutive rows are slices,
-    which numpy reads as views.  Per subset the plan costs one sum per
-    channel and one product per power step, trie node and leaf sum.
+    leaf.  The targets are cut into windows of `width` leaves, and a window
+    runs one op per depth.  While a node's row of subsets is shorter than
+    _VIEW_BYTES, such an op costs more in numpy's call overhead than in
+    arithmetic, so `width` rows fill _BATCH_BYTES.  From 2^11 subsets on,
+    `width` is 1, and an op reads its parent and factor rows as slices,
+    which numpy reads as views, not as gathered copies.  Each depth's buffer
+    has two halves that its ops alternate between, so an op can still read
+    the latest node of the window before.  Per subset the plan costs one sum
+    per channel and one product per power step, trie node and leaf sum.
     """
     count, channels = outcomes.shape
     taken = np.zeros((n + 1, channels), dtype=bool)  # occupations taken per channel
@@ -246,7 +252,8 @@ def _plan(outcomes: np.ndarray, n: int) -> _Plan:
     np.not_equal(trie[1:], trie[:-1], out=differs[1:])
     new = step & np.logical_or.accumulate(differs, axis=1)  # a trie node per new step
     lead = new.any(axis=1).cumsum() - 1  # each target's leaf; duplicates share it
-    width = min(max(1, _BATCH_BYTES >> (min(n - 1, _CHUNK_BITS) + 4)), int(lead[-1]) + 1)
+    row = 16 << min(n - 1, _CHUNK_BITS)  # bytes of a node's row of subsets
+    width = min(_BATCH_BYTES // row if row < _VIEW_BYTES else 1, int(lead[-1]) + 1)
     steps = depth[:, -1].tolist()
     code = [rank[c] for c in order]
 
@@ -375,9 +382,10 @@ def _outcomes(channels: int, n: int, lowered) -> np.ndarray:
     the clauses' summed shortfall needs more photons than are left, at
     `reach` (the largest total weight of a channel) each.  Each step keeps
     its rows' parents and counts, read back into rows at the end.  TooLarge
-    comes before a step whose rows would hold more than _ENUMERATION_BYTES,
-    at 8 bytes a row per channel, clause and counter (parent, count,
-    photons left, shortfall).
+    comes before a step whose rows, at 8 bytes a row per channel, clause and
+    counter (parent, count, photons left, shortfall), and the parents and
+    counts kept from the steps before it would hold more than
+    _ENUMERATION_BYTES.
     """
     if lowered is None:
         empty = np.zeros(0, dtype=np.int64)
@@ -389,7 +397,7 @@ def _outcomes(channels: int, n: int, lowered) -> np.ndarray:
     left = np.array([n], dtype=np.int64)
     short = np.maximum(lo, 0).sum(keepdims=True)
     sums = np.zeros((len(lo), 1), dtype=np.int64)
-    steps = []
+    steps, held = [], 0  # the kept (parent, count) arrays and their bytes
     for ch in range(channels):
         read = np.flatnonzero(weights[:, ch])
         bottom = left if ch == channels - 1 else 0
@@ -404,10 +412,10 @@ def _outcomes(channels: int, n: int, lowered) -> np.ndarray:
             top = left + (-short // reach)
         count = np.maximum(top - bottom + 1, 0)
         total = int(count.sum())
-        if total * row_bytes > _ENUMERATION_BYTES:
+        if held + total * row_bytes > _ENUMERATION_BYTES:
             raise TooLarge(
                 f"the outcome enumeration reaches {total} rows at channel {ch} of {channels}, "
-                f"{total * row_bytes} bytes, more than the {_ENUMERATION_BYTES} allowed"
+                f"{held + total * row_bytes} bytes, more than the {_ENUMERATION_BYTES} allowed"
             )
         parent = np.repeat(np.arange(len(left)), count)
         k = np.repeat(top + np.cumsum(count) - count, count) - np.arange(total)
@@ -418,6 +426,7 @@ def _outcomes(channels: int, n: int, lowered) -> np.ndarray:
             keep = short <= left * reach
             parent, k, left, short, sums = parent[keep], k[keep], left[keep], short[keep], sums[:, keep]
         steps.append((parent, k))
+        held += parent.nbytes + k.nbytes
     at = np.flatnonzero(left == 0)  # all rows, or with no channel the one of n = 0
     rows = np.empty((len(at), channels), dtype=np.int64)
     for ch in range(channels - 1, -1, -1):
@@ -581,8 +590,13 @@ class Distribution:
 
     entries: dict[FockState, float]
     sector: int
+    # Set by the builders whose entries are already in canonical order.
+    _canonical: bool = field(default=False, compare=False, repr=False)
 
     def items(self) -> list[tuple[FockState, float]]:
+        """The entries in canonical order."""
+        if self._canonical:
+            return list(self.entries.items())
         return canonical_items(self.entries.items())
 
     def total(self) -> float:
@@ -607,20 +621,21 @@ def state_amplitudes(matrix, state: StateVector, predicate) -> list[tuple[FockSt
     within UNITARY_TOL.
     """
     n = state.require_sector()
-    return _swept(_channel_unitary(matrix, state.channels), state, n, predicate)
+    sector, amps = _swept(_channel_unitary(matrix, state.channels), state, n, predicate)
+    return list(zip(sector.states(), amps.tolist()))
 
 
 def _swept(u: np.ndarray, state: StateVector, n: int, predicate,
-           sector: _Sector | None = None) -> list[tuple[FockState, complex]]:
-    """`state_amplitudes` on a square U; `sector`, when given, is the record
-    of the state's register and photon number under `predicate`."""
+           sector: _Sector | None = None) -> tuple[_Sector, np.ndarray]:
+    """`state_amplitudes` on a square U, as the sector record and the
+    amplitude array of its rows; `sector`, when given, is the record of the
+    state's register and photon number under `predicate`."""
     require_unitary(u)
     if predicate is None:
         _require_work(n, state.channels + math.comb(n + state.channels - 1, n))
     if sector is None:
         sector = _sector(state.channels, state.polarized, n, predicate)
-    amps = _evaluate(u, state.items(), sector.rows, sector.plan())
-    return list(zip(sector.states(), amps.tolist()))
+    return sector, _evaluate(u, state.items(), sector.rows, sector.plan())
 
 
 def circuit_amplitudes(blocks, state: StateVector, predicate) -> list[tuple[FockState, complex]]:
@@ -671,7 +686,8 @@ def circuit_amplitudes(blocks, state: StateVector, predicate) -> list[tuple[Fock
                 return _stepwise(blocks, state, sector, min(lower, _MAX_WORK), over)
             except _PastLimit:
                 pass
-    return _swept(compile_blocks(blocks, state.channels), state, n, predicate, sector)
+    sector, amps = _swept(compile_blocks(blocks, state.channels), state, n, predicate, sector)
+    return list(zip(sector.states(), amps.tolist()))
 
 
 def _closing_steps(blocks, weights: np.ndarray) -> np.ndarray:
@@ -917,11 +933,18 @@ def require_normalized(state: StateVector):
 def evolve(matrix, state: StateVector) -> StateVector:
     """Output amplitudes of a state vector under a channel unitary.
 
-    Every outcome of the input's sector comes from `state_amplitudes`; the
-    StateVector drops amplitudes below fock.PRUNE_TOL.
+    Every outcome of the input's sector comes from the sweep of
+    `state_amplitudes`; those with |amp| >= fock.PRUNE_TOL are kept, in
+    canonical order, straight from the sector record's FockStates and the
+    amplitude array, without the StateVector's per-state checks.  np.hypot
+    and Python's abs() both take |amp| from the C hypot, so the cut is the
+    same.
     """
-    amplitudes = state_amplitudes(matrix, state, None)
-    return StateVector(dict(amplitudes), channels=state.channels, polarized=state.polarized)
+    n = state.require_sector()
+    sector, amps = _swept(_channel_unitary(matrix, state.channels), state, n, None)
+    keep = np.hypot(amps.real, amps.imag) >= PRUNE_TOL
+    terms = dict(zip(itertools.compress(sector.states(), keep.tolist()), amps[keep].tolist()))
+    return StateVector._unchecked(terms, state.channels, state.polarized)
 
 
 def distribution(matrix, state: StateVector) -> Distribution:
@@ -933,8 +956,9 @@ def distribution(matrix, state: StateVector) -> Distribution:
     n = state.require_sector()
     require_normalized(state)
     evolved = evolve(matrix, state)
-    entries = {s: abs(a) ** 2 for s, a in evolved.items()}
-    return Distribution(entries, n)
+    # evolve keeps its terms in canonical order, so they need no sort.
+    entries = {s: abs(a) ** 2 for s, a in evolved._amp.items()}
+    return Distribution(entries, n, _canonical=True)
 
 
 class SplitMix64:

@@ -3,6 +3,7 @@ circuit corpus: exit codes, text/JSON output agreement, determinism."""
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -305,6 +306,24 @@ def test_simulate_past_the_enumeration_budget_exits_3(capsys, monkeypatch):
     )
     assert code == 3 and out == ""
     assert err.startswith("error: the outcome enumeration reaches ")
+
+
+def test_enumeration_budget_counts_the_steps_it_keeps(capsys, monkeypatch):
+    # 12 photons on 20 modes under [0]==0: channel 0 grows one row and
+    # channel c >= 1 C(12 + c, c), each of 8 x (20 + 1 + 4) bytes, and every
+    # step keeps 16 bytes a row.  At 1,250,000 bytes the step at channel 5
+    # fits alone but not with the steps kept before it.
+    rows = [1] + [math.comb(12 + c, c) for c in range(1, 19)]
+    summed = [16 * sum(rows[:c]) + 200 * rows[c] for c in range(19)]
+    for budget in (1 << 20, 1_250_000, 5 << 20):
+        monkeypatch.setattr(simulate, "_ENUMERATION_BYTES", budget)
+        code, out, err = run_cli(
+            capsys, "simulate", "--circuit", str(DATA / "wide20.json"),
+            "--input", "|" + ",".join(["1"] * 12 + ["0"] * 8) + ">", "--postselect", "[0]==0",
+        )
+        assert code == 3 and out == ""
+        refused = int(re.search(r"rows at channel (\d+) of 20, ", err).group(1))
+        assert refused <= next(c for c, b in enumerate(summed) if b > budget)
 
 
 def test_grover_rejects_negative_shots_first(capsys, monkeypatch):

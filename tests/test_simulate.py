@@ -17,7 +17,7 @@ from photonsim.circuit import Circuit
 from photonsim.components import BeamSplitter, GenericUnitary, Permutation, PhaseShifter
 from photonsim.errors import InvalidSpec, MixedSector, NotUnitary, RegisterMismatch, TooLarge
 from photonsim.expansion import oracle_evolve
-from photonsim.fock import FockState, StateVector, make_state
+from photonsim.fock import PRUNE_TOL, FockState, StateVector, make_state
 from photonsim.postselect import Processor, admissible_outcomes, parse_postselect
 from photonsim.simulate import (
     Distribution,
@@ -120,19 +120,120 @@ def test_sector_basis_count():
 
 
 def test_sector_enumeration_byte_budget(monkeypatch):
-    # Two photons on 3 channels grow 3, 6 and 6 rows of 8 x (3 + 4) bytes.
+    # Two photons on 3 channels grow 3, 6 and 6 rows of 8 x (3 + 4) bytes,
+    # and each step keeps 16 bytes a row: the last step holds 6 x 56 bytes
+    # and the 16 x (3 + 6) kept before it.
     simulate._STRUCTURES.clear()
-    monkeypatch.setattr(simulate, "_ENUMERATION_BYTES", 6 * 56)
+    monkeypatch.setattr(simulate, "_ENUMERATION_BYTES", 6 * 56 + 16 * 9)
     assert len(list(sector_basis(2, 3))) == 6
     simulate._STRUCTURES.clear()
-    monkeypatch.setattr(simulate, "_ENUMERATION_BYTES", 6 * 56 - 1)
-    with pytest.raises(TooLarge, match="reaches 6 rows at channel 1 of 3, 336 bytes, more than the 335"):
+    monkeypatch.setattr(simulate, "_ENUMERATION_BYTES", 6 * 56 + 16 * 9 - 1)
+    with pytest.raises(TooLarge, match="reaches 6 rows at channel 2 of 3, 480 bytes, more than the 479"):
         list(sector_basis(2, 3))
     # C(41, 12) = 7.1e9 rows; the budget is lowered so that the refusal
     # comes after a few thousand rows instead of millions.
     monkeypatch.setattr(simulate, "_ENUMERATION_BYTES", 1 << 20)
     with pytest.raises(TooLarge, match="rows at channel 4 of 30"):
         next(sector_basis(12, 30))
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_window_plans_sweep_as_one_node_per_op(n, monkeypatch):
+    # Modes enough that the targets fill more than one window while rows
+    # are short; with _VIEW_BYTES at 0 every row counts as long.
+    modes = {2: 91, 3: 23, 4: 12, 5: 8, 6: 6, 7: 5}.get(n, 4)
+    rng = np.random.default_rng(n)
+    rows = simulate._outcomes(modes, n, None)
+    u = random_unitary(rng, modes)
+    source = rows[len(rows) // 3].tolist()
+    plan = simulate._plan(rows, n)
+    assert plan.leaves > plan.width if n < 12 else plan.width == 1
+    monkeypatch.setattr(simulate, "_VIEW_BYTES", 0)
+    single = simulate._plan(rows, n)
+    assert single.width == 1
+    assert np.array_equal(simulate._sweep(u, source, plan), simulate._sweep(u, source, single))
+
+
+@pytest.mark.parametrize("n", [11, 12, 13, 14, 20])
+def test_plans_from_2_to_the_11_subsets_keep_one_node_per_op(n):
+    plan = simulate._plan(simulate._outcomes(3, n, None), n)
+    assert (plan.width == 1) == (n >= 12)
+
+
+def exact(pairs):
+    """(state, value) pairs with each float or complex value as its bits."""
+    return [(s, complex(v).real.hex(), complex(v).imag.hex()) for s, v in pairs]
+
+
+def test_distribution_and_evolve_match_their_list_construction():
+    # 20 seeded Haar inputs: collision-free, bunched and both at once.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        modes, n = 4 + seed % 4, 2 + seed % 3
+        u = random_unitary(rng, modes)
+        free = make_state((1,) * n + (0,) * (modes - n))
+        bunched = make_state((n - 1,) + (0,) * (modes - 2) + (1,))
+        terms = ({free: 1.0}, {bunched: 1.0}, {free: 0.6, bunched: 0.8j})[seed % 3]
+        assert_evolved_bits(u, StateVector(terms))
+
+
+def assert_evolved_bits(u, psi):
+    """distribution and evolve give the keys, order and float bits of
+    their construction from the list of state_amplitudes."""
+    amplitudes = state_amplitudes(u, psi, None)
+    want = [(s, abs(a) ** 2) for s, a in amplitudes if abs(a) >= PRUNE_TOL]
+    got = distribution(u, psi)
+    assert exact(got.entries.items()) == exact(want)
+    assert exact(got.items()) == exact(want)
+    listed = StateVector(dict(amplitudes), channels=psi.channels, polarized=psi.polarized)
+    evolved = evolve(u, psi)
+    assert evolved == listed
+    assert exact(evolved._amp.items()) == exact(listed._amp.items())
+    assert (evolved.channels, evolved.polarized) == (listed.channels, listed.polarized)
+
+
+def test_evolve_prunes_amplitudes_at_prune_tol_as_the_list_construction():
+    # One photon in mode 0 or 2 of two 2-mode rotations whose diagonal
+    # amplitude, times the input's 1/sqrt(2), lands a hair above and below.
+    blocks = []
+    for scale in (1 + 1e-6, 1 - 1e-6):
+        a = PRUNE_TOL * math.sqrt(2) * scale * complex(math.cos(0.7), math.sin(0.7))
+        s = math.sqrt(1 - abs(a) ** 2)
+        blocks.append(np.array([[a, -s], [s, a.conjugate()]]))
+    u = np.zeros((4, 4), dtype=complex)
+    u[:2, :2], u[2:, 2:] = blocks
+    psi = StateVector({make_state((1, 0, 0, 0)): 1.0, make_state((0, 0, 1, 0)): 1.0}).normalized()
+    amps = dict(state_amplitudes(u, psi, None))
+    above, below = abs(amps[make_state((1, 0, 0, 0))]), abs(amps[make_state((0, 0, 1, 0))])
+    assert PRUNE_TOL <= above < PRUNE_TOL * (1 + 1e-5)
+    assert PRUNE_TOL * (1 - 1e-5) < below < PRUNE_TOL
+    assert_evolved_bits(u, psi)
+    assert make_state((1, 0, 0, 0)) in distribution(u, psi).entries
+    assert make_state((0, 0, 1, 0)) not in distribution(u, psi).entries
+
+
+def test_sample_reads_program_built_distributions_without_sorting(monkeypatch):
+    u = random_unitary(np.random.default_rng(8), 6)
+    psi = StateVector({make_state((1, 1, 1, 0, 0, 0)): 0.6, make_state((2, 0, 0, 0, 0, 1)): 0.8})
+    circuit = Circuit(4).add(0, BeamSplitter.h()).add(1, BeamSplitter.rx(0.9)).add(2, BeamSplitter.h())
+    run, _ = Processor(circuit, StateVector.basis(make_state((1, 1, 1, 0))),
+                       parse_postselect("[3]<=1")).run()
+    calls = []
+    sort = simulate.canonical_items
+    monkeypatch.setattr(simulate, "canonical_items", lambda pairs: calls.append(1) or sort(pairs))
+    for built in (distribution(u, psi), run):
+        # The order flag is private: it shows in no field, == or repr.
+        assert repr(Distribution(dict(built.entries), built.sector)) == repr(built)
+        # The same entries from an unordered dict: equal, and sorted on use.
+        user = Distribution(dict(reversed(built.entries.items())), built.sector)
+        assert user == built
+        for seed in range(10):
+            calls.clear()
+            got = sample(built, 5000, seed)
+            assert not calls
+            want = sample(user, 5000, seed)
+            assert calls
+            assert list(got.counts.items()) == list(want.counts.items())
 
 
 def test_batch_amplitudes_match_single_calls():
