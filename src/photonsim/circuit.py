@@ -123,5 +123,20 @@ def compile_blocks(blocks, channels: int) -> np.ndarray:
     as `Circuit.blocks` yields, the first block rightmost in the product."""
     total = np.eye(channels, dtype=complex)
     for chans, block in blocks:
-        total[chans] = block @ total[chans]
+        rows = index_view(chans)
+        total[rows] = block @ total[rows]
     return total
+
+
+def index_view(index) -> slice | np.ndarray:
+    """Indices as a slice, which numpy reads as a view, not a gathered
+    copy, when they step evenly upwards (consecutive, or every other
+    channel for a spatial block on a polarized register) or are all one
+    index (which then broadcasts); else as an array."""
+    index = list(index)
+    step = index[1] - index[0] if len(index) > 1 else 1
+    if index and step > 0 and index == list(range(index[0], index[-1] + 1, step)):
+        return slice(index[0], index[-1] + 1, step)
+    if index and index.count(index[0]) == len(index):
+        return slice(index[0], index[0] + 1)
+    return np.array(index, dtype=np.intp)

@@ -3,7 +3,8 @@
 Subcommands: `unitary` (compiled matrix of a circuit file), `simulate`
 (output amplitudes for a Fock input), `sample` (seeded counts) and `grover`
 (the prebuilt polarization search).  Circuit files are JSON; all angles are
-decimal radians.  Exit codes: 0 success, 2 bad input, 3 evaluation failure.
+decimal radians.  Exit codes: 0 success, 1 stdout closed early (as by
+`| head`), 2 bad input, 3 evaluation failure.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -448,7 +450,10 @@ def main(argv=None) -> int:
     `main` can be called repeatedly in one process.  The argument parser is
     built on the first call and reused; each call parses `argv` (default
     `sys.argv[1:]`) afresh and writes to the current `sys.stdout` and
-    `sys.stderr`.
+    `sys.stderr`.  When the reader of stdout closes it before the output
+    ends, the command stops without a traceback and returns 1; the
+    process's stdout file descriptor then stays pointed at devnull, so
+    later output to it in the same process is dropped.
     """
     parser = _build_parser()
     try:
@@ -461,7 +466,17 @@ def main(argv=None) -> int:
         "sample": _cmd_sample,
         "grover": _cmd_grover,
     }[args.command]
-    return handler(args)
+    try:
+        code = handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull, so the flush at exit of what is still
+        # buffered does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

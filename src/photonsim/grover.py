@@ -56,16 +56,21 @@ def _mark(mode: int):
     return [(mode, half_wave_plate(0.0)), (mode, PhaseShifter(-math.pi / 2))]
 
 
+def _require_search(target: str, variant: str):
+    """Raise InvalidSpec unless the target and the variant are known."""
+    if target not in TARGETS:
+        raise InvalidSpec(f"target must be one of {TARGETS}, got {target!r}")
+    if variant not in VARIANTS:
+        raise InvalidSpec(f"variant must be one of {VARIANTS}, got {variant!r}")
+
+
 def oracle_circuit(target: str, variant: str = "per_mode_PR") -> Circuit:
     """Sign flip on the target's basis state.
 
     per_mode_PR uses one polarization rotator on the target's own mode;
     uniform_PR0 always rotates mode 0 and steers the sign with O_m stages.
     """
-    if target not in TARGETS:
-        raise InvalidSpec(f"target must be one of {TARGETS}, got {target!r}")
-    if variant not in VARIANTS:
-        raise InvalidSpec(f"variant must be one of {VARIANTS}, got {variant!r}")
+    _require_search(target, variant)
     circuit = Circuit(2, polarized=True)
     if variant == "per_mode_PR":
         mode, angle = {
@@ -119,6 +124,13 @@ def grover_pipeline(target: str, variant: str = "per_mode_PR") -> Circuit:
     return full.compose(detection_circuit())
 
 
+@functools.cache
+def _pipeline(target: str, variant: str) -> Circuit:
+    """`grover_pipeline`, built once per process for each known (target,
+    variant); Circuit is frozen, so every call can share it."""
+    return grover_pipeline(target, variant)
+
+
 #: Pipeline input: the single photon enters mode 1 horizontally polarized.
 PIPELINE_INPUT = FockState((0, 0, 1, 0, 0, 0, 0, 0), polarized=True)
 
@@ -147,11 +159,13 @@ def run_grover(target: str, variant: str = "per_mode_PR", shots: int = 0, seed: 
     """Exact label distribution of the full pipeline, plus seeded counts.
 
     Polarization is summed out per spatial mode; the photon's exit mode
-    names the found element via DETECTION_MODE.  Bad shots or seeds fail first.
+    names the found element via DETECTION_MODE.  Bad shots or seeds fail
+    first, then an unknown target or variant, on every call.
     """
     require_shots(shots)
     require_seed(seed)
-    circuit = grover_pipeline(target, variant)
+    _require_search(target, variant)
+    circuit = _pipeline(target, variant)
     dist = distribution(circuit.compile(), StateVector.basis(PIPELINE_INPUT))
     by_mode = [0.0, 0.0, 0.0, 0.0]
     for state, p in dist.entries.items():

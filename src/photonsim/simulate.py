@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import compile_blocks
+from .circuit import compile_blocks, index_view
 from .components import UNITARY_TOL, require_unitary
 from .errors import InvalidSpec, RegisterMismatch, TooLarge
 from .fock import PRUNE_TOL, FockState, StateVector, canonical_items
@@ -281,8 +281,8 @@ def _plan(outcomes: np.ndarray, n: int) -> _Plan:
             leaves.append(leaf)
     ops, done = [], []
     for (_, d), (parents, factors, start, rows, leaves) in sorted(segs.items()):
-        ops.append((d, _rows(parents), _rows(factors), slice(start, start + len(parents)),
-                    _rows(rows) if rows else None, slice(len(done), len(done) + len(rows))))
+        ops.append((d, index_view(parents), index_view(factors), slice(start, start + len(parents)),
+                    index_view(rows) if rows else None, slice(len(done), len(done) + len(rows))))
         done += leaves
     leaf_id = np.empty(len(done), dtype=np.int64)  # by target order, as `lead` counts
     leaf_id[done] = np.arange(len(done))
@@ -291,17 +291,6 @@ def _plan(outcomes: np.ndarray, n: int) -> _Plan:
     return _Plan(n, perm, ladder, first[-1], tuple(ops), levels, width, len(done),
                  target_leaf, _FACTORIALS[outcomes].prod(axis=1),
                  first[-1] + len(target) + len(done))
-
-
-def _rows(index: list[int]):
-    """Row indices as a slice, which numpy reads as a view, when they are
-    consecutive or all one row (which then broadcasts); else as an array."""
-    start = index[0]
-    if index == list(range(start, start + len(index))):
-        return slice(start, start + len(index))
-    if index.count(start) == len(index):
-        return slice(start, start + 1)
-    return np.array(index)
 
 
 def _sweep(u: np.ndarray, occupations, plan: _Plan) -> np.ndarray:
@@ -458,13 +447,13 @@ def _lower(predicate, channels: int, polarized: bool, n: int):
 
 class _Sector:
     """What no unitary changes about the outcomes of a photon-number sector
-    under a predicate: the predicate's lowering (None without one), their
-    rows in canonical order, read-only, and, built on first use, their
-    FockStates and trie plan."""
+    under a predicate: its `_STRUCTURES` key, the predicate's lowering (None
+    without one), their rows in canonical order, read-only, and, built on
+    first use, their FockStates and trie plan."""
 
-    def __init__(self, lowered, n: int, polarized: bool, rows: np.ndarray):
+    def __init__(self, key, lowered, n: int, polarized: bool, rows: np.ndarray):
         rows.setflags(write=False)
-        self.lowered, self.rows, self.n, self.polarized = lowered, rows, n, polarized
+        self.key, self.lowered, self.rows, self.n, self.polarized = key, lowered, rows, n, polarized
         self.nbytes = rows.nbytes
         self.kept = False  # whether _STRUCTURES counts it
         self._states = self._trie = None
@@ -502,10 +491,10 @@ def _plan_bytes(plan: _Plan) -> int:
 
 
 class _Structures:
-    """Sector records by key for every call in the process, least recently
-    used first out once they hold more than _STRUCTURE_BYTES: a record
-    larger than that is used and not kept.  No unitary, amplitude or sweep
-    is kept."""
+    """Sector records and step programs by key for every call in the
+    process, least recently used first out once they hold more than
+    _STRUCTURE_BYTES: a record larger than that is used and not kept.  No
+    unitary, amplitude or sweep is kept."""
 
     def __init__(self):
         self._records: OrderedDict = OrderedDict()
@@ -519,7 +508,7 @@ class _Structures:
             self._records.clear()
             self.held = 0
 
-    def get(self, key, build) -> _Sector:
+    def get(self, key, build):
         """The record for `key`, from `build()` when it is not kept."""
         with self._lock:
             record = self._records.get(key)
@@ -532,7 +521,7 @@ class _Structures:
                 self._records.move_to_end(key)
             return record
 
-    def grew(self, record: _Sector, nbytes: int):
+    def grew(self, record, nbytes: int):
         """Count `nbytes` more for a record that built a part."""
         with self._lock:
             record.nbytes += nbytes
@@ -554,19 +543,22 @@ def _sector(channels: int, polarized: bool, n: int, predicate) -> _Sector:
     """The record of the outcomes of n photons over `channels` that satisfy
     `predicate`, which is lowered here, once per record; PostSelect and
     Clause are frozen, so a predicate is a key."""
+    key = (channels, polarized, n, predicate)
+
     def build():
         lowered = None if predicate is None else _lower(predicate, channels, polarized, n)
-        return _Sector(lowered, n, polarized, _outcomes(channels, n, lowered))
-    return _STRUCTURES.get((channels, polarized, n, predicate), build)
+        return _Sector(key, lowered, n, polarized, _outcomes(channels, n, lowered))
+    return _STRUCTURES.get(key, build)
 
 
-def _local_sector(k: int, m: int, local) -> _Sector:
+def _local_sector(k: int, m: int, local, tail: tuple | None = None) -> _Sector:
     """The record of the outputs of m photons over a block's k channels that
-    the lowered clauses `local` allow: the whole sector's when there are none."""
+    the lowered clauses `local` allow: the whole sector's when there are none.
+    `tail`, when given, is the clauses' bytes, as a step program keeps them."""
     if not len(local[1]):
         return _sector(k, False, m, None)
-    return _STRUCTURES.get((k, m, *(a.tobytes() for a in local)),
-                           lambda: _Sector(local, m, False, _outcomes(k, m, local)))
+    key = (k, m, *(tail or (a.tobytes() for a in local)))
+    return _STRUCTURES.get(key, lambda: _Sector(key, local, m, False, _outcomes(k, m, local)))
 
 
 def sector_basis(n: int, channels: int):
@@ -645,11 +637,14 @@ def circuit_amplitudes(blocks, state: StateVector, predicate) -> list[tuple[Fock
 
     The one owner of the route.  Without a predicate, or when every clause
     reads a channel of the last block, the compiled blocks take the global
-    route of `state_amplitudes`.  When a clause closes before the last
-    block, `_stepwise` evolves the state block by block under the least
-    count the global sweep can have, 2^(n-1) x (channels + 2 x outcomes)
-    vector elements.  Past that, the global sweep's exact count comes from
-    its plan, built then: within _MAX_WORK, the global route runs on the
+    route of `state_amplitudes`.  A kept route record, keyed by the blocks'
+    channels alone (see `_route`), says which it is, so the global route
+    keeps nothing of a block.  When a clause closes before the last block,
+    `_stepwise` runs the blocks' kept step program (see `_program`) and
+    evolves the state block by block under the least count the
+    global sweep can have, 2^(n-1) x (channels + 2 x outcomes) vector
+    elements.  Past that, the global sweep's exact count comes from its
+    plan, built then: within _MAX_WORK, the global route runs on the
     outcomes and plan at hand; past it, the stepper raises its cap to
     _MAX_WORK and goes on where it stopped, and TooLarge names both counts
     when it passes that too.  Before each expanding block the stepper drops
@@ -663,7 +658,8 @@ def circuit_amplitudes(blocks, state: StateVector, predicate) -> list[tuple[Fock
     sector = None
     if predicate is not None:
         sector = _sector(state.channels, state.polarized, n, predicate)
-        if (_closing_steps(blocks, sector.lowered[0]) < len(blocks) - 1).any():
+        route = _route(blocks, sector)
+        if route.early:
             subsets = (1 << n) >> 1
             # A plan has at least a factor row per channel and a node and a
             # leaf sum per target, so the global sweep costs at least `lower`.
@@ -683,31 +679,138 @@ def circuit_amplitudes(blocks, state: StateVector, predicate) -> list[tuple[Fock
                 )
 
             try:
-                return _stepwise(blocks, state, sector, min(lower, _MAX_WORK), over)
+                return _stepwise(*_program(route, blocks), state, sector, min(lower, _MAX_WORK),
+                                 over)
             except _PastLimit:
                 pass
     sector, amps = _swept(compile_blocks(blocks, state.channels), state, n, predicate, sector)
     return list(zip(sector.states(), amps.tolist()))
 
 
-def _closing_steps(blocks, weights: np.ndarray) -> np.ndarray:
-    """Per clause (a row of lowered `weights`), the index of the last of
-    `blocks` that touches a channel it reads, or -1 when none does."""
-    last = [-1] * weights.shape[1]
-    for step, (chans, _) in enumerate(blocks):
-        for ch in chans:
-            last[ch] = step
-    return np.where(weights > 0, last, -1).max(axis=1, initial=-1)
+def _route(blocks, sector: _Sector):
+    """The kept route record of `blocks`, (channels, block) pairs, on the
+    sector record under a predicate.  Its key is the record's with each
+    block's channels: the route reads no block."""
+    key = (sector.key, tuple(tuple(chans) for chans, _ in blocks))
+    return _STRUCTURES.get(key, lambda: _Route(key, sector.lowered))
+
+
+class _Route:
+    """What the channels of a list of blocks decide under a sector's
+    lowered clauses, kept in `_STRUCTURES` under `key`: per clause the last
+    block that touches a channel it reads (-1 for none), and whether one
+    closes before the last block, which sends the blocks stepwise."""
+
+    def __init__(self, key, lowered):
+        self.key, self.lowered = key, lowered
+        last = [-1] * lowered[0].shape[1]
+        for step, chans in enumerate(key[1]):
+            for ch in chans:
+                last[ch] = step
+        self.closes = np.where(lowered[0] > 0, last, -1).max(axis=1, initial=-1)
+        self.closes.setflags(write=False)
+        self.early = bool((self.closes < len(key[1]) - 1).any())
+        self.nbytes = _ROUTE_BYTES * len(key[1]) + self.closes.nbytes
+        self.kept = False  # whether _STRUCTURES counts it
+
+
+def _program(route: _Route, blocks):
+    """The kept step program of `blocks` on their route, and the blocks as
+    complex arrays.  Its key is the route's with each block's shape and
+    exact bytes, so a block that differs in any bit has its own program and
+    its own unitarity check.  Only the stepwise route builds one."""
+    mats = [np.asarray(block, dtype=complex) for _, block in blocks]
+    key = (route.key, tuple((m.shape, m.tobytes()) for m in mats))
+    return _STRUCTURES.get(key, lambda: _Program(route, key[1], mats)), mats
+
+
+class _Program:
+    """What no amplitude changes about evolving a sector's rows stepwise
+    through a list of blocks (see `_route`; `blocks` holds their shapes and
+    bytes, `mats` their complex arrays), kept in `_STRUCTURES`.  It is built
+    once each distinct block has passed `require_unitary`; the blocks'
+    exact bytes are in its key, so the verdict holds for every call.
+
+    `start` is the projection before block 0 and `steps` holds one
+    read-only (channels, move, expand, close) per block: the block's
+    channels; for a block with one nonzero per column, the permutation of
+    all channels that moves its occupations and its phases (None when all
+    are 1), else None; for any other block, the lowered clauses closing
+    inside it, their bytes and its pattern, a number shared by the steps
+    with the same block and clauses, else None; and the clauses closing
+    right after it (see `_clauses`)."""
+
+    def __init__(self, route: _Route, blocks: tuple, mats: list):
+        weights, lo, hi = route.lowered
+        checked: set = set()  # (shape, bytes) of the blocks that passed
+        patterns: dict = {}  # (shape, bytes, clause bytes) -> pattern
+        steps = []
+        for step, (chans, (shape, data), block) in enumerate(zip(route.key[1], blocks, mats)):
+            if (shape, data) not in checked:
+                require_unitary(block)
+                checked.add((shape, data))
+            chans = np.array(chans)
+            closing = route.closes == step
+            nonzero = block != 0
+            if (nonzero.sum(axis=0) == 1).all():
+                dest = nonzero.argmax(axis=0)
+                phase = block[dest, np.arange(len(block))]
+                perm = np.arange(weights.shape[1])
+                perm[chans[dest]] = chans
+                move, expand = (perm, phase if (phase != 1).any() else None), None
+            else:
+                inside = closing & (weights[:, chans].sum(axis=1) == weights.sum(axis=1))
+                local = (weights[inside][:, chans], lo[inside], hi[inside])
+                tail = tuple(a.tobytes() for a in local)
+                move = None
+                expand = (local, tail, patterns.setdefault((shape, data, *tail), len(patterns)))
+                closing &= ~inside
+            steps.append((chans, move, expand, _clauses(route.lowered, closing)))
+        self.start = _clauses(route.lowered, route.closes == -1)
+        self.steps = tuple(steps)
+        arrays = _arrays((self.start, self.steps))
+        for a in arrays:
+            a.setflags(write=False)
+        self.nbytes = (_PROGRAM_BYTES * len(blocks) + sum(len(data) for _, data in blocks)
+                       + sum(a.nbytes for a in arrays))
+        self.kept = False  # whether _STRUCTURES counts it
+
+
+# About the bytes a route record and a step program hold per block besides
+# their arrays' data and the blocks' bytes: the tuples and array headers of
+# their keys and steps (46-79 and 683-792 bytes, measured with tracemalloc on
+# the search's 32 blocks and the 45 of three Toffolis).
+_ROUTE_BYTES = 80
+_PROGRAM_BYTES = 800
+
+
+def _arrays(item):
+    """The numpy arrays in nested tuples and lists."""
+    if isinstance(item, np.ndarray):
+        return [item]
+    if isinstance(item, (tuple, list)):
+        return [a for part in item for a in _arrays(part)]
+    return []
+
+
+def _clauses(lowered, selected: np.ndarray):
+    """The selected clauses of a lowering as (weights^T, lo, hi), which
+    `_project` reads; None when none is selected."""
+    if not selected.any():
+        return None
+    weights, lo, hi = lowered
+    return weights[selected].T, lo[selected], hi[selected]
 
 
 class _PastLimit(Exception):
     """The stepper's count would pass its cap; args: the count, the block."""
 
 
-def _stepwise(blocks, state: StateVector, sector: _Sector, cap: int,
+def _stepwise(program: _Program, mats: list, state: StateVector, sector: _Sector, cap: int,
               over=None) -> list[tuple[FockState, complex]]:
     """The global route's amplitudes on `sector`'s outcomes (the state's
-    under a predicate), evolved through `blocks` one block at a time.
+    under a predicate), evolved through the blocks of `program`, whose
+    complex arrays are `mats` (see `_program`), one block at a time.
 
     The state travels as occupation rows and amplitudes; a superposition
     starts as its terms.  No block after a clause's last touch changes the
@@ -723,33 +826,22 @@ def _stepwise(blocks, state: StateVector, sector: _Sector, cap: int,
     _PRUNE_NORM^2 x the state's; every later step is unitary or a projection,
     so each returned amplitude moves by at most that dropped norm.
 
-    Every block must be unitary within UNITARY_TOL.  Work is counted in
-    vector elements before it is done: a row costs 1 at a monomial block
-    and, at any other, the C(m + k - 1, m) outputs of its m photons on the
-    block's k channels; a sweep costs 2^(m-1) x its plan's work.  When the
-    count would pass `cap`, `over(count, block)` gives the new cap, or
-    without `over` _PastLimit is raised.  The outcomes are the
-    record's rows, in canonical order, with 0 for an outcome no row reached.
+    Every block must be unitary within UNITARY_TOL; the program checked
+    each distinct block once, when it was built.  Work is counted in vector elements before it is
+    done: a row costs 1 at a monomial block and, at any other, the
+    C(m + k - 1, m) outputs of its m photons on the block's k channels; a
+    sweep costs 2^(m-1) x its plan's work.  When the count would pass `cap`,
+    `over(count, block)` gives the new cap, or without `over` _PastLimit is
+    raised.  The outcomes are the record's rows, in canonical order, with 0
+    for an outcome no row reached.
 
-    The clauses are the record's lowering, and the outcome rows and their
-    FockStates are the record's; each block's local outputs and plan are
-    kept per (block size, local photons, closing clauses).  The count does
-    not depend on what was kept: a local plan is charged as new the first
-    time a call uses it.
+    Everything that depends on the blocks and clauses alone is the kept
+    program's: each step's move or local clauses, and the clauses closing
+    after it.  The outcome rows and their FockStates are the record's; each
+    block's local outputs and plan are kept per (block size, local photons,
+    closing clauses).  The count does not depend on what was kept: a local
+    plan is charged as new the first time a call uses it.
     """
-    weights, lo, hi = sector.lowered
-    outcomes = sector.rows
-    blocks = [(list(chans), np.asarray(block, dtype=complex)) for chans, block in blocks]
-    keys = [block.tobytes() for _, block in blocks]
-    moves: dict = {}  # block bytes -> (destination, phase) of a monomial block, or None
-    for key, (_, block) in zip(keys, blocks):
-        if key not in moves:
-            require_unitary(block)
-            nonzero = block != 0
-            dest = nonzero.argmax(axis=0)
-            monomial = (nonzero.sum(axis=0) == 1).all()
-            moves[key] = (dest, block[dest, np.arange(len(block))]) if monomial else None
-    steps = _closing_steps(blocks, weights)
     spent = 0
 
     def charge(work: int):
@@ -763,37 +855,33 @@ def _stepwise(blocks, state: StateVector, sector: _Sector, cap: int,
     terms = state.items()
     rows = np.array([s.occupations for s, _ in terms], dtype=np.int64)
     amps = np.array([a for _, a in terms], dtype=complex)
-    rows, amps = _project(rows, amps, weights, lo, hi, steps == -1)
+    if program.start is not None:
+        rows, amps = _project(rows, amps, *program.start)
     planned: set = set()  # (pattern, local photons) whose plan this call charged
     sweeps: dict = {}  # (pattern, local input) -> amplitudes over the outputs
-    for step, (chans, block) in enumerate(blocks):
-        if not moves[keys[step]]:
+    for step, (chans, move, expand, close) in enumerate(program.steps):
+        if move is None:
             rows, amps = _prune(rows, amps)
         if not len(rows):
             break
-        closing = steps == step
-        if moves[keys[step]]:
-            charge(len(rows))
-            dest, phase = moves[keys[step]]
-            occ = rows[:, chans]
-            if (phase != 1).any():
-                amps = amps * np.prod(phase**occ, axis=1)
-            rows[:, [chans[d] for d in dest]] = occ
-        else:
-            inside = closing & (weights[:, chans].sum(axis=1) == weights.sum(axis=1))
-            local = (weights[inside][:, chans], lo[inside], hi[inside])
-            pattern = (keys[step], *(a.tobytes() for a in local))
-            parts = _local_parts(rows[:, chans], block, local, pattern, planned, sweeps, charge)
+        if move is None:
+            parts = _local_parts(rows[:, chans], mats[step], *expand, planned, sweeps, charge)
             rows, amps = _expand(rows, amps, chans, parts)
-            closing &= ~inside
-        rows, amps = _project(rows, amps, weights, lo, hi, closing)
-    result = np.zeros(len(outcomes), dtype=complex)
+        else:
+            charge(len(rows))
+            perm, phase = move
+            if phase is not None:
+                amps = amps * np.prod(phase ** rows[:, chans], axis=1)
+            rows = rows[:, perm]
+        if close is not None:
+            rows, amps = _project(rows, amps, *close)
+    result = np.zeros(len(sector.rows), dtype=complex)
     if len(rows):
         # The outcomes are distinct and come first, so a row's first copy
         # is its place among them; every row satisfies every clause,
         # so none lies past it (that would raise IndexError).
-        first, inverse = _row_ids(np.concatenate([outcomes, rows]))
-        result[first[inverse[len(outcomes):]]] = amps
+        first, inverse = _row_ids(np.concatenate([sector.rows, rows]))
+        result[first[inverse[len(sector.rows):]]] = amps
     return list(zip(sector.states(), result.tolist()))
 
 
@@ -807,51 +895,60 @@ def _prune(rows, amps):
     return rows[keep], amps[keep]
 
 
-def _project(rows, amps, weights, lo, hi, clauses):
-    """The rows, with their amplitudes, whose weighted sum under each
-    selected clause (a row of `weights`) lies in its [lo, hi]."""
-    if not clauses.any():
-        return rows, amps
-    sums = rows @ weights[clauses].T
-    keep = ((sums >= lo[clauses]) & (sums <= hi[clauses])).all(axis=1)
+def _project(rows, amps, weights_t, lo, hi):
+    """The rows, with their amplitudes, whose weighted sum under each clause
+    (a column of `weights_t`) lies in its [lo, hi]."""
+    sums = rows @ weights_t
+    keep = ((sums >= lo) & (sums <= hi)).all(axis=1)
     return rows[keep], amps[keep]
 
 
-def _local_parts(occ, block, local, pattern, planned, sweeps, charge):
-    """Per local photon number m: the rows with m photons in the block's
-    channels (`occ` holds those occupations), the local outputs that the
-    lowered clauses `local` allow and each row's amplitudes over them.
-    Before a part is built, `charge` takes its rows times the C(m + k - 1, m)
-    outputs of m photons on the block's k channels."""
+def _local_parts(occ, block, local, tail, pattern, planned, sweeps, charge):
+    """Per local photon number m, ascending: the rows with m photons in the
+    block's channels (`occ` holds those occupations), the local outputs
+    that the lowered clauses `local` allow and each row's amplitudes over
+    them.  Before a part is built, `charge` takes its rows times the
+    C(m + k - 1, m) outputs of m photons on the block's k channels."""
     first, inverse = _row_ids(occ)
     inputs = occ[first]
     counts = inputs.sum(axis=1)
-    row_counts = counts[inverse]
-    rank = np.empty(len(first), dtype=np.int64)  # of each input among those with its m
+    ms = sorted(set(counts.tolist()))
+    # One part, the only case of the dual-rail search: every row reads its
+    # input's table row.  The loop below gives the same parts with ten more
+    # numpy calls per block, which cost the warm search 7% (1.07x in 489 of
+    # 600 interleaved pairs, 2-core Xeon).
+    if len(ms) == 1:
+        groups = [(ms[0], inputs, np.arange(len(occ)), inverse)]
+    else:
+        row_counts = counts[inverse]
+        rank = np.empty(len(first), dtype=np.int64)  # of each input among those with its m
+        groups = []
+        for m in ms:
+            ids = np.flatnonzero(counts == m)
+            rank[ids] = np.arange(len(ids))
+            sel = np.flatnonzero(row_counts == m)
+            groups.append((m, inputs[ids], sel, rank[inverse[sel]]))
     parts = []
-    for m in np.unique(counts).tolist():
-        ids = np.flatnonzero(counts == m)
-        rank[ids] = np.arange(len(ids))
-        sel = np.flatnonzero(row_counts == m)
+    for m, group, sel, at in groups:
         charge(len(sel) * math.comb(m + len(block) - 1, m))
-        outs, table = _local_amplitudes(block, local, pattern, m, inputs[ids], planned, sweeps,
+        outs, table = _local_amplitudes(block, local, tail, pattern, m, group, planned, sweeps,
                                         charge)
-        parts.append((sel, outs, table[rank[inverse[sel]]]))
+        parts.append((sel, outs, table[at]))
     return parts
 
 
-def _local_amplitudes(block, local, pattern, m, inputs, planned, sweeps, charge):
+def _local_amplitudes(block, local, tail, pattern, m, inputs, planned, sweeps, charge):
     """The outputs of m photons over the block's channels that `local`
-    (lowered clauses: weights on the block's channels, lows, highs) allow,
-    in canonical order, and a row of amplitudes <output| block |input> per
-    input row.  The outputs and their plan come from the kept `_local_sector`;
-    `planned` holds the (pattern, m) whose plan this call has charged and
-    `sweeps` the amplitudes per (pattern, input), where `pattern` names the
-    block and the clauses.  Before the new sweeps run, `charge` takes
-    2^(m-1) x the plan's work for each, and a plan new to this call its
-    least share of that before it is read."""
+    (lowered clauses: weights on the block's channels, lows, highs; `tail`
+    their bytes) allow, in canonical order, and a row of amplitudes
+    <output| block |input> per input row.  The outputs and their plan come
+    from the kept `_local_sector`; `planned` holds the (pattern, m) whose
+    plan this call has charged and `sweeps` the amplitudes per (pattern,
+    input), where `pattern` names the block and the clauses.  Before the
+    new sweeps run, `charge` takes 2^(m-1) x the plan's work for each, and a
+    plan new to this call its least share of that before it is read."""
     subsets, paid = (1 << m) >> 1, 0
-    record = _local_sector(len(block), m, local)
+    record = _local_sector(len(block), m, local, tail)
     outs = record.rows
     if (pattern, m) not in planned:
         planned.add((pattern, m))
@@ -877,24 +974,24 @@ def _expand(rows, amps, chans, parts):
     block's amplitude as a factor; equal rows are summed and zeros dropped.
 
     Two new rows are equal when their occupations outside the block and
-    their local outputs are, so they are keyed by those two ids and only
-    the distinct ones are built.
+    their local outputs are, so they are keyed by the outer rows' key times
+    the number of outputs plus the output, one `_ids` pass, and only the
+    distinct ones are built.
     """
     outer = rows.copy()
     outer[:, chans] = 0
-    _, outer_id = _row_ids(outer)
-    outs = np.concatenate([o for _, o, _ in parts])
-    source, output, products, offset = [], [], [], 0
+    outer, bound = _row_keys(outer)
+    pieces, offset = [], 0
     for sel, o, table in parts:
-        source.append(np.repeat(sel, len(o)))
-        output.append(np.arange(len(sel) * len(o)) % len(o) + offset)
-        products.append((amps[sel, None] * table).ravel())
+        pieces.append((o, np.repeat(sel, len(o)), np.arange(len(sel) * len(o)) % len(o) + offset,
+                       (amps[sel, None] * table).ravel()))
         offset += len(o)
-    source, output, products = map(np.concatenate, (source, output, products))
+    outs, source, output, products = map(np.concatenate, zip(*pieces))
     live = products != 0
     source, output, products = source[live], output[live], products[live]
-    _, first, inverse = np.unique(outer_id[source] * len(outs) + output,
-                                  return_index=True, return_inverse=True)
+    if bound * len(outs) >= 1 << 63:  # the packed keys would overflow: number them
+        outer = _ids(outer)[1]
+    first, inverse = _ids(outer[source] * len(outs) + output)
     new = rows[source[first]]
     new[:, chans] = outs[output[first]]
     summed = np.empty(len(first), dtype=complex)
@@ -903,24 +1000,44 @@ def _expand(rows, amps, chans, parts):
     return new, summed
 
 
+def _ids(keys: np.ndarray):
+    """(first, inverse) as np.unique gives them over a 1-d array: the index
+    of each distinct key's first copy, in key order, and each key's
+    distinct-key number; from one stable argsort, a neighbour compare and a
+    cumsum."""
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = new.cumsum() - 1
+    return order[new], inverse
+
+
 def _row_ids(rows: np.ndarray):
     """(first, inverse) as from np.unique over the rows of a nonempty integer
     array: the index of each distinct row's first copy, and each row's
-    distinct-row number.
+    distinct-row number (see `_row_keys` and `_ids`)."""
+    return _ids(_row_keys(rows)[0])
 
-    The rows are packed into exact mixed-radix int64 keys, per column a
-    radix of max - min + 1 over the rows, which sort much faster than rows.
-    When the radix product reaches 2^63 the rows themselves are compared.
+
+def _row_keys(rows: np.ndarray):
+    """One int64 key per row of a nonempty integer array, equal exactly for
+    equal rows, and a bound that every key lies below.
+
+    The rows are packed into exact mixed-radix keys, per column a radix of
+    max - min + 1 over the rows, which sort much faster than rows.  When the
+    radix product reaches 2^63, the keys are np.unique's distinct-row
+    numbers instead.
     """
     low = rows.min(axis=0)
-    spans = (rows.max(axis=0) - low + 1).tolist()
-    if math.prod(spans) >= 1 << 63:
-        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    else:
-        places = np.cumprod([1, *spans[:-1]], dtype=np.int64)
-        _, first, inverse = np.unique((rows - low) @ places, return_index=True,
-                                      return_inverse=True)
-    return first, inverse.reshape(-1)
+    places = list(itertools.accumulate((rows.max(axis=0) - low + 1).tolist(), operator.mul,
+                                       initial=1))
+    if places[-1] >= 1 << 63:
+        _, inverse = np.unique(rows, axis=0, return_inverse=True)
+        return inverse.reshape(-1), len(rows)
+    return (rows - low) @ np.array(places[:-1], dtype=np.int64), places[-1]
 
 
 def require_normalized(state: StateVector):

@@ -3,7 +3,10 @@ circuit corpus: exit codes, text/JSON output agreement, determinism."""
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -506,3 +509,22 @@ def test_negative_min_photons_exits_2(capsys, command, extra):
         "--min-photons", "-5", *extra,
     )
     assert (code, out, err) == (2, "", "error: minimum photon count must be >= 0, got -5\n")
+
+
+def test_a_reader_that_closes_stdout_early_gets_no_traceback():
+    # 1,540 lines (~85 KB) pass a pipe's 64 KB, so the command is still
+    # writing when the reader stops after the first line, as `| head -1` does.
+    src = Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "photonsim", "simulate", "--circuit", str(DATA / "wide20.json"),
+         "--input", "|1,1,1" + ",0" * 17 + ">"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first == b"|3" + b",0" * 19 + b"> -> - 0j\n"
+    assert err == b""

@@ -210,6 +210,24 @@ def test_dual_rail_search_is_built_once(monkeypatch):
     assert first == second
 
 
+def test_polarization_pipeline_is_built_once(monkeypatch):
+    # Once per (target, variant) and process; an unknown target or variant
+    # still fails on every call, an unhashable one too.
+    built = []
+    original = grover.grover_pipeline
+    monkeypatch.setattr(grover, "grover_pipeline", lambda *args: built.append(args) or original(*args))
+    grover._pipeline.cache_clear()
+    results = [run_grover("01", variant, 50, 3) for variant in VARIANTS for _ in range(2)]
+    assert built == [("01", "per_mode_PR"), ("01", "uniform_PR0")]
+    assert results[0] == results[1] and results[2] == results[3]
+    for _ in range(2):
+        for target, variant in (("12", "per_mode_PR"), ("01", "per_photon"), (["01"], "per_mode_PR"),
+                                ("01", {})):
+            with pytest.raises(InvalidSpec):
+                run_grover(target, variant)
+    assert len(built) == 2
+
+
 def test_pruning_keeps_the_search_exact(monkeypatch):
     # Pruned against unpruned (a zero budget drops only rows of amplitude
     # exactly 0): the amplitudes agree to 1e-12 of the norm and the seeded

@@ -200,7 +200,9 @@ def stepwise(blocks, state, condition):
     """The stepper alone, under the work limit, with no hand-off to the
     global sweep: the route tests reach it directly."""
     sector = simulate._sector(state.channels, state.polarized, state.require_sector(), condition)
-    return simulate._stepwise(blocks, state, sector, simulate._MAX_WORK)
+    blocks = list(blocks)
+    program, mats = simulate._program(simulate._route(blocks, sector), blocks)
+    return simulate._stepwise(program, mats, state, sector, simulate._MAX_WORK)
 
 
 def assert_routes_agree(circuit, state, condition):

@@ -1,8 +1,9 @@
-"""The sector structure that simulate keeps between calls: outcome rows,
-their FockStates and trie plans, keyed by (channels, polarization, photon
-number, predicate).  Its keys must not collide, its rows are read-only and
-it holds at most simulate._STRUCTURE_BYTES.  That it changes no result is
-a property in test_properties.py."""
+"""The structure that simulate keeps between calls: outcome rows, their
+FockStates and trie plans, keyed by (channels, polarization, photon number,
+predicate), and the route records and step programs of circuits under a
+predicate.  Its keys must not collide, its rows are read-only and it holds
+at most simulate._STRUCTURE_BYTES.  That it changes no result is a
+property in test_properties.py."""
 
 import itertools
 import sys
@@ -11,10 +12,12 @@ import threading
 import numpy as np
 import pytest
 
-from photonsim import simulate
+from photonsim import grover, simulate
 from photonsim.circuit import Circuit
-from photonsim.components import BeamSplitter
+from photonsim.components import BeamSplitter, GenericUnitary
+from photonsim.errors import NotUnitary, TooLarge
 from photonsim.fock import FockState, StateVector, make_state
+from photonsim.grover import dual_rail_grover_3q
 from photonsim.postselect import Clause, PostSelect, Processor, admissible_outcomes, parse_postselect
 from photonsim.qubits import GateSequence
 from photonsim.simulate import distribution, sector_basis, state_amplitudes
@@ -57,7 +60,8 @@ def test_kept_rows_are_read_only():
     bell = GateSequence(2).gate("H", 0).cnot(0, 1, "heralded").build()
     state = StateVector.basis(FockState((1, 0, 1, 0) + bell.herald_input))
     Processor(bell.circuit, state, parse_postselect("[4]==1 & [5]==1")).amplitudes()
-    records = list(simulate._STRUCTURES._records.values())
+    # Step programs are kept alongside; they hold no outcome rows.
+    records = [r for r in simulate._STRUCTURES._records.values() if isinstance(r, simulate._Sector)]
     assert records
     for record in records:
         assert not record.rows.flags.writeable
@@ -104,9 +108,10 @@ def test_predicates_built_from_lists_are_keys():
 
 
 def test_threads_share_the_kept_structure(monkeypatch):
-    # Four threads on three sectors, with room for about one record, so
-    # records are built, evicted and grown concurrently.  Every result
-    # matches the single-threaded one and the byte count stays exact.
+    # Four threads on three sectors and a stepwise circuit, with room for
+    # about one record, so records and step programs are built, evicted and
+    # grown concurrently.  Every result matches the single-threaded one and
+    # the byte count stays exact.
     sectors = [(4, False, 3, None), (6, True, 2, None), (5, False, 2, parse_postselect("[0]>=1"))]
     u = {c: np.eye(c) for c in (4, 5, 6)}
 
@@ -115,8 +120,12 @@ def test_threads_share_the_kept_structure(monkeypatch):
         state = StateVector.basis(FockState(occ, polarized))
         return state_amplitudes(u[channels], state, expr)
 
+    pair = GateSequence(2).gate("H", 0).cnot(0, 1, "heralded").cnot(1, 0, "heralded").build()
+    stepped = Processor(pair.circuit, StateVector.basis(pair.input_state((0, 0))), pair.condition)
+    calls = [lambda case=case: call(*case) for case in sectors] + [stepped.amplitudes]
     simulate._STRUCTURES.clear()
-    want = [call(*case) for case in sectors]
+    want = [f() for f in calls]
+    assert programs()
     monkeypatch.setattr(simulate, "_STRUCTURE_BYTES", 2 * simulate._STRUCTURES.held // 3)
     simulate._STRUCTURES.clear()
     results, errors = [], []
@@ -124,8 +133,8 @@ def test_threads_share_the_kept_structure(monkeypatch):
     def worker(seed):
         try:
             for i in range(40):
-                k = (seed + i) % len(sectors)
-                results.append(call(*sectors[k]) == want[k])
+                k = (seed + i) % len(calls)
+                results.append(calls[k]() == want[k])
         except Exception as error:  # reported below
             errors.append(error)
 
@@ -144,3 +153,107 @@ def test_threads_share_the_kept_structure(monkeypatch):
     kept = simulate._STRUCTURES._records.values()
     assert simulate._STRUCTURES.held == sum(r.nbytes for r in kept) <= simulate._STRUCTURE_BYTES
     assert all(r.kept for r in kept)
+
+
+def search():
+    """The dual-rail search's blocks, input and condition."""
+    build = grover._search_build()
+    return list(build.circuit.blocks()), StateVector.basis(build.input_state((0, 0, 0))), build.condition
+
+
+def programs(kind=simulate._Program):
+    """The kept step programs."""
+    return [r for r in simulate._STRUCTURES._records.values() if isinstance(r, kind)]
+
+
+def test_a_warm_search_checks_no_block_and_builds_no_program(monkeypatch):
+    dual_rail_grover_3q()
+    calls = {"require_unitary": 0, "_Program": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(simulate, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(simulate, name, counted)
+    dual_rail_grover_3q()
+    assert calls == {"require_unitary": 0, "_Program": 0}
+
+
+def test_a_kept_program_changes_no_result(monkeypatch):
+    # Warm and after a clear: the same seeded results, amplitudes and
+    # refusals, bit for bit.
+    blocks, state, condition = search()
+
+    def results():
+        out = [dual_rail_grover_3q(1000, seed) for seed in range(3)]
+        out.append(simulate.circuit_amplitudes(blocks, state, condition))
+        with monkeypatch.context() as patch:
+            patch.setattr(simulate, "_MAX_WORK", 5442)
+            with pytest.raises(TooLarge) as refused:
+                dual_rail_grover_3q()
+        return out, str(refused.value)
+
+    dual_rail_grover_3q()
+    warm = results()
+    simulate._STRUCTURES.clear()
+    assert results() == warm
+    assert warm[1].startswith("the stepwise evolution reaches 5443 vector elements at block 31 ")
+
+
+def test_program_bytes_are_counted_and_evicted(monkeypatch):
+    simulate._STRUCTURES.clear()
+    first = dual_rail_grover_3q(1000, 4)
+    [program] = programs()
+    arrays = simulate._arrays((program.start, program.steps))
+    assert program.kept and program.nbytes > sum(a.nbytes for a in arrays) > 0
+    assert not any(a.flags.writeable for a in arrays)
+    kept = simulate._STRUCTURES._records.values()
+    assert simulate._STRUCTURES.held == sum(r.nbytes for r in kept)
+    # A cap below the program's bytes: each call builds one, which is used
+    # and not kept, with the same result.
+    monkeypatch.setattr(simulate, "_STRUCTURE_BYTES", program.nbytes - 1)
+    simulate._STRUCTURES.clear()
+    built = []
+
+    def build(*args, original=simulate._Program):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(simulate, "_Program", build)
+    assert dual_rail_grover_3q(1000, 4) == first and dual_rail_grover_3q(1000, 4) == first
+    assert len(built) == 2 and not programs() and not any(p.kept for p in built)
+    assert [p.nbytes for p in built] == [program.nbytes] * 2
+    kept = simulate._STRUCTURES._records.values()
+    assert simulate._STRUCTURES.held == sum(r.nbytes for r in kept) <= program.nbytes - 1
+
+
+def test_a_changed_block_gets_its_own_unitarity_check():
+    # The program's key holds each block's exact bytes, so a block scaled
+    # by 2 misses the kept program and fails its check, on every call.
+    blocks, state, condition = search()
+    simulate.circuit_amplitudes(blocks, state, condition)
+    scaled = list(blocks)
+    scaled[1] = (blocks[1][0], 2 * blocks[1][1])
+    for _ in range(2):
+        with pytest.raises(NotUnitary):
+            simulate.circuit_amplitudes(scaled, state, condition)
+    assert simulate.circuit_amplitudes(blocks, state, condition) == simulate.circuit_amplitudes(
+        blocks, state, condition)
+
+
+def test_the_global_route_keeps_no_block():
+    # A whole-register unitary under a predicate takes the global route:
+    # its route record is keyed by channels alone and no step program is
+    # built, so no byte of the unitary is kept.
+    rng = np.random.default_rng(3)
+    u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    processor = Processor(Circuit(4).add(0, GenericUnitary(u)),
+                          StateVector.basis(FockState((1, 1, 0, 0))), parse_postselect("[0]==1"))
+    simulate._STRUCTURES.clear()
+    processor.amplitudes()
+    [route] = programs(simulate._Route)
+    assert not route.early and not programs()
+
+    def parts(key):
+        return [p for part in key for p in parts(part)] if isinstance(key, tuple) else [key]
+
+    assert not any(isinstance(p, bytes) for key in simulate._STRUCTURES._records for p in parts(key))

@@ -737,11 +737,54 @@ def test_row_ids_past_int64_keys():
     assert len(first) == 4
 
 
+@pytest.mark.parametrize("size, low, high", [(1, 0, 5), (7, 3, 4), (40, -1, 0), (200, -6, 6),
+                                             (500, -1000, 1000)])
+def test_ids_equal_np_unique(size, low, high):
+    # One stable argsort, a neighbour compare and a cumsum give np.unique's
+    # first copies and inverse, for one key, all-equal keys and repeats.
+    keys = np.random.default_rng(size).integers(low, high, size=size)
+    first, inverse = simulate._ids(keys)
+    _, want_first, want_inverse = np.unique(keys, return_index=True, return_inverse=True)
+    assert first.tolist() == want_first.tolist()
+    assert inverse.tolist() == want_inverse.tolist()
+
+
+def test_expand_numbers_outer_rows_past_int64_keys(monkeypatch):
+    # 20 outer channels of radix 8 pack below 2^60, but times the 10 outputs
+    # of 9 photons on the block's 2 channels the combined key would pass
+    # 2^63, so the outer keys are numbered first.  Rows that meet outside
+    # the block sum their products, as a dict keyed by whole rows does (to
+    # rounding: numpy's complex product may round differently).
+    rng = np.random.default_rng(8)
+    rows = rng.integers(0, 8, size=(30, 22))
+    rows[:2, :20] = [[0] * 20, [7] * 20]
+    rows[:, 20] = rng.integers(0, 10, size=30)
+    rows[:, 21] = 9 - rows[:, 20]
+    rows = np.concatenate([rows, rows[:6]])
+    outs = np.array([(9 - a, a) for a in range(10)])
+    table = rng.normal(size=(len(rows), 10)) + 1j * rng.normal(size=(len(rows), 10))
+    amps = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+    calls = []
+    original = simulate._ids
+    monkeypatch.setattr(simulate, "_ids", lambda keys: calls.append(1) or original(keys))
+    new, summed = simulate._expand(rows, amps, [20, 21], [(np.arange(len(rows)), outs, table)])
+    assert len(calls) == 2
+    want: dict = {}
+    for r, row in enumerate(rows.tolist()):
+        for o, out in enumerate(outs.tolist()):
+            key = tuple(row[:20] + out)
+            want[key] = want.get(key, 0) + amps[r] * table[r, o]
+    assert sorted(map(tuple, new.tolist())) == sorted(want)
+    assert max(abs(want[tuple(row)] - a) for row, a in zip(new.tolist(), summed.tolist())) < 1e-12
+
+
 def stepwise(blocks, state, condition):
     """The stepper alone, under the work limit, with no hand-off to the
     global sweep: the route tests reach it directly."""
     sector = simulate._sector(state.channels, state.polarized, state.require_sector(), condition)
-    return simulate._stepwise(blocks, state, sector, simulate._MAX_WORK)
+    blocks = list(blocks)
+    program, mats = simulate._program(simulate._route(blocks, sector), blocks)
+    return simulate._stepwise(program, mats, state, sector, simulate._MAX_WORK)
 
 
 def test_stepwise_route_moves_photons_along_a_cycle():
