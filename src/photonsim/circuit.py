@@ -11,6 +11,7 @@ polarizing beam splitter couples two modes' channel quadruple.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,11 +93,18 @@ class Circuit:
             )
         return Circuit(self.modes, self.polarized, self.placements + other.placements)
 
-    def blocks(self):
+    def blocks(self) -> tuple:
         """(channels, block) for each placement, in placement order: the
-        component's matrix and the register channels its rows and columns
-        act on.  A spatial component on a polarized register yields its H
-        block, then its V block.  A placement on no modes yields nothing."""
+        component's matrix and the tuple of register channels its rows and
+        columns act on.  A spatial component on a polarized register gives
+        its H block, then its V block.  A placement on no modes gives
+        nothing.  The pairs are built on the first call and kept, so every
+        call returns the same tuple; the blocks are read-only."""
+        return self._blocks
+
+    @functools.cached_property
+    def _blocks(self) -> tuple:
+        pairs = []
         for placed in self.placements:
             comp, modes = placed.component, placed.modes
             if not modes:
@@ -104,17 +112,27 @@ class Circuit:
             if isinstance(comp, SpatialComponent):
                 block = comp.matrix()
                 if not self.polarized:
-                    yield list(modes), block
+                    pairs.append((tuple(modes), block))
                 else:
-                    for p in (0, 1):
-                        yield [2 * m + p for m in modes], block
+                    pairs += [(tuple(2 * m + p for m in modes), block) for p in (0, 1)]
             elif isinstance(comp, JonesComponent):
-                yield [2 * modes[0], 2 * modes[0] + 1], comp.jones()
+                pairs.append(((2 * modes[0], 2 * modes[0] + 1), comp.jones()))
             else:  # polarizing beam splitter
-                yield [2 * m + p for m in modes for p in (0, 1)], comp.channel_matrix()
+                pairs.append((tuple(2 * m + p for m in modes for p in (0, 1)),
+                              comp.channel_matrix()))
+        for _, block in pairs:
+            block.setflags(write=False)
+        return tuple(pairs)
+
+    def __getstate__(self):
+        # A pickle or copy holds the fields alone; blocks() rebuilds the pairs.
+        state = dict(self.__dict__)
+        state.pop("_blocks", None)
+        return state
 
     def compile(self) -> np.ndarray:
-        """Total channel unitary, first placement rightmost in the product."""
+        """Total channel unitary, first placement rightmost in the product;
+        a new, writable array on every call."""
         return compile_blocks(self.blocks(), self.channels)
 
 

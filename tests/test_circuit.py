@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -148,3 +149,32 @@ def test_compiled_circuit_is_unitary():
 def test_zero_mode_circuit_rejected():
     with pytest.raises(InvalidSpec):
         Circuit(0)
+
+
+def test_blocks_are_built_once_and_kept_read_only():
+    circuit = (
+        Circuit(3, polarized=True)
+        .add(0, BeamSplitter.h())
+        .add(2, half_wave_plate(0.3))
+        .add((2, 1), PolarizingBeamSplitter())
+    )
+    pickled = pickle.dumps(circuit)
+    first = circuit.blocks()
+    assert circuit.blocks() is first
+    assert [chans for chans, _ in first] == [(0, 2), (1, 3), (4, 5), (4, 5, 2, 3)]
+    for _, block in first:
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 0
+    # Keeping the blocks changes no field, repr, equality or pickle.
+    fresh = Circuit(3, True, circuit.placements)
+    assert circuit == fresh and repr(circuit) == repr(fresh)
+    assert pickle.dumps(circuit) == pickled == pickle.dumps(fresh)
+    loaded = pickle.loads(pickled).blocks()
+    assert [c for c, _ in loaded] == [c for c, _ in first]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(loaded, first))
+    # compile returns a new, writable matrix each time.
+    u = circuit.compile()
+    want = u.copy()
+    u[:] = 0
+    assert np.array_equal(circuit.compile(), want)
+    assert np.array_equal(fresh.compile(), want)

@@ -482,6 +482,18 @@ def test_sample_matches_golden_output_across_draw_chunks(capsys):
     assert out.encode() == (DATA / "golden" / "bell_pair_sample_200k.json").read_bytes()
 
 
+def test_unconditioned_sample_sorts_its_chunks_and_matches_golden_output(capsys):
+    # 1,531 outcomes, so each chunk of draws is sorted; the golden file was
+    # written before a chunk with few outcomes was counted without sorting.
+    code, out, err = run_cli(
+        capsys, "sample", "--circuit", str(DATA / "two_heralded_cnots.json"),
+        "--input", "|1,0,1,0>", "--shots", "100000", "--seed", "5", "--json",
+    )
+    assert (code, err) == (0, "")
+    golden = DATA / "golden" / "two_heralded_cnots_unconditioned_sample_100k.json"
+    assert out.encode() == golden.read_bytes()
+
+
 def test_sample_on_the_stepwise_route_matches_golden_output(capsys):
     # The first CNOT's heralds close before the last block, so the stepper
     # runs; the golden file was written before the route had one owner.

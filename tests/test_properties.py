@@ -5,7 +5,10 @@ The kernel is checked against the scalar references: `amplitude`, one
 Ryser loop per target, and the sector as an `itertools.product` filter.
 A placement on arbitrary modes is checked against the same component at
 anchor 0 between two full-register permutations.  The stepwise evolution
-is checked against the global kernel on random gate sequences.
+is checked against the global kernel on random gate sequences.  The kernel's
+amplitudes also agree with the creation-operator expansion, follow a
+relabelling of input modes and keep their moduli under diagonal phases, and
+a distribution without a predicate sums to 1.
 Examples are derandomized and few, so the suite stays fast and repeatable.
 """
 
@@ -28,6 +31,7 @@ from photonsim.components import (
     PolarizingBeamSplitter,
     WavePlate,
 )
+from photonsim.expansion import oracle_evolve
 from photonsim.fock import FockState, StateVector
 from photonsim.postselect import Clause, PostSelect, Processor, parse_postselect
 from photonsim.qubits import GateSequence
@@ -316,3 +320,69 @@ def test_the_one_enumerator_lists_exactly_what_the_predicate_keeps(case):
     sums = outs @ local[0].T
     want = outs[((sums >= local[1]) & (sums <= local[2])).all(axis=1)]
     assert np.array_equal(simulate._local_sector(len(chans), m, local).rows, want)
+
+
+@st.composite
+def evolutions(draw):
+    """A unitary on at most 5 modes and a normalized input of 1-3 terms
+    with one photon number, at most 4, that may bunch."""
+    modes, n = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        occ = FockState(np.bincount(rng.integers(0, modes, n), minlength=modes))
+        terms[occ] = complex(*rng.normal(size=2))
+    return random_unitary(rng, modes), StateVector(terms).normalized(), rng
+
+
+def amplitudes(u, state):
+    """Every outcome's amplitude from the kernel, as an array in canonical order."""
+    return np.array([a for _, a in simulate.state_amplitudes(u, state, None)])
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(evolutions())
+def test_relabelling_input_modes_permutes_the_unitarys_columns(case):
+    # Mode j of the input moved to mode perm[j] meets column perm[j] of U,
+    # which is column j of U[:, perm].
+    u, state, rng = case
+    perm = rng.permutation(u.shape[0])
+    moved = StateVector({FockState(np.bincount(perm, weights=s.occupations,
+                                               minlength=len(perm)).astype(int)): a
+                         for s, a in state.items()})
+    assert np.allclose(amplitudes(u, moved), amplitudes(u[:, perm], state), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(evolutions())
+def test_diagonal_phases_leave_every_amplitude_modulus_unchanged(case):
+    # Output phases multiply each outcome by one phase; input phases do the
+    # same to a single input term.
+    u, state, rng = case
+    out_phases = np.exp(1j * rng.uniform(0, 2 * np.pi, u.shape[0]))
+    want = np.abs(amplitudes(u, state))
+    assert np.allclose(np.abs(amplitudes(out_phases[:, None] * u, state)), want, atol=1e-12)
+    term = StateVector.basis(state.items()[0][0])
+    in_phases = np.exp(1j * rng.uniform(0, 2 * np.pi, u.shape[0]))
+    assert np.allclose(np.abs(amplitudes(u * in_phases, term)), np.abs(amplitudes(u, term)),
+                       atol=1e-12)
+
+
+@settings(max_examples=15, derandomize=True, deadline=None, database=None)
+@given(evolutions())
+def test_state_amplitudes_agree_with_the_expansion_oracle(case):
+    u, state, _ = case
+    got = simulate.state_amplitudes(u, state, None)
+    oracle = {}
+    for source, a in state.items():
+        for target, b in oracle_evolve(u, source).items():
+            oracle[target] = oracle.get(target, 0) + a * b
+    assert {s for s, _ in got} >= set(oracle)
+    assert all(abs(amp - oracle.get(s, 0)) < 1e-12 for s, amp in got)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(evolutions())
+def test_a_distribution_without_a_predicate_sums_to_one(case):
+    u, state, _ = case
+    assert abs(simulate.distribution(u, state).total() - 1.0) <= 1e-12

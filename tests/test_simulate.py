@@ -21,6 +21,7 @@ from photonsim.fock import PRUNE_TOL, FockState, StateVector, make_state
 from photonsim.postselect import Processor, admissible_outcomes, parse_postselect
 from photonsim.simulate import (
     Distribution,
+    SampleCount,
     SplitMix64,
     amplitude,
     batch_amplitudes,
@@ -234,6 +235,12 @@ def test_sample_reads_program_built_distributions_without_sorting(monkeypatch):
             want = sample(user, 5000, seed)
             assert calls
             assert list(got.counts.items()) == list(want.counts.items())
+            # The comprehension sample used to build its counts with.
+            ordered = built.items()
+            counts = simulate.inverse_cdf_counts([p for _, p in ordered], 5000, seed)
+            old = {s: c for (s, _), c in zip(ordered, counts) if c}
+            assert got == SampleCount(old, 5000, seed)
+            assert list(got.counts.items()) == list(old.items())
 
 
 def test_batch_amplitudes_match_single_calls():
@@ -563,6 +570,17 @@ def test_sample_empty_distribution():
     assert got.counts == {} and got.shots == 5 and got.seed == 1
 
 
+def counts_each_way(weights, shots, seed):
+    """`inverse_cdf_counts` twice, forced through the private crossover:
+    every chunk counted edge by edge, then every chunk sorted."""
+    got = []
+    for per_edge in (0, 1 << 62):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_DRAWS_PER_EDGE", per_edge)
+            got.append(simulate.inverse_cdf_counts(weights, shots, seed))
+    return got
+
+
 def scalar_inverse_cdf_counts(weights, shots, seed):
     """One `SplitMix64.next_double` and one bisection per shot."""
     counts = [0] * len(weights)
@@ -590,19 +608,20 @@ def test_inverse_cdf_counts_match_scalar_reference(seed):
     ]
     for weights in cases:
         for shots in (0, 1, 300):
-            got = simulate.inverse_cdf_counts(weights, shots, seed)
-            assert got == scalar_inverse_cdf_counts(weights, shots, seed)
-            assert type(got) is list and all(type(c) is int for c in got)
-    assert simulate.inverse_cdf_counts([0.0] * 6, 9, seed) == [0] * 5 + [9]
+            want = scalar_inverse_cdf_counts(weights, shots, seed)
+            for got in counts_each_way(weights, shots, seed):
+                assert got == want
+                assert type(got) is list and all(type(c) is int for c in got)
+    assert counts_each_way([0.0] * 6, 9, seed) == [[0] * 5 + [9]] * 2
 
 
 def test_inverse_cdf_counts_across_draw_chunks(monkeypatch):
     monkeypatch.setattr(simulate, "_DRAW_CHUNK", 7)
     weights = [0.1, 0.0, 0.25, 0.4, 0.05, 0.2]
     for seed in (3, -(2**70)):
-        got = simulate.inverse_cdf_counts(weights, 50, seed)
-        assert got == scalar_inverse_cdf_counts(weights, 50, seed)
-        assert sum(got) == 50
+        want = scalar_inverse_cdf_counts(weights, 50, seed)
+        assert counts_each_way(weights, 50, seed) == [want, want]
+        assert sum(want) == 50
 
 
 def test_draw_on_a_cdf_edge_goes_to_the_upper_outcome():
@@ -611,7 +630,7 @@ def test_draw_on_a_cdf_edge_goes_to_the_upper_outcome():
     for seed in range(5):
         d = SplitMix64(seed).next_double()
         assert d * (d + (1.0 - d)) == d
-        assert simulate.inverse_cdf_counts([d, 1.0 - d], 1, seed) == [0, 1]
+        assert counts_each_way([d, 1.0 - d], 1, seed) == [[0, 1], [0, 1]]
         assert scalar_inverse_cdf_counts([d, 1.0 - d], 1, seed) == [0, 1]
 
 
@@ -628,8 +647,40 @@ def test_inverse_cdf_counts_match_per_draw_search_over_a_haar_distribution():
     index = np.minimum(np.searchsorted(cumulative, draws, side="right"), len(weights) - 1)
     want = np.bincount(index, minlength=len(weights)).tolist()
     assert simulate.inverse_cdf_counts(weights, shots, seed) == want
+    assert counts_each_way(weights, shots, seed) == [want, want]
     got = sample(dist, shots, seed)
     assert got.counts == {s: c for (s, _), c in zip(dist.items(), want) if c}
+
+
+def test_few_edge_counts_match_per_draw_search_across_draw_chunks():
+    # Four labels, as a search reads them, with a zero weight: 3 edges and
+    # more than two full chunks of draws.
+    weights = [0.25, 0.0, 0.6, 0.15]
+    shots, seed = 2 * simulate._DRAW_CHUNK + 12_345, 4177
+    assert simulate._DRAW_CHUNK > 3 * simulate._DRAWS_PER_EDGE
+    cumulative = np.array(list(itertools.accumulate(weights)))
+    draws = simulate._splitmix64_doubles(seed, 1, shots + 1) * cumulative[-1]
+    index = np.minimum(np.searchsorted(cumulative, draws, side="right"), len(weights) - 1)
+    want = np.bincount(index, minlength=len(weights)).tolist()
+    assert want[1] == 0 and sum(want) == shots
+    assert simulate.inverse_cdf_counts(weights, shots, seed) == want
+    assert counts_each_way(weights, shots, seed) == [want, want]
+
+
+def test_the_crossover_sorts_only_chunks_with_few_draws_per_edge(monkeypatch):
+    # searchsorted runs only on a sorted chunk: a 1e5-shot draw over 4
+    # labels is counted in both chunks, one over 2,002 outcomes is sorted.
+    calls = []
+    search = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *a, **k: calls.append(1) or search(*a, **k))
+    simulate.inverse_cdf_counts([0.1, 0.2, 0.3, 0.4], 100_000, 1)
+    assert not calls
+    simulate.inverse_cdf_counts([1.0] * 2002, 100_000, 1)
+    assert len(calls) == 2
+    calls.clear()
+    monkeypatch.setattr(simulate, "_DRAWS_PER_EDGE", 1 << 62)
+    simulate.inverse_cdf_counts([0.1, 0.2, 0.3, 0.4], 100_000, 1)
+    assert len(calls) == 2
 
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
@@ -648,8 +699,9 @@ def test_inverse_cdf_counts_property_with_zeros_and_plateaus(weights, shots, see
     # all-zero weights put every draw exactly on the edges.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_DRAW_CHUNK", 7)
-        got = simulate.inverse_cdf_counts(weights, shots, seed)
-    assert got == scalar_inverse_cdf_counts(weights, shots, seed)
+        got = counts_each_way(weights, shots, seed)
+    want = scalar_inverse_cdf_counts(weights, shots, seed)
+    assert got == [want, want]
 
 
 @pytest.mark.parametrize(
@@ -887,7 +939,7 @@ def test_empty_placement_does_not_change_the_route():
     # A trailing no-op placement yields no block, so [2]==0 still closes
     # before the last block and the stepper runs.
     circuit = Circuit(3).add(0, BeamSplitter.h()).add(0, Permutation(()))
-    assert [chans for chans, _ in circuit.blocks()] == [[0, 1]]
+    assert [chans for chans, _ in circuit.blocks()] == [(0, 1)]
     state = StateVector.basis(FockState((1, 1, 0)))
     condition = parse_postselect("[2]==0")
     amps = Processor(circuit, state, condition).amplitudes()
