@@ -20,6 +20,7 @@ from .components import (
     JonesComponent,
     PolarizingBeamSplitter,
     SpatialComponent,
+    require_integer,
 )
 from .errors import InvalidSpec, OutOfRange, PolarizationMismatch, RegisterMismatch
 
@@ -41,8 +42,10 @@ class Circuit:
     placements: tuple[PlacedComponent, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.modes < 1:
+        if require_integer(self.modes, "circuit modes") < 1:
             raise InvalidSpec(f"circuit needs at least one mode, got {self.modes}")
+        if type(self.polarized) is not bool:
+            raise InvalidSpec(f"polarized must be True or False, got {self.polarized!r}")
 
     @property
     def channels(self) -> int:
@@ -52,11 +55,12 @@ class Circuit:
         """Place a component on modes `anchor .. anchor + width - 1`.
 
         `anchor` may also be a tuple of `width` distinct modes, which the
-        component's local modes 0, 1, ... map to in order.
+        component's local modes 0, 1, ... map to in order.  Anchors and
+        modes are integers (numpy's too); anything else raises InvalidSpec.
         """
         width = component.width
-        if isinstance(anchor, (tuple, list)):
-            modes = tuple(int(m) for m in anchor)
+        if isinstance(anchor, tuple):
+            modes = tuple(require_integer(m, "mode") for m in anchor)
             if len(modes) != width or len(set(modes)) != width:
                 raise InvalidSpec(
                     f"mode tuple {modes} is not {width} distinct modes"
@@ -64,7 +68,7 @@ class Circuit:
             if not all(0 <= m < self.modes for m in modes):
                 raise OutOfRange(f"mode tuple {modes} does not fit in {self.modes} modes")
         else:
-            anchor = int(anchor)
+            anchor = require_integer(anchor, "anchor")
             if anchor < 0 or anchor + width > self.modes:
                 raise OutOfRange(
                     f"component of width {width} at anchor {anchor} does not fit "

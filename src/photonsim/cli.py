@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -27,6 +26,7 @@ from .components import (
     PolarizationRotator,
     PolarizingBeamSplitter,
     WavePlate,
+    half_wave_plate,
 )
 from .errors import InvalidSpec, SimulatorError
 from .fock import FockState, StateVector
@@ -47,181 +47,142 @@ class LoadedCircuit:
     herald_input: tuple[int, ...]
 
 
-def _require_keys(record: dict, required: set[str], optional: set[str], what: str):
-    keys = set(record)
-    missing = required - keys
+def _require_keys(record: dict, required: frozenset, allowed: frozenset):
+    missing = required.difference(record)
     if missing:
-        raise InvalidSpec(f"{what}: missing key(s) {sorted(missing)}")
-    unknown = keys - required - optional
+        raise InvalidSpec(f"missing key(s) {sorted(missing)}")
+    unknown = record.keys() - allowed
     if unknown:
-        raise InvalidSpec(f"{what}: unknown key(s) {sorted(unknown)}")
+        raise InvalidSpec(f"unknown key(s) {sorted(unknown)}")
+    if None in record.values():
+        raise InvalidSpec(f"null value for key(s) {sorted(k for k, v in record.items() if v is None)}")
 
 
-def _number(record: dict, key: str, what: str) -> float:
-    value = record[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidSpec(f"{what}: {key} must be a number, got {value!r}")
-    return float(value)
+def _matrix_block(matrix) -> GenericUnitary:
+    try:
+        values = [[complex(entry[0], entry[1]) for entry in row] for row in matrix]
+    except (TypeError, IndexError, OverflowError):
+        raise InvalidSpec("matrix must be rows of [re, im] pairs") from None
+    return GenericUnitary(values)
 
 
-def _integer(record: dict, key: str, what: str) -> int:
-    value = record[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidSpec(f"{what}: {key} must be an integer, got {value!r}")
-    return value
+def _schema(place: str, required: tuple, optional: tuple, make) -> tuple:
+    """(required keys, allowed keys, placing key, parameters, constructor)."""
+    keys = frozenset({"type", place, *required})
+    return keys, keys.union(optional), place, (*required, *optional), make
 
 
-_BS_CORNER_PHASES = ("phi_tl", "phi_bl", "phi_tr", "phi_br")
-_BS_LEG_PHASES = ("phi_r", "phi_t", "phi_0")
+_CORNER_PHASES = ("phi_tl", "phi_bl", "phi_tr", "phi_br")
+_LEG_PHASES = ("phi_r", "phi_t", "phi_0")
+
+#: Record type, or ("bs", convention), -> its schema.  A record holds its
+#: "type", its placing key and the constructor's keyword parameters; the
+#: constructor checks every value, and `Circuit.add` the placing key.
+_COMPONENTS = {
+    ("bs", "h"): _schema("anchor", (), ("convention", "theta", *_CORNER_PHASES), BeamSplitter),
+    ("bs", "rx"): _schema("anchor", (), ("convention", "theta", *_CORNER_PHASES), BeamSplitter),
+    ("bs", "ry"): _schema("anchor", (), ("convention", "theta"), BeamSplitter),
+    **{("bs", c): _schema("anchor", ("convention", "theta"), _LEG_PHASES, BeamSplitter)
+       for c in ("bs1", "bs2", "bs3")},
+    "ps": _schema("mode", ("phi",), (), PhaseShifter),
+    "perm": _schema("anchor", ("target",), (), Permutation),
+    "wp": _schema("mode", ("delta", "xi"), (), WavePlate),
+    "hwp": _schema("mode", ("xi",), (), half_wave_plate),
+    "pr": _schema("mode", ("theta",), (), PolarizationRotator),
+    "pbs": _schema("anchor", (), (), PolarizingBeamSplitter),
+    "unitary": _schema("anchor", ("matrix",), (), _matrix_block),
+}
 
 
-def _component_from_record(record: dict, index: int):
-    """One schema record -> (anchor mode, component)."""
-    what = f"components[{index}]"
+def _component(record) -> tuple:
+    """One component record -> (placing key's value, component)."""
     if not isinstance(record, dict) or "type" not in record:
-        raise InvalidSpec(f"{what}: expected an object with a 'type' key")
+        raise InvalidSpec("expected an object with a 'type' key")
     kind = record["type"]
-    if kind == "bs":
-        convention = record.get("convention", "h")
-        if convention in ("h", "rx"):
-            _require_keys(record, {"type", "anchor"},
-                          {"convention", "theta", *_BS_CORNER_PHASES}, what)
-            theta = _number(record, "theta", what) if "theta" in record else math.pi / 2
-            phases = {p: _number(record, p, what) for p in _BS_CORNER_PHASES if p in record}
-            maker = BeamSplitter.h if convention == "h" else BeamSplitter.rx
-            return _integer(record, "anchor", what), maker(theta, **phases)
-        if convention == "ry":
-            _require_keys(record, {"type", "anchor"}, {"convention", "theta"}, what)
-            theta = _number(record, "theta", what) if "theta" in record else math.pi / 2
-            return _integer(record, "anchor", what), BeamSplitter.ry(theta)
-        if convention in ("bs1", "bs2", "bs3"):
-            _require_keys(record, {"type", "anchor", "theta"},
-                          {"convention", *_BS_LEG_PHASES}, what)
-            phases = {p: _number(record, p, what) for p in _BS_LEG_PHASES if p in record}
-            maker = getattr(BeamSplitter, convention)
-            return _integer(record, "anchor", what), maker(_number(record, "theta", what), **phases)
-        raise InvalidSpec(f"{what}: unknown bs convention {convention!r}")
-    if kind == "ps":
-        _require_keys(record, {"type", "mode", "phi"}, set(), what)
-        return _integer(record, "mode", what), PhaseShifter(_number(record, "phi", what))
-    if kind == "perm":
-        _require_keys(record, {"type", "anchor", "target"}, set(), what)
-        target = record["target"]
-        if not isinstance(target, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in target
-        ):
-            raise InvalidSpec(f"{what}: target must be a list of integers")
-        return _integer(record, "anchor", what), Permutation(tuple(target))
-    if kind == "wp":
-        _require_keys(record, {"type", "mode", "delta", "xi"}, set(), what)
-        return _integer(record, "mode", what), WavePlate(
-            _number(record, "delta", what), _number(record, "xi", what)
-        )
-    if kind == "hwp":
-        _require_keys(record, {"type", "mode", "xi"}, set(), what)
-        return _integer(record, "mode", what), WavePlate(math.pi / 2, _number(record, "xi", what))
-    if kind == "pr":
-        _require_keys(record, {"type", "mode", "theta"}, set(), what)
-        return _integer(record, "mode", what), PolarizationRotator(_number(record, "theta", what))
-    if kind == "pbs":
-        _require_keys(record, {"type", "anchor"}, set(), what)
-        return _integer(record, "anchor", what), PolarizingBeamSplitter()
-    if kind == "unitary":
-        _require_keys(record, {"type", "anchor", "matrix"}, set(), what)
-        rows = record["matrix"]
-        try:
-            values = [[complex(entry[0], entry[1]) for entry in row] for row in rows]
-        except (TypeError, IndexError):
-            raise InvalidSpec(f"{what}: matrix must be rows of [re, im] pairs") from None
-        return _integer(record, "anchor", what), GenericUnitary(values)
-    raise InvalidSpec(f"{what}: unknown component type {kind!r}")
+    key = ("bs", record.get("convention", "h")) if kind == "bs" else kind
+    try:
+        required, allowed, place, params, make = _COMPONENTS[key]
+    except (KeyError, TypeError):  # TypeError: a list or object as the key
+        what = f"bs convention {key[1]!r}" if kind == "bs" else f"component type {kind!r}"
+        raise InvalidSpec(f"unknown {what}") from None
+    _require_keys(record, required, allowed)
+    return record[place], make(**{k: record[k] for k in params if k in record})
 
 
-_SINGLE_GATES = {"X", "Y", "Z", "H", "S", "SDAG", "T", "TDAG", "RX", "RY", "RZ", "SWAP"}
+_GATE_KEYS = frozenset({"name", "qubits"})
+
+#: Gate name -> (qubit count, keys beside "name" and "qubits", call with the
+#: sequence, the name, the qubits and those keys); `GateSequence` checks
+#: every value.
+_GATES = {
+    **dict.fromkeys(("X", "Y", "Z", "H", "S", "SDAG", "T", "TDAG", "RX", "RY", "RZ", "SWAP"),
+                    (1, frozenset({"theta"}), GateSequence.gate)),
+    "CX": (2, frozenset(), lambda seq, name, c, t: seq.cnot(c, t, "postselected")),
+    "HCX": (2, frozenset(), lambda seq, name, c, t: seq.cnot(c, t, "heralded")),
+    **dict.fromkeys(("CZ", "CY"), (2, frozenset({"cnot"}), GateSequence.controlled_pauli)),
+    "CCX": (3, frozenset(), lambda seq, name, *qubits: seq.toffoli(*qubits)),
+}
 
 
-def _apply_gate_record(seq: GateSequence, record: dict, index: int):
-    what = f"gates[{index}]"
+def _apply_gate(seq: GateSequence, record):
     if not isinstance(record, dict) or "name" not in record:
-        raise InvalidSpec(f"{what}: expected an object with a 'name' key")
-    allowed = {"name", "qubits", "theta", "cnot"}
-    _require_keys(record, {"name", "qubits"}, allowed - {"name", "qubits"}, what)
+        raise InvalidSpec("expected an object with a 'name' key")
     name = str(record["name"]).strip().upper()
+    if name not in _GATES:
+        raise InvalidSpec(f"unknown gate {record['name']!r}")
+    arity, options, apply = _GATES[name]
+    if "cnot" in record and "cnot" not in options:
+        raise InvalidSpec("'cnot' only applies to CZ/CY")
+    _require_keys(record, _GATE_KEYS, _GATE_KEYS | options)
     qubits = record["qubits"]
-    if not isinstance(qubits, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in qubits
-    ):
-        raise InvalidSpec(f"{what}: qubits must be a list of integers")
-    theta = _number(record, "theta", what) if "theta" in record else None
-    flavour = record.get("cnot", "postselected")
-    if flavour not in ("postselected", "heralded"):
-        raise InvalidSpec(f"{what}: cnot must be 'postselected' or 'heralded'")
-    if "cnot" in record and name in _SINGLE_GATES | {"CX", "HCX", "CCX"}:
-        raise InvalidSpec(f"{what}: 'cnot' only applies to CZ/CY")
-    if name in _SINGLE_GATES:
-        if len(qubits) != 1:
-            raise InvalidSpec(f"{what}: {name} takes exactly one qubit")
-        seq.gate(name, qubits[0], theta)
-        return
-    if name in ("CX", "HCX"):
-        if len(qubits) != 2:
-            raise InvalidSpec(f"{what}: {name} takes [control, target]")
-        seq.cnot(qubits[0], qubits[1], "postselected" if name == "CX" else "heralded")
-        return
-    if name in ("CZ", "CY"):
-        if len(qubits) != 2:
-            raise InvalidSpec(f"{what}: {name} takes [control, target]")
-        seq.controlled_pauli(name, qubits[0], qubits[1], flavour)
-        return
-    if name == "CCX":
-        if len(qubits) != 3:
-            raise InvalidSpec(f"{what}: CCX takes [control, control, target]")
-        seq.toffoli(qubits[0], qubits[1], qubits[2])
-        return
-    raise InvalidSpec(f"{what}: unknown gate {record['name']!r}")
+    if not isinstance(qubits, list) or len(qubits) != arity:
+        raise InvalidSpec(f"{name} takes a list of {arity} qubit(s), got {qubits!r}")
+    apply(seq, name, *qubits, **{k: record[k] for k in options if k in record})
 
 
 def load_circuit_file(path: str) -> LoadedCircuit:
-    """Read, validate and build a circuit file.  Unknown keys are rejected."""
+    """Read, validate and build a circuit file.  Unknown keys are rejected.
+    A SimulatorError keeps its type; its message starts with the record it
+    comes from (`components[i]`, `gates[i]`), or else with `path`."""
     with open(path, encoding="utf-8") as handle:
         try:
             document = json.load(handle)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise InvalidSpec(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(document, dict):
-        raise InvalidSpec(f"{path}: top level must be an object")
-    _require_keys(document, {"modes"}, {"polarized", "components", "gates"}, path)
-    modes = _integer(document, "modes", path)
-    polarized = document.get("polarized", False)
-    if not isinstance(polarized, bool):
-        raise InvalidSpec(f"{path}: polarized must be true or false")
-    components = document.get("components", [])
-    gates = document.get("gates", [])
-    if not isinstance(components, list) or not isinstance(gates, list):
-        raise InvalidSpec(f"{path}: components and gates must be lists")
-
-    herald: tuple[int, ...] = ()
-    total = modes
-    build = None
-    if gates:
-        if polarized:
-            raise InvalidSpec(f"{path}: gates need an unpolarized register")
-        if modes % 2:
-            raise InvalidSpec(f"{path}: gates need an even number of modes")
-        seq = GateSequence(modes // 2)
-        for i, record in enumerate(gates):
-            _apply_gate_record(seq, record, i)
-        build = seq.build()
-        herald = build.herald_input
-        total = build.circuit.modes
-
-    base = Circuit(total, polarized)
-    for i, record in enumerate(components):
-        anchor, component = _component_from_record(record, i)
-        base = base.add(anchor, component)
+    where = path
+    try:
+        if not isinstance(document, dict):
+            raise InvalidSpec("top level must be an object")
+        _require_keys(document, frozenset({"modes"}),
+                      frozenset({"modes", "polarized", "components", "gates"}))
+        circuit = Circuit(document["modes"], document.get("polarized", False))
+        modes = circuit.modes
+        components = document.get("components", [])
+        gates = document.get("gates", [])
+        if not isinstance(components, list) or not isinstance(gates, list):
+            raise InvalidSpec("components and gates must be lists")
+        build = None
+        if gates:
+            if circuit.polarized:
+                raise InvalidSpec("gates need an unpolarized register")
+            if modes % 2:
+                raise InvalidSpec("gates need an even number of modes")
+            seq = GateSequence(modes // 2)
+            for i, record in enumerate(gates):
+                where = f"gates[{i}]"
+                _apply_gate(seq, record)
+            where = path
+            build = seq.build()
+            circuit = Circuit(build.circuit.modes)
+        for i, record in enumerate(components):
+            where = f"components[{i}]"
+            circuit = circuit.add(*_component(record))
+    except SimulatorError as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
     if build is not None:
-        base = base.compose(build.circuit)
-    return LoadedCircuit(base, modes, herald)
+        circuit = circuit.compose(build.circuit)
+    return LoadedCircuit(circuit, modes, build.herald_input if build else ())
 
 
 def _prepare_input(loaded: LoadedCircuit, text: str) -> FockState:

@@ -28,8 +28,10 @@ zero phases.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -51,15 +53,37 @@ def require_unitary(matrix: np.ndarray):
         raise NotUnitary(f"matrix deviates from unitarity beyond {UNITARY_TOL}")
 
 
+def require_integer(value, what: str, error=InvalidSpec) -> int:
+    """`value` as an int: Python and numpy integers pass, anything else (a
+    bool too) raises `error`."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
+
+
+@functools.cache
+def _float_fields(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.type == "float")
+
+
 def _require_finite_parameters(component):
-    """Raise InvalidSpec unless every float field is a finite real number."""
-    for f in fields(component):
-        value = getattr(component, f.name)
-        if f.type != "float":
-            continue
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    """Raise InvalidSpec unless every float field is a finite real number;
+    a value too large for a float, such as a 400-digit integer, is not."""
+    for name in _float_fields(type(component)):
+        value = getattr(component, name)
+        try:
+            finite = (
+                type(value) is float  # skips the slower ABC check below
+                or (not isinstance(value, bool) and isinstance(value, numbers.Real))
+            ) and math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
             raise InvalidSpec(
-                f"{type(component).__name__}.{f.name} must be a finite real number, "
+                f"{type(component).__name__}.{name} must be a finite real number, "
                 f"got {value!r}"
             )
 
@@ -193,7 +217,10 @@ class Permutation:
     target: tuple[int, ...]
 
     def __post_init__(self):
-        tgt = tuple(int(i) for i in self.target)
+        try:
+            tgt = tuple(require_integer(i, "permutation target") for i in self.target)
+        except TypeError:
+            raise InvalidSpec(f"permutation target must be a sequence, got {self.target!r}") from None
         object.__setattr__(self, "target", tgt)
         if sorted(tgt) != list(range(len(tgt))):
             raise InvalidSpec(f"{tgt} is not a permutation of 0..{len(tgt) - 1}")
@@ -279,7 +306,10 @@ class GenericUnitary:
     """An explicit unitary on a contiguous block of spatial modes."""
 
     def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=complex)
+        try:
+            m = np.asarray(matrix, dtype=complex)
+        except (TypeError, ValueError):  # ragged rows or non-numeric entries
+            raise InvalidSpec("unitary block must be a square matrix of numbers") from None
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidSpec(f"unitary block must be square, got shape {m.shape}")
         require_unitary(m)

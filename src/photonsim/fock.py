@@ -228,44 +228,3 @@ class StateVector:
         terms = " + ".join(f"({a:.6g})*{s}" for s, a in self.items())
         return f"StateVector({terms or '0'})"
 
-
-def apply_creation(state: StateVector, ch: int) -> StateVector:
-    """Apply the bosonic creation operator on channel `ch`: sqrt(n+1) factors."""
-    _check_channel(state, ch)
-    out: dict[FockState, complex] = {}
-    for fock, a in state._amp.items():
-        occ = list(fock.occupations)
-        occ[ch] += 1
-        out[FockState(tuple(occ), fock.polarized)] = a * math.sqrt(occ[ch])
-    return StateVector(out, channels=state.channels, polarized=state.polarized)
-
-
-def apply_annihilation(state: StateVector, ch: int) -> StateVector:
-    """Apply the annihilation operator on channel `ch`; vacuum terms vanish."""
-    _check_channel(state, ch)
-    out: dict[FockState, complex] = {}
-    for fock, a in state._amp.items():
-        n = fock.occupations[ch]
-        if n == 0:
-            continue
-        occ = list(fock.occupations)
-        occ[ch] -= 1
-        key = FockState(tuple(occ), fock.polarized)
-        out[key] = out.get(key, 0j) + a * math.sqrt(n)
-    return StateVector(out, channels=state.channels, polarized=state.polarized)
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b> with the usual conjugation on the left argument."""
-    if a.channels != b.channels or a.polarized != b.polarized:
-        raise RegisterMismatch("inner product between different registers")
-    if len(a._amp) > len(b._amp):
-        return sum(b._amp[s] * v.conjugate() for s, v in a._amp.items() if s in b._amp)
-    return sum(a._amp[s].conjugate() * v for s, v in b._amp.items() if s in a._amp)
-
-
-def _check_channel(state: StateVector, ch: int):
-    if not 0 <= ch < state.channels:
-        from .errors import OutOfRange
-
-        raise OutOfRange(f"channel {ch} outside register of {state.channels} channels")

@@ -23,6 +23,7 @@ from .components import (
     GenericUnitary,
     Permutation,
     PhaseShifter,
+    require_integer,
     theta_from_reflectivity,
 )
 from .errors import InvalidGate, InvalidSpec, OutOfRange, RegisterMismatch
@@ -244,7 +245,7 @@ def _single_placements(name: str, qubit: int, theta):
 
 
 def _check_qubit(qubit: int, q: int, span: int = 1):
-    if not 0 <= qubit <= q - span:
+    if not 0 <= require_integer(qubit, "qubit") <= q - span:
         raise OutOfRange(f"qubit {qubit} outside register of {q}")
 
 
@@ -365,6 +366,7 @@ class GateSequence:
     pass so every CNOT gets its own auxiliary pair at the tail."""
 
     def __init__(self, q: int):
+        q = require_integer(q, "qubit count")
         if q < 1:
             raise InvalidSpec(f"need at least one qubit, got {q}")
         self.q = q
@@ -407,12 +409,12 @@ class GateSequence:
         """CCX as six CNOTs with H/T phases: kickbacks on the target through
         alternating CNOTs from both controls, then a T-ladder on the
         controls.  Everything is validated before any gate is recorded."""
+        for qubit in (c0, c1, target):
+            _check_qubit(qubit, self.q)
         if len({c0, c1, target}) != 3:
             raise InvalidSpec("Toffoli needs three distinct qubits")
         if kind not in _CNOT_KINDS:
             raise InvalidGate(f"unknown CNOT flavour {kind!r}")
-        for qubit in (c0, c1, target):
-            _check_qubit(qubit, self.q)
         self.gate("H", target)
         self.cnot(c1, target, kind)
         self.gate("TDAG", target)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import operator
 import sys
 import threading
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import compile_blocks, index_view
-from .components import UNITARY_TOL, require_unitary
+from .components import UNITARY_TOL, require_integer, require_unitary
 from .errors import InvalidSpec, RegisterMismatch, TooLarge
 from .fock import PRUNE_TOL, FockState, StateVector, canonical_items
 
@@ -1140,22 +1139,15 @@ def _splitmix64_doubles(seed: int, first: int, stop: int) -> np.ndarray:
     return draws
 
 
-def _require_integer(name: str, value):
-    """Raise ValueError unless `value` is a Python or numpy integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def require_shots(shots: int):
     """Raise ValueError for a shot count that is not a non-negative integer."""
-    _require_integer("shots", shots)
-    if shots < 0:
+    if require_integer(shots, "shots", ValueError) < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
 
 
 def require_seed(seed: int):
     """Raise ValueError for a seed that is not an integer; any integer wraps mod 2^64."""
-    _require_integer("seed", seed)
+    require_integer(seed, "seed", ValueError)
 
 
 def inverse_cdf_counts(weights, shots: int, seed: int) -> list[int]:

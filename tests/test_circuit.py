@@ -82,6 +82,29 @@ def test_out_of_range_anchor():
         Circuit(2).add(-1, PhaseShifter(0.1))
 
 
+@pytest.mark.parametrize("anchor", [1.5, 1.0, True, "1", None, [0, 1], (0.0, 1), (0, "1")])
+def test_anchors_and_modes_must_be_integers(anchor):
+    with pytest.raises(InvalidSpec, match="must be an integer"):
+        Circuit(3).add(anchor, BeamSplitter.h())
+    with pytest.raises(InvalidSpec, match="must be an integer"):
+        Circuit(3).add(anchor, PhaseShifter(0.3))  # int(1.5) would put it on mode 1
+
+
+@pytest.mark.parametrize("modes, polarized", [(2.5, False), (2.0, False), (True, False), ("2", False),
+                                              (2, "yes"), (2, 1), (2, None)])
+def test_register_must_be_an_integer_and_a_bool(modes, polarized):
+    with pytest.raises(InvalidSpec):
+        Circuit(modes, polarized)
+
+
+def test_numpy_integer_modes_and_anchors_are_accepted():
+    i = np.int64
+    c = Circuit(i(3)).add(i(1), PhaseShifter(0.3)).add((i(2), i(0)), BeamSplitter.h())
+    assert c.modes == 3
+    assert [p.modes for p in c.placements] == [(1,), (2, 0)]
+    assert all(type(m) is int for p in c.placements for m in p.modes)
+
+
 def test_jones_needs_polarized_register():
     with pytest.raises(PolarizationMismatch):
         Circuit(2).add(0, WavePlate(0.1, 0.2))

@@ -102,6 +102,17 @@ def test_permutation_validation():
         Permutation((0, 0, 1))
 
 
+@pytest.mark.parametrize("target", [(0.0, 1.7), (1.0, 0.0), ("1", "0"), (True, False), 5, None])
+def test_permutation_targets_must_be_integers(target):
+    with pytest.raises(InvalidSpec, match="permutation target must be"):
+        Permutation(target)
+
+
+def test_permutation_accepts_numpy_integers():
+    p = Permutation(np.array([1, 0]))
+    assert p.target == (1, 0) and all(type(i) is int for i in p.target)
+
+
 def test_wave_plate_pauli_decomposition():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -152,6 +163,8 @@ def test_generic_unitary_checks():
         GenericUnitary([[1.0, 0.0], [0.0, 1.0 + 1e-6]])
     with pytest.raises(InvalidSpec):
         GenericUnitary(np.ones((2, 3)))
+    with pytest.raises(InvalidSpec):  # ragged rows
+        GenericUnitary([[1.0], [0.0, 1.0]])
 
 
 def _random_component(rng):
@@ -184,7 +197,11 @@ def test_random_components_are_unitary():
         assert close(m.conj().T @ m, np.eye(m.shape[0]), tol=1e-12)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.5", None, True, 1j])
+@pytest.mark.parametrize(
+    "bad",
+    [math.nan, math.inf, -math.inf, "0.5", None, True, 1j,
+     pytest.param(10**400, id="huge-int"), pytest.param(-(10**400), id="huge-negative-int")],
+)
 @pytest.mark.parametrize(
     "make",
     [

@@ -7,18 +7,14 @@ import pytest
 from photonsim.errors import (
     InvalidOccupation,
     MixedSector,
-    OutOfRange,
     RegisterMismatch,
 )
 from photonsim.fock import (
     FockState,
     Polarization,
     StateVector,
-    apply_annihilation,
-    apply_creation,
     canonical_items,
     channel,
-    inner_product,
     make_state,
 )
 
@@ -132,30 +128,6 @@ def test_items_in_canonical_order():
         + StateVector.basis(make_state((1, 1)))
     )
     assert [s.occupations for s, _ in v.items()] == [(2, 0), (1, 1), (0, 2)]
-
-
-def test_creation_annihilation_factors():
-    v = StateVector.basis(make_state((1, 0)))
-    up = apply_creation(v, 0)
-    assert abs(up.amplitude(make_state((2, 0))) - math.sqrt(2)) < 1e-12
-    down = apply_annihilation(up, 0)
-    # a adag' |1> picks up sqrt(2)*sqrt(2) = 2
-    assert abs(down.amplitude(make_state((1, 0))) - 2.0) < 1e-12
-    # annihilating the vacuum channel gives the zero vector
-    assert len(apply_annihilation(v, 1)) == 0
-
-
-def test_channel_bounds_checked():
-    v = StateVector.basis(make_state((1, 0)))
-    with pytest.raises(OutOfRange):
-        apply_creation(v, 2)
-
-
-def test_inner_product_conjugates_left():
-    a = StateVector.basis(make_state((1, 0))) * 1j
-    b = StateVector.basis(make_state((1, 0))) * 2.0
-    assert abs(inner_product(a, b) - (-2j)) < 1e-12
-    assert abs(inner_product(b, a) - 2j) < 1e-12
 
 
 def test_normalize_zero_vector_rejected():

@@ -342,6 +342,39 @@ def test_failed_toffoli_records_nothing(args, kind, error):
     assert seq.build() == GateSequence(3).gate("X", 0).build()
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        lambda seq: seq.gate("X", 0.5),  # unchecked, anchor 2 * 0.5 put X on modes (1, 2)
+        lambda seq: seq.gate("SWAP", True),
+        lambda seq: seq.cnot(True, 0.0),
+        lambda seq: seq.cnot(0, "1"),
+        lambda seq: seq.controlled_pauli("CZ", 0, 1.0),
+        lambda seq: seq.toffoli(0, 1, 1.5),
+        lambda seq: seq.toffoli([0], 1, 2),
+    ],
+)
+def test_qubits_must_be_integers(record):
+    seq = GateSequence(3)
+    with pytest.raises(InvalidSpec, match="qubit must be an integer"):
+        record(seq)
+    assert seq.build() == GateSequence(3).build()
+
+
+@pytest.mark.parametrize("q", [2.5, 2.0, True, "2"])
+def test_qubit_count_must_be_an_integer(q):
+    with pytest.raises(InvalidSpec, match="qubit count must be an integer"):
+        GateSequence(q)
+
+
+def test_numpy_integer_qubits_are_accepted():
+    i = np.int64
+    got = GateSequence(i(3)).gate("X", i(1)).cnot(i(0), i(1)).toffoli(i(0), i(1), i(2)).build()
+    want = GateSequence(3).gate("X", 1).cnot(0, 1).toffoli(0, 1, 2).build()
+    assert got.herald_input == want.herald_input
+    assert np.array_equal(got.circuit.compile(), want.circuit.compile())
+
+
 @pytest.mark.parametrize("name, theta", [("X", "junk"), ("H", math.nan), ("T", 0.5), ("swap", 0.0)])
 def test_fixed_gates_take_no_angle(name, theta):
     seq = GateSequence(2)
