@@ -22,7 +22,11 @@ from .components import (
     SpatialComponent,
     require_integer,
 )
-from .errors import InvalidSpec, OutOfRange, PolarizationMismatch, RegisterMismatch
+from .errors import InvalidSpec, OutOfRange, PolarizationMismatch, RegisterMismatch, TooLarge
+
+# compile_blocks refuses a unitary that would hold more bytes: 1 GiB is
+# 8,192 channels of complex128.
+_MATRIX_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -142,7 +146,13 @@ class Circuit:
 
 def compile_blocks(blocks, channels: int) -> np.ndarray:
     """The unitary on `channels` channels of (channels, block) pairs such
-    as `Circuit.blocks` yields, the first block rightmost in the product."""
+    as `Circuit.blocks` yields, the first block rightmost in the product.
+    Raises TooLarge, before it allocates, when the complex matrix would
+    hold more than _MATRIX_BYTES."""
+    nbytes = 16 * channels * channels
+    if nbytes > _MATRIX_BYTES:
+        raise TooLarge(f"the {channels}-channel unitary needs {nbytes} bytes, "
+                       f"more than the {_MATRIX_BYTES} allowed")
     total = np.eye(channels, dtype=complex)
     for chans, block in blocks:
         rows = index_view(chans)

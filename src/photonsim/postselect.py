@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .circuit import Circuit
+from .components import require_integer
 from .errors import EvalError, InvalidSpec, RegisterMismatch
 from .fock import PRUNE_TOL, FockState, StateVector
 from .notation import Scanner
@@ -34,8 +35,9 @@ _OPS = ("==", "<=", ">=", "<", ">")
 
 
 def require_min_photons(count: int):
-    """Raise InvalidSpec for a negative minimum detected-photon count."""
-    if count < 0:
+    """Raise InvalidSpec for a minimum detected-photon count that is not a
+    non-negative integer (bools included)."""
+    if require_integer(count, "minimum photon count") < 0:
         raise InvalidSpec(f"minimum photon count must be >= 0, got {count}")
 
 
@@ -127,7 +129,8 @@ class Processor:
         the route, gives them in canonical order: the whole photon-number
         sector without a predicate, the outcomes that satisfy it otherwise,
         and none when the input holds fewer than `min_detected_photons`
-        photons.  Raises InvalidSpec for a negative `min_detected_photons`,
+        photons.  Raises InvalidSpec for a `min_detected_photons` that is
+        not a non-negative integer,
         an input that is not normalized or a clause without modes,
         MixedSector for an input without a fixed photon number,
         RegisterMismatch when its channels or polarization do not fit the

@@ -5,9 +5,12 @@ under a channel unitary U is
 
     amplitude = Per(U[t, s]) / sqrt(prod_i s_i! * prod_j t_j!)
 
-where U[t, s] repeats column i s_i times and row j t_j times.  The kernel
-evaluates permanents with Glynn's formula over 2^(n-1) column sign
-patterns; the scalar reference `permanent` uses Ryser's.
+where U[t, s] repeats column i s_i times and row j t_j times.  Two kernels
+compute it for a list of targets, and `_kernel` picks one from their exact
+counts, known before either runs.  SLOS (Heurtel et al., arXiv:2206.10549) builds U|s> one
+input photon at a time over tables derived from the targets (`_tables`);
+Glynn's formula sums 2^(n-1) column sign patterns over the targets' prefix
+trie (`_plan`, `_sweep`).  The scalar reference `permanent` uses Ryser's.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .components import UNITARY_TOL, require_integer, require_unitary
 from .errors import InvalidSpec, RegisterMismatch, TooLarge
 from .fock import PRUNE_TOL, FockState, StateVector, canonical_items
 
-# The kernel sweeps 2^_CHUNK_BITS column subsets at a time.
+# The Glynn sweep runs 2^_CHUNK_BITS column subsets at a time.
 _CHUNK_BITS = 13
 
 # One op of the trie reduction writes at most _BATCH_BYTES of rows while a
@@ -45,8 +48,9 @@ for _ in range(_CHUNK_BITS):
 # v! as a float for v up to 170, the largest that stays finite.
 _FACTORIALS = np.array([float(math.factorial(v)) for v in range(171)])
 
-# The kernel refuses a sweep of more than _MAX_WORK vector elements:
-# 26-33 s at the 1.5-1.9 ns per element measured at n = 20-24 on a 2-core Xeon.
+# Either kernel refuses a count of more than _MAX_WORK vector elements:
+# 26-33 s at the 1.5-1.9 ns per sweep element measured at n = 20-24 on a
+# 2-core Xeon.
 _MAX_WORK = 1 << 34
 
 # The stepper's pruning budget, relative to the state's norm (see _prune).
@@ -58,6 +62,17 @@ _DRAW_CHUNK = 1 << 16
 # inverse_cdf_counts counts a chunk edge by edge, without sorting it, while
 # it holds more than _DRAWS_PER_EDGE draws per edge (measured there).
 _DRAWS_PER_EDGE = 3000
+
+# `_kernel` charges a Glynn sweep this many vector elements beyond its count
+# for its fixed numpy calls.  Measured (2-core Xeon): on sectors of a few
+# hundred elements a sweep took 32-58 us and SLOS 10-30 us; past 50,000
+# elements a table entry took 3-4 ns and a sweep element 2-3 ns.  Of 27
+# measured sectors this value sends all but one to the faster kernel: 10
+# targets of 6 photons on 20 modes (10,480 entries against 2^5 x 83) go to
+# Glynn, 0.061 ms against 0.051 ms on SLOS.  One target of 12 photons on
+# 16 modes (65,520 against 2^11 x 29) goes to Glynn, which is faster there,
+# 0.23 against 0.31 ms.
+_SWEEP_OVERHEAD = 6_000
 
 # The sector structure kept between calls holds at most this many bytes.
 _STRUCTURE_BYTES = 32 << 20
@@ -124,17 +139,12 @@ def batch_amplitudes(matrix, source: FockState, targets) -> list[complex]:
     """Amplitudes <t| U |source> for a list of targets, in the order given;
     0j for targets outside the source's photon-number sector.
 
-    A wrapper over the one kernel.  The targets become one integer array
-    and `_plan` builds their prefix trie: one shared Glynn sweep over
-    2^(n-1) subsets of the source's columns, reduced one trie depth at a
-    time, a window of nodes per numpy op (see `_plan`).  Per subset the
-    sweep adds each channel's column sum, forms each power a target needs
-    by repeated multiplication (t - 1 products for occupation t), multiplies
-    each trie node and sums each distinct target; that count times 2^(n-1)
-    is the work.
+    A wrapper over the one kernel entry, `_evaluate`: the targets become
+    one integer array and `_kernel` picks SLOS's tables or Glynn's trie
+    plan for them from their exact counts, built for this call alone.
     Raises RegisterMismatch when U is not square or a register does not
-    match its side, and TooLarge, naming the work, when it exceeds
-    _MAX_WORK.
+    match its side, and TooLarge, naming the chosen kernel's count, when it
+    exceeds _MAX_WORK.
     """
     targets = list(targets)
     u = _channel_unitary(matrix, source.channels, *(t.channels for t in targets))
@@ -156,31 +166,181 @@ def _channel_unitary(matrix, *channels: int) -> np.ndarray:
     return u
 
 
-def _evaluate(u: np.ndarray, terms, outcomes: np.ndarray, plan=None) -> np.ndarray:
+def _evaluate(u: np.ndarray, terms, outcomes: np.ndarray, kernel=None) -> np.ndarray:
     """sum_k c_k <t| U |s_k> for each row t of `outcomes`, over the input
     terms (s_k, c_k); the rows and terms share one photon-number sector.
-    One trie plan serves every term; `plan`, when given, is the outcomes'."""
+    One kernel serves every term; `kernel`, when given, is the outcomes'
+    (see `_kernel`).  TooLarge comes before the kernel runs."""
     n = terms[0][0].n
     if n == 0 or not len(outcomes):  # no sweep: the vacuum goes to itself
         return np.full(len(outcomes), sum(c for _, c in terms), dtype=complex)
-    if plan is None:
-        plan = _plan(outcomes, n)
-    _require_work(n, plan.work)
+    if kernel is None:
+        kernel = _kernel(outcomes, n)
+    _require_work(kernel.work, kernel.count)
     total = np.zeros(len(outcomes), dtype=complex)
     for source, coeff in terms:
-        total += coeff * _normalized_sweep(u, source.occupations, plan)
+        total += coeff * kernel.amplitudes(u, source.occupations)
     return total
 
 
-def _normalized_sweep(u: np.ndarray, occupations, plan: "_Plan") -> np.ndarray:
-    """<t| U |s> for each target t of `plan` from the source s with these
-    occupations."""
-    per = _sweep(u, occupations, plan)
-    norm = np.sqrt(math.prod(map(math.factorial, occupations)) * plan.t_norm)
-    # Divide the parts by the real norm: complex / float would scale by 1/norm.
-    np.divide(per.real, norm, out=per.real)
-    np.divide(per.imag, norm, out=per.imag)
-    return per
+def _kernel(rows: np.ndarray, n: int):
+    """The kernel for the n-photon targets in `rows`, one per row: the SLOS
+    tables unless their count passes the Glynn plan's plus _SWEEP_OVERHEAD
+    or they would not fit _STRUCTURE_BYTES, and then the plan.  The plan's
+    count comes from the sorted trie, before its ops are built; the
+    tables' from their levels, whose build stops once it passes that cap.
+
+    Measured per source term (2-core Xeon, both kernels in one process):
+    the Haar sector (10 modes, 5 photons: 30,020 entries against 2^4 x
+    4,768) took 0.11 ms on SLOS and 0.38 ms on Glynn, and
+    `two_heralded_cnots` under its four heralds (1,912 against 2^5 x 39)
+    0.030 and 0.053 ms.  For one collision-free target the counts are
+    close: 10 photons on 14 modes (14,322 against 2^9 x 25) go to SLOS,
+    0.073 against 0.082 ms; 12 on 16 modes (65,520 against 2^11 x 29) go to
+    Glynn, 0.23 against 0.31 ms, and so do 16 on 18 modes, 2.1 against
+    3.5 ms, with no table build (160-210 ms).  Past about 4 million entries
+    the tables leave the budget, and Glynn, which runs in fixed memory,
+    serves n = 20-24.
+    """
+    trie = _trie(rows, n)
+    return _tables(rows, n, ((1 << n) >> 1) * trie[-1]) or _plan(rows, n, trie)
+
+
+def _require_work(work: int, count: str):
+    """Raise TooLarge when a kernel's count of vector elements, `work`, which
+    `count` spells out, exceeds _MAX_WORK."""
+    if work > _MAX_WORK:
+        raise TooLarge(f"{count} = {work} vector elements, more than the {_MAX_WORK} allowed")
+
+
+def _slos_count(channels: int, rows: int):
+    """The SLOS tables' count and its text: `channels` entries, one gathered
+    product each, for each of `rows` table rows."""
+    return channels * rows, f"the expansion needs {channels} x {rows}"
+
+
+def _glynn_count(n: int, per_subset: int):
+    """The Glynn sweep's count and its text: `per_subset` vector elements for
+    each of 2^(n-1) subsets (none for n = 0)."""
+    return ((1 << n) >> 1) * per_subset, f"the sweep needs 2^{n - 1} x {per_subset}"
+
+
+def _whole_sector_work(channels: int, n: int):
+    """The count, and its text, of the kernel `_kernel` picks for the whole
+    n-photon sector over `channels` (n >= 1), from closed forms, before
+    the sector is enumerated.  Every k-photon row is a level-k table row,
+    C(channels + n, n) - 1 rows in all.  The plan has n factor rows per
+    channel, a leaf per outcome and a node per prefix that ends in an
+    occupied channel: C(n + c, c + 1) end at channel c < channels - 1,
+    outcomes - 1 in all, and C(n + channels - 2, n - 1) outcomes at the
+    last."""
+    m, outcomes = channels, math.comb(channels + n - 1, n)
+    glynn = _glynn_count(n, m * n + 2 * outcomes - 1 + math.comb(n + m - 2, n - 1))
+    slos = _slos_count(m, math.comb(m + n, n) - 1)
+    return slos if slos[0] <= _table_cap(glynn[0], n) else glynn
+
+
+def _table_cap(glynn_work: int, n: int) -> int:
+    """The most entries SLOS tables may hold: no more than the Glynn plan's
+    count plus _SWEEP_OVERHEAD, and 8 bytes each within _STRUCTURE_BYTES;
+    none past n = 170, where the targets' sqrt(prod_j t_j!) leave float
+    range."""
+    if n >= len(_FACTORIALS):
+        return -1
+    return min(glynn_work + _SWEEP_OVERHEAD, _STRUCTURE_BYTES // 8)
+
+
+def _table_floor(rows: np.ndarray) -> float:
+    """A lower bound on the SLOS table rows of a nonempty list of targets:
+    every target, and every other nonempty sub-multiset of any one target,
+    prod_j (t_j + 1) - 2 of them."""
+    return len(rows) - 2 + np.prod(rows + 1.0, axis=1).max()
+
+
+def _least_work(record) -> int:
+    """A lower bound on the count of a sector record's kernel, before it is
+    built; 0 with nothing to sweep.  For a whole sector it is the exact
+    count (`_whole_sector_work`).  Otherwise it comes from the rows' number
+    and shape: the plan has a factor row per channel and a node and a leaf
+    per row for each of its 2^(n-1) subsets, and the tables hold at least
+    `_table_floor` rows."""
+    n, rows = record.n, record.rows
+    if not (n and len(rows)):
+        return 0
+    channels = rows.shape[1]
+    if record.lowered is None:
+        return _whole_sector_work(channels, n)[0]
+    return int(min(((1 << n) >> 1) * (channels + 2 * len(rows)), channels * _table_floor(rows)))
+
+
+class _Tables:
+    """The SLOS tables of a list of n-photon targets (see `_tables`).
+
+    Level k holds k-photon rows, level n the targets.  `preds[k - 1]` has a
+    row per level-k row and a column per channel: the index of the row with
+    one photon fewer in that channel at level k - 1, or, where the channel
+    is empty, that level's zero slot, its length.  `scale` holds sqrt(prod_j
+    t_j!) per target.
+    """
+
+    def __init__(self, preds: list, scale: np.ndarray, channels: int):
+        self.preds, self.scale = preds, scale
+        self.work, self.count = _slos_count(channels, sum(map(len, preds)))
+        self.nbytes = sum(p.nbytes for p in preds) + scale.nbytes
+
+    def amplitudes(self, u: np.ndarray, occupations) -> np.ndarray:
+        """<t| U |s> for each target t from the source s with these
+        occupations: U|s> is prod_i (sum_j U[j, i] a_j^dag)^(s_i) |0> over
+        sqrt(prod_i s_i!), built one input photon at a time.
+
+        The creation operator a_j^dag takes |r - e_j> to sqrt(r_j) |r>, so
+        the partial state's amplitudes, divided by sqrt(prod_j r_j!) as w
+        is, follow w_k[r] = sum_j U[j, i] w_(k-1)[r - e_j] for the k-th
+        photon, in column i, over the channels j that r occupies: one
+        gather of level k - 1 and one product with column i per level, with
+        no alternating signs.  Then <t| U |s> = w_n[t] sqrt(prod_j t_j!) /
+        sqrt(prod_i s_i!).
+        """
+        cols = [i for i, v in enumerate(occupations) for _ in range(v)]
+        w = np.array([1, 0], dtype=complex)  # the vacuum and the zero slot
+        for pred, i in zip(self.preds, cols):
+            nxt = np.zeros(len(pred) + 1, dtype=complex)
+            # einsum's own loop, not BLAS: OpenBLAS runs a level of 9,216
+            # entries or more on its threads, and on a loaded 2-core Xeon
+            # that put a Haar `distribution` at 6 ms in its 90th
+            # percentile and 32 ms in its 99th, against 1.8 and 3.8 ms.
+            np.einsum("ij,j->i", w[pred], u[:, i], out=nxt[:-1])
+            w = nxt
+        return w[:-1] * (self.scale / math.sqrt(math.prod(map(math.factorial, occupations))))
+
+
+def _tables(rows: np.ndarray, n: int, glynn_work: int) -> _Tables | None:
+    """The SLOS tables of the n-photon targets in `rows`, one per row, built
+    top-down: level n is the rows, and level k - 1 the distinct rows r - e_j
+    over the level-k rows r and the channels j they occupy (`_row_ids`).
+    Only sub-multisets of the targets are built, so a predicate that pins
+    channels prunes every level.  None, before a level that would pass it
+    is built, when the entries would pass `_table_cap` of the plan's count,
+    `glynn_work`; first checked against `_table_floor`.
+    """
+    channels = rows.shape[1]
+    cap = _table_cap(glynn_work, n)
+    if channels * _table_floor(rows) > cap:
+        return None
+    preds, level, entries = [], rows, 0
+    for _ in range(n):
+        entries += level.size
+        if entries > cap:
+            return None
+        src, chan = np.nonzero(level)
+        lower = level[src]
+        lower[np.arange(len(src)), chan] -= 1
+        first, inverse = _row_ids(lower)
+        pred = np.full(level.shape, len(first))
+        pred[src, chan] = inverse
+        preds.append(pred)
+        level = lower[first]
+    return _Tables(preds[::-1], np.sqrt(_FACTORIALS[rows].prod(axis=1)), channels)
 
 
 @dataclass(frozen=True)
@@ -205,40 +365,37 @@ class _Plan:
     leaves: int
     target_leaf: np.ndarray
     t_norm: np.ndarray  # prod_j t_j! per target
-    work: int  # vector elements per subset
+    work: int  # vector elements: 2^(n-1) subsets x the per-subset count
+    count: str
+    nbytes: int
+
+    def amplitudes(self, u: np.ndarray, occupations) -> np.ndarray:
+        """<t| U |s> for each target t from the source s with these
+        occupations."""
+        per = _sweep(u, occupations, self)
+        norm = np.sqrt(math.prod(map(math.factorial, occupations)) * self.t_norm)
+        # Divide the parts by the real norm: complex / float would scale by 1/norm.
+        np.divide(per.real, norm, out=per.real)
+        np.divide(per.imag, norm, out=per.imag)
+        return per
 
 
-def _plan(outcomes: np.ndarray, n: int) -> _Plan:
-    """The prefix trie of the n-photon targets in `outcomes`, one per row.
+def _trie(outcomes: np.ndarray, n: int):
+    """The targets of `_plan` in trie order: (channel order, target order,
+    sorted occupations, steps up to each channel, where a step adds a trie
+    node, each target's leaf, per-subset count).
 
     Channels are ranked by how many distinct occupations the targets take in
     them (pinned heralds first, ties by index).  A target's steps are its
-    nonzero occupations t in that order, each a product with the t-th power
-    of a channel's sum.  With the targets sorted, a target adds a trie node
-    for each step after the prefix it shares with the one before; a node's
-    parent is the latest node one depth up and a target's last node is its
-    leaf.  The targets are cut into windows of `width` leaves, and a window
-    runs one op per depth.  While a node's row of subsets is shorter than
-    _VIEW_BYTES, such an op costs more in numpy's call overhead than in
-    arithmetic, so `width` rows fill _BATCH_BYTES.  From 2^11 subsets on,
-    `width` is 1, and an op reads its parent and factor rows as slices,
-    which numpy reads as views, not as gathered copies.  Each depth's buffer
-    has two halves that its ops alternate between, so an op can still read
-    the latest node of the window before.  Per subset the plan costs one sum
-    per channel and one product per power step, trie node and leaf sum.
+    nonzero occupations t in that order.  With the targets sorted, a target
+    adds a trie node for each step after the prefix it shares with the one
+    before.  Per subset the plan costs one sum per channel and one product
+    per power step, trie node and leaf sum.
     """
     count, channels = outcomes.shape
     taken = np.zeros((n + 1, channels), dtype=bool)  # occupations taken per channel
     taken[outcomes, np.arange(channels)] = True
     distinct = taken.sum(axis=0).tolist()
-    tops = outcomes.max(axis=0).tolist()
-    # Factor rows rank channels by top occupation, so each power is a prefix.
-    perm = sorted(range(channels), key=lambda c: -tops[c])
-    rank = {c: r for r, c in enumerate(perm)}
-    powers = [sum(v >= t for v in tops) for t in range(2, max(tops) + 1)]
-    first = [0, *itertools.accumulate([channels, *powers], initial=0)]  # power t, rank 0
-    ladder = tuple((first[t], first[t - 1], c) for t, c in enumerate(powers, 2))
-
     order = sorted(range(channels), key=distinct.__getitem__)
     trie = outcomes[:, order].astype(np.min_scalar_type(n))
     # Sort the targets by their occupations in trie order, `group` channels
@@ -255,6 +412,35 @@ def _plan(outcomes: np.ndarray, n: int) -> _Plan:
     np.not_equal(trie[1:], trie[:-1], out=differs[1:])
     new = step & np.logical_or.accumulate(differs, axis=1)  # a trie node per new step
     lead = new.any(axis=1).cumsum() - 1  # each target's leaf; duplicates share it
+    # A channel's sum and its powers up to its top occupation are factor rows.
+    factors = int(np.maximum(outcomes.max(axis=0), 1).sum())
+    return order, by_occ, trie, depth, new, lead, factors + int(new.sum()) + int(lead[-1]) + 1
+
+
+def _plan(outcomes: np.ndarray, n: int, trie=None) -> _Plan:
+    """The prefix trie of the n-photon targets in `outcomes`, one per row
+    (see `_trie`, whose result `trie` is, when given).
+
+    Each target step is a product with the t-th power of a channel's sum.
+    A node's parent is the latest node one depth up and a target's last node
+    is its leaf.  The targets are cut into windows of `width` leaves, and a
+    window runs one op per depth.  While a node's row of subsets is shorter
+    than _VIEW_BYTES, such an op costs more in numpy's call overhead than in
+    arithmetic, so `width` rows fill _BATCH_BYTES.  From 2^11 subsets on,
+    `width` is 1, and an op reads its parent and factor rows as slices,
+    which numpy reads as views, not as gathered copies.  Each depth's buffer
+    has two halves that its ops alternate between, so an op can still read
+    the latest node of the window before.
+    """
+    order, by_occ, trie, depth, new, lead, per_subset = trie or _trie(outcomes, n)
+    count, channels = outcomes.shape
+    tops = outcomes.max(axis=0).tolist()
+    # Factor rows rank channels by top occupation, so each power is a prefix.
+    perm = sorted(range(channels), key=lambda c: -tops[c])
+    rank = {c: r for r, c in enumerate(perm)}
+    powers = [sum(v >= t for v in tops) for t in range(2, max(tops) + 1)]
+    first = [0, *itertools.accumulate([channels, *powers], initial=0)]  # power t, rank 0
+    ladder = tuple((first[t], first[t - 1], c) for t, c in enumerate(powers, 2))
     row = 16 << min(n - 1, _CHUNK_BITS)  # bytes of a node's row of subsets
     width = min(_BATCH_BYTES // row if row < _VIEW_BYTES else 1, int(lead[-1]) + 1)
     steps = depth[:, -1].tolist()
@@ -291,9 +477,12 @@ def _plan(outcomes: np.ndarray, n: int) -> _Plan:
     leaf_id[done] = np.arange(len(done))
     target_leaf = np.empty(count, dtype=np.int64)
     target_leaf[by_occ] = leaf_id[lead]
-    return _Plan(n, perm, ladder, first[-1], tuple(ops), levels, width, len(done),
-                 target_leaf, _FACTORIALS[outcomes].prod(axis=1),
-                 first[-1] + len(target) + len(done))
+    # About the bytes the plan holds: two 8-byte values per target, at most
+    # two 8-byte row indices per unit of work, and ~500 bytes per op for its
+    # tuple, slices and array headers (measured with tracemalloc).
+    nbytes = 16 * (count + per_subset) + 500 * len(ops)
+    return _Plan(n, perm, ladder, first[-1], tuple(ops), levels, width, len(done), target_leaf,
+                 _FACTORIALS[outcomes].prod(axis=1), *_glynn_count(n, per_subset), nbytes)
 
 
 def _sweep(u: np.ndarray, occupations, plan: _Plan) -> np.ndarray:
@@ -334,17 +523,6 @@ def _sweep(u: np.ndarray, occupations, plan: _Plan) -> np.ndarray:
         (np.subtract if h.bit_count() % 2 else np.add)(total, sums, out=total)
     total *= 0.5 ** (plan.n - 1)  # a power of two, so exact
     return total[plan.target_leaf]
-
-
-def _require_work(n: int, per_subset: int):
-    """Raise TooLarge when Glynn's 2^(n-1) subsets x per_subset vector
-    elements exceed _MAX_WORK (no subsets for n = 0)."""
-    work = ((1 << n) >> 1) * per_subset
-    if work > _MAX_WORK:
-        raise TooLarge(
-            f"the sweep needs 2^{n - 1} x {per_subset} = {work} vector elements, "
-            f"more than the {_MAX_WORK} allowed"
-        )
 
 
 def _subset_sums(base: np.ndarray, steps: np.ndarray, cols: list[int]) -> np.ndarray:
@@ -452,14 +630,14 @@ class _Sector:
     """What no unitary changes about the outcomes of a photon-number sector
     under a predicate: its `_STRUCTURES` key, the predicate's lowering (None
     without one), their rows in canonical order, read-only, and, built on
-    first use, their FockStates and trie plan."""
+    first use, their FockStates and kernel."""
 
     def __init__(self, key, lowered, n: int, polarized: bool, rows: np.ndarray):
         rows.setflags(write=False)
         self.key, self.lowered, self.rows, self.n, self.polarized = key, lowered, rows, n, polarized
         self.nbytes = rows.nbytes
         self.kept = False  # whether _STRUCTURES counts it
-        self._states = self._trie = None
+        self._states = self._kernel = None
 
     def states(self) -> tuple:
         """One FockState per row."""
@@ -469,12 +647,12 @@ class _Sector:
             _STRUCTURES.grew(self, _states_bytes(self._states))
         return self._states
 
-    def plan(self):
-        """The rows' trie plan; None when there is nothing to sweep."""
-        if self._trie is None and self.n and len(self.rows):
-            self._trie = _plan(self.rows, self.n)
-            _STRUCTURES.grew(self, _plan_bytes(self._trie))
-        return self._trie
+    def kernel(self):
+        """The rows' kernel (see `_kernel`); None when there is nothing to sweep."""
+        if self._kernel is None and self.n and len(self.rows):
+            self._kernel = _kernel(self.rows, self.n)
+            _STRUCTURES.grew(self, self._kernel.nbytes)
+        return self._kernel
 
 
 def _states_bytes(states: tuple) -> int:
@@ -484,13 +662,6 @@ def _states_bytes(states: tuple) -> int:
     s = states[0]
     each = sys.getsizeof(s) + sys.getsizeof(s.occupations) + sys.getsizeof(hash(s))
     return sys.getsizeof(states) + len(states) * each
-
-
-def _plan_bytes(plan: _Plan) -> int:
-    """About the bytes a plan holds: two 8-byte values per target, at most
-    two 8-byte row indices per unit of work, and ~500 bytes per op for its
-    tuple, slices and array headers (measured with tracemalloc)."""
-    return 16 * (len(plan.target_leaf) + plan.work) + 500 * len(plan.ops)
 
 
 class _Structures:
@@ -605,15 +776,15 @@ def state_amplitudes(matrix, state: StateVector, predicate) -> list[tuple[FockSt
     """The outcomes of the state's sector that satisfy `predicate` (all of
     them when it is None), in canonical order, each with <t| U |state>.
 
-    The global route: the outcome rows of `_outcomes` go through one shared
-    trie plan for every input term.  The rows, their plan and their
+    The global route: the outcome rows of `_outcomes` go through one kernel
+    for every input term, SLOS's tables or Glynn's trie plan, whichever
+    `_kernel` finds cheaper for them.  The rows, their kernel and their
     FockStates depend on (channels, polarization, n, predicate) alone, so
     they are built on the first call for that key and kept for later ones
-    (see `_Structures`); U and the amplitudes are not kept.  Without a
-    predicate, TooLarge comes before any enumeration when the least sweep of
-    the sector, 2^(n-1) x (channels + outcomes) vector elements, exceeds
-    _MAX_WORK, on every call.  Raises NotUnitary when U is not unitary
-    within UNITARY_TOL.
+    (see `_Structures`); U and the amplitudes are not kept.  TooLarge comes
+    when the kernel's count exceeds _MAX_WORK, on every call; without a
+    predicate, before any enumeration (see `_swept`).  Raises NotUnitary
+    when U is not unitary within UNITARY_TOL.
     """
     n = state.require_sector()
     sector, amps = _swept(_channel_unitary(matrix, state.channels), state, n, predicate)
@@ -624,13 +795,16 @@ def _swept(u: np.ndarray, state: StateVector, n: int, predicate,
            sector: _Sector | None = None) -> tuple[_Sector, np.ndarray]:
     """`state_amplitudes` on a square U, as the sector record and the
     amplitude array of its rows; `sector`, when given, is the record of the
-    state's register and photon number under `predicate`."""
+    state's register and photon number under `predicate`.  Without a
+    predicate, the whole sector's kernel and its exact count come from
+    closed forms (see `_whole_sector_work`), so TooLarge comes before the
+    sector is enumerated."""
     require_unitary(u)
-    if predicate is None:
-        _require_work(n, state.channels + math.comb(n + state.channels - 1, n))
+    if predicate is None and n:
+        _require_work(*_whole_sector_work(state.channels, n))
     if sector is None:
         sector = _sector(state.channels, state.polarized, n, predicate)
-    return sector, _evaluate(u, state.items(), sector.rows, sector.plan())
+    return sector, _evaluate(u, state.items(), sector.rows, sector.kernel())
 
 
 def circuit_amplitudes(blocks, state: StateVector, predicate) -> list[tuple[FockState, complex]]:
@@ -644,17 +818,17 @@ def circuit_amplitudes(blocks, state: StateVector, predicate) -> list[tuple[Fock
     channels alone (see `_route`), says which it is, so the global route
     keeps nothing of a block.  When a clause closes before the last block,
     `_stepwise` runs the blocks' kept step program (see `_program`) and
-    evolves the state block by block under the least count the
-    global sweep can have, 2^(n-1) x (channels + 2 x outcomes) vector
-    elements.  Past that, the global sweep's exact count comes from its
-    plan, built then: within _MAX_WORK, the global route runs on the
-    outcomes and plan at hand; past it, the stepper raises its cap to
-    _MAX_WORK and goes on where it stopped, and TooLarge names both counts
-    when it passes that too.  Before each expanding block the stepper drops
-    rows of rounding noise, at most _PRUNE_NORM x the state's norm, which
-    moves each amplitude by at most that (see `_stepwise`).  Blocks are not
-    fused between projection points: a segment meets more distinct local
-    inputs, which made the three-qubit search 2x slower.
+    evolves the state block by block under the least count the global
+    kernel can have (see `_least_work`).  Past that, the global kernel's
+    exact count comes from the kernel, built then: within _MAX_WORK, the
+    global route runs on the outcomes and kernel at hand; past it, the
+    stepper raises its cap to _MAX_WORK and goes on where it stopped, and
+    TooLarge names both counts when it passes that too.  Before each
+    expanding block the stepper drops rows of rounding noise, at most
+    _PRUNE_NORM x the state's norm, which moves each amplitude by at most
+    that (see `_stepwise`).  Blocks are not fused between projection
+    points: a segment meets more distinct local inputs, which made the
+    three-qubit search 2x slower.
     """
     n = state.require_sector()
     blocks = tuple(blocks)
@@ -663,22 +837,19 @@ def circuit_amplitudes(blocks, state: StateVector, predicate) -> list[tuple[Fock
         sector = _sector(state.channels, state.polarized, n, predicate)
         route = _route(blocks, sector)
         if route.early:
-            subsets = (1 << n) >> 1
-            # A plan has at least a factor row per channel and a node and a
-            # leaf sum per target, so the global sweep costs at least `lower`.
-            lower = subsets * (state.channels + 2 * len(sector.rows))
+            lower = _least_work(sector)
 
             def over(spent: int, step: int) -> int:
                 whole = lower
-                if n and len(sector.rows) and lower <= _MAX_WORK:
-                    whole = subsets * sector.plan().work
+                if lower and lower <= _MAX_WORK:
+                    whole = sector.kernel().work
                 if whole <= _MAX_WORK:
                     raise _PastLimit(spent, step)
                 if spent <= _MAX_WORK:
                     return _MAX_WORK
                 raise TooLarge(
                     f"the stepwise evolution reaches {spent} vector elements at block {step} "
-                    f"and the global sweep at least {whole}, more than the {_MAX_WORK} allowed"
+                    f"and the global route at least {whole}, more than the {_MAX_WORK} allowed"
                 )
 
             try:
@@ -822,18 +993,19 @@ def _stepwise(program: _Program, mats: list, state: StateVector, sector: _Sector
     state stays small.  A block with one nonzero per column moves
     occupations and multiplies phase powers.  Any other block expands each
     row over the outputs of its local photons that satisfy the clauses
-    closing inside it, with amplitudes from the one Glynn kernel: one plan
-    per (block, local photon number, closing clauses) and one sweep per
-    distinct local input.  Equal rows are then summed.  Right before such a
-    block, `_prune` drops the smallest rows whose summed |amp|^2 stays within
-    _PRUNE_NORM^2 x the state's; every later step is unitary or a projection,
-    so each returned amplitude moves by at most that dropped norm.
+    closing inside it, with amplitudes from the kernel that `_kernel` picks
+    for its outputs: one kernel per (block, local photon number, closing
+    clauses) and one run per distinct local input.  Equal rows are then
+    summed.  Right before such a block, `_prune` drops the smallest rows
+    whose summed |amp|^2 stays within _PRUNE_NORM^2 x the state's; every
+    later step is unitary or a projection, so each returned amplitude moves
+    by at most that dropped norm.
 
     Every block must be unitary within UNITARY_TOL; the program checked
     each distinct block once, when it was built.  Work is counted in vector elements before it is
     done: a row costs 1 at a monomial block and, at any other, the
     C(m + k - 1, m) outputs of its m photons on the block's k channels; a
-    sweep costs 2^(m-1) x its plan's work.  When the count would pass `cap`,
+    run costs its kernel's count.  When the count would pass `cap`,
     `over(count, block)` gives the new cap, or without `over` _PastLimit is
     raised.  The outcomes are the record's rows, in canonical order, with 0
     for an outcome no row reached.
@@ -841,9 +1013,9 @@ def _stepwise(program: _Program, mats: list, state: StateVector, sector: _Sector
     Everything that depends on the blocks and clauses alone is the kept
     program's: each step's move or local clauses, and the clauses closing
     after it.  The outcome rows and their FockStates are the record's; each
-    block's local outputs and plan are kept per (block size, local photons,
-    closing clauses).  The count does not depend on what was kept: a local
-    plan is charged as new the first time a call uses it.
+    block's local outputs and kernel are kept per (block size, local
+    photons, closing clauses).  The count does not depend on what was kept:
+    a local kernel is charged as new the first time a call uses it.
     """
     spent = 0
 
@@ -860,7 +1032,7 @@ def _stepwise(program: _Program, mats: list, state: StateVector, sector: _Sector
     amps = np.array([a for _, a in terms], dtype=complex)
     if program.start is not None:
         rows, amps = _project(rows, amps, *program.start)
-    planned: set = set()  # (pattern, local photons) whose plan this call charged
+    planned: set = set()  # (pattern, local photons) whose kernel this call charged
     sweeps: dict = {}  # (pattern, local input) -> amplitudes over the outputs
     for step, (chans, move, expand, close) in enumerate(program.steps):
         if move is None:
@@ -944,30 +1116,28 @@ def _local_amplitudes(block, local, tail, pattern, m, inputs, planned, sweeps, c
     """The outputs of m photons over the block's channels that `local`
     (lowered clauses: weights on the block's channels, lows, highs; `tail`
     their bytes) allow, in canonical order, and a row of amplitudes
-    <output| block |input> per input row.  The outputs and their plan come
+    <output| block |input> per input row.  The outputs and their kernel come
     from the kept `_local_sector`; `planned` holds the (pattern, m) whose
-    plan this call has charged and `sweeps` the amplitudes per (pattern,
+    kernel this call has charged and `sweeps` the amplitudes per (pattern,
     input), where `pattern` names the block and the clauses.  Before the
-    new sweeps run, `charge` takes 2^(m-1) x the plan's work for each, and a
-    plan new to this call its least share of that before it is read."""
-    subsets, paid = (1 << m) >> 1, 0
+    new runs, `charge` takes the kernel's count for each, and a kernel new
+    to this call its least share of that (`_least_work`) before it is
+    read."""
+    paid = 0
     record = _local_sector(len(block), m, local, tail)
     outs = record.rows
     if (pattern, m) not in planned:
         planned.add((pattern, m))
-        if m and len(outs):
-            # A new plan has a sweep to run, which costs at least a factor row
-            # per channel and a node and a leaf sum per output for each subset.
-            paid = subsets * (len(block) + 2 * len(outs))
-            charge(paid)
-    plan = record.plan()
+        paid = _least_work(record)
+        charge(paid)
+    kernel = record.kernel()
     occupations = list(map(tuple, inputs.tolist()))
     new = [occ for occ in occupations if (pattern, occ) not in sweeps]
-    if plan is not None:
-        charge(len(new) * subsets * plan.work - paid)
+    if kernel is not None:
+        charge(len(new) * kernel.work - paid)
     for occ in new:
-        sweeps[pattern, occ] = (np.ones(len(outs), dtype=complex) if plan is None
-                                else _normalized_sweep(block, occ, plan))
+        sweeps[pattern, occ] = (np.ones(len(outs), dtype=complex) if kernel is None
+                                else kernel.amplitudes(block, occ))
     table = [sweeps[pattern, occ] for occ in occupations]
     return outs, np.array(table).reshape(len(table), len(outs))
 
@@ -1053,7 +1223,7 @@ def require_normalized(state: StateVector):
 def evolve(matrix, state: StateVector) -> StateVector:
     """Output amplitudes of a state vector under a channel unitary.
 
-    Every outcome of the input's sector comes from the sweep of
+    Every outcome of the input's sector comes from the kernel of
     `state_amplitudes`; those with |amp| >= fock.PRUNE_TOL are kept, in
     canonical order, straight from the sector record's FockStates and the
     amplitude array, without the StateVector's per-state checks.  np.hypot
@@ -1120,23 +1290,62 @@ class SampleCount:
 
 
 def _splitmix64_doubles(seed: int, first: int, stop: int) -> np.ndarray:
-    """Draws first..stop-1 (counted from 1) of `SplitMix64(seed).next_double()`.
+    """Draws first..stop-1 (counted from 1) of `SplitMix64(seed).next_double()`,
+    in this thread's kept arrays (see `_draw_arrays`): the next call
+    overwrites them.
 
-    SplitMix64 is counter-based, so the states are one uint64 array, mixed in
-    place.  Array-only uint64 arithmetic wraps mod 2^64 like the scalar masks;
-    numpy scalar arithmetic would warn on the overflow instead.
+    SplitMix64 is counter-based: state k is seed + k x gamma, so the states
+    are one uint64 array, mixed in place.  Array-only uint64 arithmetic wraps
+    mod 2^64 like the scalar masks; numpy scalar arithmetic would warn on the
+    overflow instead.
     """
-    z = np.arange(first, stop, dtype=np.uint64)
-    z *= np.uint64(SplitMix64._GAMMA)
-    # A numpy integer seed would overflow in `& _MASK`; a Python int wraps.
-    z += np.uint64(operator.index(seed) & SplitMix64._MASK)
+    first, count = operator.index(first), operator.index(stop) - operator.index(first)
+    z, doubles = _draw_arrays(count)
+    # Rows of _STATE_ROW consecutive states: each row's first state plus
+    # the row's steps, one broadcast add.
+    rows = z.reshape(-1, _STATE_ROW)[: -(-count // _STATE_ROW)]
+    row_steps = np.arange(len(rows), dtype=np.uint64) * np.uint64(_STATE_ROW * SplitMix64._GAMMA
+                                                                  & SplitMix64._MASK)
+    # A Python int wraps in `& _MASK` where a numpy integer seed would overflow.
+    row_steps += np.uint64((operator.index(seed) + first * SplitMix64._GAMMA) & SplitMix64._MASK)
+    np.add(row_steps[:, None], _STATE_STEPS, out=rows)
+    z, doubles = z[:count], doubles[:count]
+    shifted = doubles.view(np.uint64)  # the doubles' bytes hold the shifts first
     for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        z ^= z >> np.uint64(shift)
+        np.right_shift(z, np.uint64(shift), out=shifted)
+        z ^= shifted
         z *= np.uint64(factor)
-    z ^= z >> np.uint64(31)
-    draws = (z >> np.uint64(11)).astype(float)
-    draws *= 2.0**-53
-    return draws
+    np.right_shift(z, np.uint64(31), out=shifted)
+    z ^= shifted
+    z >>= np.uint64(11)
+    doubles[...] = z
+    doubles *= 2.0**-53
+    return doubles
+
+
+# k x gamma mod 2^64 for k < _STATE_ROW: the steps within a row of states.
+_STATE_ROW = 256
+_STATE_STEPS = np.arange(_STATE_ROW, dtype=np.uint64) * np.uint64(SplitMix64._GAMMA)
+
+_DRAWS = threading.local()
+
+
+def _draw_arrays(count: int):
+    """This thread's kept (states, doubles) arrays, at least `count` long and
+    a whole number of state rows; they grow to the longest chunk drawn.
+
+    A chunk's arrays are 512 KB, which malloc serves by mmap, with a page
+    fault per 4 KB, unless its heap has grown past them.  With new arrays
+    for each chunk, five of them, a fresh process drew 2x slower than one
+    that had freed a larger array first, so the sampler's speed followed
+    the calls before it.  Kept, the two arrays cost 1 MB per thread that
+    samples and no allocation after the first call.
+    """
+    size = -(-count // _STATE_ROW) * _STATE_ROW
+    arrays = getattr(_DRAWS, "arrays", None)
+    if arrays is None or len(arrays[0]) < size:
+        arrays = _DRAWS.arrays = (np.empty(size, np.uint64), np.empty(size))
+    return arrays
 
 
 def require_shots(shots: int):
@@ -1157,8 +1366,8 @@ def inverse_cdf_counts(weights, shots: int, seed: int) -> list[int]:
     weights' total; its index is `bisect_right` of it in the running sums,
     clamped to the last index.  The stream is counter-based, so
     `_splitmix64_doubles` computes it as arrays, bit-identical to the
-    scalar generator, in chunks of _DRAW_CHUNK draws; memory does not grow
-    with `shots`.
+    scalar generator, in chunks of _DRAW_CHUNK draws, in two arrays the
+    thread keeps; memory does not grow with `shots`.
 
     Each chunk is counted without a search per draw, as #{d < c[i]} for
     each running sum c[i] but the last (the edges).  For non-decreasing

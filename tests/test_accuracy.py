@@ -1,23 +1,29 @@
 """Accuracy of the float64 kernel against exact and 30-digit permanents.
 
-`batch_amplitudes` is compared with values computed far beyond float64: the
-closed form n! x^n of an all-ones matrix scaled by x, and Ryser's formula in
-30-digit `mpmath` arithmetic.  Each comparison asserts a relative error of
-at most TOL, the largest amplitude error over a case's targets divided by
-its largest exact amplitude.
+`batch_amplitudes` and `state_amplitudes` are compared with values computed
+far beyond float64: the closed form n! x^n of an all-ones matrix scaled by
+x, and Ryser's formula in 30-digit `mpmath` arithmetic.  Each comparison
+asserts a relative error of at most TOL, the largest amplitude error over a
+case's targets divided by its largest exact amplitude.  The cases cover both
+kernels, SLOS's tables and Glynn's plan, and say which one served them.
 """
 
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
-from photonsim.fock import FockState
+from photonsim import simulate
+from photonsim.cli import load_circuit_file
+from photonsim.fock import FockState, StateVector
 from photonsim.grover import dual_rail_grover_3q
 from photonsim.postselect import admissible_outcomes, parse_postselect
 from photonsim.qubits import HERALDED_CNOT_MATRIX
-from photonsim.simulate import batch_amplitudes
+from photonsim.simulate import batch_amplitudes, state_amplitudes
+
+DATA = Path(__file__).parent / "data"
 
 TOL = 1e-13
 
@@ -97,6 +103,57 @@ def test_heralded_cnot_block_bunched_source(source):
     got = batch_amplitudes(u, FockState(source), [FockState(t) for t in targets])
     exact = [mp_amplitude(u, source, t) for t in targets]
     assert relative_error(got, exact) <= TOL
+
+
+def served_by(kernel, rows, n):
+    """Whether `_kernel` picks `kernel`, a class, for these target rows."""
+    return type(simulate._kernel(np.array(rows), n)) is kernel
+
+
+@pytest.mark.parametrize("source", [(3, 2, 0, 0, 0), (5, 0, 0, 0)])
+def test_bunched_sources_over_their_whole_sector(source):
+    u = random_unitary(np.random.default_rng(sum(source) + len(source)), len(source))
+    got = state_amplitudes(u, StateVector.basis(FockState(source)), None)
+    targets = [t.occupations for t, _ in got]
+    assert served_by(simulate._Tables, targets, 5)
+    exact = [mp_amplitude(u, source, t) for t in targets]
+    assert relative_error([a for _, a in got], exact) <= TOL
+
+
+def test_twelve_photon_bunched_source():
+    source = (4, 3, 3, 2, 0)
+    targets = [(12, 0, 0, 0, 0), (3, 3, 3, 3, 0), (2, 2, 2, 3, 3), (0, 0, 0, 0, 12)]
+    u = random_unitary(np.random.default_rng(12), 5)
+    assert served_by(simulate._Tables, targets, 12)
+    got = batch_amplitudes(u, FockState(source), [FockState(t) for t in targets])
+    exact = [mp_amplitude(u, source, t) for t in targets]
+    assert relative_error(got, exact) <= TOL
+
+
+def test_two_heralded_cnots_under_their_four_heralds():
+    loaded = load_circuit_file(str(DATA / "two_heralded_cnots.json"))
+    u = loaded.circuit.compile()
+    source = (1, 0, 1, 0) + loaded.herald_input
+    heralds = parse_postselect("[4]==1 & [5]==1 & [6]==1 & [7]==1")
+    got = state_amplitudes(u, StateVector.basis(FockState(source)), heralds)
+    targets = [t.occupations for t, _ in got]
+    assert len(targets) == 10 and served_by(simulate._Tables, targets, 6)
+    exact = [mp_amplitude(u, source, t) for t in targets]
+    assert relative_error([a for _, a in got], exact) <= TOL
+
+
+@pytest.mark.parametrize("target, kernel", [
+    # 22 x (3 x 2^10 - 1) = 67,562 table entries against 2^11 x 35 = 71,680
+    ((2,) + (1,) * 10 + (0,) * 11, simulate._Tables),
+    # 22 x (2^12 - 1) = 90,090 against 2^11 x 35 + 6,000 = 77,680
+    ((1,) * 12 + (0,) * 10, simulate._Plan),
+])
+def test_one_twelve_photon_target_on_each_side_of_the_kernel_choice(target, kernel):
+    source = (1,) * 12 + (0,) * 10
+    u = random_unitary(np.random.default_rng(22), 22)
+    assert served_by(kernel, [target], 12)
+    got = batch_amplitudes(u, FockState(source), [FockState(target)])
+    assert relative_error(got, [mp_amplitude(u, source, target)]) <= TOL
 
 
 def test_dual_rail_search_success_probability():

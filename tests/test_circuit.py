@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+from photonsim import circuit as circuit_module
 from photonsim.circuit import Circuit
 from photonsim.components import (
     BeamSplitter,
@@ -19,6 +20,7 @@ from photonsim.errors import (
     OutOfRange,
     PolarizationMismatch,
     RegisterMismatch,
+    TooLarge,
 )
 
 
@@ -103,6 +105,20 @@ def test_numpy_integer_modes_and_anchors_are_accepted():
     assert c.modes == 3
     assert [p.modes for p in c.placements] == [(1,), (2, 0)]
     assert all(type(m) is int for p in c.placements for m in p.modes)
+
+
+def test_compile_refuses_a_matrix_past_its_byte_limit(monkeypatch):
+    # A billion modes used to end in numpy's "array is too big"; the limit
+    # is read on each call, so a 3-mode circuit shows it at 16 x 3^2 bytes.
+    with pytest.raises(TooLarge, match="^the 1000000000-channel unitary needs "
+                                       "16000000000000000000 bytes, more than the 1073741824"):
+        Circuit(10**9).compile()
+    circuit = Circuit(3).add(0, BeamSplitter.h())
+    monkeypatch.setattr(circuit_module, "_MATRIX_BYTES", 143)
+    with pytest.raises(TooLarge, match="needs 144 bytes, more than the 143 allowed"):
+        circuit.compile()
+    monkeypatch.setattr(circuit_module, "_MATRIX_BYTES", 144)
+    assert circuit.compile().shape == (3, 3)
 
 
 def test_jones_needs_polarized_register():

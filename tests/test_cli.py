@@ -261,6 +261,15 @@ def test_missing_file_exits_2(capsys):
     assert "error:" in err
 
 
+def test_unitary_of_a_billion_modes_exits_3(capsys, tmp_path):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"modes": 1000000000, "components": []}')
+    code, out, err = run_cli(capsys, "unitary", "--circuit", str(huge))
+    assert code == 3 and out == ""
+    assert err == ("error: the 1000000000-channel unitary needs 16000000000000000000 bytes, "
+                   "more than the 1073741824 allowed\n")
+
+
 def test_unknown_schema_key_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"modes": 2, "junk": true}')
@@ -291,13 +300,14 @@ def test_bad_input_state_exits_2(capsys):
 
 
 def test_simulate_over_the_work_bound_exits_3(capsys, monkeypatch):
-    # |1,0,1,0> on h.json: 2 photons over the 4-channel sector.
+    # |1,0,1,0> on h.json: 2 photons over the 4-channel sector, whose SLOS
+    # tables hold 4 + 10 rows of 4 entries.
     monkeypatch.setattr(simulate, "_MAX_WORK", 0)
     code, out, err = run_cli(
         capsys, "simulate", "--circuit", str(DATA / "h.json"), "--input", "|1,0,1,0>"
     )
     assert code == 3 and out == ""
-    assert err.startswith("error: the sweep needs 2^1 x ") and "more than the 0 allowed" in err
+    assert err == "error: the expansion needs 4 x 14 = 56 vector elements, more than the 0 allowed\n"
 
 
 def test_simulate_past_the_enumeration_budget_exits_3(capsys, monkeypatch):

@@ -176,24 +176,26 @@ def test_dual_rail_search_stepwise_work(monkeypatch):
     # The search takes the stepwise route, which counts the local outputs of
     # its rows and the work of its 6 local sweeps against the same bound;
     # rows pruned as rounding noise cost nothing.  The global route's least
-    # count, 2^16 x (20 channels + 2 x 56 outcomes), passes it too, so the
+    # count, 20 channels x (56 outcomes - 2 + the 2^17 sub-multisets of a
+    # collision-free outcome) SLOS table entries, passes it too, so the
     # search is refused.
-    monkeypatch.setattr(simulate, "_MAX_WORK", 5442)
-    with pytest.raises(TooLarge, match="reaches 5443 vector elements at block 31 and the global "
-                                       "sweep at least 8650752, more than the 5442 allowed"):
+    monkeypatch.setattr(simulate, "_MAX_WORK", 5706)
+    with pytest.raises(TooLarge, match="reaches 5707 vector elements at block 31 and the global "
+                                       "route at least 2622520, more than the 5706 allowed"):
         dual_rail_grover_3q()
-    monkeypatch.setattr(simulate, "_MAX_WORK", 5443)
+    monkeypatch.setattr(simulate, "_MAX_WORK", 5707)
     assert abs(dual_rail_grover_3q().data_probabilities["01"] - 1.0) < 1e-12
 
 
 def test_dual_rail_search_runs_six_local_sweeps(monkeypatch):
     # Before each expanding block the stepper drops the rows that hold only
-    # rounding noise, so a warm call sweeps 6 distinct local inputs (44
-    # without the pruning).
+    # rounding noise, so a warm call runs a kernel on 6 distinct local
+    # inputs (44 without the pruning).
     dual_rail_grover_3q()
     calls = []
-    original = simulate._normalized_sweep
-    monkeypatch.setattr(simulate, "_normalized_sweep", lambda *args: calls.append(1) or original(*args))
+    for kernel in (simulate._Plan, simulate._Tables):
+        monkeypatch.setattr(kernel, "amplitudes",
+                            lambda *args, original=kernel.amplitudes: calls.append(1) or original(*args))
     result = dual_rail_grover_3q()
     assert len(calls) == 6
     assert abs(result.success_probability - (2 / 27) ** 7) <= 1e-12 * (2 / 27) ** 7

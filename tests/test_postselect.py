@@ -237,6 +237,22 @@ def test_processor_rejects_negative_min_detected_photons():
         proc.run()
 
 
+@pytest.mark.parametrize("count", [0.5, True])
+def test_processor_refuses_a_non_integer_min_detected_photons(count):
+    # 0.5 used to act as a threshold of 1, and True as 1.
+    circuit = Circuit(2).add(0, BeamSplitter.h())
+    proc = Processor(circuit, StateVector.basis(make_state((1, 1))), None, count)
+    with pytest.raises(InvalidSpec, match=f"minimum photon count must be an integer, got {count!r}"):
+        proc.amplitudes()
+
+
+def test_processor_accepts_a_numpy_integer_min_detected_photons():
+    circuit = Circuit(2).add(0, BeamSplitter.h())
+    state = StateVector.basis(make_state((1, 1)))
+    assert (Processor(circuit, state, None, np.int64(1)).amplitudes()
+            == Processor(circuit, state, None, 1).amplitudes())
+
+
 def test_processor_amplitudes_underlie_run():
     circuit = Circuit(3).add(0, BeamSplitter.h()).add(1, BeamSplitter.rx(0.7))
     state = StateVector.basis(make_state((1, 1, 0)))
@@ -265,13 +281,14 @@ def test_success_probability_conserves_mass():
 
 
 def test_processor_reports_the_work_bound(monkeypatch):
-    # |1,1> with [0]>=0 keeps the whole sector: 2^1 x (2 + 2 + 4 + 3) = 22.
-    monkeypatch.setattr(simulate, "_MAX_WORK", 21)
+    # |1,1> with [0]>=0 keeps the whole sector, whose SLOS tables hold the 2
+    # one-photon and 3 two-photon rows of 2 entries each: 10.
+    monkeypatch.setattr(simulate, "_MAX_WORK", 9)
     circuit = Circuit(2).add(0, BeamSplitter.h())
     proc = Processor(circuit, StateVector.basis(make_state((1, 1))), parse_postselect("[0]>=0"))
-    with pytest.raises(TooLarge, match="22 vector elements"):
+    with pytest.raises(TooLarge, match="^the expansion needs 2 x 5 = 10 vector elements, more than the 9"):
         proc.amplitudes()
-    monkeypatch.setattr(simulate, "_MAX_WORK", 22)
+    monkeypatch.setattr(simulate, "_MAX_WORK", 10)
     assert len(proc.amplitudes()) == 3
 
 

@@ -32,7 +32,7 @@ from photonsim.components import (
     WavePlate,
 )
 from photonsim.expansion import oracle_evolve
-from photonsim.fock import FockState, StateVector
+from photonsim.fock import PRUNE_TOL, FockState, StateVector
 from photonsim.postselect import Clause, PostSelect, Processor, parse_postselect
 from photonsim.qubits import GateSequence
 from photonsim.simulate import amplitude, batch_amplitudes, sector_basis
@@ -379,6 +379,35 @@ def test_state_amplitudes_agree_with_the_expansion_oracle(case):
             oracle[target] = oracle.get(target, 0) + a * b
     assert {s for s, _ in got} >= set(oracle)
     assert all(abs(amp - oracle.get(s, 0)) < 1e-12 for s, amp in got)
+
+
+@st.composite
+def sector_rows(draw):
+    """A unitary on at most 6 modes, a source of 1-5 photons that may bunch
+    and a random nonempty selection of its sector's rows in random order."""
+    modes, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = simulate._outcomes(modes, n, None)
+    rows = rows[rng.permutation(len(rows))[: draw(st.integers(1, len(rows)))]]
+    source = FockState(np.bincount(rng.integers(0, modes, n), minlength=modes))
+    return random_unitary(rng, modes), source, rows
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(sector_rows())
+def test_both_kernels_agree_with_the_expansion_oracle(case):
+    # The oracle drops amplitudes below PRUNE_TOL; elsewhere all three agree
+    # within 1e-13.
+    u, source, rows = case
+    oracle = oracle_evolve(u, source)
+    want = np.array([oracle.amplitude(FockState(r)) for r in rows.tolist()])
+    dropped = want == 0
+    plan = simulate._plan(rows, source.n)
+    tables = simulate._tables(rows, source.n, 1 << 62)
+    for kernel in (plan, tables):
+        got = kernel.amplitudes(u, source.occupations)
+        assert np.all(np.abs(got - want)[~dropped] <= 1e-13)
+        assert np.all(np.abs(got[dropped]) < PRUNE_TOL)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)

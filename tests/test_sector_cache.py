@@ -187,7 +187,7 @@ def test_a_kept_program_changes_no_result(monkeypatch):
         out = [dual_rail_grover_3q(1000, seed) for seed in range(3)]
         out.append(simulate.circuit_amplitudes(blocks, state, condition))
         with monkeypatch.context() as patch:
-            patch.setattr(simulate, "_MAX_WORK", 5442)
+            patch.setattr(simulate, "_MAX_WORK", 5706)
             with pytest.raises(TooLarge) as refused:
                 dual_rail_grover_3q()
         return out, str(refused.value)
@@ -196,7 +196,7 @@ def test_a_kept_program_changes_no_result(monkeypatch):
     warm = results()
     simulate._STRUCTURES.clear()
     assert results() == warm
-    assert warm[1].startswith("the stepwise evolution reaches 5443 vector elements at block 31 ")
+    assert warm[1].startswith("the stepwise evolution reaches 5707 vector elements at block 31 ")
 
 
 def test_program_bytes_are_counted_and_evicted(monkeypatch):

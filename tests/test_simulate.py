@@ -7,6 +7,8 @@ fast evolution path against the creation-operator expansion oracle.
 import bisect
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -260,17 +262,17 @@ def test_batch_amplitudes_twenty_photon_identity():
 
 
 def test_batch_amplitudes_work_bound(monkeypatch):
-    # |1,1> onto the 2-photon sector of 2 channels.  Channel order (0, 1);
-    # the steps of (2,0), (1,1) and (0,2) share no prefix, so 4 products.
-    # Both channels need their square, one product each.  Work = 2^1 x
-    # (2 channels + 2 powers + 4 products + 3 targets) = 22.
+    # |1,1> onto the 2-photon sector of 2 channels.  The SLOS tables hold
+    # the 3 targets and the 2 one-photon rows, 2 entries each: 10, under
+    # the Glynn plan's 2^1 x 11 (see test_work_counts_each_power_step).
     u = BeamSplitter.h().matrix()
     src = make_state((1, 1))
     targets = [make_state(occ) for occ in sector_basis(2, 2)]
-    monkeypatch.setattr(simulate, "_MAX_WORK", 21)
-    with pytest.raises(TooLarge, match=r"2\^1 x 11 = 22 vector elements, more than the 21"):
+    monkeypatch.setattr(simulate, "_MAX_WORK", 9)
+    with pytest.raises(TooLarge, match=r"^the expansion needs 2 x 5 = 10 vector elements, "
+                                       r"more than the 9 allowed$"):
         batch_amplitudes(u, src, targets)
-    monkeypatch.setattr(simulate, "_MAX_WORK", 22)
+    monkeypatch.setattr(simulate, "_MAX_WORK", 10)
     assert abs(batch_amplitudes(u, src, targets)[1]) < 1e-12
     # Targets outside the sector cost nothing.
     monkeypatch.setattr(simulate, "_MAX_WORK", 0)
@@ -278,14 +280,20 @@ def test_batch_amplitudes_work_bound(monkeypatch):
 
 
 def test_distribution_reports_the_work_bound(monkeypatch):
-    monkeypatch.setattr(simulate, "_MAX_WORK", 21)
+    monkeypatch.setattr(simulate, "_MAX_WORK", 9)
     u = BeamSplitter.h().matrix()
-    with pytest.raises(TooLarge, match="22 vector elements"):
+    with pytest.raises(TooLarge, match="^the expansion needs 2 x 5 = 10 vector elements"):
         distribution(u, StateVector.basis(make_state((1, 1))))
+    monkeypatch.setattr(simulate, "_MAX_WORK", 10)
+    # Hong-Ou-Mandel: |1,1> leaves as |2,0> or |0,2>.
+    assert len(distribution(u, StateVector.basis(make_state((1, 1)))).entries) == 2
 
 
 def test_distribution_counts_the_sector_before_enumerating(monkeypatch):
-    # Without a predicate the sweep needs at least 2^(n-1) x (channels + outcomes).
+    # Without a predicate the chosen kernel's exact count comes from closed
+    # forms.  16 photons on 10 modes would need 10 x 5,311,734 SLOS table
+    # entries, past the structure budget, so the count is the Glynn plan's:
+    # per subset 160 factor rows, 3,350,478 trie nodes and 2,042,975 leaves.
     # No sector is kept, so an enumeration would show.
     simulate._STRUCTURES.clear()
 
@@ -294,20 +302,26 @@ def test_distribution_counts_the_sector_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(simulate, "_outcomes", no_enumeration)
     huge = StateVector.basis(make_state((16,) + (0,) * 9))
-    with pytest.raises(TooLarge, match=r"2\^15 x 2042985 = 66944532480 vector elements, "
-                                       r"more than the 17179869184 allowed"):
+    with pytest.raises(TooLarge, match=r"^the sweep needs 2\^15 x 5393613 = 176737910784 vector "
+                                       r"elements, more than the 17179869184 allowed$"):
         distribution(np.eye(10), huge)
-    # |1,1>: 2^1 x (2 channels + 3 outcomes) = 10, against the limit read now.
+    # |1,1>: 2 x 5 SLOS table entries, against the limit read now.
     monkeypatch.setattr(simulate, "_MAX_WORK", 9)
-    with pytest.raises(TooLarge, match=r"2\^1 x 5 = 10 vector elements, more than the 9"):
+    with pytest.raises(TooLarge, match=r"^the expansion needs 2 x 5 = 10 vector elements, more "
+                                       r"than the 9"):
         distribution(BeamSplitter.h().matrix(), StateVector.basis(make_state((1, 1))))
 
 
 def test_work_counts_each_power_step(monkeypatch):
-    # (3,0,0) from |1,1,1>: 3 channel sums, the square and the cube of
-    # channel 0 (one product each), one prefix product and one target sum.
-    monkeypatch.setattr(simulate, "_MAX_WORK", 27)
-    with pytest.raises(TooLarge, match=r"2\^2 x 7 = 28 vector elements"):
+    # The Glynn plan of (3,0,0) from 3 photons: 3 channel sums, the square
+    # and the cube of channel 0 (one product each), one prefix product and
+    # one target sum.  Its SLOS tables hold (3,0,0), (2,0,0) and (1,0,0),
+    # 3 entries each, so they serve it.
+    rows = np.array([[3, 0, 0]])
+    plan = simulate._plan(rows, 3)
+    assert (plan.work, plan.count) == (28, "the sweep needs 2^2 x 7")
+    monkeypatch.setattr(simulate, "_MAX_WORK", 8)
+    with pytest.raises(TooLarge, match=r"^the expansion needs 3 x 3 = 9 vector elements"):
         batch_amplitudes(np.eye(3), make_state((1, 1, 1)), [make_state((3, 0, 0))])
 
 
@@ -341,12 +355,24 @@ def test_batch_amplitudes_rejects_register_length_mismatch():
         batch_amplitudes(np.eye(2), make_state((1, 0, 0)), [make_state((1, 0))])
 
 
+def each_kernel(u, src, targets):
+    """The amplitudes of the targets in the source's sector from the Glynn
+    plan and from the SLOS tables, both, whichever `_kernel` would pick."""
+    rows = np.array([t.occupations for t in targets if t.n == src.n])
+    plan = simulate._plan(rows, src.n)
+    tables = simulate._tables(rows, src.n, 1 << 62)
+    return [kernel.amplitudes(u, src.occupations) for kernel in (plan, tables)]
+
+
 def _assert_matches_single_calls(u, src, targets):
     batch = batch_amplitudes(u, src, targets)
     assert len(batch) == len(targets)
     for target, got in zip(targets, batch):
         want = amplitude(u, src, target)
         assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+    live = [amplitude(u, src, t) for t in targets if t.n == src.n]
+    for got in each_kernel(u, src, targets):
+        assert np.allclose(got, live, rtol=1e-12, atol=1e-12)
 
 
 def test_batch_amplitudes_shuffled_duplicate_and_wrong_sector_targets():
@@ -405,7 +431,8 @@ def test_batch_amplitudes_source_wider_than_one_chunk():
 
 
 def test_batch_amplitudes_many_chunks_match_oracle(monkeypatch):
-    # A two-bit chunk forces every multi-photon sweep through several chunks.
+    # A two-bit chunk forces every multi-photon Glynn sweep through several
+    # chunks; the batch call takes whichever kernel `_kernel` picks.
     monkeypatch.setattr(simulate, "_CHUNK_BITS", 2)
     rng = np.random.default_rng(15)
     for _ in range(10):
@@ -417,8 +444,11 @@ def test_batch_amplitudes_many_chunks_match_oracle(monkeypatch):
         src = make_state(tuple(occ))
         targets = [make_state(t) for t in sector_basis(src.n, modes)]
         oracle = oracle_evolve(u, src)
-        for target, got in zip(targets, batch_amplitudes(u, src, targets[::-1])[::-1]):
+        glynn, _ = each_kernel(u, src, targets[::-1])
+        for target, got, batch in zip(targets, glynn[::-1],
+                                      batch_amplitudes(u, src, targets[::-1])[::-1]):
             assert abs(got - oracle.amplitude(target)) < 1e-12
+            assert abs(batch - oracle.amplitude(target)) < 1e-12
 
 
 def test_evolve_superposition_matches_oracle():
@@ -752,6 +782,36 @@ def test_inverse_cdf_counts_accept_numpy_integers():
     assert simulate.inverse_cdf_counts(weights, np.uint32(40), -1) == want
 
 
+def test_threads_draw_into_their_own_kept_arrays():
+    # Each thread keeps its own draw arrays, so concurrent samplers with
+    # chunks of different lengths give the counts a lone call gives.
+    weights = [0.1, 0.4, 0.2, 0.3]
+    cases = [(shots, seed) for shots in (1_000, 70_000, 200_001) for seed in (3, 4)]
+    want = [simulate.inverse_cdf_counts(weights, *case) for case in cases]
+    results, errors = [], []
+
+    def worker(offset):
+        try:
+            for i in range(12):
+                k = (offset + i) % len(cases)
+                results.append(simulate.inverse_cdf_counts(weights, *cases[k]) == want[k])
+        except Exception as error:  # reported below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and len(results) == 48 and all(results)
+
+
 @pytest.mark.parametrize(
     "matrix",
     [2 * np.eye(2), np.full((2, 2), np.nan), np.full((2, 2), np.inf), np.eye(2) + 1e-6],
@@ -872,19 +932,21 @@ def wide_blocks_case():
 
 
 def test_stepwise_route_hands_a_costlier_circuit_to_the_global_sweep(monkeypatch):
-    # Its first block alone reaches 2^7 x (9 channels + 2 x 6435 outcomes),
-    # the least the global sweep can cost, so that sweep runs instead, on the
-    # outcomes and the plan the stepper already has.  No plan is kept yet.
+    # Its first block's 6435 local outputs and the exact count of their
+    # kernel, 8 x 12869 SLOS table entries, pass 9 x (6435 - 2 + 2^8), the
+    # least the global kernel can cost, so that kernel runs instead, on the
+    # outcomes the stepper already has.  No kernel is kept yet, and the
+    # block's own is never built.
     simulate._STRUCTURES.clear()
     circuit, state, condition = wide_blocks_case()
-    calls = {"_plan": 0, "_normalized_sweep": 0}
+    calls = {"_kernel": 0, "_evaluate": 0}
     for name in calls:
         def counted(*args, name=name, original=getattr(simulate, name)):
             calls[name] += 1
             return original(*args)
         monkeypatch.setattr(simulate, name, counted)
     amps = Processor(circuit, state, condition).amplitudes()
-    assert calls == {"_plan": 1, "_normalized_sweep": 1}
+    assert calls == {"_kernel": 1, "_evaluate": 1}
     expected = state_amplitudes(circuit.compile(), state, condition)
     assert [s for s, _ in amps] == [s for s, _ in expected]
     assert max(abs(a - b) for (_, a), (_, b) in zip(amps, expected)) < 1e-12
@@ -892,13 +954,13 @@ def test_stepwise_route_hands_a_costlier_circuit_to_the_global_sweep(monkeypatch
 
 def test_stepwise_route_refuses_when_both_routes_pass_the_limit(monkeypatch):
     # The first block's 6435 local outputs pass the limit, and so does the
-    # global route's least count, 2^7 x 12879: refused before any plan.
+    # global route's least count, 9 x 6689: refused before any kernel.
     simulate._STRUCTURES.clear()
     circuit, state, condition = wide_blocks_case()
     monkeypatch.setattr(simulate, "_MAX_WORK", 6434)
-    monkeypatch.setattr(simulate, "_plan", None)
+    monkeypatch.setattr(simulate, "_kernel", None)
     with pytest.raises(TooLarge, match="reaches 6435 vector elements at block 0 and the global "
-                                       "sweep at least 1648512, more than the 6434 allowed"):
+                                       "route at least 60201, more than the 6434 allowed"):
         Processor(circuit, state, condition).amplitudes()
 
 
@@ -914,12 +976,14 @@ def test_prune_drops_rows_within_the_norm_budget(scale):
     assert kept_amps.tolist() == amps[[0, 1, 3]].tolist()
 
 
-@pytest.mark.parametrize("limit, spent", [(1648513, 1654819), (2094847, 2101155)])
-def test_stepwise_route_resumes_past_its_first_cap(monkeypatch, limit, spent):
-    # Between the global sweep's least count (1648512) and its exact one
-    # (2094848), the stepper raises its cap to the limit and goes on from
-    # where it stopped: block 0's local outputs are built once, in one
-    # stepwise run, before the refusal.
+@pytest.mark.parametrize("limit, spent, step", [(60202, 109387, 0), (109386, 109387, 0),
+                                               (109387, 41518612, 1), (115820, 41518612, 1)])
+def test_stepwise_route_resumes_past_its_first_cap(monkeypatch, limit, spent, step):
+    # Between the global kernel's least count (60201) and its exact one
+    # (115821), the stepper passes its first cap in block 0, at 6435 local
+    # outputs and their kernel's 102952.  Within the limit it raises its
+    # cap to the limit and goes on from where it stopped, so block 1's
+    # 6435 x 6435 local outputs pass it, in the same stepwise run.
     simulate._STRUCTURES.clear()
     circuit, state, condition = wide_blocks_case()
     monkeypatch.setattr(simulate, "_MAX_WORK", limit)
@@ -929,10 +993,10 @@ def test_stepwise_route_resumes_past_its_first_cap(monkeypatch, limit, spent):
             calls[name] += 1
             return original(*args)
         monkeypatch.setattr(simulate, name, counted)
-    with pytest.raises(TooLarge, match=f"reaches {spent} vector elements at block 0 and the global "
-                                       f"sweep at least 2094848, more than the {limit} allowed"):
+    with pytest.raises(TooLarge, match=f"reaches {spent} vector elements at block {step} and the "
+                                       f"global route at least 115821, more than the {limit} allowed"):
         Processor(circuit, state, condition).amplitudes()
-    assert calls == {"_stepwise": 1, "_local_parts": 1}
+    assert calls == {"_stepwise": 1, "_local_parts": step + 1}
 
 
 def test_empty_placement_does_not_change_the_route():
