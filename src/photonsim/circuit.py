@@ -101,7 +101,7 @@ class Circuit:
             )
         return Circuit(self.modes, self.polarized, self.placements + other.placements)
 
-    def blocks(self) -> tuple:
+    def blocks(self) -> Blocks:
         """(channels, block) for each placement, in placement order: the
         component's matrix and the tuple of register channels its rows and
         columns act on.  A spatial component on a polarized register gives
@@ -111,7 +111,7 @@ class Circuit:
         return self._blocks
 
     @functools.cached_property
-    def _blocks(self) -> tuple:
+    def _blocks(self) -> Blocks:
         pairs = []
         for placed in self.placements:
             comp, modes = placed.component, placed.modes
@@ -130,7 +130,7 @@ class Circuit:
                               comp.channel_matrix()))
         for _, block in pairs:
             block.setflags(write=False)
-        return tuple(pairs)
+        return Blocks(pairs)
 
     def __getstate__(self):
         # A pickle or copy holds the fields alone; blocks() rebuilds the pairs.
@@ -142,6 +142,28 @@ class Circuit:
         """Total channel unitary, first placement rightmost in the product;
         a new, writable array on every call."""
         return compile_blocks(self.blocks(), self.channels)
+
+
+class Blocks(tuple):
+    """(channels, block) pairs with the keys the stepwise route reads of
+    them, each built on first use and kept with the tuple: `channels`, each
+    pair's channel tuple; `arrays`, the blocks as complex arrays (a complex
+    block itself); and `data`, each array's shape and exact bytes.
+    `Circuit.blocks` keeps one, whose blocks are read-only, so its keys are
+    built once per circuit; a tuple made for one call builds them for that
+    call."""
+
+    @functools.cached_property
+    def channels(self) -> tuple:
+        return tuple(tuple(chans) for chans, _ in self)
+
+    @functools.cached_property
+    def arrays(self) -> tuple:
+        return tuple(np.asarray(block, dtype=complex) for _, block in self)
+
+    @functools.cached_property
+    def data(self) -> tuple:
+        return tuple((a.shape, a.tobytes()) for a in self.arrays)
 
 
 def compile_blocks(blocks, channels: int) -> np.ndarray:

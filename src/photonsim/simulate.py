@@ -22,10 +22,11 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import compile_blocks, index_view
+from .circuit import Blocks, compile_blocks, index_view
 from .components import UNITARY_TOL, require_integer, require_unitary
 from .errors import InvalidSpec, RegisterMismatch, TooLarge
 from .fock import PRUNE_TOL, FockState, StateVector, canonical_items
@@ -73,6 +74,14 @@ _DRAWS_PER_EDGE = 3000
 # 16 modes (65,520 against 2^11 x 29) goes to Glynn, which is faster there,
 # 0.23 against 0.31 ms.
 _SWEEP_OVERHEAD = 6_000
+
+# A kernel built for one call, for targets that no record keeps, is also
+# charged its build: this many vector elements per SLOS table row and per
+# unit of the Glynn plan's per-subset count.  Measured (2-core Xeon, on 10
+# target lists of 3-16 photons on 8-20 modes): a table row took 0.6-1.9 us
+# to build and a plan unit 0.5-0.8 us once a plan holds a few hundred, while
+# a table entry or sweep element runs in 2-5 ns.
+_BUILD_WORK = 250
 
 # The sector structure kept between calls holds at most this many bytes.
 _STRUCTURE_BYTES = 32 << 20
@@ -170,12 +179,13 @@ def _evaluate(u: np.ndarray, terms, outcomes: np.ndarray, kernel=None) -> np.nda
     """sum_k c_k <t| U |s_k> for each row t of `outcomes`, over the input
     terms (s_k, c_k); the rows and terms share one photon-number sector.
     One kernel serves every term; `kernel`, when given, is the outcomes'
-    (see `_kernel`).  TooLarge comes before the kernel runs."""
+    kept one, else one is built for this call (see `_kernel`).  TooLarge
+    comes before the kernel runs."""
     n = terms[0][0].n
     if n == 0 or not len(outcomes):  # no sweep: the vacuum goes to itself
         return np.full(len(outcomes), sum(c for _, c in terms), dtype=complex)
     if kernel is None:
-        kernel = _kernel(outcomes, n)
+        kernel = _kernel(outcomes, n, once=True)
     _require_work(kernel.work, kernel.count)
     total = np.zeros(len(outcomes), dtype=complex)
     for source, coeff in terms:
@@ -183,12 +193,19 @@ def _evaluate(u: np.ndarray, terms, outcomes: np.ndarray, kernel=None) -> np.nda
     return total
 
 
-def _kernel(rows: np.ndarray, n: int):
+def _kernel(rows: np.ndarray, n: int, once: bool = False):
     """The kernel for the n-photon targets in `rows`, one per row: the SLOS
     tables unless their count passes the Glynn plan's plus _SWEEP_OVERHEAD
     or they would not fit _STRUCTURE_BYTES, and then the plan.  The plan's
     count comes from the sorted trie, before its ops are built; the
     tables' from their levels, whose build stops once it passes that cap.
+    A kernel built `once`, for targets no record keeps, pays its build on
+    every call, so both counts then add _BUILD_WORK per table row or plan
+    unit.  Measured on 19 targets of 12 photons on 14 modes (314,482
+    entries against 2^11 x 193): the tables took 26 ms to build and 1.2 ms
+    to run, the plan 0.6 and 0.7 ms, so such a list goes to Glynn, while
+    the Haar sector (below) as a one-off list stays on SLOS, 1.9 + 0.11 ms
+    against 2.4 + 0.38 ms.
 
     Measured per source term (2-core Xeon, both kernels in one process):
     the Haar sector (10 modes, 5 photons: 30,020 entries against 2^4 x
@@ -203,7 +220,8 @@ def _kernel(rows: np.ndarray, n: int):
     serves n = 20-24.
     """
     trie = _trie(rows, n)
-    return _tables(rows, n, ((1 << n) >> 1) * trie[-1]) or _plan(rows, n, trie)
+    build = _BUILD_WORK if once else 0
+    return _tables(rows, n, (((1 << n) >> 1) + build) * trie[-1], build) or _plan(rows, n, trie)
 
 
 def _require_work(work: int, count: str):
@@ -240,14 +258,15 @@ def _whole_sector_work(channels: int, n: int):
     return slos if slos[0] <= _table_cap(glynn[0], n) else glynn
 
 
-def _table_cap(glynn_work: int, n: int) -> int:
-    """The most entries SLOS tables may hold: no more than the Glynn plan's
-    count plus _SWEEP_OVERHEAD, and 8 bytes each within _STRUCTURE_BYTES;
-    none past n = 170, where the targets' sqrt(prod_j t_j!) leave float
-    range."""
+def _table_cap(glynn_work: int, n: int, channels: int = 1, build: int = 0) -> int:
+    """The most entries SLOS tables may hold: their count, plus `build` per
+    table row of `channels` entries, no more than the Glynn plan's count
+    `glynn_work` plus _SWEEP_OVERHEAD, and 8 bytes each within
+    _STRUCTURE_BYTES; none past n = 170, where the targets' sqrt(prod_j
+    t_j!) leave float range."""
     if n >= len(_FACTORIALS):
         return -1
-    return min(glynn_work + _SWEEP_OVERHEAD, _STRUCTURE_BYTES // 8)
+    return min((glynn_work + _SWEEP_OVERHEAD) * channels // (channels + build), _STRUCTURE_BYTES // 8)
 
 
 def _table_floor(rows: np.ndarray) -> float:
@@ -255,22 +274,6 @@ def _table_floor(rows: np.ndarray) -> float:
     every target, and every other nonempty sub-multiset of any one target,
     prod_j (t_j + 1) - 2 of them."""
     return len(rows) - 2 + np.prod(rows + 1.0, axis=1).max()
-
-
-def _least_work(record) -> int:
-    """A lower bound on the count of a sector record's kernel, before it is
-    built; 0 with nothing to sweep.  For a whole sector it is the exact
-    count (`_whole_sector_work`).  Otherwise it comes from the rows' number
-    and shape: the plan has a factor row per channel and a node and a leaf
-    per row for each of its 2^(n-1) subsets, and the tables hold at least
-    `_table_floor` rows."""
-    n, rows = record.n, record.rows
-    if not (n and len(rows)):
-        return 0
-    channels = rows.shape[1]
-    if record.lowered is None:
-        return _whole_sector_work(channels, n)[0]
-    return int(min(((1 << n) >> 1) * (channels + 2 * len(rows)), channels * _table_floor(rows)))
 
 
 class _Tables:
@@ -314,17 +317,18 @@ class _Tables:
         return w[:-1] * (self.scale / math.sqrt(math.prod(map(math.factorial, occupations))))
 
 
-def _tables(rows: np.ndarray, n: int, glynn_work: int) -> _Tables | None:
+def _tables(rows: np.ndarray, n: int, glynn_work: int, build: int = 0) -> _Tables | None:
     """The SLOS tables of the n-photon targets in `rows`, one per row, built
     top-down: level n is the rows, and level k - 1 the distinct rows r - e_j
     over the level-k rows r and the channels j they occupy (`_row_ids`).
     Only sub-multisets of the targets are built, so a predicate that pins
     channels prunes every level.  None, before a level that would pass it
     is built, when the entries would pass `_table_cap` of the plan's count,
-    `glynn_work`; first checked against `_table_floor`.
+    `glynn_work`, with `build` per table row; first checked against
+    `_table_floor`.
     """
     channels = rows.shape[1]
-    cap = _table_cap(glynn_work, n)
+    cap = _table_cap(glynn_work, n, channels, build)
     if channels * _table_floor(rows) > cap:
         return None
     preds, level, entries = [], rows, 0
@@ -630,14 +634,14 @@ class _Sector:
     """What no unitary changes about the outcomes of a photon-number sector
     under a predicate: its `_STRUCTURES` key, the predicate's lowering (None
     without one), their rows in canonical order, read-only, and, built on
-    first use, their FockStates and kernel."""
+    first use, their FockStates, kernel and least kernel count."""
 
     def __init__(self, key, lowered, n: int, polarized: bool, rows: np.ndarray):
         rows.setflags(write=False)
         self.key, self.lowered, self.rows, self.n, self.polarized = key, lowered, rows, n, polarized
         self.nbytes = rows.nbytes
         self.kept = False  # whether _STRUCTURES counts it
-        self._states = self._kernel = None
+        self._states = self._kernel = self._least = None
 
     def states(self) -> tuple:
         """One FockState per row."""
@@ -654,6 +658,25 @@ class _Sector:
             _STRUCTURES.grew(self, self._kernel.nbytes)
         return self._kernel
 
+    def least(self) -> int:
+        """A lower bound on the count of the record's kernel, before it is
+        built; 0 with nothing to sweep.  For a whole sector it is the exact
+        count (`_whole_sector_work`).  Otherwise it comes from the rows'
+        number and shape: the plan has a factor row per channel and a node
+        and a leaf per row for each of its 2^(n-1) subsets, and the tables
+        hold at least `_table_floor` rows."""
+        n, rows = self.n, self.rows
+        if self._least is None:
+            channels = rows.shape[1]
+            if not (n and len(rows)):
+                self._least = 0
+            elif self.lowered is None:
+                self._least = _whole_sector_work(channels, n)[0]
+            else:
+                self._least = int(min(((1 << n) >> 1) * (channels + 2 * len(rows)),
+                                      channels * _table_floor(rows)))
+        return self._least
+
 
 def _states_bytes(states: tuple) -> int:
     """The bytes a tuple of same-register FockStates holds."""
@@ -665,10 +688,12 @@ def _states_bytes(states: tuple) -> int:
 
 
 class _Structures:
-    """Sector records and step programs by key for every call in the
-    process, least recently used first out once they hold more than
-    _STRUCTURE_BYTES: a record larger than that is used and not kept.  No
-    unitary, amplitude or sweep is kept."""
+    """Sector records, route records and step programs, with their step
+    plans, by key for every call in the process, least recently used first
+    out once they hold more than _STRUCTURE_BYTES: a record larger than that
+    is used and not kept.  A program's plans keep block amplitudes
+    <out|block|in>, each under the block's exact bytes; no compiled
+    unitary, state amplitude or sweep of it is kept."""
 
     def __init__(self):
         self._records: OrderedDict = OrderedDict()
@@ -819,7 +844,7 @@ def circuit_amplitudes(blocks, state: StateVector, predicate) -> list[tuple[Fock
     keeps nothing of a block.  When a clause closes before the last block,
     `_stepwise` runs the blocks' kept step program (see `_program`) and
     evolves the state block by block under the least count the global
-    kernel can have (see `_least_work`).  Past that, the global kernel's
+    kernel can have (see `_Sector.least`).  Past that, the global kernel's
     exact count comes from the kernel, built then: within _MAX_WORK, the
     global route runs on the outcomes and kernel at hand; past it, the
     stepper raises its cap to _MAX_WORK and goes on where it stopped, and
@@ -831,13 +856,13 @@ def circuit_amplitudes(blocks, state: StateVector, predicate) -> list[tuple[Fock
     three-qubit search 2x slower.
     """
     n = state.require_sector()
-    blocks = tuple(blocks)
+    blocks = _as_blocks(blocks)
     sector = None
     if predicate is not None:
         sector = _sector(state.channels, state.polarized, n, predicate)
         route = _route(blocks, sector)
         if route.early:
-            lower = _least_work(sector)
+            lower = sector.least()
 
             def over(spent: int, step: int) -> int:
                 whole = lower
@@ -861,11 +886,17 @@ def circuit_amplitudes(blocks, state: StateVector, predicate) -> list[tuple[Fock
     return list(zip(sector.states(), amps.tolist()))
 
 
+def _as_blocks(blocks) -> Blocks:
+    """(channels, block) pairs as a `Blocks` tuple, whose keys a `Circuit`
+    keeps; other pairs get a tuple for this call."""
+    return blocks if isinstance(blocks, Blocks) else Blocks(blocks)
+
+
 def _route(blocks, sector: _Sector):
     """The kept route record of `blocks`, (channels, block) pairs, on the
     sector record under a predicate.  Its key is the record's with each
     block's channels: the route reads no block."""
-    key = (sector.key, tuple(tuple(chans) for chans, _ in blocks))
+    key = (sector.key, _as_blocks(blocks).channels)
     return _STRUCTURES.get(key, lambda: _Route(key, sector.lowered))
 
 
@@ -893,9 +924,9 @@ def _program(route: _Route, blocks):
     complex arrays.  Its key is the route's with each block's shape and
     exact bytes, so a block that differs in any bit has its own program and
     its own unitarity check.  Only the stepwise route builds one."""
-    mats = [np.asarray(block, dtype=complex) for _, block in blocks]
-    key = (route.key, tuple((m.shape, m.tobytes()) for m in mats))
-    return _STRUCTURES.get(key, lambda: _Program(route, key[1], mats)), mats
+    blocks = _as_blocks(blocks)
+    key = (route.key, blocks.data)
+    return _STRUCTURES.get(key, lambda: _Program(route, key[1], blocks.arrays)), blocks.arrays
 
 
 class _Program:
@@ -912,7 +943,14 @@ class _Program:
     are 1), else None; for any other block, the lowered clauses closing
     inside it, their bytes and its pattern, a number shared by the steps
     with the same block and clauses, else None; and the clauses closing
-    right after it (see `_clauses`)."""
+    right after it (see `_clauses`).
+
+    `plans` holds the step plans (see `_stepwise`) under (step, the incoming
+    rows' shape and bytes), and under the step past the last, where the
+    last rows sit among the outcomes; each is added by one dict insert and
+    counted in `_STRUCTURES` when it is added.  A plan's block factors <out|block|in>
+    are a function of this key, which holds every block's exact bytes and
+    the clauses."""
 
     def __init__(self, route: _Route, blocks: tuple, mats: list):
         weights, lo, hi = route.lowered
@@ -947,15 +985,20 @@ class _Program:
             a.setflags(write=False)
         self.nbytes = (_PROGRAM_BYTES * len(blocks) + sum(len(data) for _, data in blocks)
                        + sum(a.nbytes for a in arrays))
+        self.plans: dict = {}
         self.kept = False  # whether _STRUCTURES counts it
 
 
 # About the bytes a route record and a step program hold per block besides
 # their arrays' data and the blocks' bytes: the tuples and array headers of
 # their keys and steps (46-79 and 683-792 bytes, measured with tracemalloc on
-# the search's 32 blocks and the 45 of three Toffolis).
+# the search's 32 blocks and the 45 of three Toffolis).  A step plan holds
+# about _PLAN_BYTES besides its arrays' data and its key's rows bytes: its
+# bills, key tuple and array headers (451-497 bytes a plan, measured the same
+# way on the search's 19 plans and the 44 of a Toffoli's truth table).
 _ROUTE_BYTES = 80
 _PROGRAM_BYTES = 800
+_PLAN_BYTES = 500
 
 
 def _arrays(item):
@@ -980,7 +1023,7 @@ class _PastLimit(Exception):
     """The stepper's count would pass its cap; args: the count, the block."""
 
 
-def _stepwise(program: _Program, mats: list, state: StateVector, sector: _Sector, cap: int,
+def _stepwise(program: _Program, mats, state: StateVector, sector: _Sector, cap: int,
               over=None) -> list[tuple[FockState, complex]]:
     """The global route's amplitudes on `sector`'s outcomes (the state's
     under a predicate), evolved through the blocks of `program`, whose
@@ -1002,20 +1045,30 @@ def _stepwise(program: _Program, mats: list, state: StateVector, sector: _Sector
     by at most that dropped norm.
 
     Every block must be unitary within UNITARY_TOL; the program checked
-    each distinct block once, when it was built.  Work is counted in vector elements before it is
-    done: a row costs 1 at a monomial block and, at any other, the
-    C(m + k - 1, m) outputs of its m photons on the block's k channels; a
-    run costs its kernel's count.  When the count would pass `cap`,
-    `over(count, block)` gives the new cap, or without `over` _PastLimit is
-    raised.  The outcomes are the record's rows, in canonical order, with 0
-    for an outcome no row reached.
+    each distinct block once, when it was built.  Work is counted in vector
+    elements before it is done: a row costs 1 at a monomial block and, at
+    any other, the C(m + k - 1, m) outputs of its m photons on the block's
+    k channels; a run costs its kernel's count.  When the count would pass
+    `cap`, `over(count, block)` gives the new cap, or without `over`
+    _PastLimit is raised.  The outcomes are the record's rows, in canonical
+    order, with 0 for an outcome no row reached.
 
     Everything that depends on the blocks and clauses alone is the kept
     program's: each step's move or local clauses, and the clauses closing
     after it.  The outcome rows and their FockStates are the record's; each
     block's local outputs and kernel are kept per (block size, local
-    photons, closing clauses).  The count does not depend on what was kept:
-    a local kernel is charged as new the first time a call uses it.
+    photons, closing clauses).  What an expanding step derives from its
+    incoming rows is the program's too, as a plan under (step, the rows'
+    shape and bytes), and so is where the last rows sit among the
+    outcomes.  A step with a plan (see `_StepPlan`) multiplies each source
+    amplitude by its factor and sums the products with one `np.bincount`
+    per part of the complex numbers: the same products in the same order
+    as the unplanned step, summed the same way, so every amplitude is
+    bit-identical.  A step without a plan, or whose product comes out
+    exactly zero (the unplanned step drops its row), runs unplanned and
+    stores its plan unless it met such a product.  The count does not
+    depend on what was kept: a plan charges its bills as the unplanned
+    step does (see `_charge`).
     """
     spent = 0
 
@@ -1033,15 +1086,28 @@ def _stepwise(program: _Program, mats: list, state: StateVector, sector: _Sector
     if program.start is not None:
         rows, amps = _project(rows, amps, *program.start)
     planned: set = set()  # (pattern, local photons) whose kernel this call charged
-    sweeps: dict = {}  # (pattern, local input) -> amplitudes over the outputs
+    seen: set = set()  # (pattern, local input) whose run this call charged
+    sweeps: dict = {}  # (pattern, local input) -> amplitudes over the outputs, run in this call
     for step, (chans, move, expand, close) in enumerate(program.steps):
         if move is None:
             rows, amps = _prune(rows, amps)
         if not len(rows):
             break
         if move is None:
-            parts = _local_parts(rows[:, chans], mats[step], *expand, planned, sweeps, charge)
-            rows, amps = _expand(rows, amps, chans, parts)
+            key = (step, rows.shape, rows.tobytes())
+            plan = program.plans.get(key)
+            products = None if plan is None else amps[plan.source] * plan.factor
+            if products is not None and products.all():
+                for bill in plan.bills:
+                    _charge(*bill, planned, seen, charge)
+            else:
+                parts, bills = _local_parts(rows[:, chans], mats[step], *expand, planned, seen, sweeps,
+                                            charge)
+                arrays, products, exact = _expand(rows, amps, chans, parts)
+                plan = _StepPlan(*arrays, bills)
+                if exact:
+                    _keep(program, key, plan, arrays)
+            rows, amps = plan.rows, _sum(plan.inverse, products, len(plan.rows))
         else:
             charge(len(rows))
             perm, phase = move
@@ -1052,12 +1118,42 @@ def _stepwise(program: _Program, mats: list, state: StateVector, sector: _Sector
             rows, amps = _project(rows, amps, *close)
     result = np.zeros(len(sector.rows), dtype=complex)
     if len(rows):
-        # The outcomes are distinct and come first, so a row's first copy
-        # is its place among them; every row satisfies every clause,
-        # so none lies past it (that would raise IndexError).
-        first, inverse = _row_ids(np.concatenate([sector.rows, rows]))
-        result[first[inverse[len(sector.rows):]]] = amps
+        key = (len(program.steps), rows.shape, rows.tobytes())
+        at = program.plans.get(key)
+        if at is None:
+            # The outcomes are distinct and come first, so a row's first
+            # copy is its place among them; every row satisfies every
+            # clause, so none lies past it (that would raise IndexError).
+            first, inverse = _row_ids(np.concatenate([sector.rows, rows]))
+            at = first[inverse[len(sector.rows):]]
+            _keep(program, key, at, (at,))
+        result[at] = amps
     return list(zip(sector.states(), result.tolist()))
+
+
+def _keep(program: _Program, key, plan, arrays):
+    """Keep a plan, whose arrays are `arrays`, in the program under `key`,
+    (step, rows' shape, rows' bytes), unless another thread kept one first,
+    so one dict insert publishes it.  Its arrays become read-only, and it
+    is counted as their bytes, the key's and _PLAN_BYTES."""
+    for a in arrays:
+        a.setflags(write=False)
+    if program.plans.setdefault(key, plan) is plan:
+        _STRUCTURES.grew(program, _PLAN_BYTES + len(key[2]) + sum(a.nbytes for a in arrays))
+
+
+class _StepPlan(NamedTuple):
+    """What an expanding step of `_stepwise` derives from its incoming rows
+    and its block alone: the outgoing rows; per product, in the order
+    `_expand` makes them, its source row, its block factor <output| block
+    |input> and its outgoing row (`inverse`); and the step's bills, one per
+    part (see `_charge`)."""
+
+    rows: np.ndarray
+    source: np.ndarray
+    factor: np.ndarray
+    inverse: np.ndarray
+    bills: tuple
 
 
 def _prune(rows, amps):
@@ -1078,73 +1174,73 @@ def _project(rows, amps, weights_t, lo, hi):
     return rows[keep], amps[keep]
 
 
-def _local_parts(occ, block, local, tail, pattern, planned, sweeps, charge):
+def _local_parts(occ, block, local, tail, pattern, planned, seen, sweeps, charge):
     """Per local photon number m, ascending: the rows with m photons in the
     block's channels (`occ` holds those occupations), the local outputs
-    that the lowered clauses `local` allow and each row's amplitudes over
-    them.  Before a part is built, `charge` takes its rows times the
-    C(m + k - 1, m) outputs of m photons on the block's k channels."""
+    that the lowered clauses `local` (weights on the block's channels, lows,
+    highs; `tail` their bytes) allow, in canonical order, and each row's
+    amplitudes <output| block |input> over them; and the parts' bills, each
+    charged before its part is built (see `_charge`).  The outputs and
+    their kernel come from the kept `_local_sector`; `sweeps` holds the
+    amplitudes this call ran per (pattern, input), where `pattern` names
+    the block and the clauses."""
     first, inverse = _row_ids(occ)
     inputs = occ[first]
     counts = inputs.sum(axis=1)
-    ms = sorted(set(counts.tolist()))
-    # One part, the only case of the dual-rail search: every row reads its
-    # input's table row.  The loop below gives the same parts with ten more
-    # numpy calls per block, which cost the warm search 7% (1.07x in 489 of
-    # 600 interleaved pairs, 2-core Xeon).
-    if len(ms) == 1:
-        groups = [(ms[0], inputs, np.arange(len(occ)), inverse)]
-    else:
-        row_counts = counts[inverse]
-        rank = np.empty(len(first), dtype=np.int64)  # of each input among those with its m
-        groups = []
-        for m in ms:
-            ids = np.flatnonzero(counts == m)
-            rank[ids] = np.arange(len(ids))
-            sel = np.flatnonzero(row_counts == m)
-            groups.append((m, inputs[ids], sel, rank[inverse[sel]]))
-    parts = []
-    for m, group, sel, at in groups:
-        charge(len(sel) * math.comb(m + len(block) - 1, m))
-        outs, table = _local_amplitudes(block, local, tail, pattern, m, group, planned, sweeps,
-                                        charge)
-        parts.append((sel, outs, table[at]))
-    return parts
+    row_counts = counts[inverse]
+    rank = np.empty(len(first), dtype=np.int64)  # of each input among those with its m
+    parts, bills = [], []
+    for m in sorted(set(counts.tolist())):
+        ids = np.flatnonzero(counts == m)
+        rank[ids] = np.arange(len(ids))
+        sel = np.flatnonzero(row_counts == m)
+        record = _local_sector(len(block), m, local, tail)
+        group = tuple(map(tuple, inputs[ids].tolist()))
+        bill = (len(sel) * math.comb(m + len(block) - 1, m), pattern, m, record.least(), group)
+        bills.append((*bill, _charge(*bill, record, planned, seen, charge)))
+        kernel, outs = record.kernel(), record.rows
+        for occupations in group:
+            if (pattern, occupations) not in sweeps:
+                sweeps[pattern, occupations] = (np.ones(len(outs), dtype=complex) if kernel is None
+                                                else kernel.amplitudes(block, occupations))
+        table = np.array([sweeps[pattern, o] for o in group]).reshape(len(group), len(outs))
+        parts.append((sel, outs, table[rank[inverse[sel]]]))
+    return parts, tuple(bills)
 
 
-def _local_amplitudes(block, local, tail, pattern, m, inputs, planned, sweeps, charge):
-    """The outputs of m photons over the block's channels that `local`
-    (lowered clauses: weights on the block's channels, lows, highs; `tail`
-    their bytes) allow, in canonical order, and a row of amplitudes
-    <output| block |input> per input row.  The outputs and their kernel come
-    from the kept `_local_sector`; `planned` holds the (pattern, m) whose
-    kernel this call has charged and `sweeps` the amplitudes per (pattern,
-    input), where `pattern` names the block and the clauses.  Before the
-    new runs, `charge` takes the kernel's count for each, and a kernel new
-    to this call its least share of that (`_least_work`) before it is
-    read."""
+def _charge(rows_work, pattern, m, least, inputs, work, planned, seen, charge) -> int:
+    """Charge one part of an expanding step, by its bill, in the order that
+    fixes where the count passes a cap: its rows times the C(m + k - 1, m)
+    outputs of m photons on the block's k channels (`rows_work`); the
+    least count of its local kernel (`least`, see `_Sector.least`) the first
+    time the call meets (pattern, m), kept in `planned`; then the kernel's
+    count for each of its `inputs` new to the call, kept in `seen`, less
+    what `least` paid.  `work` is that count (0 without a kernel), or the
+    local sector record, whose kernel is then read, after `least` is
+    charged.  Returns the count."""
+    charge(rows_work)
     paid = 0
-    record = _local_sector(len(block), m, local, tail)
-    outs = record.rows
     if (pattern, m) not in planned:
         planned.add((pattern, m))
-        paid = _least_work(record)
+        paid = least
         charge(paid)
-    kernel = record.kernel()
-    occupations = list(map(tuple, inputs.tolist()))
-    new = [occ for occ in occupations if (pattern, occ) not in sweeps]
-    if kernel is not None:
-        charge(len(new) * kernel.work - paid)
-    for occ in new:
-        sweeps[pattern, occ] = (np.ones(len(outs), dtype=complex) if kernel is None
-                                else kernel.amplitudes(block, occ))
-    table = [sweeps[pattern, occ] for occ in occupations]
-    return outs, np.array(table).reshape(len(table), len(outs))
+    if isinstance(work, _Sector):
+        kernel = work.kernel()
+        work = 0 if kernel is None else kernel.work
+    new = [occ for occ in inputs if (pattern, occ) not in seen]
+    seen.update((pattern, occ) for occ in new)
+    charge(len(new) * work - paid)
+    return work
 
 
 def _expand(rows, amps, chans, parts):
     """Each row of a part becomes one row per local output, with the
-    block's amplitude as a factor; equal rows are summed and zeros dropped.
+    block's amplitude as its factor and the row's amplitude times that as
+    its product; products of a zero factor are dropped and equal rows
+    merged.  Returns (the outgoing rows, each product's source row, factor
+    and outgoing row), the products, and whether every product is nonzero.
+    When one is not, it is dropped too, so the arrays hold for these
+    amplitudes only and are no plan.
 
     Two new rows are equal when their occupations outside the block and
     their local outputs are, so they are keyed by the outer rows' key times
@@ -1157,20 +1253,31 @@ def _expand(rows, amps, chans, parts):
     pieces, offset = [], 0
     for sel, o, table in parts:
         pieces.append((o, np.repeat(sel, len(o)), np.arange(len(sel) * len(o)) % len(o) + offset,
-                       (amps[sel, None] * table).ravel()))
+                       table.ravel()))
         offset += len(o)
-    outs, source, output, products = map(np.concatenate, zip(*pieces))
-    live = products != 0
-    source, output, products = source[live], output[live], products[live]
+    outs, source, output, factor = map(np.concatenate, zip(*pieces))
+    live = factor != 0
+    source, output, factor = source[live], output[live], factor[live]
+    products = amps[source] * factor
+    exact = bool(products.all())
+    if not exact:
+        live = products != 0
+        source, output, factor, products = source[live], output[live], factor[live], products[live]
     if bound * len(outs) >= 1 << 63:  # the packed keys would overflow: number them
         outer = _ids(outer)[1]
     first, inverse = _ids(outer[source] * len(outs) + output)
     new = rows[source[first]]
     new[:, chans] = outs[output[first]]
-    summed = np.empty(len(first), dtype=complex)
-    summed.real = np.bincount(inverse, products.real, len(first))
-    summed.imag = np.bincount(inverse, products.imag, len(first))
-    return new, summed
+    return (new, source, factor, inverse), products, exact
+
+
+def _sum(inverse, products, count: int) -> np.ndarray:
+    """The products summed into `count` rows by their row numbers
+    `inverse`, one `np.bincount` per part of the complex numbers."""
+    summed = np.empty(count, dtype=complex)
+    summed.real = np.bincount(inverse, products.real, count)
+    summed.imag = np.bincount(inverse, products.imag, count)
+    return summed
 
 
 def _ids(keys: np.ndarray):

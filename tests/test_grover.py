@@ -189,17 +189,20 @@ def test_dual_rail_search_stepwise_work(monkeypatch):
 
 def test_dual_rail_search_runs_six_local_sweeps(monkeypatch):
     # Before each expanding block the stepper drops the rows that hold only
-    # rounding noise, so a warm call runs a kernel on 6 distinct local
-    # inputs (44 without the pruning).
-    dual_rail_grover_3q()
+    # rounding noise, so a cold call runs a kernel on 6 distinct local
+    # inputs (44 without the pruning).  A warm call replays every step's
+    # kept plan and runs none, with the same result.
     calls = []
     for kernel in (simulate._Plan, simulate._Tables):
         monkeypatch.setattr(kernel, "amplitudes",
                             lambda *args, original=kernel.amplitudes: calls.append(1) or original(*args))
+    simulate._STRUCTURES.clear()
     result = dual_rail_grover_3q()
     assert len(calls) == 6
     assert abs(result.success_probability - (2 / 27) ** 7) <= 1e-12 * (2 / 27) ** 7
     assert abs(result.data_probabilities["01"] - 1.0) < 1e-12
+    assert dual_rail_grover_3q() == result
+    assert len(calls) == 6
 
 
 def test_dual_rail_search_is_built_once(monkeypatch):

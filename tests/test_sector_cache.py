@@ -257,3 +257,128 @@ def test_the_global_route_keeps_no_block():
         return [p for part in key for p in parts(part)] if isinstance(key, tuple) else [key]
 
     assert not any(isinstance(p, bytes) for key in simulate._STRUCTURES._records for p in parts(key))
+
+
+def truth_tables():
+    """A Toffoli and a chain of three heralded CNOTs after a Hadamard on
+    each qubit: (circuit, condition, input per word).  Their words share
+    incoming rows at many steps, so a later word replays plans that an
+    earlier one built."""
+    builds = [GateSequence(3).toffoli(0, 1, 2).build(),
+              GateSequence(3).gate("H", 0).gate("H", 1).gate("H", 2)
+              .cnot(0, 1, "heralded").cnot(1, 2, "heralded").cnot(0, 2, "heralded").build()]
+    words = list(itertools.product((0, 1), repeat=3))
+    return [(b.circuit, b.condition, {w: StateVector.basis(b.input_state(w)) for w in words})
+            for b in builds]
+
+
+def stepwise_count(monkeypatch, call):
+    """What `call` charges on the stepwise route: its stepper runs with a
+    cap that each charge raises to the count so far."""
+    spent = []
+
+    def counted(program, mats, state, sector, cap, over=None, original=simulate._stepwise):
+        return original(program, mats, state, sector, 0, lambda count, step: spent.append(count) or count)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_stepwise", counted)
+        call()
+    return spent[-1]
+
+
+def test_replayed_steps_match_the_unplanned_ones_in_any_order(monkeypatch):
+    # Cold in one input order, then warm in the other, then cold in that
+    # other: bit-identical amplitudes (so the same success), and under a
+    # limit one below each input's count the same refusal, whichever input
+    # built the plans a call replays.
+    for circuit, condition, states in truth_tables():
+        def run(word, limit=None):
+            processor = Processor(circuit, states[word], condition)
+            if limit is None:
+                return processor.amplitudes()
+            with monkeypatch.context() as patch:
+                patch.setattr(simulate, "_MAX_WORK", limit)
+                with pytest.raises(TooLarge) as refused:
+                    processor.amplitudes()
+            return str(refused.value)
+
+        words = list(states)
+        limits = {w: stepwise_count(monkeypatch, lambda w=w: run(w)) - 1 for w in words}
+        results = []
+        for order, clear in ((words, True), (words[::-1], False), (words[::-1], True)):
+            if clear:
+                simulate._STRUCTURES.clear()
+            results.append({w: (run(w, limits[w]), run(w)) for w in order})
+            assert sum(len(p.plans) for p in programs()) > 0
+        assert results[0] == results[1] == results[2]
+        for w in words:
+            simulate._STRUCTURES.clear()
+            assert run(w, limits[w]) == results[0][w][0]
+            assert run(w, limits[w]).startswith(f"the stepwise evolution reaches {limits[w] + 1} ")
+
+
+def test_a_replayed_zero_product_runs_the_unplanned_step(monkeypatch):
+    # A product that comes out exactly zero would drop its row in the
+    # unplanned step, so the step runs unplanned and keeps the plan it had.
+    simulate._STRUCTURES.clear()
+    want = dual_rail_grover_3q(1000, 5)
+    [program] = programs()
+    key, plan = next((k, p) for k, p in program.plans.items() if isinstance(p, simulate._StepPlan))
+    factor = plan.factor.copy()
+    factor[0] = 0
+    monkeypatch.setitem(program.plans, key, plan._replace(factor=factor))
+    calls = []
+    monkeypatch.setattr(simulate, "_local_parts", lambda *args, original=simulate._local_parts:
+                        calls.append(1) or original(*args))
+    assert dual_rail_grover_3q(1000, 5) == want
+    assert len(calls) == 1 and program.plans[key].factor is factor
+
+
+def test_threads_build_and_replay_the_same_plans():
+    # Four threads run the search from a cleared structure, so they build,
+    # publish and replay the same step plans at once; every result equals
+    # the serial one, and the plans are counted once.
+    simulate._STRUCTURES.clear()
+    want = [dual_rail_grover_3q(1000, seed) for seed in range(4)]
+    [program] = programs()
+    plans = len(program.plans)
+    simulate._STRUCTURES.clear()
+    results, errors = [], []
+
+    def worker(seed):
+        try:
+            for _ in range(10):
+                results.append(dual_rail_grover_3q(1000, seed) == want[seed])
+        except Exception as error:  # reported below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and len(results) == 40 and all(results)
+    [program] = programs()
+    assert len(program.plans) == plans
+    kept = simulate._STRUCTURES._records.values()
+    assert simulate._STRUCTURES.held == sum(r.nbytes for r in kept)
+
+
+def test_a_circuit_keeps_its_block_keys():
+    # The route and program keys of a circuit's blocks are built once and
+    # kept with its blocks; a list of the same pairs finds the same program.
+    blocks, state, condition = search()
+    kept = grover._search_build().circuit.blocks()
+    simulate._STRUCTURES.clear()
+    want = simulate.circuit_amplitudes(kept, state, condition)
+    assert {"channels", "arrays", "data"} <= set(vars(kept))
+    data = kept.data
+    assert simulate.circuit_amplitudes(kept, state, condition) == want and kept.data is data
+    assert simulate.circuit_amplitudes(blocks, state, condition) == want
+    assert len(programs()) == 1
