@@ -159,7 +159,11 @@ class Blocks(tuple):
 
     @functools.cached_property
     def arrays(self) -> tuple:
-        return tuple(np.asarray(block, dtype=complex) for _, block in self)
+        arrays = tuple(np.asarray(block, dtype=complex) for _, block in self)
+        for (_, block), a in zip(self, arrays):
+            if a is not block:  # a copy, kept with `data`: read-only like it
+                a.setflags(write=False)
+        return arrays
 
     @functools.cached_property
     def data(self) -> tuple:

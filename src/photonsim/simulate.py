@@ -75,14 +75,6 @@ _DRAWS_PER_EDGE = 3000
 # 0.23 against 0.31 ms.
 _SWEEP_OVERHEAD = 6_000
 
-# A kernel built for one call, for targets that no record keeps, is also
-# charged its build: this many vector elements per SLOS table row and per
-# unit of the Glynn plan's per-subset count.  Measured (2-core Xeon, on 10
-# target lists of 3-16 photons on 8-20 modes): a table row took 0.6-1.9 us
-# to build and a plan unit 0.5-0.8 us once a plan holds a few hundred, while
-# a table entry or sweep element runs in 2-5 ns.
-_BUILD_WORK = 250
-
 # The sector structure kept between calls holds at most this many bytes.
 _STRUCTURE_BYTES = 32 << 20
 
@@ -179,13 +171,12 @@ def _evaluate(u: np.ndarray, terms, outcomes: np.ndarray, kernel=None) -> np.nda
     """sum_k c_k <t| U |s_k> for each row t of `outcomes`, over the input
     terms (s_k, c_k); the rows and terms share one photon-number sector.
     One kernel serves every term; `kernel`, when given, is the outcomes'
-    kept one, else one is built for this call (see `_kernel`).  TooLarge
-    comes before the kernel runs."""
+    (see `_kernel`).  TooLarge comes before the kernel runs."""
     n = terms[0][0].n
     if n == 0 or not len(outcomes):  # no sweep: the vacuum goes to itself
         return np.full(len(outcomes), sum(c for _, c in terms), dtype=complex)
     if kernel is None:
-        kernel = _kernel(outcomes, n, once=True)
+        kernel = _kernel(outcomes, n)
     _require_work(kernel.work, kernel.count)
     total = np.zeros(len(outcomes), dtype=complex)
     for source, coeff in terms:
@@ -193,19 +184,12 @@ def _evaluate(u: np.ndarray, terms, outcomes: np.ndarray, kernel=None) -> np.nda
     return total
 
 
-def _kernel(rows: np.ndarray, n: int, once: bool = False):
+def _kernel(rows: np.ndarray, n: int):
     """The kernel for the n-photon targets in `rows`, one per row: the SLOS
     tables unless their count passes the Glynn plan's plus _SWEEP_OVERHEAD
     or they would not fit _STRUCTURE_BYTES, and then the plan.  The plan's
     count comes from the sorted trie, before its ops are built; the
     tables' from their levels, whose build stops once it passes that cap.
-    A kernel built `once`, for targets no record keeps, pays its build on
-    every call, so both counts then add _BUILD_WORK per table row or plan
-    unit.  Measured on 19 targets of 12 photons on 14 modes (314,482
-    entries against 2^11 x 193): the tables took 26 ms to build and 1.2 ms
-    to run, the plan 0.6 and 0.7 ms, so such a list goes to Glynn, while
-    the Haar sector (below) as a one-off list stays on SLOS, 1.9 + 0.11 ms
-    against 2.4 + 0.38 ms.
 
     Measured per source term (2-core Xeon, both kernels in one process):
     the Haar sector (10 modes, 5 photons: 30,020 entries against 2^4 x
@@ -220,8 +204,7 @@ def _kernel(rows: np.ndarray, n: int, once: bool = False):
     serves n = 20-24.
     """
     trie = _trie(rows, n)
-    build = _BUILD_WORK if once else 0
-    return _tables(rows, n, (((1 << n) >> 1) + build) * trie[-1], build) or _plan(rows, n, trie)
+    return _tables(rows, n, ((1 << n) >> 1) * trie[-1]) or _plan(rows, n, trie)
 
 
 def _require_work(work: int, count: str):
@@ -258,15 +241,14 @@ def _whole_sector_work(channels: int, n: int):
     return slos if slos[0] <= _table_cap(glynn[0], n) else glynn
 
 
-def _table_cap(glynn_work: int, n: int, channels: int = 1, build: int = 0) -> int:
-    """The most entries SLOS tables may hold: their count, plus `build` per
-    table row of `channels` entries, no more than the Glynn plan's count
-    `glynn_work` plus _SWEEP_OVERHEAD, and 8 bytes each within
-    _STRUCTURE_BYTES; none past n = 170, where the targets' sqrt(prod_j
-    t_j!) leave float range."""
+def _table_cap(glynn_work: int, n: int) -> int:
+    """The most entries SLOS tables may hold: no more than the Glynn plan's
+    count plus _SWEEP_OVERHEAD, and 8 bytes each within _STRUCTURE_BYTES;
+    none past n = 170, where the targets' sqrt(prod_j t_j!) leave float
+    range."""
     if n >= len(_FACTORIALS):
         return -1
-    return min((glynn_work + _SWEEP_OVERHEAD) * channels // (channels + build), _STRUCTURE_BYTES // 8)
+    return min(glynn_work + _SWEEP_OVERHEAD, _STRUCTURE_BYTES // 8)
 
 
 def _table_floor(rows: np.ndarray) -> float:
@@ -317,18 +299,17 @@ class _Tables:
         return w[:-1] * (self.scale / math.sqrt(math.prod(map(math.factorial, occupations))))
 
 
-def _tables(rows: np.ndarray, n: int, glynn_work: int, build: int = 0) -> _Tables | None:
+def _tables(rows: np.ndarray, n: int, glynn_work: int) -> _Tables | None:
     """The SLOS tables of the n-photon targets in `rows`, one per row, built
     top-down: level n is the rows, and level k - 1 the distinct rows r - e_j
     over the level-k rows r and the channels j they occupy (`_row_ids`).
     Only sub-multisets of the targets are built, so a predicate that pins
     channels prunes every level.  None, before a level that would pass it
     is built, when the entries would pass `_table_cap` of the plan's count,
-    `glynn_work`, with `build` per table row; first checked against
-    `_table_floor`.
+    `glynn_work`; first checked against `_table_floor`.
     """
     channels = rows.shape[1]
-    cap = _table_cap(glynn_work, n, channels, build)
+    cap = _table_cap(glynn_work, n)
     if channels * _table_floor(rows) > cap:
         return None
     preds, level, entries = [], rows, 0
@@ -948,9 +929,10 @@ class _Program:
     `plans` holds the step plans (see `_stepwise`) under (step, the incoming
     rows' shape and bytes), and under the step past the last, where the
     last rows sit among the outcomes; each is added by one dict insert and
-    counted in `_STRUCTURES` when it is added.  A plan's block factors <out|block|in>
-    are a function of this key, which holds every block's exact bytes and
-    the clauses."""
+    counted in `_STRUCTURES` when it is added, and `planned` counts their
+    bytes, at most _PLAN_SHARE.  A plan's block factors <out|block|in> are a
+    function of this key, which holds every block's exact bytes and the
+    clauses."""
 
     def __init__(self, route: _Route, blocks: tuple, mats: list):
         weights, lo, hi = route.lowered
@@ -986,6 +968,7 @@ class _Program:
         self.nbytes = (_PROGRAM_BYTES * len(blocks) + sum(len(data) for _, data in blocks)
                        + sum(a.nbytes for a in arrays))
         self.plans: dict = {}
+        self.planned = 0  # bytes its plans hold
         self.kept = False  # whether _STRUCTURES counts it
 
 
@@ -999,6 +982,13 @@ class _Program:
 _ROUTE_BYTES = 80
 _PROGRAM_BYTES = 800
 _PLAN_BYTES = 500
+
+# A program's plans hold at most this many bytes, so one stepwise circuit
+# run on many inputs cannot push the other kept records out of
+# _STRUCTURE_BYTES; past it a step without a plan runs unplanned and keeps
+# none.  The search's 19 plans hold 58 KB, and the 124 of a truth table of
+# three Toffolis 288 KB.
+_PLAN_SHARE = _STRUCTURE_BYTES // 8
 
 
 def _arrays(item):
@@ -1066,9 +1056,12 @@ def _stepwise(program: _Program, mats, state: StateVector, sector: _Sector, cap:
     as the unplanned step, summed the same way, so every amplitude is
     bit-identical.  A step without a plan, or whose product comes out
     exactly zero (the unplanned step drops its row), runs unplanned and
-    stores its plan unless it met such a product.  The count does not
-    depend on what was kept: a plan charges its bills as the unplanned
-    step does (see `_charge`).
+    stores its plan unless it met such a product or the program's plans are
+    full (`_keep`).  Plans pay only when a later call meets the same
+    program and incoming rows, as a repeated search with the same input
+    does; any other call builds and stores them at its own cost.  The count
+    does not depend on what was kept: a plan charges its bills as the
+    unplanned step does (see `_charge`).
     """
     spent = 0
 
@@ -1134,12 +1127,16 @@ def _stepwise(program: _Program, mats, state: StateVector, sector: _Sector, cap:
 def _keep(program: _Program, key, plan, arrays):
     """Keep a plan, whose arrays are `arrays`, in the program under `key`,
     (step, rows' shape, rows' bytes), unless another thread kept one first,
-    so one dict insert publishes it.  Its arrays become read-only, and it
-    is counted as their bytes, the key's and _PLAN_BYTES."""
+    so one dict insert publishes it, or the program's plans would pass
+    _PLAN_SHARE.  Its arrays become read-only, and it is counted as their
+    bytes, the key's and _PLAN_BYTES."""
     for a in arrays:
         a.setflags(write=False)
-    if program.plans.setdefault(key, plan) is plan:
-        _STRUCTURES.grew(program, _PLAN_BYTES + len(key[2]) + sum(a.nbytes for a in arrays))
+    nbytes = _PLAN_BYTES + len(key[2]) + sum(a.nbytes for a in arrays)
+    with _STRUCTURES._lock:
+        if program.planned + nbytes <= _PLAN_SHARE and program.plans.setdefault(key, plan) is plan:
+            program.planned += nbytes
+            _STRUCTURES.grew(program, nbytes)
 
 
 class _StepPlan(NamedTuple):

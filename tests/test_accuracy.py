@@ -149,13 +149,9 @@ def test_two_heralded_cnots_under_their_four_heralds():
     ((1,) * 12 + (0,) * 10, simulate._Plan),
 ])
 def test_one_twelve_photon_target_on_each_side_of_the_kernel_choice(target, kernel):
-    # The kernel a kept record of this target would run; a one-off
-    # batch_amplitudes call weighs the tables' build and runs the plan.
     source = (1,) * 12 + (0,) * 10
     u = random_unitary(np.random.default_rng(22), 22)
     assert served_by(kernel, [target], 12)
-    got = simulate._kernel(np.array([target]), 12).amplitudes(u, source)
-    assert relative_error(got, [mp_amplitude(u, source, target)]) <= TOL
     got = batch_amplitudes(u, FockState(source), [FockState(target)])
     assert relative_error(got, [mp_amplitude(u, source, target)]) <= TOL
 

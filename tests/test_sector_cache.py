@@ -382,3 +382,36 @@ def test_a_circuit_keeps_its_block_keys():
     assert simulate.circuit_amplitudes(kept, state, condition) == want and kept.data is data
     assert simulate.circuit_amplitudes(blocks, state, condition) == want
     assert len(programs()) == 1
+
+
+def test_kept_block_arrays_are_read_only():
+    # A block that is not complex is converted once and kept with its key,
+    # so the copy is read-only; a complex block is used as it is and the
+    # caller's array keeps its flags.
+    real = np.array([[0.0, 1.0], [1.0, 0.0]])
+    mine = np.array([[0, 1], [1, 0]], dtype=complex)
+    blocks = simulate._as_blocks([((0, 1), real), ((1, 2), mine)])
+    converted, same = blocks.arrays
+    assert same is mine and mine.flags.writeable
+    assert not converted.flags.writeable
+    with pytest.raises(ValueError):
+        converted[0, 0] = 1
+
+
+def test_a_programs_plans_stay_within_their_share(monkeypatch):
+    # Past _PLAN_SHARE a step keeps no plan and runs unplanned, with the
+    # same result; the bytes kept are the ones counted.
+    simulate._STRUCTURES.clear()
+    want = dual_rail_grover_3q(1000, 3)
+    [program] = programs()
+    full = program.planned
+    for share in (0, full // 2):
+        monkeypatch.setattr(simulate, "_PLAN_SHARE", share)
+        simulate._STRUCTURES.clear()
+        for _ in range(2):
+            assert dual_rail_grover_3q(1000, 3) == want
+        [program] = programs()
+        assert program.planned <= share and len(program.plans) < 19
+        assert bool(program.plans) == (share > 0)
+        kept = simulate._STRUCTURES._records.values()
+        assert simulate._STRUCTURES.held == sum(r.nbytes for r in kept)

@@ -261,31 +261,6 @@ def test_batch_amplitudes_twenty_photon_identity():
     assert abs(batch_amplitudes(np.eye(20), ones, [ones])[0] - 1.0) < 1e-12
 
 
-def test_a_one_off_target_list_weighs_each_kernels_build(monkeypatch):
-    # 19 random targets of 12 photons on 14 modes: a kept record's kernel
-    # is the SLOS tables, whose ~300,000 entries run in less than the plan's
-    # 2^11 x ~190, but a one-off list builds its kernel on every call, and
-    # the tables' ~22,000 rows cost 20-30 ms to build against the plan's
-    # ~1 ms, so batch_amplitudes runs the plan.  The Haar sector's tables
-    # build fast enough to stay on SLOS either way.
-    rng = np.random.default_rng(0)
-    u = random_unitary(rng, 14)
-    rows = np.array([np.bincount(rng.integers(0, 14, size=12), minlength=14) for _ in range(19)])
-    assert type(simulate._kernel(rows, 12)) is simulate._Tables
-    assert type(simulate._kernel(rows, 12, once=True)) is simulate._Plan
-    haar = simulate._sector(10, False, 5, None).rows
-    assert type(simulate._kernel(haar, 5, once=True)) is simulate._Tables
-    runs = []
-    for kernel in (simulate._Plan, simulate._Tables):
-        monkeypatch.setattr(kernel, "amplitudes", lambda self, *args, original=kernel.amplitudes:
-                            runs.append(type(self)) or original(self, *args))
-    src = make_state((1,) * 12 + (0, 0))
-    got = batch_amplitudes(u, src, [FockState(tuple(r)) for r in rows.tolist()])
-    assert runs == [simulate._Plan]
-    want = simulate._kernel(rows, 12).amplitudes(u, src.occupations)
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
-
-
 def test_batch_amplitudes_work_bound(monkeypatch):
     # |1,1> onto the 2-photon sector of 2 channels.  The SLOS tables hold
     # the 3 targets and the 2 one-photon rows, 2 entries each: 10, under
