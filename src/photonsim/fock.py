@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .errors import InvalidOccupation, MixedSector, RegisterMismatch
+from .errors import InvalidOccupation, InvalidSpec, MixedSector, RegisterMismatch
 
 #: Amplitudes below this magnitude are dropped after state-vector operations.
 PRUNE_TOL = 1e-12
@@ -120,7 +120,10 @@ def canonical_items(pairs) -> list:
 
 
 class StateVector:
-    """Sparse complex superposition of Fock states on one register."""
+    """Sparse complex superposition of Fock states on one register.
+
+    Amplitudes below PRUNE_TOL in magnitude are dropped; a NaN or infinite
+    one raises InvalidSpec, as no comparison with PRUNE_TOL can judge it."""
 
     __slots__ = ("_amp", "channels", "polarized")
 
@@ -142,6 +145,8 @@ class StateVector:
                         f"({channels} channels, polarized={polarized})"
                     )
                 a = complex(a)
+                if not (math.isfinite(a.real) and math.isfinite(a.imag)):
+                    raise InvalidSpec(f"amplitude {a} of state {state} is not finite")
                 if abs(a) >= PRUNE_TOL:
                     amp[state] = a
         if channels is None:

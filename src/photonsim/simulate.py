@@ -745,15 +745,27 @@ def sector_basis(n: int, channels: int):
     """All occupation tuples of n photons over `channels`, canonical order.
 
     Canonical order is descending lexicographic (first channel fills first):
-    (n,0,...), (n-1,1,0,...), ..., (0,...,n).
+    (n,0,...), (n-1,1,0,...), ..., (0,...,n).  InvalidSpec comes on the
+    first `next()` when a count is not a nonnegative integer.
     """
+    n, channels = _count(n, "photon number"), _count(channels, "channel count")
     yield from map(tuple, _sector(channels, False, n, None).rows.tolist())
 
 
 def admissible_outcomes(channels: int, polarized: bool, n: int, expr):
     """Sector outcomes satisfying the predicate `expr`, in canonical order;
-    every outcome of the sector when `expr` is None."""
+    every outcome of the sector when `expr` is None.  InvalidSpec comes on
+    the first `next()` when a count is not a nonnegative integer."""
+    n, channels = _count(n, "photon number"), _count(channels, "channel count")
     yield from map(tuple, _sector(channels, polarized, n, expr).rows.tolist())
+
+
+def _count(value, what: str) -> int:
+    """`value` as an int; InvalidSpec unless it is a nonnegative integer."""
+    count = require_integer(value, what)
+    if count < 0:
+        raise InvalidSpec(f"{what} must be >= 0, got {count}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -926,13 +938,13 @@ class _Program:
     with the same block and clauses, else None; and the clauses closing
     right after it (see `_clauses`).
 
-    `plans` holds the step plans (see `_stepwise`) under (step, the incoming
-    rows' shape and bytes), and under the step past the last, where the
-    last rows sit among the outcomes; each is added by one dict insert and
-    counted in `_STRUCTURES` when it is added, and `planned` counts their
-    bytes, at most _PLAN_SHARE.  A plan's block factors <out|block|in> are a
-    function of this key, which holds every block's exact bytes and the
-    clauses."""
+    `plans` holds the step plans of expanding and monomial steps (see
+    `_stepwise`) under (step, the incoming rows' shape and bytes), and under
+    the step past the last, where the last rows sit among the outcomes;
+    each is added by one dict insert and counted in `_STRUCTURES` when it is
+    added, and `planned` counts their bytes, at most _PLAN_SHARE.  A plan's
+    block factors <out|block|in> and phase factors are a function of this
+    key, which holds every block's exact bytes and the clauses."""
 
     def __init__(self, route: _Route, blocks: tuple, mats: list):
         weights, lo, hi = route.lowered
@@ -975,19 +987,22 @@ class _Program:
 # About the bytes a route record and a step program hold per block besides
 # their arrays' data and the blocks' bytes: the tuples and array headers of
 # their keys and steps (46-79 and 683-792 bytes, measured with tracemalloc on
-# the search's 32 blocks and the 45 of three Toffolis).  A step plan holds
+# the search's 32 blocks and the 45 of three Toffolis).  A plan holds at most
 # about _PLAN_BYTES besides its arrays' data and its key's rows bytes: its
-# bills, key tuple and array headers (451-497 bytes a plan, measured the same
-# way on the search's 19 plans and the 44 of a Toffoli's truth table).
+# key tuple, dict slot, array headers and, for an expanding step, its bills.
+# Measured with tracemalloc as the bytes freed when one kind of plan is
+# dropped, on the search's 33 plans and the 72 of a Toffoli's truth table:
+# 974-1024 bytes an expanding step's plan, 436-542 a monomial step's and
+# 287-401 a plan of where the last rows sit, so the count errs high.
 _ROUTE_BYTES = 80
 _PROGRAM_BYTES = 800
-_PLAN_BYTES = 500
+_PLAN_BYTES = 1000
 
 # A program's plans hold at most this many bytes, so one stepwise circuit
 # run on many inputs cannot push the other kept records out of
 # _STRUCTURE_BYTES; past it a step without a plan runs unplanned and keeps
-# none.  The search's 19 plans hold 58 KB, and the 124 of a truth table of
-# three Toffolis 288 KB.
+# none.  The search's 33 plans hold 128 KB, and the 208 of a truth table of
+# three Toffolis 611 KB.
 _PLAN_SHARE = _STRUCTURE_BYTES // 8
 
 
@@ -1047,21 +1062,24 @@ def _stepwise(program: _Program, mats, state: StateVector, sector: _Sector, cap:
     program's: each step's move or local clauses, and the clauses closing
     after it.  The outcome rows and their FockStates are the record's; each
     block's local outputs and kernel are kept per (block size, local
-    photons, closing clauses).  What an expanding step derives from its
-    incoming rows is the program's too, as a plan under (step, the rows'
-    shape and bytes), and so is where the last rows sit among the
-    outcomes.  A step with a plan (see `_StepPlan`) multiplies each source
-    amplitude by its factor and sums the products with one `np.bincount`
-    per part of the complex numbers: the same products in the same order
-    as the unplanned step, summed the same way, so every amplitude is
-    bit-identical.  A step without a plan, or whose product comes out
-    exactly zero (the unplanned step drops its row), runs unplanned and
-    stores its plan unless it met such a product or the program's plans are
-    full (`_keep`).  Plans pay only when a later call meets the same
-    program and incoming rows, as a repeated search with the same input
-    does; any other call builds and stores them at its own cost.  The count
-    does not depend on what was kept: a plan charges its bills as the
-    unplanned step does (see `_charge`).
+    photons, closing clauses).  What a step derives from its incoming rows
+    is the program's too, as a plan under (step, the rows' shape and
+    bytes), and so is where the last rows sit among the outcomes.  A
+    monomial step's plan holds its moved rows and their phase factors (None
+    when every phase is 1), so a replay is one multiply at most, the one
+    the unplanned step makes.  An expanding step with a plan (see
+    `_StepPlan`) multiplies each source amplitude by its factor and sums
+    the products with one `np.bincount` per part of the complex numbers:
+    the same products in the same order as the unplanned step, summed the
+    same way, so every amplitude is bit-identical.  An expanding step
+    without a plan, or whose product comes out exactly zero (the unplanned
+    step drops its row), runs unplanned and stores its plan unless it met
+    such a product; no step stores one once the program's plans are full
+    (`_keep`).  Plans pay only when a later call meets the same program and
+    incoming rows, as a repeated search with the same input does; any other
+    call builds and stores them at its own cost.  The count does not depend
+    on what was kept: a monomial step charges its rows and an expanding
+    plan its bills, as the unplanned step does (see `_charge`).
     """
     spent = 0
 
@@ -1086,9 +1104,18 @@ def _stepwise(program: _Program, mats, state: StateVector, sector: _Sector, cap:
             rows, amps = _prune(rows, amps)
         if not len(rows):
             break
-        if move is None:
-            key = (step, rows.shape, rows.tobytes())
-            plan = program.plans.get(key)
+        key = (step, rows.shape, rows.tobytes())
+        plan = program.plans.get(key)
+        if move is not None:
+            charge(len(rows))
+            if plan is None:
+                perm, phase = move
+                plan = rows[:, perm], None if phase is None else np.prod(phase ** rows[:, chans], axis=1)
+                _keep(program, key, plan, _arrays(plan))
+            rows, factor = plan
+            if factor is not None:
+                amps = amps * factor
+        else:
             products = None if plan is None else amps[plan.source] * plan.factor
             if products is not None and products.all():
                 for bill in plan.bills:
@@ -1101,12 +1128,6 @@ def _stepwise(program: _Program, mats, state: StateVector, sector: _Sector, cap:
                 if exact:
                     _keep(program, key, plan, arrays)
             rows, amps = plan.rows, _sum(plan.inverse, products, len(plan.rows))
-        else:
-            charge(len(rows))
-            perm, phase = move
-            if phase is not None:
-                amps = amps * np.prod(phase ** rows[:, chans], axis=1)
-            rows = rows[:, perm]
         if close is not None:
             rows, amps = _project(rows, amps, *close)
     result = np.zeros(len(sector.rows), dtype=complex)
@@ -1155,10 +1176,26 @@ class _StepPlan(NamedTuple):
 
 def _prune(rows, amps):
     """The rows and amplitudes without the smallest rows whose summed
-    |amp|^2 stays within _PRUNE_NORM^2 x the rows' total, kept in order."""
+    |amp|^2 stays within _PRUNE_NORM^2 x the rows' total, kept in order:
+    the cut adds the weights smallest first and stops before the first sum
+    past that budget.  A weight above the budget passes it alone, so the
+    cut drops exactly the weights at most the budget when those, added in
+    the same order, sum within it; only otherwise, or with a non-finite
+    total, are all the weights sorted."""
     weight = amps.real**2 + amps.imag**2
+    budget = _PRUNE_NORM**2 * weight.sum()
+    if math.isfinite(budget):
+        small = [w for w in weight.tolist() if w <= budget]
+        if not small:
+            return rows, amps
+        spent = 0.0
+        for w in sorted(small):  # one rounded add at a time, as np.cumsum adds
+            spent += w
+        if spent <= budget:
+            keep = weight > budget
+            return rows[keep], amps[keep]
     order = np.argsort(weight, kind="stable")
-    cut = np.searchsorted(np.cumsum(weight[order]), _PRUNE_NORM**2 * weight.sum(), side="right")
+    cut = np.searchsorted(np.cumsum(weight[order]), budget, side="right")
     keep = np.sort(order[cut:])
     return rows[keep], amps[keep]
 

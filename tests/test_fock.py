@@ -6,6 +6,7 @@ import pytest
 
 from photonsim.errors import (
     InvalidOccupation,
+    InvalidSpec,
     MixedSector,
     RegisterMismatch,
 )
@@ -53,6 +54,17 @@ def test_non_integer_occupations_rejected():
     state = FockState((np.int64(2), np.uint8(0)))
     assert state.occupations == (2, 0)
     assert all(type(v) is int for v in state.occupations)
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(1, math.nan), math.inf, complex(0, -math.inf)])
+def test_non_finite_amplitudes_rejected(bad):
+    # |nan| >= PRUNE_TOL is False, so a NaN was dropped as if it were 0 and
+    # the vector became 1*|0,1>; any non-finite amplitude is refused, named
+    # with its state.
+    with pytest.raises(InvalidSpec, match=r"of state \|1,0> is not finite"):
+        StateVector({make_state((1, 0)): bad, make_state((0, 1)): 1.0}, channels=2)
+    with pytest.raises(InvalidSpec):
+        StateVector.basis(make_state((0, 1))) * bad
 
 
 def test_equal_states_hash_equal_and_survive_pickling():

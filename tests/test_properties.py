@@ -415,3 +415,43 @@ def test_both_kernels_agree_with_the_expansion_oracle(case):
 def test_a_distribution_without_a_predicate_sums_to_one(case):
     u, state, _ = case
     assert abs(simulate.distribution(u, state).total() - 1.0) <= 1e-12
+
+
+def sorted_prune(rows, amps):
+    """The stepper's cut by a full sort: the weights in ascending (stable)
+    order, cut before the first running sum past the budget, the rest kept
+    in their order."""
+    weight = amps.real**2 + amps.imag**2
+    order = np.argsort(weight, kind="stable")
+    cut = np.searchsorted(np.cumsum(weight[order]), simulate._PRUNE_NORM**2 * weight.sum(), side="right")
+    keep = np.sort(order[cut:])
+    return rows[keep], amps[keep]
+
+
+# Magnitudes about the budget of a unit state (weights of 1e-28 and below),
+# with zeros, and phases that split a weight between both parts.
+prune_amplitudes = st.lists(
+    st.builds(lambda m, p: m * p,
+              st.sampled_from([0.0, 1.0, 0.6, 1e-14, 8e-15, 5e-15, 3e-15, 1e-16, 1e-20]),
+              st.sampled_from([1, -1, 1j, (0.6 + 0.8j)])),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(prune_amplitudes)
+@example([1.0, 1e-14])  # a weight equal to the budget: the threshold drops it
+@example([1.0, 1e-14, 1e-14j])  # two at the budget sum past it: the sort keeps the later
+@example([1.0, 8e-15, 8e-15])  # small rows whose sum passes the budget
+@example([0.0, 0.0, 0.0])  # a zero budget: every row is at most it
+@example([0.6 + 0.8j])  # one row
+@example([1.0, float("inf"), 1e-20])  # a total that is not finite
+@example([1.0, float("nan")])
+def test_the_threshold_prune_cuts_as_the_sorted_one(amps):
+    # `_prune` drops the rows at most the budget without a sort when they
+    # sum within it; rows, amplitudes and order equal the sorted cut's,
+    # bit for bit, in every case.
+    amps = np.array(amps, dtype=complex)
+    rows = np.arange(2 * len(amps)).reshape(len(amps), 2)
+    got, want = simulate._prune(rows, amps), sorted_prune(rows, amps)
+    assert got[0].tolist() == want[0].tolist()
+    assert got[1].tobytes() == want[1].tobytes()

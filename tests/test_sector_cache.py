@@ -334,6 +334,29 @@ def test_a_replayed_zero_product_runs_the_unplanned_step(monkeypatch):
     assert len(calls) == 1 and program.plans[key].factor is factor
 
 
+def test_monomial_steps_keep_read_only_plans(monkeypatch):
+    # Each of the search's 14 monomial steps keeps its moved rows and phase
+    # factors (None for the 7 whose phases are all 1), read-only, as all 33
+    # plans are; a warm call adds none, takes no phase power and gives the
+    # same result.
+    simulate._STRUCTURES.clear()
+    want = dual_rail_grover_3q(1000, 6)
+    [program] = programs()
+    kept, planned = dict(program.plans), program.planned
+    moves = [v for (step, _, _), v in kept.items()
+             if step < len(program.steps) and program.steps[step][1] is not None]
+    assert len(moves) == 14 and sum(factor is None for _, factor in moves) == 7
+    arrays = simulate._arrays(list(kept.values()))
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    powers = []
+    monkeypatch.setattr(simulate.np, "prod", lambda *args, original=np.prod, **kw:
+                        powers.append(1) or original(*args, **kw))
+    assert dual_rail_grover_3q(1000, 6) == want
+    assert powers == [] and program.planned == planned
+    assert program.plans.keys() == kept.keys()
+    assert all(program.plans[k] is v for k, v in kept.items())
+
+
 def test_threads_build_and_replay_the_same_plans():
     # Four threads run the search from a cleared structure, so they build,
     # publish and replay the same step plans at once; every result equals
@@ -405,13 +428,14 @@ def test_a_programs_plans_stay_within_their_share(monkeypatch):
     want = dual_rail_grover_3q(1000, 3)
     [program] = programs()
     full = program.planned
+    assert len(program.plans) == 33
     for share in (0, full // 2):
         monkeypatch.setattr(simulate, "_PLAN_SHARE", share)
         simulate._STRUCTURES.clear()
         for _ in range(2):
             assert dual_rail_grover_3q(1000, 3) == want
         [program] = programs()
-        assert program.planned <= share and len(program.plans) < 19
+        assert program.planned <= share and len(program.plans) < 33
         assert bool(program.plans) == (share > 0)
         kept = simulate._STRUCTURES._records.values()
         assert simulate._STRUCTURES.held == sum(r.nbytes for r in kept)

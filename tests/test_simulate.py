@@ -122,6 +122,24 @@ def test_sector_basis_count():
         assert len(list(sector_basis(n, m))) == math.comb(n + m - 1, n)
 
 
+@pytest.mark.parametrize("n, channels, message", [
+    (-2, 1, "photon number must be >= 0, got -2"),
+    (2, -1, "channel count must be >= 0, got -1"),
+    (True, 1, "photon number must be an integer, got True"),
+    (2, 3.0, "channel count must be an integer, got 3.0"),
+])
+def test_sector_enumerators_check_their_counts(n, channels, message):
+    # A negative count yielded a row of -2 photons or a numpy reshape error,
+    # and a bool passed as 1.  Both stay generators: the check comes on the
+    # first next(), and no record is built or kept.
+    simulate._STRUCTURES.clear()
+    for outcomes in (sector_basis(n, channels), admissible_outcomes(channels, False, n, None)):
+        with pytest.raises(InvalidSpec, match=message):
+            next(outcomes)
+    assert not simulate._STRUCTURES._records
+    assert list(sector_basis(np.int64(2), np.int64(2))) == [(2, 0), (1, 1), (0, 2)]
+
+
 def test_sector_enumeration_byte_budget(monkeypatch):
     # Two photons on 3 channels grow 3, 6 and 6 rows of 8 x (3 + 4) bytes,
     # and each step keeps 16 bytes a row: the last step holds 6 x 56 bytes
