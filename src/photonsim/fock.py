@@ -123,21 +123,25 @@ class StateVector:
     """Sparse complex superposition of Fock states on one register.
 
     Amplitudes below PRUNE_TOL in magnitude are dropped; a NaN or infinite
-    one raises InvalidSpec, as no comparison with PRUNE_TOL can judge it."""
+    one raises InvalidSpec, as no comparison with PRUNE_TOL can judge it.
+    `channels` and `polarized` default to the states' register; an explicit
+    value that does not fit them raises RegisterMismatch.  A vector from
+    `_from_arrays` builds its dict when first read (see `__getattr__`)."""
 
-    __slots__ = ("_amp", "channels", "polarized")
+    # Pickle and copy read the slots in order: `_amp` first builds the dict.
+    __slots__ = ("_amp", "_pending", "channels", "polarized")
 
     def __init__(
         self,
         amplitudes: Mapping[FockState, complex] | None = None,
         channels: int | None = None,
-        polarized: bool = False,
+        polarized: bool | None = None,
     ):
         amp: dict[FockState, complex] = {}
         if amplitudes:
             first = next(iter(amplitudes))
             channels = first.channels if channels is None else channels
-            polarized = first.polarized
+            polarized = first.polarized if polarized is None else polarized
             for state, a in amplitudes.items():
                 if state.channels != channels or state.polarized != polarized:
                     raise RegisterMismatch(
@@ -151,18 +155,30 @@ class StateVector:
                     amp[state] = a
         if channels is None:
             raise RegisterMismatch("empty state vector needs an explicit channel count")
-        self._amp = amp
+        self._amp, self._pending = amp, None
         self.channels = channels
-        self.polarized = polarized
+        self.polarized = bool(polarized)
 
     @classmethod
-    def _unchecked(cls, amplitudes: dict, channels: int, polarized: bool) -> "StateVector":
-        """The vector of a dict of Python complex amplitudes, each at least
-        PRUNE_TOL in magnitude, on states that fit the register, as
-        `simulate.evolve` makes them, without the checks."""
+    def _from_arrays(cls, states, amplitudes, channels: int, polarized: bool) -> "StateVector":
+        """The vector of `states` (FockStates that fit the register) and a
+        complex array of their `amplitudes`, each at least PRUNE_TOL in
+        magnitude, as `simulate.evolve` makes them, without the checks."""
         vector = object.__new__(cls)
-        vector._amp, vector.channels, vector.polarized = amplitudes, channels, polarized
+        vector._pending = states, amplitudes
+        vector.channels, vector.polarized = channels, polarized
         return vector
+
+    def __getattr__(self, name):
+        # Only an unset slot gets here: the first read of `_amp` builds the
+        # dict and drops the arrays; racing threads build equal dicts.
+        if name != "_amp":
+            raise AttributeError(f"'StateVector' object has no attribute {name!r}")
+        pending = self._pending
+        if pending is not None:
+            self._amp = dict(zip(pending[0], pending[1].tolist()))
+            self._pending = None
+        return self._amp
 
     @classmethod
     def basis(cls, state: FockState) -> "StateVector":
@@ -199,7 +215,8 @@ class StateVector:
         return self * (1.0 / nrm)
 
     def __len__(self) -> int:
-        return len(self._amp)
+        pending = self._pending  # a count needs no dict
+        return len(self._amp) if pending is None else len(pending[0])
 
     def __add__(self, other: "StateVector") -> "StateVector":
         if self.channels != other.channels or self.polarized != other.polarized:

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from .circuit import Circuit
 from .components import require_integer
 from .errors import EvalError, InvalidSpec, RegisterMismatch
-from .fock import PRUNE_TOL, FockState, StateVector
+from .fock import FockState, StateVector
 from .notation import Scanner
-from .simulate import Distribution, circuit_amplitudes, require_normalized
+from .simulate import Distribution, _probabilities, circuit_amplitudes, require_normalized
 from .simulate import admissible_outcomes  # noqa: F401  (public here; one enumerator with sector_basis)
 from .simulate import batch_amplitudes  # noqa: F401  (bench/test_bench.py checks this binding)
 
@@ -157,17 +157,19 @@ class Processor:
         """Conditioned output distribution and the success probability.
 
         Outcomes of `amplitudes` whose amplitude is below fock.PRUNE_TOL are
-        dropped.  Without a predicate the raw distribution is returned with
-        success 1.  With one, kept probabilities are renormalized and success
-        is their raw sum.  Too few photons for `min_detected_photons` give
-        an empty distribution with success 0.
+        dropped, and the rest get |amp|^2 as `distribution` takes it (see
+        `simulate._probabilities`).  Without a predicate the raw distribution
+        is returned with success 1.  With one, kept probabilities are
+        renormalized and success is their raw sum.  Too few photons for
+        `min_detected_photons` give an empty distribution with success 0.
         """
         amplitudes = self.amplitudes()
         n = self.input_state.sector
-        kept = {t: abs(a) ** 2 for t, a in amplitudes if abs(a) >= PRUNE_TOL}
+        states, kept = _probabilities([t for t, _ in amplitudes], [a for _, a in amplitudes])
         if self.postselect is None and n >= self.min_detected_photons:
-            return Distribution(kept, n, _canonical=True), 1.0
-        success = sum(kept.values())
+            return Distribution(dict(zip(states, kept)), n, _canonical=True), 1.0
+        success = sum(kept)
         if success == 0.0:
             return Distribution({}, n, _canonical=True), 0.0
-        return Distribution({s: p / success for s, p in kept.items()}, n, _canonical=True), success
+        return Distribution({s: p / success for s, p in zip(states, kept)}, n,
+                            _canonical=True), success

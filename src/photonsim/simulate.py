@@ -1365,31 +1365,53 @@ def evolve(matrix, state: StateVector) -> StateVector:
     """Output amplitudes of a state vector under a channel unitary.
 
     Every outcome of the input's sector comes from the kernel of
-    `state_amplitudes`; those with |amp| >= fock.PRUNE_TOL are kept, in
-    canonical order, straight from the sector record's FockStates and the
-    amplitude array, without the StateVector's per-state checks.  np.hypot
-    and Python's abs() both take |amp| from the C hypot, so the cut is the
-    same.
+    `state_amplitudes`; those with |amp| >= fock.PRUNE_TOL are kept (see
+    `_kept`), in canonical order, as the sector record's FockStates and the
+    amplitude array, without the StateVector's per-state checks.  The
+    vector builds its dict from them when first read (see
+    `StateVector._from_arrays`).
     """
     n = state.require_sector()
     sector, amps = _swept(_channel_unitary(matrix, state.channels), state, n, None)
-    keep = np.hypot(amps.real, amps.imag) >= PRUNE_TOL
-    terms = dict(zip(itertools.compress(sector.states(), keep.tolist()), amps[keep].tolist()))
-    return StateVector._unchecked(terms, state.channels, state.polarized)
+    states, amps, _ = _kept(sector.states(), amps)
+    return StateVector._from_arrays(states, amps, state.channels, state.polarized)
 
 
 def distribution(matrix, state: StateVector) -> Distribution:
     """Output probability distribution of a normalized state vector.
 
-    Raises MixedSector when the input has no fixed photon number and
-    InvalidSpec when it is not normalized.
+    The entries come from the arrays of the vector `evolve` returns, in its
+    canonical order, so that vector's dict is not built.  Raises MixedSector
+    when the input has no fixed photon number and InvalidSpec when it is not
+    normalized.
     """
     n = state.require_sector()
     require_normalized(state)
     evolved = evolve(matrix, state)
-    # evolve keeps its terms in canonical order, so they need no sort.
-    entries = {s: abs(a) ** 2 for s, a in evolved._amp.items()}
-    return Distribution(entries, n, _canonical=True)
+    # The arrays are gone only when something read the vector first.
+    states, amps = evolved._pending or (list(evolved._amp), list(evolved._amp.values()))
+    return Distribution(dict(zip(*_probabilities(states, amps))), n, _canonical=True)
+
+
+def _kept(states, amps: np.ndarray):
+    """(states, amplitudes, |amplitudes|) of the `states` whose amplitude in
+    the complex array `amps` has |amp| >= fock.PRUNE_TOL.  np.hypot takes
+    |amp| from the C hypot, as Python's abs() does, so the cut is the same."""
+    mags = np.hypot(amps.real, amps.imag)
+    keep = mags >= PRUNE_TOL
+    if keep.all():
+        return states, amps, mags
+    return list(itertools.compress(states, keep.tolist())), amps[keep], mags[keep]
+
+
+def _probabilities(states, amps):
+    """The `states` whose amplitude in `amps` has |amp| >= fock.PRUNE_TOL
+    (see `_kept`), and their |amp|^2 as Python floats, each bit-identical to
+    abs(amp) ** 2: math.pow(|amp|, 2.0) is the C pow that `** 2` calls, where
+    |amp| * |amp| and np.power differ from it in the last bit for about 0.1%
+    of values."""
+    states, _, mags = _kept(states, np.asarray(amps, dtype=complex))
+    return states, list(map(math.pow, mags.tolist(), itertools.repeat(2.0)))
 
 
 class SplitMix64:

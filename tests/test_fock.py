@@ -124,6 +124,18 @@ def test_statevector_register_checks():
         StateVector()  # no states and no channel count
 
 
+def test_statevector_explicit_polarization_must_fit_the_states():
+    flat, pol = make_state((1, 0)), make_state((1, 0), polarized=True)
+    for state, wrong in ((flat, True), (pol, False)):
+        with pytest.raises(RegisterMismatch, match=f"polarized={wrong}"):
+            StateVector({state: 1.0}, channels=2, polarized=wrong)
+        # An omitted or agreeing value follows the states.
+        assert StateVector({state: 1.0}).polarized is state.polarized
+        assert StateVector({state: 1.0}, polarized=state.polarized).polarized is state.polarized
+    assert StateVector(channels=2).polarized is False
+    assert StateVector({}, channels=2, polarized=True).polarized is True
+
+
 def test_sector_and_mixed_sector():
     a = StateVector.basis(make_state((1, 0)))
     assert a.sector == 1

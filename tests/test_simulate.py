@@ -5,8 +5,10 @@ fast evolution path against the creation-operator expansion oracle.
 """
 
 import bisect
+import copy
 import itertools
 import math
+import pickle
 import sys
 import threading
 
@@ -208,9 +210,92 @@ def assert_evolved_bits(u, psi):
     assert exact(got.items()) == exact(want)
     listed = StateVector(dict(amplitudes), channels=psi.channels, polarized=psi.polarized)
     evolved = evolve(u, psi)
-    assert evolved == listed
-    assert exact(evolved._amp.items()) == exact(listed._amp.items())
     assert (evolved.channels, evolved.polarized) == (listed.channels, listed.polarized)
+    assert len(evolved) == len(listed)  # counted from the arrays
+    assert_unbuilt(evolved)
+    assert evolved == listed
+    assert len(evolved) == len(listed)
+    assert exact(evolved._amp.items()) == exact(listed._amp.items())
+    # Each read gives the same first on a fresh vector, whose dict it builds,
+    # then again on the built vector, as on the checked construction.
+    outside = FockState((0,) * psi.channels, psi.polarized)
+    probes = [s for s, _ in amplitudes[:3]] + [outside]
+    reads = {
+        "items": lambda v: exact(v.items()),
+        "amplitude": lambda v: exact((s, v.amplitude(s)) for s in probes),
+        "sector": lambda v: v.sector,
+        "norm": lambda v: v.norm().hex(),
+        "eq": lambda v: (v == listed, listed == v, v == v, v != listed),
+        "pickle": lambda v: round_trip(pickle.loads(pickle.dumps(v)), v),
+        "copy": lambda v: round_trip(copy.copy(v), v),
+    }
+    for name, read in reads.items():
+        fresh = evolve(u, psi)
+        before = read(fresh)
+        assert fresh._pending is None, name
+        assert before == read(fresh) == read(listed), name
+
+
+def assert_unbuilt(vector):
+    """The vector holds its pending arrays and no dict."""
+    assert vector._pending is not None
+    with pytest.raises(AttributeError):
+        StateVector._amp.__get__(vector)  # the slot itself, past __getattr__
+
+
+def round_trip(twin, vector):
+    """What a copy of `vector` reads: its terms' bits and its register, and
+    whether it equals the original."""
+    assert twin._pending is None
+    return exact(twin.items()), twin.channels, twin.polarized, twin == vector
+
+
+def test_distribution_builds_no_dict_for_the_evolved_vector(monkeypatch):
+    u = random_unitary(np.random.default_rng(11), 6)
+    psi = StateVector({make_state((1, 1, 1, 0, 0, 0)): 0.6, make_state((2, 0, 0, 0, 0, 1)): 0.8j})
+    want = {s: abs(a) ** 2 for s, a in evolve(u, psi).items()}
+    for first_read in (None, len, StateVector.items):
+        vectors = []
+
+        def capture(matrix, state):
+            vectors.append(evolve(matrix, state))
+            if first_read is not None:  # as a wrapper that reads the vector
+                first_read(vectors[-1])
+            return vectors[-1]
+
+        monkeypatch.setattr(simulate, "evolve", capture)
+        got = distribution(u, psi)
+        [vector] = vectors
+        if first_read is not StateVector.items:
+            assert_unbuilt(vector)
+        assert exact(got.entries.items()) == exact(want.items())
+        assert vector == StateVector(dict(state_amplitudes(u, psi, None)))
+
+
+def test_threads_reading_one_pending_vector_get_equal_dicts():
+    u = random_unitary(np.random.default_rng(12), 8)
+    psi = StateVector.basis(make_state((1, 1, 1, 1, 0, 0, 0, 0)))
+    want = exact(dict(state_amplitudes(u, psi, None)).items())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            vector, barrier, dicts = evolve(u, psi), threading.Barrier(4), []
+
+            def reader():
+                barrier.wait(timeout=60)
+                dicts.append(vector._amp)
+
+            threads = [threading.Thread(target=reader) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(dicts) == 4 and all(exact(d.items()) == want for d in dicts)
+            assert vector._pending is None
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_evolve_prunes_amplitudes_at_prune_tol_as_the_list_construction():
