@@ -209,6 +209,16 @@ def _search_build():
     return _three_qubit_sequence().build()
 
 
+@functools.cache
+def _search_processor() -> Processor:
+    """The search's processor on its |000> input under the fourteen heralds,
+    once per process; no method changes a Processor or its StateVector, so
+    every call can share it."""
+    build = _search_build()
+    return Processor(build.circuit, StateVector.basis(build.input_state((0, 0, 0))),
+                     build.condition)
+
+
 @dataclass(frozen=True)
 class DualRailGroverResult:
     """Herald-conditioned outcome of the three-qubit dual-rail pipeline."""
@@ -232,20 +242,19 @@ def dual_rail_grover_3q(shots: int = 0, seed: int = 0) -> DualRailGroverResult:
     """
     require_shots(shots)
     require_seed(seed)
-    build = _search_build()
-    source = build.input_state((0, 0, 0))
-    processor = Processor(build.circuit, StateVector.basis(source), build.condition)
-    outcomes = processor.amplitudes()
-    success = sum(abs(a) ** 2 for _, a in outcomes)
+    states, amps = _search_processor()._arrays()
+    values = amps.tolist()
+    magnitudes = [abs(a) for a in values]  # each outcome's |amp|, taken once
+    success = sum(m ** 2 for m in magnitudes)
     root = math.sqrt(success)
     probabilities: dict[str, float] = {}
     amplitudes: dict[str, complex] = {}
     data_probabilities: dict[str, float] = {}
     leak = 0.0
-    for state, amp in outcomes:
-        if abs(amp) < PRUNE_TOL:
+    for state, amp, magnitude in zip(states, values, magnitudes):
+        if magnitude < PRUNE_TOL:
             continue
-        p = abs(amp) ** 2 / success
+        p = magnitude ** 2 / success
         bits = data_bits(state, 3)
         if bits is NonCodeword:
             leak += p

@@ -22,12 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .circuit import Circuit
 from .components import require_integer
 from .errors import EvalError, InvalidSpec, RegisterMismatch
 from .fock import FockState, StateVector
 from .notation import Scanner
-from .simulate import Distribution, _probabilities, circuit_amplitudes, require_normalized
+from .simulate import Distribution, _circuit_arrays, _probabilities, require_normalized
 from .simulate import admissible_outcomes  # noqa: F401  (public here; one enumerator with sector_basis)
 from .simulate import batch_amplitudes  # noqa: F401  (bench/test_bench.py checks this binding)
 
@@ -64,10 +66,26 @@ class Clause:
 
 @dataclass(frozen=True)
 class PostSelect:
+    """A conjunction of clauses.
+
+    The hash is computed once, on construction, as FockState's is: a
+    predicate keys the sector, route and program records that simulate
+    keeps, so each call hashes it three times.
+    """
+
     clauses: tuple[Clause, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "clauses", tuple(self.clauses))
+        object.__setattr__(self, "_hash", hash((self.clauses,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Pickle the clauses only: a str hashes differently in another
+        # process, so loading rebuilds the hash.
+        return PostSelect, (self.clauses,)
 
     def __str__(self) -> str:
         return " & ".join(str(c) for c in self.clauses)
@@ -138,6 +156,12 @@ class Processor:
         NotUnitary for a non-unitary block or U and TooLarge above the work
         limit.
         """
+        states, amps = self._arrays()
+        return list(zip(states, amps.tolist()))
+
+    def _arrays(self) -> tuple[tuple, np.ndarray]:
+        """`amplitudes` as the outcomes' FockStates and their amplitudes,
+        one complex array, from the array core of `circuit_amplitudes`."""
         require_min_photons(self.min_detected_photons)
         state, circuit = self.input_state, self.circuit
         n = state.require_sector()
@@ -150,22 +174,22 @@ class Processor:
         if self.postselect is not None:
             self.postselect.require_modes(circuit.modes)
         if n < self.min_detected_photons:
-            return []
-        return circuit_amplitudes(circuit.blocks(), state, self.postselect)
+            return (), np.zeros(0, dtype=complex)
+        return _circuit_arrays(circuit.blocks(), state, self.postselect)
 
     def run(self) -> tuple[Distribution, float]:
         """Conditioned output distribution and the success probability.
 
         Outcomes of `amplitudes` whose amplitude is below fock.PRUNE_TOL are
         dropped, and the rest get |amp|^2 as `distribution` takes it (see
-        `simulate._probabilities`).  Without a predicate the raw distribution
-        is returned with success 1.  With one, kept probabilities are
-        renormalized and success is their raw sum.  Too few photons for
-        `min_detected_photons` give an empty distribution with success 0.
+        `simulate._probabilities`), read from the amplitude array, not the
+        list.  Without a predicate the raw distribution is returned with
+        success 1.  With one, kept probabilities are renormalized and success
+        is their raw sum.  Too few photons for `min_detected_photons` give an
+        empty distribution with success 0.
         """
-        amplitudes = self.amplitudes()
         n = self.input_state.sector
-        states, kept = _probabilities([t for t, _ in amplitudes], [a for _, a in amplitudes])
+        states, kept = _probabilities(*self._arrays())
         if self.postselect is None and n >= self.min_detected_photons:
             return Distribution(dict(zip(states, kept)), n, _canonical=True), 1.0
         success = sum(kept)

@@ -848,6 +848,13 @@ def circuit_amplitudes(blocks, state: StateVector, predicate) -> list[tuple[Fock
     points: a segment meets more distinct local inputs, which made the
     three-qubit search 2x slower.
     """
+    states, amps = _circuit_arrays(blocks, state, predicate)
+    return list(zip(states, amps.tolist()))
+
+
+def _circuit_arrays(blocks, state: StateVector, predicate) -> tuple[tuple, np.ndarray]:
+    """`circuit_amplitudes` as the outcomes' FockStates, the sector record's
+    tuple, and their amplitudes, one complex array."""
     n = state.require_sector()
     blocks = _as_blocks(blocks)
     sector = None
@@ -871,12 +878,12 @@ def circuit_amplitudes(blocks, state: StateVector, predicate) -> list[tuple[Fock
                 )
 
             try:
-                return _stepwise(*_program(route, blocks), state, sector, min(lower, _MAX_WORK),
-                                 over)
+                amps = _stepwise(*_program(route, blocks), state, sector, min(lower, _MAX_WORK), over)
+                return sector.states(), amps
             except _PastLimit:
                 pass
     sector, amps = _swept(compile_blocks(blocks, state.channels), state, n, predicate, sector)
-    return list(zip(sector.states(), amps.tolist()))
+    return sector.states(), amps
 
 
 def _as_blocks(blocks) -> Blocks:
@@ -990,26 +997,32 @@ class _Program:
 # the search's 32 blocks and the 45 of three Toffolis).  A plan holds at most
 # about _PLAN_BYTES besides its arrays' data and its key's rows bytes: its
 # key tuple, dict slot, array headers and, for an expanding step, its bills.
-# Measured with tracemalloc as the bytes freed when one kind of plan is
-# dropped, on the search's 33 plans and the 72 of a Toffoli's truth table:
-# 974-1024 bytes an expanding step's plan, 436-542 a monomial step's and
-# 287-401 a plan of where the last rows sit, so the count errs high.
+# Measured with tracemalloc as the bytes freed, besides those, when one kind
+# of plan is dropped, its links cut first, on the search's 33 plans and the
+# 72 of a Toffoli's truth table: 970-1077 bytes an expanding step's plan,
+# 558-612 a monomial step's and 209-287 a plan of where the last rows sit,
+# so the count errs high.  A link holds about _LINK_BYTES besides its cut's
+# bytes: its tuple (56 bytes) and the cut's bytes object (33 bytes).
 _ROUTE_BYTES = 80
 _PROGRAM_BYTES = 800
-_PLAN_BYTES = 1000
+_PLAN_BYTES = 1100
+_LINK_BYTES = 96
 
 # A program's plans hold at most this many bytes, so one stepwise circuit
 # run on many inputs cannot push the other kept records out of
 # _STRUCTURE_BYTES; past it a step without a plan runs unplanned and keeps
-# none.  The search's 33 plans hold 128 KB, and the 208 of a truth table of
-# three Toffolis 611 KB.
+# none.  The search's 33 plans and 32 links hold 136 KB, and the 208 plans
+# and 204 links of a truth table of three Toffolis 657 KB.
 _PLAN_SHARE = _STRUCTURE_BYTES // 8
 
 
 def _arrays(item):
-    """The numpy arrays in nested tuples and lists."""
+    """The numpy arrays in nested tuples and lists, and those a step plan
+    holds (not its link's)."""
     if isinstance(item, np.ndarray):
         return [item]
+    if isinstance(item, _StepPlan):
+        return _arrays([item.rows, item.factor, item.source, item.pairs])
     if isinstance(item, (tuple, list)):
         return [a for part in item for a in _arrays(part)]
     return []
@@ -1029,10 +1042,12 @@ class _PastLimit(Exception):
 
 
 def _stepwise(program: _Program, mats, state: StateVector, sector: _Sector, cap: int,
-              over=None) -> list[tuple[FockState, complex]]:
+              over=None) -> np.ndarray:
     """The global route's amplitudes on `sector`'s outcomes (the state's
     under a predicate), evolved through the blocks of `program`, whose
-    complex arrays are `mats` (see `_program`), one block at a time.
+    complex arrays are `mats` (see `_program`), one block at a time; one
+    complex array over the record's rows, in canonical order, with 0 for an
+    outcome no row reached.
 
     The state travels as occupation rows and amplitudes; a superposition
     starts as its terms.  No block after a clause's last touch changes the
@@ -1055,31 +1070,33 @@ def _stepwise(program: _Program, mats, state: StateVector, sector: _Sector, cap:
     any other, the C(m + k - 1, m) outputs of its m photons on the block's
     k channels; a run costs its kernel's count.  When the count would pass
     `cap`, `over(count, block)` gives the new cap, or without `over`
-    _PastLimit is raised.  The outcomes are the record's rows, in canonical
-    order, with 0 for an outcome no row reached.
+    _PastLimit is raised.
 
     Everything that depends on the blocks and clauses alone is the kept
     program's: each step's move or local clauses, and the clauses closing
     after it.  The outcome rows and their FockStates are the record's; each
     block's local outputs and kernel are kept per (block size, local
     photons, closing clauses).  What a step derives from its incoming rows
-    is the program's too, as a plan under (step, the rows' shape and
+    is the program's too, as a `_StepPlan` under (step, the rows' shape and
     bytes), and so is where the last rows sit among the outcomes.  A
-    monomial step's plan holds its moved rows and their phase factors (None
-    when every phase is 1), so a replay is one multiply at most, the one
-    the unplanned step makes.  An expanding step with a plan (see
-    `_StepPlan`) multiplies each source amplitude by its factor and sums
-    the products with one `np.bincount` per part of the complex numbers:
-    the same products in the same order as the unplanned step, summed the
-    same way, so every amplitude is bit-identical.  An expanding step
-    without a plan, or whose product comes out exactly zero (the unplanned
-    step drops its row), runs unplanned and stores its plan unless it met
-    such a product; no step stores one once the program's plans are full
-    (`_keep`).  Plans pay only when a later call meets the same program and
-    incoming rows, as a repeated search with the same input does; any other
-    call builds and stores them at its own cost.  The count does not depend
-    on what was kept: a monomial step charges its rows and an expanding
-    plan its bills, as the unplanned step does (see `_charge`).
+    monomial step's plan holds its moved rows and their phase factors, so
+    a replay is one multiply at most, the one the unplanned step makes.  An
+    expanding step's plan multiplies each source amplitude by its factor
+    and sums the products with one `np.bincount` (see `_sum`): the same
+    products in the same order as the unplanned step, summed the same way,
+    so every amplitude is bit-identical.  An expanding step without a plan,
+    or whose product comes out exactly zero (the unplanned step drops its
+    row), runs unplanned and stores its plan unless it met such a product;
+    no step stores one once the program's plans are full (`_keep`).  Once a
+    call has met two consecutive kept plans, the first links to the second
+    under the cut the second step's prune made (see `_StepPlan`), so a
+    later call that meets the first and makes the same cut reads the next
+    plan with no rows' bytes copied or hashed (see `_lookup`).  Plans pay
+    only when a later call meets the same program and incoming rows, as a
+    repeated search with the same input does; any other call builds and
+    stores them at its own cost.  The count does not depend on what was
+    kept: a monomial step charges its rows and an expanding plan its bills,
+    as the unplanned step does (see `_charge`).
     """
     spent = 0
 
@@ -1099,105 +1116,153 @@ def _stepwise(program: _Program, mats, state: StateVector, sector: _Sector, cap:
     planned: set = set()  # (pattern, local photons) whose kernel this call charged
     seen: set = set()  # (pattern, local input) whose run this call charged
     sweeps: dict = {}  # (pattern, local input) -> amplitudes over the outputs, run in this call
+    prev = None  # the kept plan of the step before
     for step, (chans, move, expand, close) in enumerate(program.steps):
+        cut = None  # the bytes of the rows' indices that the prune keeps, when it drops any
         if move is None:
-            rows, amps = _prune(rows, amps)
+            keep = _prune(amps)
+            if keep is not None:
+                rows, amps, cut = rows.take(keep, axis=0), amps.take(keep), keep.tobytes()
         if not len(rows):
             break
-        key = (step, rows.shape, rows.tobytes())
-        plan = program.plans.get(key)
+        plan, key = _lookup(program, step, rows, prev, cut)
+        kept = plan is not None
         if move is not None:
             charge(len(rows))
             if plan is None:
                 perm, phase = move
-                plan = rows[:, perm], None if phase is None else np.prod(phase ** rows[:, chans], axis=1)
-                _keep(program, key, plan, _arrays(plan))
-            rows, factor = plan
-            if factor is not None:
-                amps = amps * factor
+                plan = _StepPlan(rows[:, perm], None if phase is None
+                                 else np.prod(phase ** rows[:, chans], axis=1))
+                kept = _keep(program, key, plan, _arrays(plan), prev, cut)
+            if plan.factor is not None:
+                amps = amps * plan.factor
         else:
-            products = None if plan is None else amps[plan.source] * plan.factor
-            if products is not None and products.all():
+            products = None if plan is None else amps.take(plan.source) * plan.factor
+            if products is not None and np.count_nonzero(products) == len(products):
                 for bill in plan.bills:
                     _charge(*bill, planned, seen, charge)
             else:
                 parts, bills = _local_parts(rows[:, chans], mats[step], *expand, planned, seen, sweeps,
                                             charge)
                 arrays, products, exact = _expand(rows, amps, chans, parts)
-                plan = _StepPlan(*arrays, bills)
-                if exact:
-                    _keep(program, key, plan, arrays)
-            rows, amps = plan.rows, _sum(plan.inverse, products, len(plan.rows))
+                unplanned = _StepPlan(*arrays, bills)
+                kept = exact and plan is None and _keep(program, key, unplanned, arrays, prev, cut)
+                plan = unplanned
+            amps = _sum(plan.pairs, products, len(plan.rows))
+        rows, prev = plan.rows, plan if kept else None
         if close is not None:
             rows, amps = _project(rows, amps, *close)
     result = np.zeros(len(sector.rows), dtype=complex)
     if len(rows):
-        key = (len(program.steps), rows.shape, rows.tobytes())
-        at = program.plans.get(key)
+        at, key = _lookup(program, len(program.steps), rows, prev, None)
         if at is None:
             # The outcomes are distinct and come first, so a row's first
             # copy is its place among them; every row satisfies every
             # clause, so none lies past it (that would raise IndexError).
             first, inverse = _row_ids(np.concatenate([sector.rows, rows]))
             at = first[inverse[len(sector.rows):]]
-            _keep(program, key, at, (at,))
+            _keep(program, key, at, (at,), prev, None)
         result[at] = amps
-    return list(zip(sector.states(), result.tolist()))
+    return result
 
 
-def _keep(program: _Program, key, plan, arrays):
+class _StepPlan:
+    """What a step of `_stepwise` derives from its incoming rows and its
+    block alone: the outgoing `rows` and a `factor` per product.  A
+    monomial step's products are its rows, and their factors the phase
+    factors (None when every phase is 1).  An expanding step's products
+    come in the order `_expand` makes them, each with its `source` row,
+    its block factor <output| block |input> and its outgoing row's `pairs`
+    index (see `_sum`); its `bills` are one per part (see `_charge`).
+
+    `link`, None until a call links it (see `_lookup`), is (cut, plan): the
+    plan kept for the next step on these outgoing rows, projected onto the
+    clauses closing after this step, less the rows the next step's prune
+    dropped, whose kept indices' bytes are `cut` (None when it dropped
+    none).  The projection reads the rows alone, so the link holds for
+    every call that meets this plan and makes the same cut.  For the last
+    step, the linked plan is where the rows sit among the outcomes."""
+
+    __slots__ = ("rows", "factor", "source", "pairs", "bills", "link")
+
+    def __init__(self, rows, factor, source=None, pairs=None, bills=()):
+        self.rows, self.factor, self.source, self.pairs, self.bills = rows, factor, source, pairs, bills
+        self.link = None
+
+
+def _lookup(program: _Program, step: int, rows, prev, cut):
+    """The kept plan of `step` on the incoming `rows`, or None, and its key
+    (None when a link gave it).  `prev`, when given, is the kept plan of
+    the step before, and `cut` the step's prune cut (see `_StepPlan`): a
+    link of `prev` made under the same cut is the plan, read with no key,
+    and a plan found by its key becomes the link of a `prev` without one."""
+    if prev is not None and prev.link is not None:
+        linked, plan = prev.link
+        if linked == cut:
+            return plan, None
+    key = (step, rows.shape, rows.tobytes())
+    plan = program.plans.get(key)
+    if plan is not None and prev is not None:
+        _link(program, prev, plan, cut)
+    return plan, key
+
+
+def _keep(program: _Program, key, plan, arrays, prev=None, cut=None) -> bool:
     """Keep a plan, whose arrays are `arrays`, in the program under `key`,
     (step, rows' shape, rows' bytes), unless another thread kept one first,
     so one dict insert publishes it, or the program's plans would pass
-    _PLAN_SHARE.  Its arrays become read-only, and it is counted as their
-    bytes, the key's and _PLAN_BYTES."""
+    _PLAN_SHARE; whether it was kept.  Its arrays become read-only, and it
+    is counted as their bytes, the key's and _PLAN_BYTES.  A kept plan
+    becomes the link of `prev`, when given, under `cut` (see `_lookup`)."""
     for a in arrays:
         a.setflags(write=False)
     nbytes = _PLAN_BYTES + len(key[2]) + sum(a.nbytes for a in arrays)
     with _STRUCTURES._lock:
-        if program.planned + nbytes <= _PLAN_SHARE and program.plans.setdefault(key, plan) is plan:
+        kept = program.planned + nbytes <= _PLAN_SHARE and program.plans.setdefault(key, plan) is plan
+        if kept:
+            program.planned += nbytes
+            _STRUCTURES.grew(program, nbytes)
+    if kept and prev is not None:
+        _link(program, prev, plan, cut)
+    return kept
+
+
+def _link(program: _Program, prev: _StepPlan, plan, cut):
+    """Make (cut, plan) the link of the kept plan `prev`, unless it has one
+    or the link's bytes, _LINK_BYTES and the cut's, would pass the
+    program's _PLAN_SHARE.  Under the `_STRUCTURES` lock, and by one
+    attribute write, so a reader sees the whole link or none."""
+    nbytes = _LINK_BYTES + len(cut or b"")
+    with _STRUCTURES._lock:
+        if prev.link is None and program.planned + nbytes <= _PLAN_SHARE:
+            prev.link = cut, plan
             program.planned += nbytes
             _STRUCTURES.grew(program, nbytes)
 
 
-class _StepPlan(NamedTuple):
-    """What an expanding step of `_stepwise` derives from its incoming rows
-    and its block alone: the outgoing rows; per product, in the order
-    `_expand` makes them, its source row, its block factor <output| block
-    |input> and its outgoing row (`inverse`); and the step's bills, one per
-    part (see `_charge`)."""
-
-    rows: np.ndarray
-    source: np.ndarray
-    factor: np.ndarray
-    inverse: np.ndarray
-    bills: tuple
-
-
-def _prune(rows, amps):
-    """The rows and amplitudes without the smallest rows whose summed
-    |amp|^2 stays within _PRUNE_NORM^2 x the rows' total, kept in order:
-    the cut adds the weights smallest first and stops before the first sum
-    past that budget.  A weight above the budget passes it alone, so the
-    cut drops exactly the weights at most the budget when those, added in
-    the same order, sum within it; only otherwise, or with a non-finite
-    total, are all the weights sorted."""
-    weight = amps.real**2 + amps.imag**2
-    budget = _PRUNE_NORM**2 * weight.sum()
+def _prune(amps):
+    """The indices, ascending, of the rows to keep: all but the smallest
+    rows whose summed |amp|^2 stays within _PRUNE_NORM^2 x the rows' total;
+    None when that drops none.  The cut adds the weights smallest first and
+    stops before the first sum past that budget.  A weight above the budget
+    passes it alone, so the cut drops exactly the weights at most the
+    budget when those, added in the same order, sum within it; only
+    otherwise, or with a non-finite total, are all the weights sorted."""
+    square = np.square(amps.view(float))
+    weight = square[::2] + square[1::2]  # amps.real**2 + amps.imag**2
+    budget = _PRUNE_NORM**2 * np.add.reduce(weight)
     if math.isfinite(budget):
         small = [w for w in weight.tolist() if w <= budget]
         if not small:
-            return rows, amps
+            return None
         spent = 0.0
         for w in sorted(small):  # one rounded add at a time, as np.cumsum adds
             spent += w
         if spent <= budget:
-            keep = weight > budget
-            return rows[keep], amps[keep]
+            return (weight > budget).nonzero()[0]
     order = np.argsort(weight, kind="stable")
-    cut = np.searchsorted(np.cumsum(weight[order]), budget, side="right")
-    keep = np.sort(order[cut:])
-    return rows[keep], amps[keep]
+    dropped = np.searchsorted(np.cumsum(weight[order]), budget, side="right")
+    return np.sort(order[dropped:]) if dropped else None
 
 
 def _project(rows, amps, weights_t, lo, hi):
@@ -1262,8 +1327,9 @@ def _charge(rows_work, pattern, m, least, inputs, work, planned, seen, charge) -
         kernel = work.kernel()
         work = 0 if kernel is None else kernel.work
     new = [occ for occ in inputs if (pattern, occ) not in seen]
-    seen.update((pattern, occ) for occ in new)
-    charge(len(new) * work - paid)
+    if new:  # else every input was met, so (pattern, m) was too and paid is 0
+        seen.update([(pattern, occ) for occ in new])
+        charge(len(new) * work - paid)
     return work
 
 
@@ -1271,8 +1337,9 @@ def _expand(rows, amps, chans, parts):
     """Each row of a part becomes one row per local output, with the
     block's amplitude as its factor and the row's amplitude times that as
     its product; products of a zero factor are dropped and equal rows
-    merged.  Returns (the outgoing rows, each product's source row, factor
-    and outgoing row), the products, and whether every product is nonzero.
+    merged.  Returns (the outgoing rows, each product's factor, source row
+    and outgoing row as `_sum` pairs it), the products, and whether every
+    product is nonzero.
     When one is not, it is dropped too, so the arrays hold for these
     amplitudes only and are no plan.
 
@@ -1302,16 +1369,18 @@ def _expand(rows, amps, chans, parts):
     first, inverse = _ids(outer[source] * len(outs) + output)
     new = rows[source[first]]
     new[:, chans] = outs[output[first]]
-    return (new, source, factor, inverse), products, exact
+    pairs = np.repeat(2 * inverse, 2)
+    pairs[1::2] += 1
+    return (new, factor, source, pairs), products, exact
 
 
-def _sum(inverse, products, count: int) -> np.ndarray:
-    """The products summed into `count` rows by their row numbers
-    `inverse`, one `np.bincount` per part of the complex numbers."""
-    summed = np.empty(count, dtype=complex)
-    summed.real = np.bincount(inverse, products.real, count)
-    summed.imag = np.bincount(inverse, products.imag, count)
-    return summed
+def _sum(pairs, products, count: int) -> np.ndarray:
+    """The complex products summed into `count` rows.  `pairs` holds each
+    product's row number r as 2r, 2r + 1, interleaved as the products' real
+    and imaginary parts lie in memory, so one `np.bincount` over those parts
+    adds each row's real and imaginary parts in product order, as one
+    bincount per part does."""
+    return np.bincount(pairs, products.view(float), 2 * count).view(complex)
 
 
 def _ids(keys: np.ndarray):
@@ -1561,7 +1630,7 @@ def inverse_cdf_counts(weights, shots: int, seed: int) -> list[int]:
     with np.errstate(over="ignore", invalid="ignore"):
         cumulative = np.add.accumulate(weights)
     total, edges = cumulative[-1], cumulative[:-1]
-    if not ((weights >= 0).all() and np.isfinite(total)):
+    if not ((weights >= 0).all() and math.isfinite(total)):
         bad = np.flatnonzero(~(weights >= 0) | ~np.isfinite(weights))
         if bad.size:
             where = f"weight {bad[0]} is {float(weights[bad[0]])!r}"
@@ -1580,7 +1649,7 @@ def inverse_cdf_counts(weights, shots: int, seed: int) -> list[int]:
         else:
             draws.sort()
             below[1:-1] += np.searchsorted(draws, edges)
-    return np.diff(below).tolist()
+    return (below[1:] - below[:-1]).tolist()
 
 
 def sample(dist: Distribution, shots: int, seed: int) -> SampleCount:

@@ -205,11 +205,43 @@ def test_dual_rail_search_runs_six_local_sweeps(monkeypatch):
     assert len(calls) == 6
 
 
+def test_dual_rail_search_reads_the_amplitude_arrays_bit_for_bit():
+    # The result equals the per-outcome loop over `amplitudes()` with abs(),
+    # bit for bit: success over every outcome, the rest over those kept at
+    # PRUNE_TOL.
+    build = grover._search_build()
+    processor = Processor(build.circuit, StateVector.basis(build.input_state((0, 0, 0))),
+                          build.condition)
+    outcomes = processor.amplitudes()
+    success = sum(abs(a) ** 2 for _, a in outcomes)
+    probabilities, amplitudes, pairs, leak = {}, {}, {}, 0.0
+    for state, amp in outcomes:
+        if abs(amp) < grover.PRUNE_TOL:
+            continue
+        p = abs(amp) ** 2 / success
+        bits = grover.data_bits(state, 3)
+        if bits is grover.NonCodeword:
+            leak += p
+            continue
+        label = "".join(map(str, bits))
+        probabilities[label] = probabilities.get(label, 0.0) + p
+        amplitudes[label] = amp / math.sqrt(success)
+        pairs[label[:2]] = pairs.get(label[:2], 0.0) + p
+    result = dual_rail_grover_3q(1000, 9)
+    bits = lambda d: {k: v.hex() for k, v in d.items()}
+    assert result.success_probability.hex() == success.hex() and result.leak_probability == leak
+    assert bits(result.probabilities) == bits(probabilities) and bits(result.data_probabilities) == bits(pairs)
+    assert {k: (v.real.hex(), v.imag.hex()) for k, v in result.amplitudes.items()} == {
+        k: (v.real.hex(), v.imag.hex()) for k, v in amplitudes.items()}
+    assert all(type(v) is complex for v in result.amplitudes.values())
+
+
 def test_dual_rail_search_is_built_once(monkeypatch):
     built = []
     original = grover._three_qubit_sequence
     monkeypatch.setattr(grover, "_three_qubit_sequence", lambda: built.append(1) or original())
     grover._search_build.cache_clear()
+    grover._search_processor.cache_clear()
     first, second = dual_rail_grover_3q(50, seed=3), dual_rail_grover_3q(50, seed=3)
     assert len(built) == 1
     assert first == second

@@ -1,15 +1,22 @@
 import itertools
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import photonsim
 from photonsim.circuit import Circuit
+from photonsim.cli import load_circuit_file
 from photonsim.components import BeamSplitter
 from photonsim import simulate
 from photonsim.errors import EvalError, InvalidSpec, ParseError, RegisterMismatch, TooLarge
-from photonsim.fock import StateVector, make_state
+from photonsim.fock import PRUNE_TOL, FockState, StateVector, make_state
 from photonsim.postselect import (
     Clause,
     PostSelect,
@@ -17,7 +24,10 @@ from photonsim.postselect import (
     admissible_outcomes,
     parse_postselect,
 )
+from photonsim.qubits import GateSequence
 from photonsim.simulate import sector_basis
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_parse_single_clause():
@@ -344,3 +354,63 @@ def test_clause_bound_past_int64_keeps_both_routes_exact():
         amps = Processor(circuit, state, expr).amplitudes()
         assert len(amps) == kept
         assert amps == simulate.state_amplitudes(circuit.compile(), state, expr)
+
+
+def test_a_predicate_is_hashed_once_and_pickles_without_its_hash(monkeypatch):
+    # The hash is computed on construction, so hashing the predicate again
+    # hashes no clause; pickling carries the clauses only, and loading
+    # rebuilds the hash, equal to a fresh predicate's.
+    calls = []
+    monkeypatch.setattr(Clause, "__hash__", lambda self, original=Clause.__hash__:
+                        calls.append(1) or original(self))
+    expr = parse_postselect("[0]==1 & [2,3]<=1 & [1]>0")
+    assert len(calls) == 3
+    assert hash(expr) == hash(expr) and len(calls) == 3
+    assert hash(expr) == hash((expr.clauses,))
+    data = pickle.dumps(expr)
+    assert b"_hash" not in data
+    copy = pickle.loads(data)
+    assert copy == expr and hash(copy) == hash(expr) and repr(copy) == repr(expr)
+
+
+def test_a_pickled_predicate_hashes_as_a_fresh_one_in_another_process():
+    # A str hashes differently under another PYTHONHASHSEED, so a pickled
+    # hash would not match the predicate built there; the rebuilt one does.
+    expr = parse_postselect("[0]==1 & [2,3]<=1")
+    code = ("import pickle, sys; from photonsim.postselect import parse_postselect; "
+            "expr = pickle.loads(sys.stdin.buffer.read()); "
+            "fresh = parse_postselect('[0]==1 & [2,3]<=1'); "
+            "print(expr == fresh, hash(expr) == hash(fresh), hash(expr) == int(sys.argv[1]))")
+    src = os.path.dirname(os.path.dirname(photonsim.__file__))
+    env = {**os.environ, "PYTHONHASHSEED": "12345",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    seen = subprocess.run([sys.executable, "-c", code, str(hash(expr))], input=pickle.dumps(expr),
+                          capture_output=True, env=env, check=True).stdout.split()
+    assert seen[:2] == [b"True", b"True"]
+
+
+def heralded_cases():
+    """`two_heralded_cnots.json` under its four heralds, and a chain of 18
+    heralded CNOTs: (circuit, input, predicate)."""
+    loaded = load_circuit_file(str(DATA / "two_heralded_cnots.json"))
+    source = FockState((1, 0, 1, 0) + loaded.herald_input)
+    yield (loaded.circuit, StateVector.basis(source),
+           parse_postselect("[4]==1 & [5]==1 & [6]==1 & [7]==1"))
+    seq = GateSequence(2)
+    for _ in range(18):
+        seq.cnot(0, 1)
+    chain = seq.build()
+    yield chain.circuit, StateVector.basis(chain.input_state((1, 0))), chain.condition
+
+
+@pytest.mark.parametrize("case", list(heralded_cases()), ids=["two_heralded_cnots", "chain18"])
+def test_run_reads_the_amplitude_arrays_bit_for_bit(case):
+    # `run` takes |amp|^2 from the arrays under `amplitudes`: every entry and
+    # the success equal abs(a) ** 2 over the amplitude list, kept at
+    # PRUNE_TOL and renormalized by their left-to-right sum, bit for bit.
+    proc = Processor(*case)
+    kept = [(s, abs(a) ** 2) for s, a in proc.amplitudes() if abs(a) >= PRUNE_TOL]
+    success = sum(p for _, p in kept)
+    dist, got = proc.run()
+    assert kept and got.hex() == success.hex()
+    assert [(s, p.hex()) for s, p in dist.entries.items()] == [(s, (p / success).hex()) for s, p in kept]

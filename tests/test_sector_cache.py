@@ -14,7 +14,7 @@ import pytest
 
 from photonsim import grover, simulate
 from photonsim.circuit import Circuit
-from photonsim.components import BeamSplitter, GenericUnitary
+from photonsim.components import BeamSplitter, GenericUnitary, Permutation
 from photonsim.errors import NotUnitary, TooLarge
 from photonsim.fock import FockState, StateVector, make_state
 from photonsim.grover import dual_rail_grover_3q
@@ -323,10 +323,11 @@ def test_a_replayed_zero_product_runs_the_unplanned_step(monkeypatch):
     simulate._STRUCTURES.clear()
     want = dual_rail_grover_3q(1000, 5)
     [program] = programs()
-    key, plan = next((k, p) for k, p in program.plans.items() if isinstance(p, simulate._StepPlan))
+    key, plan = next((k, p) for k, p in program.plans.items()
+                     if isinstance(p, simulate._StepPlan) and p.source is not None)
     factor = plan.factor.copy()
     factor[0] = 0
-    monkeypatch.setitem(program.plans, key, plan._replace(factor=factor))
+    monkeypatch.setattr(plan, "factor", factor)
     calls = []
     monkeypatch.setattr(simulate, "_local_parts", lambda *args, original=simulate._local_parts:
                         calls.append(1) or original(*args))
@@ -345,7 +346,7 @@ def test_monomial_steps_keep_read_only_plans(monkeypatch):
     kept, planned = dict(program.plans), program.planned
     moves = [v for (step, _, _), v in kept.items()
              if step < len(program.steps) and program.steps[step][1] is not None]
-    assert len(moves) == 14 and sum(factor is None for _, factor in moves) == 7
+    assert len(moves) == 14 and sum(plan.factor is None for plan in moves) == 7
     arrays = simulate._arrays(list(kept.values()))
     assert arrays and not any(a.flags.writeable for a in arrays)
     powers = []
@@ -388,7 +389,7 @@ def test_threads_build_and_replay_the_same_plans():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == [] and len(results) == 40 and all(results)
     [program] = programs()
-    assert len(program.plans) == plans
+    assert len(program.plans) == plans and program.planned == plan_bytes(program)
     kept = simulate._STRUCTURES._records.values()
     assert simulate._STRUCTURES.held == sum(r.nbytes for r in kept)
 
@@ -439,3 +440,180 @@ def test_a_programs_plans_stay_within_their_share(monkeypatch):
         assert bool(program.plans) == (share > 0)
         kept = simulate._STRUCTURES._records.values()
         assert simulate._STRUCTURES.held == sum(r.nbytes for r in kept)
+
+
+def links(program):
+    """(plan, its link) for the program's linked plans."""
+    return [(p, p.link) for p in program.plans.values()
+            if isinstance(p, simulate._StepPlan) and p.link is not None]
+
+
+def plan_bytes(program):
+    """The bytes of a program's plans and links, as `_keep` and `_link`
+    count them."""
+    total = sum(simulate._PLAN_BYTES + len(key[2]) + sum(a.nbytes for a in simulate._arrays(plan))
+                for key, plan in program.plans.items())
+    return total + sum(simulate._LINK_BYTES + len(cut or b"") for _, (cut, _) in links(program))
+
+
+def heralded_chain():
+    """A Hadamard on each qubit, then three heralded CNOTs."""
+    return (GateSequence(3).gate("H", 0).gate("H", 1).gate("H", 2)
+            .cnot(0, 1, "heralded").cnot(1, 2, "heralded").cnot(0, 2, "heralded").build())
+
+
+def test_a_warm_search_follows_links_only(monkeypatch):
+    # A cold search links each kept plan to the next one; a warm one looks
+    # up only its first plan by key, adds no plan and no link, and the
+    # plans' and links' bytes are the ones counted.
+    simulate._STRUCTURES.clear()
+    want = dual_rail_grover_3q(1000, 4)
+    [program] = programs()
+    linked = links(program)
+    assert len(program.plans) == 33 and len(linked) == 32
+    assert program.planned == plan_bytes(program)
+    planned = program.planned
+
+    class Counted(dict):
+        gets = 0
+
+        def get(self, key, default=None):
+            Counted.gets += 1
+            return super().get(key, default)
+
+    monkeypatch.setattr(program, "plans", Counted(program.plans))
+    assert dual_rail_grover_3q(1000, 4) == want
+    assert Counted.gets == 1 and len(program.plans) == 33 and program.planned == planned
+    assert all(plan.link is link for plan, link in linked)
+
+
+def test_a_link_holds_for_the_cut_it_was_made_under():
+    # (|000> + c|100>) / sqrt(2) through the chain: after the first
+    # Hadamard one of two rows holds only rounding noise for c = 1 and
+    # c = -1, a different one each, and none for c = 1j, so the second
+    # prune drops row 0, row 1 or nothing from the same kept rows.  The
+    # link is made under the first input's cut, and the others find their
+    # plans by key; every call equals a run on cleared structure, bit for
+    # bit.
+    build = heralded_chain()
+    zero, one = build.input_state((0, 0, 0)), build.input_state((1, 0, 0))
+    inputs = {c: StateVector({zero: 1.0, one: c}).normalized() for c in (1.0, -1.0, 1j)}
+
+    def run(c):
+        return Processor(build.circuit, inputs[c], build.condition).amplitudes()
+
+    want = {}
+    for c in inputs:
+        simulate._STRUCTURES.clear()
+        want[c] = run(c)
+    simulate._STRUCTURES.clear()
+    for c in [1.0, -1.0, 1j] * 2:
+        assert run(c) == want[c]
+    [program] = programs()
+    [first] = [plan for (step, _, _), plan in program.plans.items() if step == 0]
+    assert first.link[0] == np.array([0]).tobytes()
+    assert len([step for step, _, _ in program.plans if step == 1]) == 3
+    assert program.planned == plan_bytes(program)
+
+
+def test_a_link_holds_through_a_projection():
+    # [2]<=1 closes after the swap, so the projection after that step drops
+    # |0,0,2>; the link reads its plan's rows as projected, and the warm
+    # stepper, which follows it, equals the cold one bit for bit.
+    circuit = (Circuit(3).add(0, BeamSplitter.rx(0.7)).add(1, Permutation((1, 0)))
+               .add(0, BeamSplitter.rx(0.3)))
+    state, condition = StateVector.basis(make_state((1, 1, 0))), parse_postselect("[2]<=1")
+    sector = simulate._sector(3, False, 2, condition)
+    blocks = circuit.blocks()
+
+    def run():
+        program, mats = simulate._program(simulate._route(blocks, sector), blocks)
+        return simulate._stepwise(program, mats, state, sector, simulate._MAX_WORK)
+
+    simulate._STRUCTURES.clear()
+    cold = run()
+    [program] = programs()
+    swap = program.plans[next(key for key in program.plans if key[0] == 1)]
+    assert swap.link is not None and len(swap.link[1].source) and len(swap.rows) == 3
+    assert next(key for key, plan in program.plans.items() if plan is swap.link[1])[1] == (2, 3)
+    assert run().tobytes() == cold.tobytes()
+    want = [a for _, a in state_amplitudes(circuit.compile(), state, condition)]
+    assert np.abs(cold - want).max() < 1e-12
+
+
+def test_inputs_whose_rows_meet_follow_the_same_links():
+    # After the Hadamards every word of the chain holds the same rows, so a
+    # later word meets plans an earlier one linked; cold forward and warm
+    # in reverse, each word equals its run on cleared structure, bit for
+    # bit, and some plan is the link of two plans.
+    build = heralded_chain()
+    words = list(itertools.product((0, 1), repeat=3))
+
+    def run(word):
+        return Processor(build.circuit, StateVector.basis(build.input_state(word)),
+                         build.condition).amplitudes()
+
+    want = {}
+    for word in words:
+        simulate._STRUCTURES.clear()
+        want[word] = run(word)
+    simulate._STRUCTURES.clear()
+    for word in words + words[::-1]:
+        assert run(word) == want[word]
+    [program] = programs()
+    targets = [id(plan) for _, (_, plan) in links(program)]
+    assert max(map(targets.count, targets)) >= 2
+
+
+def test_a_linked_search_refuses_as_a_cold_one(monkeypatch):
+    # One below its count, a warm search that follows its links is refused
+    # at the same count and block as a cold one.
+    simulate._STRUCTURES.clear()
+    monkeypatch.setattr(simulate, "_MAX_WORK", 5706)
+    refusals = []
+    for _ in range(3):  # cold, then on the plans and links the first kept
+        with pytest.raises(TooLarge) as refused:
+            dual_rail_grover_3q()
+        refusals.append(str(refused.value))
+    assert refusals == [refusals[0]] * 3 and "reaches 5707 vector elements at block 31" in refusals[0]
+    monkeypatch.setattr(simulate, "_MAX_WORK", 5707)
+    simulate._STRUCTURES.clear()
+    want = dual_rail_grover_3q()
+    [program] = programs()
+    assert links(program)
+    monkeypatch.setattr(simulate, "_MAX_WORK", 5706)
+    with pytest.raises(TooLarge) as refused:
+        dual_rail_grover_3q()
+    assert str(refused.value) == refusals[0]
+    monkeypatch.setattr(simulate, "_MAX_WORK", 5707)
+    assert dual_rail_grover_3q() == want
+
+
+def test_only_kept_plans_get_links(monkeypatch):
+    # Under half the search's plan share some steps keep no plan: none of
+    # those gets a link, every link joins two kept plans, and the counted
+    # bytes, links included, stay within the share.
+    simulate._STRUCTURES.clear()
+    want = dual_rail_grover_3q(1000, 3)
+    [program] = programs()
+    share = program.planned // 2
+    built = []
+
+    class Recorded(simulate._StepPlan):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(simulate, "_StepPlan", Recorded)
+    monkeypatch.setattr(simulate, "_PLAN_SHARE", share)
+    simulate._STRUCTURES.clear()
+    for _ in range(2):
+        assert dual_rail_grover_3q(1000, 3) == want
+    [program] = programs()
+    kept = {id(plan) for plan in program.plans.values()}
+    unkept = [plan for plan in built if id(plan) not in kept]
+    assert unkept and all(plan.link is None for plan in unkept)
+    assert links(program) and all(id(plan) in kept for _, (_, plan) in links(program))
+    assert program.planned == plan_bytes(program) <= share

@@ -982,9 +982,9 @@ def test_expand_numbers_outer_rows_past_int64_keys(monkeypatch):
     calls = []
     original = simulate._ids
     monkeypatch.setattr(simulate, "_ids", lambda keys: calls.append(1) or original(keys))
-    (new, _, _, inverse), products, _ = simulate._expand(rows, amps, [20, 21],
-                                                         [(np.arange(len(rows)), outs, table)])
-    summed = simulate._sum(inverse, products, len(new))
+    (new, _, _, pairs), products, _ = simulate._expand(rows, amps, [20, 21],
+                                                       [(np.arange(len(rows)), outs, table)])
+    summed = simulate._sum(pairs, products, len(new))
     assert len(calls) == 2
     want: dict = {}
     for r, row in enumerate(rows.tolist()):
@@ -995,13 +995,30 @@ def test_expand_numbers_outer_rows_past_int64_keys(monkeypatch):
     assert max(abs(want[tuple(row)] - a) for row, a in zip(new.tolist(), summed.tolist())) < 1e-12
 
 
+def test_one_bincount_sums_as_one_per_part():
+    # The pair index adds each row's real and imaginary parts in product
+    # order, as one bincount per part did: bit-identical sums over rows of
+    # many products of mixed magnitudes, with a row no product reaches.
+    rng = np.random.default_rng(5)
+    for count, size in ((1, 1), (7, 40), (300, 2000)):
+        inverse = rng.integers(0, count, size)
+        products = ((rng.normal(size=size) + 1j * rng.normal(size=size))
+                    * 10.0 ** rng.integers(-20, 20, size))
+        pairs = (2 * inverse[:, None] + np.arange(2)).ravel()
+        want = np.empty(count + 1, dtype=complex)
+        want.real = np.bincount(inverse, products.real, count + 1)
+        want.imag = np.bincount(inverse, products.imag, count + 1)
+        assert simulate._sum(pairs, products, count + 1).tobytes() == want.tobytes()
+
+
 def stepwise(blocks, state, condition):
     """The stepper alone, under the work limit, with no hand-off to the
     global sweep: the route tests reach it directly."""
     sector = simulate._sector(state.channels, state.polarized, state.require_sector(), condition)
     blocks = list(blocks)
     program, mats = simulate._program(simulate._route(blocks, sector), blocks)
-    return simulate._stepwise(program, mats, state, sector, simulate._MAX_WORK)
+    amps = simulate._stepwise(program, mats, state, sector, simulate._MAX_WORK)
+    return list(zip(sector.states(), amps.tolist()))
 
 
 def test_stepwise_route_moves_photons_along_a_cycle():
@@ -1076,7 +1093,8 @@ def test_prune_drops_rows_within_the_norm_budget(scale):
     # with the state, and the kept rows keep their order.
     amps = scale * np.array([1e-13, 1.0, 4e-15j, 0.5, 3e-15])
     rows = np.arange(10).reshape(5, 2)
-    kept, kept_amps = simulate._prune(rows, amps)
+    keep = simulate._prune(amps)
+    kept, kept_amps = rows[keep], amps[keep]
     assert kept.tolist() == [[0, 1], [2, 3], [6, 7]]
     assert kept_amps.tolist() == amps[[0, 1, 3]].tolist()
 
