@@ -1207,7 +1207,7 @@ def _lookup(program: _Program, step: int, rows, prev, cut):
     return plan, key
 
 
-def _keep(program: _Program, key, plan, arrays, prev=None, cut=None) -> bool:
+def _keep(program: _Program, key, plan, arrays, prev, cut) -> bool:
     """Keep a plan, whose arrays are `arrays`, in the program under `key`,
     (step, rows' shape, rows' bytes), unless another thread kept one first,
     so one dict insert publishes it, or the program's plans would pass
