@@ -489,12 +489,11 @@ def test_a_warm_search_follows_links_only(monkeypatch):
 
 def test_a_link_holds_for_the_cut_it_was_made_under():
     # (|000> + c|100>) / sqrt(2) through the chain: after the first
-    # Hadamard one of two rows holds only rounding noise for c = 1 and
-    # c = -1, a different one each, and none for c = 1j, so the second
-    # prune drops row 0, row 1 or nothing from the same kept rows.  The
-    # link is made under the first input's cut, and the others find their
-    # plans by key; every call equals a run on cleared structure, bit for
-    # bit.
+    # Hadamard one of its two rows cancels for c = 1 and c = -1, a
+    # different one each, and none for c = 1j, so the second prune keeps
+    # row 0, row 1 or both of the same kept rows.  The link is made under
+    # the first input's cut, and the others find their plans by key; every
+    # call equals a run on cleared structure, bit for bit.
     build = heralded_chain()
     zero, one = build.input_state((0, 0, 0)), build.input_state((1, 0, 0))
     inputs = {c: StateVector({zero: 1.0, one: c}).normalized() for c in (1.0, -1.0, 1j)}
