@@ -915,7 +915,7 @@ class _Route:
         self.closes = np.where(lowered[0] > 0, last, -1).max(axis=1, initial=-1)
         self.closes.setflags(write=False)
         self.early = bool((self.closes < len(key[1]) - 1).any())
-        self.nbytes = _ROUTE_BYTES * len(key[1]) + self.closes.nbytes
+        self.nbytes = _kept_bytes(len(key[1]), [self.closes])
         self.kept = False  # whether _STRUCTURES counts it
 
 
@@ -984,41 +984,38 @@ class _Program:
         arrays = _arrays((self.start, self.steps))
         for a in arrays:
             a.setflags(write=False)
-        self.nbytes = (_PROGRAM_BYTES * len(blocks) + sum(len(data) for _, data in blocks)
-                       + sum(a.nbytes for a in arrays))
+        self.nbytes = _kept_bytes(len(blocks), arrays, [data for _, data in blocks])
         self.plans: dict = {}
         self.planned = 0  # bytes its plans hold
         self.kept = False  # whether _STRUCTURES counts it
 
 
-# About the bytes a route record and a step program hold per block besides
-# their arrays' data and the blocks' bytes: the tuples and array headers of
-# their keys and steps (46-79 and 683-792 bytes, measured with tracemalloc on
-# the search's 32 blocks and the 45 of three Toffolis).  A plan holds at most
-# about _PLAN_BYTES besides its arrays' data and its key's rows bytes: its
-# key tuple, dict slot, array headers and, for an expanding step, its bills.
-# Measured with tracemalloc as the bytes freed, besides those, when one kind
-# of plan is dropped, its links cut first, on the search's 33 plans and the
-# 72 of a Toffoli's truth table: 970-1077 bytes an expanding step's plan,
-# 558-612 a monomial step's and 209-287 a plan of where the last rows sit,
-# so the count errs high.  A link holds about _LINK_BYTES besides its cut's
-# bytes: its tuple (56 bytes) and the cut's bytes object (33 bytes).
-_ROUTE_BYTES = 80
-_PROGRAM_BYTES = 800
-_PLAN_BYTES = 1100
-_LINK_BYTES = 96
+# A kept entry (a route or program block, or a step plan) holds its arrays'
+# data, its keys' bytes and about _ENTRY_BYTES of tuples, array headers,
+# dict slots and bills: by sys.getsizeof over the objects each reaches, on
+# the search and the truth tables of one and three Toffolis, 296-310 bytes a
+# plan of where the last rows sit, 556-678 a monomial step's, 1064-1612 an
+# expanding step's, 935-996 a program block and 11-34 a route block.  A
+# program's plans sum 6-10% below the count, so it errs high.
+_ENTRY_BYTES = 1024
+
+
+def _kept_bytes(entries: int, arrays, keys=()) -> int:
+    """The bytes counted for `entries` kept entries holding `arrays` and the
+    bytes objects `keys`: their data exactly, and _ENTRY_BYTES each."""
+    return entries * _ENTRY_BYTES + sum(a.nbytes for a in arrays) + sum(map(len, keys))
+
 
 # A program's plans hold at most this many bytes, so one stepwise circuit
 # run on many inputs cannot push the other kept records out of
 # _STRUCTURE_BYTES; past it a step without a plan runs unplanned and keeps
-# none.  The search's 33 plans and 32 links hold 136 KB, and the 208 plans
-# and 204 links of a truth table of three Toffolis 657 KB.
+# none.  The search's 33 plans hold 127 KB, and the 208 plans of a truth
+# table of three Toffolis 606 KB.
 _PLAN_SHARE = _STRUCTURE_BYTES // 8
 
 
 def _arrays(item):
-    """The numpy arrays in nested tuples and lists, and those a step plan
-    holds (not its link's)."""
+    """The numpy arrays in nested tuples and lists and in step plans."""
     if isinstance(item, np.ndarray):
         return [item]
     if isinstance(item, _StepPlan):
@@ -1087,13 +1084,9 @@ def _stepwise(program: _Program, mats, state: StateVector, sector: _Sector, cap:
     so every amplitude is bit-identical.  An expanding step without a plan,
     or whose product comes out exactly zero (the unplanned step drops its
     row), runs unplanned and stores its plan unless it met such a product;
-    no step stores one once the program's plans are full (`_keep`).  Once a
-    call has met two consecutive kept plans, the first links to the second
-    under the cut the second step's prune made (see `_StepPlan`), so a
-    later call that meets the first and makes the same cut reads the next
-    plan with no rows' bytes copied or hashed (see `_lookup`).  Plans pay
-    only when a later call meets the same program and incoming rows, as a
-    repeated search with the same input does; any other call builds and
+    no step stores one once the program's plans are full (`_keep`).  Plans
+    pay only when a later call meets the same program and incoming rows, as
+    a repeated search with the same input does; any other call builds and
     stores them at its own cost.  The count does not depend on what was
     kept: a monomial step charges its rows and an expanding plan its bills,
     as the unplanned step does (see `_charge`).
@@ -1116,24 +1109,22 @@ def _stepwise(program: _Program, mats, state: StateVector, sector: _Sector, cap:
     planned: set = set()  # (pattern, local photons) whose kernel this call charged
     seen: set = set()  # (pattern, local input) whose run this call charged
     sweeps: dict = {}  # (pattern, local input) -> amplitudes over the outputs, run in this call
-    prev = None  # the kept plan of the step before
     for step, (chans, move, expand, close) in enumerate(program.steps):
-        cut = None  # the bytes of the rows' indices that the prune keeps, when it drops any
         if move is None:
             keep = _prune(amps)
             if keep is not None:
-                rows, amps, cut = rows.take(keep, axis=0), amps.take(keep), keep.tobytes()
+                rows, amps = rows.take(keep, axis=0), amps.take(keep)
         if not len(rows):
             break
-        plan, key = _lookup(program, step, rows, prev, cut)
-        kept = plan is not None
+        key = (step, rows.shape, rows.tobytes())
+        plan = program.plans.get(key)
         if move is not None:
             charge(len(rows))
             if plan is None:
                 perm, phase = move
                 plan = _StepPlan(rows[:, perm], None if phase is None
                                  else np.prod(phase ** rows[:, chans], axis=1))
-                kept = _keep(program, key, plan, _arrays(plan), prev, cut)
+                _keep(program, key, plan)
             if plan.factor is not None:
                 amps = amps * plan.factor
         else:
@@ -1146,22 +1137,24 @@ def _stepwise(program: _Program, mats, state: StateVector, sector: _Sector, cap:
                                             charge)
                 arrays, products, exact = _expand(rows, amps, chans, parts)
                 unplanned = _StepPlan(*arrays, bills)
-                kept = exact and plan is None and _keep(program, key, unplanned, arrays, prev, cut)
+                if exact and plan is None:
+                    _keep(program, key, unplanned)
                 plan = unplanned
             amps = _sum(plan.pairs, products, len(plan.rows))
-        rows, prev = plan.rows, plan if kept else None
+        rows = plan.rows
         if close is not None:
             rows, amps = _project(rows, amps, *close)
     result = np.zeros(len(sector.rows), dtype=complex)
     if len(rows):
-        at, key = _lookup(program, len(program.steps), rows, prev, None)
+        key = (len(program.steps), rows.shape, rows.tobytes())
+        at = program.plans.get(key)
         if at is None:
             # The outcomes are distinct and come first, so a row's first
             # copy is its place among them; every row satisfies every
             # clause, so none lies past it (that would raise IndexError).
             first, inverse = _row_ids(np.concatenate([sector.rows, rows]))
             at = first[inverse[len(sector.rows):]]
-            _keep(program, key, at, (at,), prev, None)
+            _keep(program, key, at)
         result[at] = amps
     return result
 
@@ -1173,69 +1166,25 @@ class _StepPlan:
     factors (None when every phase is 1).  An expanding step's products
     come in the order `_expand` makes them, each with its `source` row,
     its block factor <output| block |input> and its outgoing row's `pairs`
-    index (see `_sum`); its `bills` are one per part (see `_charge`).
+    index (see `_sum`); its `bills` are one per part (see `_charge`)."""
 
-    `link`, None until a call links it (see `_lookup`), is (cut, plan): the
-    plan kept for the next step on these outgoing rows, projected onto the
-    clauses closing after this step, less the rows the next step's prune
-    dropped, whose kept indices' bytes are `cut` (None when it dropped
-    none).  The projection reads the rows alone, so the link holds for
-    every call that meets this plan and makes the same cut.  For the last
-    step, the linked plan is where the rows sit among the outcomes."""
-
-    __slots__ = ("rows", "factor", "source", "pairs", "bills", "link")
+    __slots__ = ("rows", "factor", "source", "pairs", "bills")
 
     def __init__(self, rows, factor, source=None, pairs=None, bills=()):
         self.rows, self.factor, self.source, self.pairs, self.bills = rows, factor, source, pairs, bills
-        self.link = None
 
 
-def _lookup(program: _Program, step: int, rows, prev, cut):
-    """The kept plan of `step` on the incoming `rows`, or None, and its key
-    (None when a link gave it).  `prev`, when given, is the kept plan of
-    the step before, and `cut` the step's prune cut (see `_StepPlan`): a
-    link of `prev` made under the same cut is the plan, read with no key,
-    and a plan found by its key becomes the link of a `prev` without one."""
-    if prev is not None and prev.link is not None:
-        linked, plan = prev.link
-        if linked == cut:
-            return plan, None
-    key = (step, rows.shape, rows.tobytes())
-    plan = program.plans.get(key)
-    if plan is not None and prev is not None:
-        _link(program, prev, plan, cut)
-    return plan, key
-
-
-def _keep(program: _Program, key, plan, arrays, prev, cut) -> bool:
-    """Keep a plan, whose arrays are `arrays`, in the program under `key`,
-    (step, rows' shape, rows' bytes), unless another thread kept one first,
-    so one dict insert publishes it, or the program's plans would pass
-    _PLAN_SHARE; whether it was kept.  Its arrays become read-only, and it
-    is counted as their bytes, the key's and _PLAN_BYTES.  A kept plan
-    becomes the link of `prev`, when given, under `cut` (see `_lookup`)."""
+def _keep(program: _Program, key, plan):
+    """Keep a plan in the program under `key`, (step, rows' shape, rows'
+    bytes), unless another thread kept one first, so one dict insert
+    publishes it, or the program's plans would pass _PLAN_SHARE.  Its
+    arrays become read-only, and it is counted by `_kept_bytes`."""
+    arrays = _arrays(plan)
     for a in arrays:
         a.setflags(write=False)
-    nbytes = _PLAN_BYTES + len(key[2]) + sum(a.nbytes for a in arrays)
+    nbytes = _kept_bytes(1, arrays, key[2:])
     with _STRUCTURES._lock:
-        kept = program.planned + nbytes <= _PLAN_SHARE and program.plans.setdefault(key, plan) is plan
-        if kept:
-            program.planned += nbytes
-            _STRUCTURES.grew(program, nbytes)
-    if kept and prev is not None:
-        _link(program, prev, plan, cut)
-    return kept
-
-
-def _link(program: _Program, prev: _StepPlan, plan, cut):
-    """Make (cut, plan) the link of the kept plan `prev`, unless it has one
-    or the link's bytes, _LINK_BYTES and the cut's, would pass the
-    program's _PLAN_SHARE.  Under the `_STRUCTURES` lock, and by one
-    attribute write, so a reader sees the whole link or none."""
-    nbytes = _LINK_BYTES + len(cut or b"")
-    with _STRUCTURES._lock:
-        if prev.link is None and program.planned + nbytes <= _PLAN_SHARE:
-            prev.link = cut, plan
+        if program.planned + nbytes <= _PLAN_SHARE and program.plans.setdefault(key, plan) is plan:
             program.planned += nbytes
             _STRUCTURES.grew(program, nbytes)
 
@@ -1279,10 +1228,11 @@ def _local_parts(occ, block, local, tail, pattern, planned, seen, sweeps, charge
     that the lowered clauses `local` (weights on the block's channels, lows,
     highs; `tail` their bytes) allow, in canonical order, and each row's
     amplitudes <output| block |input> over them; and the parts' bills, each
-    charged before its part is built (see `_charge`).  The outputs and
-    their kernel come from the kept `_local_sector`; `sweeps` holds the
-    amplitudes this call ran per (pattern, input), where `pattern` names
-    the block and the clauses."""
+    charged before its part is built (see `_charge`) and holding its keys,
+    built once, so a replay builds no tuple.  The outputs and their kernel
+    come from the kept `_local_sector`; `sweeps` holds the amplitudes this
+    call ran per (pattern, input), where `pattern` names the block and the
+    clauses."""
     first, inverse = _row_ids(occ)
     inputs = occ[first]
     counts = inputs.sum(axis=1)
@@ -1294,41 +1244,41 @@ def _local_parts(occ, block, local, tail, pattern, planned, seen, sweeps, charge
         rank[ids] = np.arange(len(ids))
         sel = np.flatnonzero(row_counts == m)
         record = _local_sector(len(block), m, local, tail)
-        group = tuple(map(tuple, inputs[ids].tolist()))
-        bill = (len(sel) * math.comb(m + len(block) - 1, m), pattern, m, record.least(), group)
+        group = tuple((pattern, occupations) for occupations in map(tuple, inputs[ids].tolist()))
+        bill = (len(sel) * math.comb(m + len(block) - 1, m), (pattern, m), record.least(), group)
         bills.append((*bill, _charge(*bill, record, planned, seen, charge)))
         kernel, outs = record.kernel(), record.rows
-        for occupations in group:
-            if (pattern, occupations) not in sweeps:
-                sweeps[pattern, occupations] = (np.ones(len(outs), dtype=complex) if kernel is None
-                                                else kernel.amplitudes(block, occupations))
-        table = np.array([sweeps[pattern, o] for o in group]).reshape(len(group), len(outs))
+        for run in group:
+            if run not in sweeps:
+                sweeps[run] = (np.ones(len(outs), dtype=complex) if kernel is None
+                               else kernel.amplitudes(block, run[1]))
+        table = np.array([sweeps[run] for run in group]).reshape(len(group), len(outs))
         parts.append((sel, outs, table[rank[inverse[sel]]]))
     return parts, tuple(bills)
 
 
-def _charge(rows_work, pattern, m, least, inputs, work, planned, seen, charge) -> int:
+def _charge(rows_work, kernel_key, least, runs, work, planned, seen, charge) -> int:
     """Charge one part of an expanding step, by its bill, in the order that
     fixes where the count passes a cap: its rows times the C(m + k - 1, m)
     outputs of m photons on the block's k channels (`rows_work`); the
     least count of its local kernel (`least`, see `_Sector.least`) the first
-    time the call meets (pattern, m), kept in `planned`; then the kernel's
-    count for each of its `inputs` new to the call, kept in `seen`, less
-    what `least` paid.  `work` is that count (0 without a kernel), or the
-    local sector record, whose kernel is then read, after `least` is
-    charged.  Returns the count."""
+    time the call meets its (pattern, m) `kernel_key`, kept in `planned`;
+    then the kernel's count for each of its (pattern, local input) `runs`
+    new to the call, kept in `seen`, less what `least` paid.  `work` is that
+    count (0 without a kernel), or the local sector record, whose kernel is
+    then read, after `least` is charged.  Returns the count."""
     charge(rows_work)
     paid = 0
-    if (pattern, m) not in planned:
-        planned.add((pattern, m))
+    if kernel_key not in planned:
+        planned.add(kernel_key)
         paid = least
         charge(paid)
     if isinstance(work, _Sector):
         kernel = work.kernel()
         work = 0 if kernel is None else kernel.work
-    new = [occ for occ in inputs if (pattern, occ) not in seen]
+    new = [run for run in runs if run not in seen]
     if new:  # else every input was met, so (pattern, m) was too and paid is 0
-        seen.update([(pattern, occ) for occ in new])
+        seen.update(new)
         charge(len(new) * work - paid)
     return work
 

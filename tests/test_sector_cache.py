@@ -11,6 +11,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonsim import grover, simulate
 from photonsim.circuit import Circuit
@@ -436,24 +438,35 @@ def test_a_programs_plans_stay_within_their_share(monkeypatch):
         for _ in range(2):
             assert dual_rail_grover_3q(1000, 3) == want
         [program] = programs()
-        assert program.planned <= share and len(program.plans) < 33
+        assert program.planned == plan_bytes(program) <= share and len(program.plans) < 33
         assert bool(program.plans) == (share > 0)
         kept = simulate._STRUCTURES._records.values()
         assert simulate._STRUCTURES.held == sum(r.nbytes for r in kept)
 
 
-def links(program):
-    """(plan, its link) for the program's linked plans."""
-    return [(p, p.link) for p in program.plans.values()
-            if isinstance(p, simulate._StepPlan) and p.link is not None]
-
-
 def plan_bytes(program):
-    """The bytes of a program's plans and links, as `_keep` and `_link`
-    count them."""
-    total = sum(simulate._PLAN_BYTES + len(key[2]) + sum(a.nbytes for a in simulate._arrays(plan))
-                for key, plan in program.plans.items())
-    return total + sum(simulate._LINK_BYTES + len(cut or b"") for _, (cut, _) in links(program))
+    """The bytes of a program's plans, by the rule `_keep` counts them with."""
+    return sum(simulate._kept_bytes(1, simulate._arrays(plan), key[2:])
+               for key, plan in program.plans.items())
+
+
+def test_kept_bytes_follow_one_rule():
+    # A search's route, program and plans each count their arrays' data,
+    # their keys' bytes and _ENTRY_BYTES per block or plan, and the
+    # structure holds exactly the bytes its records count.
+    simulate._STRUCTURES.clear()
+    dual_rail_grover_3q(1000, 2)
+    [route], [program] = programs(simulate._Route), programs()
+    blocks, entry = len(program.steps), simulate._ENTRY_BYTES
+    assert route.nbytes == blocks * entry + route.closes.nbytes
+    data = sum(len(d) for _, d in grover._search_build().circuit.blocks().data)
+    arrays = simulate._arrays((program.start, program.steps))
+    assert program.nbytes - program.planned == blocks * entry + data + sum(a.nbytes for a in arrays)
+    assert program.planned == plan_bytes(program) == sum(
+        entry + len(rows) + sum(a.nbytes for a in simulate._arrays(plan))
+        for (_, _, rows), plan in program.plans.items())
+    kept = simulate._STRUCTURES._records.values()
+    assert simulate._STRUCTURES.held == sum(r.nbytes for r in kept)
 
 
 def heralded_chain():
@@ -462,41 +475,45 @@ def heralded_chain():
             .cnot(0, 1, "heralded").cnot(1, 2, "heralded").cnot(0, 2, "heralded").build())
 
 
-def test_a_warm_search_follows_links_only(monkeypatch):
-    # A cold search links each kept plan to the next one; a warm one looks
-    # up only its first plan by key, adds no plan and no link, and the
-    # plans' and links' bytes are the ones counted.
+def test_a_warm_search_finds_each_plan_by_its_key(monkeypatch):
+    # A warm search looks up each of its 33 plans by its key and finds it,
+    # runs no unplanned step, adds no plan and counts no more bytes.
     simulate._STRUCTURES.clear()
     want = dual_rail_grover_3q(1000, 4)
     [program] = programs()
-    linked = links(program)
-    assert len(program.plans) == 33 and len(linked) == 32
-    assert program.planned == plan_bytes(program)
-    planned = program.planned
+    assert len(program.plans) == 33 and program.planned == plan_bytes(program)
+    kept, planned = dict(program.plans), program.planned
 
     class Counted(dict):
-        gets = 0
+        found = []
 
         def get(self, key, default=None):
-            Counted.gets += 1
+            Counted.found.append(key in self)
             return super().get(key, default)
 
     monkeypatch.setattr(program, "plans", Counted(program.plans))
+    monkeypatch.setattr(simulate, "_local_parts", lambda *args: pytest.fail("an unplanned step"))
     assert dual_rail_grover_3q(1000, 4) == want
-    assert Counted.gets == 1 and len(program.plans) == 33 and program.planned == planned
-    assert all(plan.link is link for plan, link in linked)
+    assert Counted.found == [True] * 33 and program.planned == planned
+    assert program.plans.keys() == kept.keys()
+    assert all(program.plans[k] is v for k, v in kept.items())
 
 
-def test_a_link_holds_for_the_cut_it_was_made_under():
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.complex_numbers(min_magnitude=1e-20, max_magnitude=1e20, allow_nan=False,
+                                   allow_infinity=False), max_size=3))
+def test_a_link_holds_for_the_cut_it_was_made_under(drawn):
     # (|000> + c|100>) / sqrt(2) through the chain: after the first
     # Hadamard one of its two rows cancels for c = 1 and c = -1, a
     # different one each, and none for c = 1j, so the second prune keeps
-    # row 0, row 1 or both of the same kept rows.  The link is made under
-    # the first input's cut, and the others find their plans by key; every
-    # call equals a run on cleared structure, bit for bit.
+    # row 0, row 1 or both of the same kept rows, and each cut has its own
+    # step-1 plan.  A drawn c may cut at the first prune too.  A plan is
+    # found by its incoming rows' key alone, whatever cut made them: every
+    # call on shared structure equals a run on cleared structure, bit for
+    # bit.
     build = heralded_chain()
     zero, one = build.input_state((0, 0, 0)), build.input_state((1, 0, 0))
-    inputs = {c: StateVector({zero: 1.0, one: c}).normalized() for c in (1.0, -1.0, 1j)}
+    inputs = {c: StateVector({zero: 1.0, one: c}).normalized() for c in (1.0, -1.0, 1j, *drawn)}
 
     def run(c):
         return Processor(build.circuit, inputs[c], build.condition).amplitudes()
@@ -509,16 +526,16 @@ def test_a_link_holds_for_the_cut_it_was_made_under():
     for c in [1.0, -1.0, 1j] * 2:
         assert run(c) == want[c]
     [program] = programs()
-    [first] = [plan for (step, _, _), plan in program.plans.items() if step == 0]
-    assert first.link[0] == np.array([0]).tobytes()
     assert len([step for step, _, _ in program.plans if step == 1]) == 3
+    for c in [*drawn, 1.0, -1.0, 1j, *drawn[::-1]]:
+        assert run(c) == want[c]
     assert program.planned == plan_bytes(program)
 
 
 def test_a_link_holds_through_a_projection():
     # [2]<=1 closes after the swap, so the projection after that step drops
-    # |0,0,2>; the link reads its plan's rows as projected, and the warm
-    # stepper, which follows it, equals the cold one bit for bit.
+    # |0,0,2>; the next step's plan is keyed by the projected rows, and the
+    # warm stepper, which finds it, equals the cold one bit for bit.
     circuit = (Circuit(3).add(0, BeamSplitter.rx(0.7)).add(1, Permutation((1, 0)))
                .add(0, BeamSplitter.rx(0.3)))
     state, condition = StateVector.basis(make_state((1, 1, 0))), parse_postselect("[2]<=1")
@@ -533,18 +550,21 @@ def test_a_link_holds_through_a_projection():
     cold = run()
     [program] = programs()
     swap = program.plans[next(key for key in program.plans if key[0] == 1)]
-    assert swap.link is not None and len(swap.link[1].source) and len(swap.rows) == 3
-    assert next(key for key, plan in program.plans.items() if plan is swap.link[1])[1] == (2, 3)
-    assert run().tobytes() == cold.tobytes()
+    after = [key for key in program.plans if key[0] == 2]
+    assert len(swap.rows) == 3 and [key[1] for key in after] == [(2, 3)]
+    assert len(program.plans[after[0]].source)
+    plans = dict(program.plans)
+    assert run().tobytes() == cold.tobytes() and program.plans == plans
     want = [a for _, a in state_amplitudes(circuit.compile(), state, condition)]
     assert np.abs(cold - want).max() < 1e-12
 
 
 def test_inputs_whose_rows_meet_follow_the_same_links():
     # After the Hadamards every word of the chain holds the same rows, so a
-    # later word meets plans an earlier one linked; cold forward and warm
-    # in reverse, each word equals its run on cleared structure, bit for
-    # bit, and some plan is the link of two plans.
+    # later word meets plans an earlier one kept; cold forward and warm in
+    # reverse, each word equals its run on cleared structure, bit for bit.
+    # Each word's keys do not depend on what was kept, so the shared plans
+    # are the union of the words' own, and some plan serves two words.
     build = heralded_chain()
     words = list(itertools.product((0, 1), repeat=3))
 
@@ -552,25 +572,27 @@ def test_inputs_whose_rows_meet_follow_the_same_links():
         return Processor(build.circuit, StateVector.basis(build.input_state(word)),
                          build.condition).amplitudes()
 
-    want = {}
+    want, keys = {}, {}
     for word in words:
         simulate._STRUCTURES.clear()
         want[word] = run(word)
+        [program] = programs()
+        keys[word] = set(program.plans)
     simulate._STRUCTURES.clear()
     for word in words + words[::-1]:
         assert run(word) == want[word]
     [program] = programs()
-    targets = [id(plan) for _, (_, plan) in links(program)]
-    assert max(map(targets.count, targets)) >= 2
+    assert set(program.plans) == set().union(*keys.values())
+    assert len(program.plans) < sum(map(len, keys.values()))
 
 
 def test_a_linked_search_refuses_as_a_cold_one(monkeypatch):
-    # One below its count, a warm search that follows its links is refused
+    # One below its count, a warm search that replays its plans is refused
     # at the same count and block as a cold one.
     simulate._STRUCTURES.clear()
     monkeypatch.setattr(simulate, "_MAX_WORK", 5706)
     refusals = []
-    for _ in range(3):  # cold, then on the plans and links the first kept
+    for _ in range(3):  # cold, then on the plans the first kept
         with pytest.raises(TooLarge) as refused:
             dual_rail_grover_3q()
         refusals.append(str(refused.value))
@@ -579,40 +601,10 @@ def test_a_linked_search_refuses_as_a_cold_one(monkeypatch):
     simulate._STRUCTURES.clear()
     want = dual_rail_grover_3q()
     [program] = programs()
-    assert links(program)
+    assert len(program.plans) == 33
     monkeypatch.setattr(simulate, "_MAX_WORK", 5706)
     with pytest.raises(TooLarge) as refused:
         dual_rail_grover_3q()
     assert str(refused.value) == refusals[0]
     monkeypatch.setattr(simulate, "_MAX_WORK", 5707)
     assert dual_rail_grover_3q() == want
-
-
-def test_only_kept_plans_get_links(monkeypatch):
-    # Under half the search's plan share some steps keep no plan: none of
-    # those gets a link, every link joins two kept plans, and the counted
-    # bytes, links included, stay within the share.
-    simulate._STRUCTURES.clear()
-    want = dual_rail_grover_3q(1000, 3)
-    [program] = programs()
-    share = program.planned // 2
-    built = []
-
-    class Recorded(simulate._StepPlan):
-        __slots__ = ()
-
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
-
-    monkeypatch.setattr(simulate, "_StepPlan", Recorded)
-    monkeypatch.setattr(simulate, "_PLAN_SHARE", share)
-    simulate._STRUCTURES.clear()
-    for _ in range(2):
-        assert dual_rail_grover_3q(1000, 3) == want
-    [program] = programs()
-    kept = {id(plan) for plan in program.plans.values()}
-    unkept = [plan for plan in built if id(plan) not in kept]
-    assert unkept and all(plan.link is None for plan in unkept)
-    assert links(program) and all(id(plan) in kept for _, (_, plan) in links(program))
-    assert program.planned == plan_bytes(program) <= share
