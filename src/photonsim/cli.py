@@ -12,9 +12,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import grover as grover_mod
 from .circuit import Circuit
@@ -233,7 +235,7 @@ def _cmd_unitary(args) -> int:
         return _fail(3, exc)
     if args.json:
         payload = [[[value.real, value.imag] for value in row] for row in matrix]
-        print(json.dumps({"modes": loaded.circuit.modes, "unitary": payload}, indent=2))
+        print(_dumps({"modes": loaded.circuit.modes, "unitary": payload}))
     else:
         for row in matrix:
             print(" ".join(_fmt_entry(value) for value in row))
@@ -270,7 +272,7 @@ def _cmd_simulate(args) -> int:
                 ],
                 "success": success,
             }
-            print(json.dumps(payload, indent=2))
+            print(_dumps(payload))
         else:
             for text, bits, amp in records:
                 p = abs(amp) ** 2 / success if success > 0 else 0.0
@@ -284,7 +286,7 @@ def _cmd_simulate(args) -> int:
                 for text, bits, amp in records
             ],
         }
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         for text, bits, amp in records:
             print(f"{text} -> {bits if bits is not None else '-'} {amp!r}")
@@ -315,7 +317,7 @@ def _cmd_sample(args) -> int:
                 {"state": format_state(s), "count": c} for s, c in counts.items()
             ],
         }
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         for outcome, count in counts.items():
             print(f"{format_state(outcome)} {count}")
@@ -347,7 +349,7 @@ def _cmd_grover(args) -> int:
             payload["shots"] = result.shots
             payload["seed"] = result.seed
             payload["counts"] = [result.counts[label] for label in labels]
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         for label in labels:
             print(f"{label}: {result.probabilities[label]!r}")
@@ -358,16 +360,38 @@ def _cmd_grover(args) -> int:
     return 0
 
 
+def _dumps(value, pad: str = "\n") -> str:
+    """`json.dumps(value, indent=2)`, byte for byte, for values whose dict
+    keys are strs, without the pure-Python encoder that `indent` selects;
+    `pad` leads each line of the text past its first."""
+    if isinstance(value, float) and math.isfinite(value):  # np.float64 too
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)) and value:
+        return f"[{inner}{(',' + inner).join([_dumps(item, inner) for item in value])}{pad}]"
+    if isinstance(value, dict) and value:
+        items = [f"{encode_basestring_ascii(key)}: {_dumps(item, inner)}"
+                 for key, item in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    return json.dumps(value)  # [], {}, NaN and ±inf as json prints them; TypeError for the rest
+
+
 def _fail(code: int, exc) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return code
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """Shared by every `main` call: `parse_args` returns a fresh namespace
-    each time and every default is an immutable scalar, so no call sees
-    another's flags."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and {command: (its subparser, its handler)},
+    shared by every `main` call: a parse returns a fresh namespace each time
+    and every default is an immutable scalar, so no call sees another's flags."""
     parser = argparse.ArgumentParser(
         prog="photonsim",
         description="Exact simulator for discrete-variable photonic circuits.",
@@ -402,33 +426,37 @@ def _build_parser() -> argparse.ArgumentParser:
     grover.add_argument("--shots", type=int, default=0)
     grover.add_argument("--seed", type=int, default=0)
     grover.add_argument("--json", action="store_true")
-    return parser
+    return parser, {"unitary": (unitary, _cmd_unitary), "simulate": (simulate, _cmd_simulate),
+                    "sample": (sample_cmd, _cmd_sample), "grover": (grover, _cmd_grover)}
 
 
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
-    `main` can be called repeatedly in one process.  The argument parser is
-    built on the first call and reused; each call parses `argv` (default
-    `sys.argv[1:]`) afresh and writes to the current `sys.stdout` and
-    `sys.stderr`.  When the reader of stdout closes it before the output
-    ends, the command stops without a traceback and returns 1; the
-    process's stdout file descriptor then stays pointed at devnull, so
-    later output to it in the same process is dropped.
+    `main` can be called repeatedly in one process.  The argument parsers
+    are built on the first call and reused; each call parses `argv` (default
+    `sys.argv[1:]`) afresh, straight into its command's subparser, and
+    writes to the current `sys.stdout` and `sys.stderr`.  When the reader
+    of stdout closes it before the output ends, the command stops without a
+    traceback and returns 1; the process's stdout file descriptor then
+    stays pointed at devnull, so later output to it in the same process is
+    dropped.
     """
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in commands:
+            # What `parser.parse_args` does for a command, less its own pass.
+            args, extra = commands[argv[0]][0].parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.command = argv[0]
+        else:  # help, usage errors and any other argv
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    handler = {
-        "unitary": _cmd_unitary,
-        "simulate": _cmd_simulate,
-        "sample": _cmd_sample,
-        "grover": _cmd_grover,
-    }[args.command]
     try:
-        code = handler(args)
+        code = commands[args.command][1](args)
         sys.stdout.flush()
     except BrokenPipeError:
         # Point stdout at devnull, so the flush at exit of what is still

@@ -339,6 +339,8 @@ def _heralded_cnot_matrix() -> np.ndarray:
 
 
 HERALDED_CNOT_MATRIX = _heralded_cnot_matrix()
+# Components are immutable, so every heralded CNOT places this one core.
+_HERALDED_CNOT_CORE = ((0, GenericUnitary(HERALDED_CNOT_MATRIX)),)
 
 
 def heralded_cnot(control: int, target: int, q: int) -> GateBuild:
@@ -454,7 +456,7 @@ class GateSequence:
             t_pair = (2 * target, 2 * target + 1)
             if kind == "heralded":
                 slots = c_pair + t_pair + (aux0, aux1)
-                core = [(0, GenericUnitary(HERALDED_CNOT_MATRIX))]
+                core = _HERALDED_CNOT_CORE
                 herald += [1, 1]
                 clauses += [Clause((aux0,), "==", 1), Clause((aux1,), "==", 1)]
                 success *= 2.0 / 27.0

@@ -1074,10 +1074,11 @@ def _stepwise(program: _Program, mats, state: StateVector, sector: _Sector, cap:
     after it.  The outcome rows and their FockStates are the record's; each
     block's local outputs and kernel are kept per (block size, local
     photons, closing clauses).  What a step derives from its incoming rows
-    is the program's too, as a `_StepPlan` under (step, the rows' shape and
-    bytes), and so is where the last rows sit among the outcomes.  A
-    monomial step's plan holds its moved rows and their phase factors, so
-    a replay is one multiply at most, the one the unplanned step makes.  An
+    is the program's too, as a `_StepPlan` under (step, the rows' bytes:
+    every row has the program's channels), and so is where the last rows
+    sit among the outcomes.  A monomial step's plan holds its moved rows
+    and their phase factors, so a replay is one multiply at most, the one
+    the unplanned step makes.  An
     expanding step's plan multiplies each source amplitude by its factor
     and sums the products with one `np.bincount` (see `_sum`): the same
     products in the same order as the unplanned step, summed the same way,
@@ -1116,7 +1117,7 @@ def _stepwise(program: _Program, mats, state: StateVector, sector: _Sector, cap:
                 rows, amps = rows.take(keep, axis=0), amps.take(keep)
         if not len(rows):
             break
-        key = (step, rows.shape, rows.tobytes())
+        key = (step, rows.tobytes())
         plan = program.plans.get(key)
         if move is not None:
             charge(len(rows))
@@ -1146,7 +1147,7 @@ def _stepwise(program: _Program, mats, state: StateVector, sector: _Sector, cap:
             rows, amps = _project(rows, amps, *close)
     result = np.zeros(len(sector.rows), dtype=complex)
     if len(rows):
-        key = (len(program.steps), rows.shape, rows.tobytes())
+        key = (len(program.steps), rows.tobytes())
         at = program.plans.get(key)
         if at is None:
             # The outcomes are distinct and come first, so a row's first
@@ -1175,14 +1176,14 @@ class _StepPlan:
 
 
 def _keep(program: _Program, key, plan):
-    """Keep a plan in the program under `key`, (step, rows' shape, rows'
-    bytes), unless another thread kept one first, so one dict insert
-    publishes it, or the program's plans would pass _PLAN_SHARE.  Its
-    arrays become read-only, and it is counted by `_kept_bytes`."""
+    """Keep a plan in the program under `key`, (step, rows' bytes), unless
+    another thread kept one first, so one dict insert publishes it, or the
+    program's plans would pass _PLAN_SHARE.  Its arrays become read-only,
+    and it is counted by `_kept_bytes`."""
     arrays = _arrays(plan)
     for a in arrays:
         a.setflags(write=False)
-    nbytes = _kept_bytes(1, arrays, key[2:])
+    nbytes = _kept_bytes(1, arrays, key[1:])
     with _STRUCTURES._lock:
         if program.planned + nbytes <= _PLAN_SHARE and program.plans.setdefault(key, plan) is plan:
             program.planned += nbytes

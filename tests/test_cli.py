@@ -11,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from photonsim import grover, simulate
+from photonsim import cli, grover, simulate
 from photonsim.cli import _build_parser, load_circuit_file, main
 from photonsim.errors import InvalidSpec
 from photonsim.qubits import controlled_pauli
@@ -514,6 +516,74 @@ def test_sample_on_the_stepwise_route_matches_golden_output(capsys):
     )
     assert (code, err) == (0, "")
     assert out.encode() == (DATA / "golden" / "two_heralded_cnots_sample_100k.json").read_bytes()
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("h_unitary.json", ["unitary", "--circuit", "h.json", "--json"]),
+    ("bell_pair_renormalize.json", ["simulate", "--circuit", "bell_pair.json",
+                                    "--input", "|1,0,1,0>", "--postselect", "[4]==1 & [5]==1",
+                                    "--renormalize", "--json"]),
+    ("grover_target11_simulate.json", ["simulate", "--circuit", "grover_target11.json",
+                                       "--input", "|0,{P:H},0,0>", "--json"]),
+    ("grover_01_1000.json", ["grover", "--target", "01", "--shots", "1000", "--seed", "7", "--json"]),
+])
+def test_json_output_matches_golden_bytes(capsys, golden, argv):
+    # The golden files were printed by `json.dumps(payload, indent=2)`.
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / "golden" / golden).read_bytes()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**100), 2**100)
+    | st.floats() | st.floats().map(np.float64)
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2e-308])
+    | st.text() | st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "\u00e9\u4e2d\U0001f600"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_JSON_VALUES)
+def test_dumps_prints_what_json_dumps_indent_2_prints(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("bad", [np.int64(1), {1, 2}, object()])
+def test_dumps_raises_type_error_where_json_dumps_does(bad):
+    for value in (bad, {"a": [1.0, bad]}):
+        with pytest.raises(TypeError) as want:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as got:
+            cli._dumps(value)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["unitary"], ["unitary", "-h"],
+    ["simulate", "--circuit", "h.json", "--input", "|1,0,1,0>", "--bogus", "x"],
+    ["grover", "--target", "22"],
+    ["sample", "--circuit", "h.json", "--input", "|1,0,1,0>", "--shots", "x"],
+    ["simulate", "--circ", "h.json"],
+])
+def test_main_parses_as_the_full_parser_does(capsys, argv):
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    with pytest.raises(SystemExit) as full:
+        _build_parser()[0].parse_args(argv)
+    assert (code, out, err) == (full.value.code, *capsys.readouterr())
+
+
+def test_main_hands_a_command_the_full_parsers_namespace(capsys, monkeypatch):
+    argv = ["unitary", "--circ", str(DATA / "h.json")]
+    seen = []
+    parser, commands = _build_parser()
+    monkeypatch.setitem(commands, "unitary",
+                        (commands["unitary"][0], lambda args: seen.append(args) or 0))
+    assert run_cli(capsys, *argv) == (0, "", "")
+    assert seen == [parser.parse_args(argv)]
 
 
 def test_sample_rejects_negative_shots(capsys):
