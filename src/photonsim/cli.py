@@ -60,12 +60,32 @@ def _require_keys(record: dict, required: frozenset, allowed: frozenset):
         raise InvalidSpec(f"null value for key(s) {sorted(k for k, v in record.items() if v is None)}")
 
 
+def _pair(entry) -> list:
+    """A matrix entry: a list of exactly two real numbers, booleans not
+    counted as numbers; else TypeError."""
+    if not (type(entry) is list and len(entry) == 2
+            and all(type(x) in (int, float) for x in entry)):
+        raise TypeError
+    return entry
+
+
 def _matrix_block(matrix) -> GenericUnitary:
     try:
-        values = [[complex(entry[0], entry[1]) for entry in row] for row in matrix]
-    except (TypeError, IndexError, OverflowError):
+        values = [[complex(*_pair(entry)) for entry in row] for row in matrix]
+    except (TypeError, OverflowError):
         raise InvalidSpec("matrix must be rows of [re, im] pairs") from None
     return GenericUnitary(values)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; InvalidSpec names a repeated key,
+    which a plain dict would silently overwrite."""
+    record = dict(pairs)
+    if len(record) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise InvalidSpec(f"duplicate key {repeated!r}")
+    return record
 
 
 def _schema(place: str, required: tuple, optional: tuple, make) -> tuple:
@@ -148,9 +168,11 @@ def load_circuit_file(path: str) -> LoadedCircuit:
     comes from (`components[i]`, `gates[i]`), or else with `path`."""
     with open(path, encoding="utf-8") as handle:
         try:
-            document = json.load(handle)
+            document = json.load(handle, object_pairs_hook=_unique_keys)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise InvalidSpec(f"{path}: not valid JSON ({exc})") from None
+        except InvalidSpec as exc:
+            raise InvalidSpec(f"{path}: {exc}") from None
     where = path
     try:
         if not isinstance(document, dict):

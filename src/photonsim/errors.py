@@ -48,7 +48,8 @@ class InvalidGate(SimulatorError):
 class ParseError(SimulatorError):
     """Text input could not be parsed.
 
-    Carries the byte offset of the first offending character.
+    Carries the offset of the first offending character, counted in
+    characters of the text, not in bytes.
     """
 
     def __init__(self, message: str, offset: int):

@@ -17,6 +17,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .circuit import Circuit
 from .components import (
     BeamSplitter,
@@ -125,10 +127,13 @@ def grover_pipeline(target: str, variant: str = "per_mode_PR") -> Circuit:
 
 
 @functools.cache
-def _pipeline(target: str, variant: str) -> Circuit:
-    """`grover_pipeline`, built once per process for each known (target,
-    variant); Circuit is frozen, so every call can share it."""
-    return grover_pipeline(target, variant)
+def _pipeline(target: str, variant: str) -> np.ndarray:
+    """The compiled unitary of `grover_pipeline`, built and compiled once per
+    process for each known (target, variant); it is read-only, so every
+    call can share it."""
+    unitary = grover_pipeline(target, variant).compile()
+    unitary.setflags(write=False)
+    return unitary
 
 
 #: Pipeline input: the single photon enters mode 1 horizontally polarized.
@@ -165,8 +170,7 @@ def run_grover(target: str, variant: str = "per_mode_PR", shots: int = 0, seed: 
     require_shots(shots)
     require_seed(seed)
     _require_search(target, variant)
-    circuit = _pipeline(target, variant)
-    dist = distribution(circuit.compile(), StateVector.basis(PIPELINE_INPUT))
+    dist = distribution(_pipeline(target, variant), StateVector.basis(PIPELINE_INPUT))
     by_mode = [0.0, 0.0, 0.0, 0.0]
     for state, p in dist.entries.items():
         for mode in range(4):

@@ -54,7 +54,9 @@ class Scanner:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # ASCII digits only: str.isdigit() also takes '²', which int() refuses,
+        # and other scripts' digits, which int() reads as 0-9.
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             self.fail("a number")
@@ -98,7 +100,7 @@ def _parse_entry(sc: Scanner):
 def parse_state(text: str) -> FockState:
     """Parse a state string into a FockState.
 
-    Raises ParseError (with byte offset) on malformed input and
+    Raises ParseError (with character offset) on malformed input and
     MixedRegister when polarized and nonzero plain entries are mixed.
     """
     sc = Scanner(text)

@@ -112,7 +112,7 @@ class PostSelect:
 
 
 def parse_postselect(text: str) -> PostSelect:
-    """Parse a predicate; raises ParseError with the byte offset on failure."""
+    """Parse a predicate; raises ParseError with the character offset on failure."""
     sc = Scanner(text)
     clauses = []
     while True:

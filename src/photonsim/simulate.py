@@ -1472,10 +1472,10 @@ class SampleCount:
         return canonical_items(self.counts.items())
 
 
-def _splitmix64_doubles(seed: int, first: int, stop: int) -> np.ndarray:
+def _splitmix64_doubles(seed: int, first: int, stop: int, scale: float = 1.0) -> np.ndarray:
     """Draws first..stop-1 (counted from 1) of `SplitMix64(seed).next_double()`,
-    in this thread's kept arrays (see `_draw_arrays`): the next call
-    overwrites them.
+    each times `scale` and bit-identical to `next_double() * scale`, in this
+    thread's kept arrays (see `_draw_arrays`): the next call overwrites them.
 
     SplitMix64 is counter-based: state k is seed + k x gamma, so the states
     are one uint64 array, mixed in place.  Array-only uint64 arithmetic wraps
@@ -1501,8 +1501,15 @@ def _splitmix64_doubles(seed: int, first: int, stop: int) -> np.ndarray:
     np.right_shift(z, np.uint64(31), out=shifted)
     z ^= shifted
     z >>= np.uint64(11)
-    doubles[...] = z
-    doubles *= 2.0**-53
+    # A draw is q x 2^-53 for a 53-bit q, exact, so its product with `scale`
+    # rounds once.  q x step is that same real product, rounded once, when
+    # step = 2^-53 x scale is exact: always, unless step is subnormal.
+    step = 2.0**-53 * scale
+    if step * 2.0**53 == scale:
+        np.multiply(z, step, out=doubles)
+    else:
+        np.multiply(z, 2.0**-53, out=doubles)
+        doubles *= scale
     return doubles
 
 
@@ -1592,8 +1599,7 @@ def inverse_cdf_counts(weights, shots: int, seed: int) -> list[int]:
     below = np.zeros(len(weights) + 1, dtype=np.int64)
     below[-1] = shots
     for first in range(1, shots + 1, _DRAW_CHUNK):
-        draws = _splitmix64_doubles(seed, first, min(first + _DRAW_CHUNK, shots + 1))
-        draws *= total
+        draws = _splitmix64_doubles(seed, first, min(first + _DRAW_CHUNK, shots + 1), total)
         if len(edges) * _DRAWS_PER_EDGE < len(draws):
             for i, c in enumerate(edges.tolist(), 1):
                 below[i] += np.count_nonzero(draws < c)

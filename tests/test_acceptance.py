@@ -288,7 +288,7 @@ def test_criterion_7_property_suites():
     u = BeamSplitter.h().matrix()
     assert abs(evolve(u, StateVector.basis(make_state((1, 1)))).amplitude(make_state((1, 1)))) < 1e-12
 
-    # (f) parser round trips and byte offsets
+    # (f) parser round trips and character offsets
     corpus = (
         "|1,0,2>",
         "|0,1:H+1:V>",

@@ -22,6 +22,7 @@ from photonsim.components import (
     WavePlate,
     half_wave_plate,
 )
+from photonsim.errors import InvalidSpec
 from photonsim.qubits import GateSequence
 
 FORMAT = Path(__file__).parent.parent / "docs" / "circuit_format.md"
@@ -145,6 +146,10 @@ MALFORMED = [
     ("pbs-unknown-key", '{"modes": 2, "polarized": true, "components": [{"type": "pbs", "anchor": 0, "theta": 1}]}', "components[0]"),
     ("matrix-not-pairs", '{"modes": 2, "components": [{"type": "unitary", "anchor": 0, "matrix": [[1, 0], [0, 1]]}]}', "components[0]"),
     ("matrix-number", '{"modes": 2, "components": [{"type": "unitary", "anchor": 0, "matrix": 5}]}', "components[0]"),
+    ("matrix-object-entry", '{"modes": 1, "components": [{"type": "unitary", "anchor": 0, "matrix": [[{"0": 1, "1": 0}]]}]}', "components[0]"),
+    ("matrix-three-number-entry", '{"modes": 1, "components": [{"type": "unitary", "anchor": 0, "matrix": [[[1, 0, 5]]]}]}', "components[0]"),
+    ("matrix-bool-entry", '{"modes": 1, "components": [{"type": "unitary", "anchor": 0, "matrix": [[[true, 0]]]}]}', "components[0]"),
+    ("matrix-bool-imaginary", '{"modes": 1, "components": [{"type": "unitary", "anchor": 0, "matrix": [[[1, false]]]}]}', "components[0]"),
     ("matrix-string-entry", '{"modes": 1, "components": [{"type": "unitary", "anchor": 0, "matrix": [[["1", 0]]]}]}', "components[0]"),
     ("matrix-ragged", '{"modes": 2, "components": [{"type": "unitary", "anchor": 0, "matrix": [[[1, 0]], [[0, 0], [1, 0]]]}]}', "components[0]"),
     ("matrix-huge-entry", f'{{"modes": 1, "components": [{{"type": "unitary", "anchor": 0, "matrix": [[[{HUGE}, 0]]]}}]}}', "components[0]"),
@@ -194,3 +199,20 @@ def test_malformed_document_exits_2_naming_its_record(capsys, tmp_path, text, lo
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith(f"error: {location or path}: "), captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"modes": 2, "components": [{"type": "bs", "anchor": 0}], "components": []}', "components"),
+    ('{"modes": 2, "modes": 3}', "modes"),
+    ('{"modes": 3, "components": [{"type": "bs", "anchor": 0, "anchor": 1}]}', "anchor"),
+    ('{"modes": 4, "gates": [{"name": "X", "qubits": [0], "name": "Z"}]}', "name"),
+], ids=["top-level", "modes", "component", "gate"])
+def test_repeated_key_exits_2_naming_it(capsys, tmp_path, text, key):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(str(path))}: duplicate key '{key}'$"):
+        load_circuit_file(str(path))
+    code = main(["unitary", "--circuit", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {path}: duplicate key {key!r}\n"

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface against the checked-in
 circuit corpus: exit codes, text/JSON output agreement, determinism."""
 
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,9 @@ from hypothesis import strategies as st
 
 from photonsim import cli, grover, simulate
 from photonsim.cli import _build_parser, load_circuit_file, main
-from photonsim.errors import InvalidSpec
+from photonsim.errors import InvalidSpec, ParseError
+from photonsim.notation import parse_state
+from photonsim.postselect import parse_postselect
 from photonsim.qubits import controlled_pauli
 
 DATA = Path(__file__).parent / "data"
@@ -620,3 +623,37 @@ def test_a_reader_that_closes_stdout_early_gets_no_traceback():
     assert proc.wait(timeout=60) == 1
     assert first == b"|3" + b",0" * 19 + b"> -> - 0j\n"
     assert err == b""
+
+
+@pytest.mark.parametrize("option, text, offset", [
+    ("--input", "|²,0,0,0>", 1),
+    ("--input", "|١,0,0,0>", 1),
+    ("--input", "|１,0,0,0>", 1),
+    ("--input", "|1:H+²:V,0>", 5),
+    ("--postselect", "[0]==²", 5),
+    ("--postselect", "[٣]==1", 1),
+])
+def test_only_ascii_digits_are_numbers(capsys, option, text, offset):
+    # str.isdigit() takes all of these; int() refuses '²' and reads the
+    # others as 0-9.
+    parse = parse_state if option == "--input" else parse_postselect
+    with pytest.raises(ParseError, match="expected a number") as err:
+        parse(text)
+    assert err.value.offset == offset
+    argv = {"--input": "|1,0,0,0>", option: text}
+    code, out, err = run_cli(capsys, "simulate", "--circuit", str(DATA / "h.json"),
+                             *itertools.chain(*argv.items()))
+    assert (code, out) == (2, "")
+    assert err == f"error: expected a number, found {text[offset]!r} (at offset {offset})\n"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["unitary", "--json"], "splitter_bench_unitary.json"),
+    (["simulate", "--input", "|1,1,1>", "--json"], "splitter_bench_simulate_111.json"),
+])
+def test_splitter_bench_matches_golden_output(capsys, argv, golden):
+    # The one corpus circuit with a `unitary` record, pinned byte for byte.
+    code, out, err = run_cli(capsys, argv[0], "--circuit", str(DATA / "splitter_bench.json"),
+                             *argv[1:])
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / "golden" / golden).read_bytes()

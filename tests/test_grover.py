@@ -265,6 +265,22 @@ def test_polarization_pipeline_is_built_once(monkeypatch):
     assert len(built) == 2
 
 
+def test_polarization_pipeline_is_compiled_once(monkeypatch):
+    # Each key keeps its compiled unitary, read-only; a warm run_grover
+    # compiles nothing.
+    for target in TARGETS:
+        for variant in VARIANTS:
+            kept = grover._pipeline(target, variant)
+            assert not kept.flags.writeable
+            assert np.array_equal(kept, grover_pipeline(target, variant).compile())
+            assert grover._pipeline(target, variant) is kept
+    compiled = []
+    original = Circuit.compile
+    monkeypatch.setattr(Circuit, "compile", lambda self: compiled.append(self) or original(self))
+    assert run_grover("10", "uniform_PR0", 1000, 5).counts["10"] == 1000
+    assert compiled == []
+
+
 def test_pruning_keeps_the_search_exact(monkeypatch):
     # Pruned against unpruned (a zero budget drops only rows of amplitude
     # exactly 0): the amplitudes agree to 1e-12 of the norm and the seeded
