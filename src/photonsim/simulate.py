@@ -1501,15 +1501,11 @@ def _splitmix64_doubles(seed: int, first: int, stop: int, scale: float = 1.0) ->
     np.right_shift(z, np.uint64(31), out=shifted)
     z ^= shifted
     z >>= np.uint64(11)
-    # A draw is q x 2^-53 for a 53-bit q, exact, so its product with `scale`
-    # rounds once.  q x step is that same real product, rounded once, when
-    # step = 2^-53 x scale is exact: always, unless step is subnormal.
-    step = 2.0**-53 * scale
-    if step * 2.0**53 == scale:
-        np.multiply(z, step, out=doubles)
-    else:
-        np.multiply(z, 2.0**-53, out=doubles)
-        doubles *= scale
+    # The words are below 2^53, so they convert exactly as int64, which
+    # numpy converts faster than uint64.
+    doubles[...] = z.view(np.int64)
+    doubles *= 2.0**-53
+    doubles *= scale
     return doubles
 
 

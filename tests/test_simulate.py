@@ -732,7 +732,7 @@ def test_inverse_cdf_counts_match_scalar_reference(seed):
     want = [ref.next_double() for _ in range(200)]
     assert simulate._splitmix64_doubles(seed, 1, 201).tolist() == want
     assert simulate._splitmix64_doubles(seed, 151, 201).tolist() == want[150:]
-    # Scaled in one multiply where 2^-53 x scale is exact, in two below 2^-969.
+    # Scaled draws, subnormal products included, are next_double() * scale.
     for scale in (0.0, 5e-324, 1e-310, 1e-300, 2**-969, 3.0, 1.7e308):
         got = simulate._splitmix64_doubles(seed, 1, 201, scale).tolist()
         assert list(map(float.hex, got)) == [(d * scale).hex() for d in want]
@@ -742,7 +742,7 @@ def test_inverse_cdf_counts_match_scalar_reference(seed):
         [float(w) if w > 0.5 else 0.0 for w in rng.random(25)],
         [0.0] * 6,
         [0.3],
-        [1e-300, 3e-301, 0.0, 2e-300],  # a total below 2^-969
+        [1e-300, 3e-301, 0.0, 2e-300],  # a total whose draws go subnormal
     ]
     for weights in cases:
         for shots in (0, 1, 300):
