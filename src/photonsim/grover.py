@@ -167,8 +167,7 @@ def run_grover(target: str, variant: str = "per_mode_PR", shots: int = 0, seed: 
     names the found element via DETECTION_MODE.  Bad shots or seeds fail
     first, then an unknown target or variant, on every call.
     """
-    require_shots(shots)
-    require_seed(seed)
+    shots, seed = require_shots(shots), require_seed(seed)
     _require_search(target, variant)
     dist = distribution(_pipeline(target, variant), StateVector.basis(PIPELINE_INPUT))
     by_mode = [0.0, 0.0, 0.0, 0.0]
@@ -244,8 +243,7 @@ def dual_rail_grover_3q(shots: int = 0, seed: int = 0) -> DualRailGroverResult:
     observable: the herald amplitude of each CNOT is real positive, which
     makes the overall sign meaningful.  Bad shots or seeds fail first.
     """
-    require_shots(shots)
-    require_seed(seed)
+    shots, seed = require_shots(shots), require_seed(seed)
     states, amps = _search_processor()._arrays()
     values = amps.tolist()
     magnitudes = [abs(a) for a in values]  # each outcome's |amp|, taken once

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import reprlib
 import sys
 import threading
 from collections import OrderedDict
@@ -1446,7 +1447,7 @@ class SplitMix64:
     _GAMMA = 0x9E3779B97F4A7C15
 
     def __init__(self, seed: int):
-        self._state = operator.index(seed) & self._MASK
+        self._state = require_seed(seed) & self._MASK
 
     def next_uint64(self) -> int:
         self._state = (self._state + self._GAMMA) & self._MASK
@@ -1510,7 +1511,10 @@ def _splitmix64_doubles(seed: int, first: int, stop: int, scale: float = 1.0) ->
 
 
 # k x gamma mod 2^64 for k < _STATE_ROW: the steps within a row of states.
-_STATE_ROW = 256
+# numpy's broadcast add pays one inner-loop call per row: a 2^16-draw
+# chunk's states took 48-53 us in rows of 256 and 17-18 us in rows of 4096,
+# the cost of one flat add (2-core Xeon).
+_STATE_ROW = 4096
 _STATE_STEPS = np.arange(_STATE_ROW, dtype=np.uint64) * np.uint64(SplitMix64._GAMMA)
 
 _DRAWS = threading.local()
@@ -1534,15 +1538,21 @@ def _draw_arrays(count: int):
     return arrays
 
 
-def require_shots(shots: int):
-    """Raise ValueError for a shot count that is not a non-negative integer."""
-    if require_integer(shots, "shots", ValueError) < 0:
+def require_shots(shots: int) -> int:
+    """`shots` as a Python int; ValueError unless it is an integer from 0 to
+    2^63 - 1, the most that the sampler's int64 counts hold."""
+    shots = require_integer(shots, "shots", ValueError)
+    if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
+    if shots >= 1 << 63:
+        raise ValueError(f"shots must be at most 2^63 - 1, got {shots}")
+    return shots
 
 
-def require_seed(seed: int):
-    """Raise ValueError for a seed that is not an integer; any integer wraps mod 2^64."""
-    require_integer(seed, "seed", ValueError)
+def require_seed(seed: int) -> int:
+    """`seed` as a Python int; ValueError unless it is an integer.  Any
+    integer wraps mod 2^64."""
+    return require_integer(seed, "seed", ValueError)
 
 
 def inverse_cdf_counts(weights, shots: int, seed: int) -> list[int]:
@@ -1559,8 +1569,13 @@ def inverse_cdf_counts(weights, shots: int, seed: int) -> list[int]:
     each running sum c[i] but the last (the edges).  For non-decreasing
     sums, `bisect_right` puts d at an index <= i exactly when d < c[i], so
     the differences of those counts are the per-index counts, and the last
-    index takes the rest.  A chunk of more than _DRAWS_PER_EDGE = 3,000
-    draws per edge takes one `count_nonzero(draws < c[i])` pass per edge;
+    index takes the rest.  Every draw is fl(fl(w 2^-53) total) for a 53-bit
+    word w, so it lies in [0, top], top = fl((1 - 2^-53) total): an edge
+    <= 0 has no draw below it and one past top has all of them.  The sums
+    never decrease, so only the live edges between that prefix and suffix
+    are counted, and with none live (a point mass) nothing is drawn.  A
+    chunk of more than _DRAWS_PER_EDGE = 3,000 draws per live edge takes
+    one `count_nonzero(draws < c[i])` pass per edge;
     any other is sorted once and each c[i] located by `searchsorted`.  Both
     make the same comparisons d < c[i], so the counts match draw-by-draw
     bisection whichever runs.  The crossover is measured (2-core Xeon): a
@@ -1570,13 +1585,20 @@ def inverse_cdf_counts(weights, shots: int, seed: int) -> list[int]:
     1e5 shots over 4 labels are counted, and over 2,002 outcomes sorted.
 
     Raises ValueError for shots or a seed that is not an integer (bools
-    included) or negative shots, and InvalidSpec for a weight that is NaN,
-    infinite or negative, or weights whose total overflows.  Empty weights
+    included) or shots outside 0..2^63 - 1, and InvalidSpec for weights
+    that are not a 1-D sequence of integers or floats, a weight that is
+    NaN, infinite or negative, or weights whose total overflows.  Empty weights
     give no counts; all-zero weights put every draw on the last index.
     """
-    require_shots(shots)
-    require_seed(seed)
-    weights = np.asarray(weights, dtype=float)
+    shots, seed = require_shots(shots), require_seed(seed)
+    try:
+        array = np.asarray(weights)
+    except ValueError:  # a ragged nesting
+        array = None
+    if array is None or array.ndim != 1 or array.dtype.kind not in "iuf":
+        raise InvalidSpec("sampling weights must be a 1-D sequence of real numbers, "
+                          f"got {reprlib.repr(weights)}")
+    weights = array.astype(float, copy=False)
     if not weights.size:
         return []
     # add.accumulate sums in order, as itertools.accumulate does; an
@@ -1591,24 +1613,31 @@ def inverse_cdf_counts(weights, shots: int, seed: int) -> list[int]:
         else:
             where = f"their total is {float(total)!r}"
         raise InvalidSpec(f"sampling weights must be finite and >= 0; {where}")
+    # Every draw lies in [0, top]: edges[:lo] are <= 0 and edges[hi:] > top.
+    lo, hi = edges.searchsorted((0.0, (1.0 - 2.0**-53) * total), side="right").tolist()
+    live = edges[lo:hi]
     # below[i]: draws at indices < i, so the counts are its differences.
     below = np.zeros(len(weights) + 1, dtype=np.int64)
-    below[-1] = shots
-    for first in range(1, shots + 1, _DRAW_CHUNK):
+    below[hi + 1:] = shots
+    for first in range(1, shots + 1, _DRAW_CHUNK) if hi > lo else ():
         draws = _splitmix64_doubles(seed, first, min(first + _DRAW_CHUNK, shots + 1), total)
-        if len(edges) * _DRAWS_PER_EDGE < len(draws):
-            for i, c in enumerate(edges.tolist(), 1):
+        if len(live) * _DRAWS_PER_EDGE < len(draws):
+            for i, c in enumerate(live.tolist(), lo + 1):
                 below[i] += np.count_nonzero(draws < c)
         else:
             draws.sort()
-            below[1:-1] += np.searchsorted(draws, edges)
+            below[lo + 1:hi + 1] += np.searchsorted(draws, live)
     return (below[1:] - below[:-1]).tolist()
 
 
 def sample(dist: Distribution, shots: int, seed: int) -> SampleCount:
     """Draw `shots` outcomes by `inverse_cdf_counts` over the canonical
     outcome order; outcomes never drawn are left out of the counts.  A
-    distribution already in canonical order is read as it stands."""
+    distribution already in canonical order is read as it stands.  Raises
+    InvalidSpec for a `dist` that is not a Distribution."""
+    if not isinstance(dist, Distribution):
+        raise InvalidSpec(f"sample needs a Distribution, got {type(dist).__name__}")
+    shots, seed = require_shots(shots), require_seed(seed)
     entries = dist.entries if dist._canonical else dict(dist.items())
     counts = inverse_cdf_counts(np.fromiter(entries.values(), float, len(entries)), shots, seed)
     return SampleCount(dict(zip(itertools.compress(entries, counts), filter(None, counts))),

@@ -353,6 +353,21 @@ def test_grover_rejects_negative_shots_first(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: shots must be >= 0, got -1\n")
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("grover", ["--target", "01"]),
+    ("sample", ["--circuit", str(DATA / "h.json"), "--input", "|1,0,1,0>"]),
+])
+def test_shots_past_int64_exit_2_before_any_work(command, argv, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(grover, "run_grover", no_work)
+    monkeypatch.setattr(cli, "sample", no_work)
+    code, out, err = run_cli(capsys, command, *argv, "--shots", str(2**63))
+    assert (code, out, err) == (
+        2, "", "error: shots must be at most 2^63 - 1, got 9223372036854775808\n")
+
+
 def test_wrong_register_width_exits_2(capsys):
     code, _, _ = run_cli(
         capsys, "simulate", "--circuit", str(DATA / "h.json"), "--input", "|1,0>"

@@ -1,3 +1,4 @@
+import json
 import math
 from functools import lru_cache
 
@@ -308,6 +309,39 @@ def test_negative_shots_fail_before_any_work(monkeypatch):
         run_grover("00", shots=-1)
     with pytest.raises(ValueError, match="shots must be >= 0, got -3"):
         dual_rail_grover_3q(shots=-3)
+
+
+@pytest.mark.parametrize("shots", [10**6, 2**63 - 1])
+def test_the_polarization_search_draws_nothing(shots, monkeypatch):
+    # Every key ends in a point mass, so no edge lies within the draws.
+    def no_draws(*args):
+        raise AssertionError("drew for a point mass")
+
+    monkeypatch.setattr(simulate, "_splitmix64_doubles", no_draws)
+    for target in TARGETS:
+        for variant in VARIANTS:
+            result = run_grover(target, variant, shots=shots, seed=5)
+            assert result.counts == {label: shots if label == target else 0 for label in TARGETS}
+
+
+def test_shots_past_int64_fail_before_any_work(monkeypatch):
+    def no_blocks(self):
+        raise AssertionError("lowered the circuit before checking shots")
+
+    monkeypatch.setattr(Circuit, "blocks", no_blocks)
+    message = "shots must be at most 2\\^63 - 1, got 9223372036854775808"
+    with pytest.raises(ValueError, match=message):
+        run_grover("01", shots=2**63)
+    with pytest.raises(ValueError, match=message):
+        dual_rail_grover_3q(shots=2**63)
+
+
+def test_shots_and_seeds_are_stored_as_python_ints():
+    for result in (run_grover("01", shots=np.int64(5), seed=np.int64(2)),
+                   dual_rail_grover_3q(shots=np.int64(5), seed=np.uint8(2))):
+        assert type(result.shots) is int and type(result.seed) is int
+        json.dumps({"shots": result.shots, "seed": result.seed})
+    assert run_grover("01", shots=np.int64(5), seed=np.int64(2)) == run_grover("01", shots=5, seed=2)
 
 
 def test_non_integer_shots_and_seeds_fail_before_any_work(monkeypatch):

@@ -7,8 +7,10 @@ fast evolution path against the creation-operator expansion oracle.
 import bisect
 import copy
 import itertools
+import json
 import math
 import pickle
+import re
 import sys
 import threading
 
@@ -743,6 +745,11 @@ def test_inverse_cdf_counts_match_scalar_reference(seed):
         [0.0] * 6,
         [0.3],
         [1e-300, 3e-301, 0.0, 2e-300],  # a total whose draws go subnormal
+        # Subnormal point masses: a draw rounds up to the total and lands on
+        # the last index, so the edge equal to the largest draw stays live.
+        [0.0, 5e-324, 0.0],
+        [0.0, 3e-320],
+        [2e-323, 0.0, 0.0],
     ]
     for weights in cases:
         for shots in (0, 1, 300):
@@ -751,6 +758,47 @@ def test_inverse_cdf_counts_match_scalar_reference(seed):
                 assert got == want
                 assert type(got) is list and all(type(c) is int for c in got)
     assert counts_each_way([0.0] * 6, 9, seed) == [[0] * 5 + [9]] * 2
+
+
+def test_subnormal_point_masses_put_draws_past_the_mass():
+    # fl(u * 5e-324) is 5e-324 for u > 1/2: bisect_right puts it past every
+    # edge, so draws reach the zero weights after the mass.
+    for weights, mass in (([0.0, 5e-324, 0.0], 1), ([2e-323, 0.0, 0.0], 0)):
+        want = scalar_inverse_cdf_counts(weights, 300, 11)
+        assert want[mass] > 0 and want[-1] > 0 and want[mass] + want[-1] == 300
+        assert counts_each_way(weights, 300, 11) == [want, want]
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        [0.0, 0.0, 0.0, 0.3, 0.7],
+        [0.2, 0.8, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.5, 0.0, 0.25, 0.25, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ],
+)
+def test_leading_and_trailing_zeros_across_draw_chunks(weights, monkeypatch):
+    # Edges <= 0 and past the largest draw are not counted, only set.
+    want = scalar_inverse_cdf_counts(weights, 70_000, 29)
+    assert 70_000 > simulate._DRAW_CHUNK
+    assert counts_each_way(weights, 70_000, 29) == [want, want]
+    monkeypatch.setattr(simulate, "_DRAW_CHUNK", 7)
+    for shots in (6, 7, 8, 50):
+        want = scalar_inverse_cdf_counts(weights, shots, -3)
+        assert counts_each_way(weights, shots, -3) == [want, want]
+
+
+def test_no_draw_is_computed_when_no_edge_is_live(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew for a point mass")
+
+    monkeypatch.setattr(simulate, "_splitmix64_doubles", no_draws)
+    assert counts_each_way([0.0, 0.0, 0.9999999999999998, 0.0], 10**6, 5) == [[0, 0, 10**6, 0]] * 2
+    assert simulate.inverse_cdf_counts([0.0, 1e300], 2**63 - 1, 1) == [0, 2**63 - 1]
+    assert simulate.inverse_cdf_counts([0.0] * 3, 10**9, 1) == [0, 0, 10**9]
+    assert simulate.inverse_cdf_counts([0.0, 1.0], 0, 1) == [0, 0]
 
 
 def test_inverse_cdf_counts_across_draw_chunks(monkeypatch):
@@ -849,6 +897,61 @@ def test_inverse_cdf_counts_property_with_zeros_and_plateaus(weights, shots, see
 def test_inverse_cdf_counts_reject_bad_weights(weights):
     with pytest.raises(InvalidSpec, match="sampling weights must be finite and >= 0"):
         simulate.inverse_cdf_counts(weights, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "weights, shown",
+    [
+        (0.5, "0.5"),
+        ([[0.5], [0.5]], "[[0.5], [0.5]]"),
+        ([[0.5], [0.25, 0.25]], "[[0.5], [0.25, 0.25]]"),
+        (["1", "2"], "['1', '2']"),
+        ([0.5, "x"], "[0.5, 'x']"),
+        ([1j, 0.5], "[1j, 0.5]"),
+        ([True, False], "[True, False]"),
+        ({0: 0.5}, "{0: 0.5}"),
+    ],
+)
+def test_inverse_cdf_counts_reject_weights_that_are_not_a_sequence_of_reals(weights, shown):
+    with pytest.raises(InvalidSpec, match=re.escape(
+            f"sampling weights must be a 1-D sequence of real numbers, got {shown}")):
+        simulate.inverse_cdf_counts(weights, 3, 1)
+
+
+def test_inverse_cdf_counts_accept_integer_and_float32_weights():
+    want = scalar_inverse_cdf_counts([1.0, 0.0, 3.0], 40, 2)
+    assert simulate.inverse_cdf_counts([1, 0, 3], 40, 2) == want
+    assert simulate.inverse_cdf_counts(np.array([1, 0, 3], np.float32), 40, 2) == want
+
+
+@pytest.mark.parametrize("dist", [{FockState((1, 0)): 1.0}, [0.5, 0.5], None])
+def test_sample_rejects_what_is_not_a_distribution(dist):
+    with pytest.raises(InvalidSpec, match="sample needs a Distribution, got "):
+        sample(dist, 10, 1)
+
+
+def test_shots_past_int64_fail_before_any_draw(monkeypatch):
+    monkeypatch.setattr(simulate, "_splitmix64_doubles", None)
+    dist = Distribution({FockState((1, 0)): 0.5, FockState((0, 1)): 0.5}, 1)
+    message = re.escape("shots must be at most 2^63 - 1, got 9223372036854775808")
+    for call in (lambda: simulate.inverse_cdf_counts([0.5, 0.5], 2**63, 1),
+                 lambda: sample(dist, 2**63, 1)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_sample_stores_shots_and_seed_as_python_ints():
+    dist = Distribution({FockState((1, 0)): 0.5, FockState((0, 1)): 0.5}, 1)
+    got = sample(dist, np.int64(5), np.uint32(2))
+    assert type(got.shots) is int and type(got.seed) is int
+    assert got == sample(dist, 5, 2)
+    json.dumps({"shots": got.shots, "seed": got.seed})
+
+
+def test_splitmix64_seeds_are_checked_as_the_samplers_check_them():
+    for seed in (True, 1.0, None):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SplitMix64(seed)
 
 
 def test_sample_rejects_a_nan_probability():
