@@ -245,18 +245,19 @@ def dual_rail_grover_3q(shots: int = 0, seed: int = 0) -> DualRailGroverResult:
     """
     shots, seed = require_shots(shots), require_seed(seed)
     states, amps = _search_processor()._arrays()
-    values = amps.tolist()
-    magnitudes = [abs(a) for a in values]  # each outcome's |amp|, taken once
-    success = sum(m ** 2 for m in magnitudes)
+    # |amp| and |amp|^2 bit for bit as abs(a) and abs(a) ** 2 (`_probabilities`).
+    magnitudes = np.hypot(amps.real, amps.imag)
+    squares = np.float_power(magnitudes, 2.0).tolist()
+    success = sum(squares)
     root = math.sqrt(success)
     probabilities: dict[str, float] = {}
     amplitudes: dict[str, complex] = {}
     data_probabilities: dict[str, float] = {}
     leak = 0.0
-    for state, amp, magnitude in zip(states, values, magnitudes):
+    for state, amp, magnitude, square in zip(states, amps.tolist(), magnitudes.tolist(), squares):
         if magnitude < PRUNE_TOL:
             continue
-        p = magnitude ** 2 / success
+        p = square / success
         bits = data_bits(state, 3)
         if bits is NonCodeword:
             leak += p

@@ -1428,11 +1428,12 @@ def _kept(states, amps: np.ndarray):
 def _probabilities(states, amps):
     """The `states` whose amplitude in `amps` has |amp| >= fock.PRUNE_TOL
     (see `_kept`), and their |amp|^2 as Python floats, each bit-identical to
-    abs(amp) ** 2: math.pow(|amp|, 2.0) is the C pow that `** 2` calls, where
-    |amp| * |amp| and np.power differ from it in the last bit for about 0.1%
-    of values."""
+    abs(amp) ** 2.  `** 2` on a float calls the C pow, and so does
+    np.float_power's float64 loop, once per element, with no SIMD variant.
+    np.power (a SIMD square for exponent 2) and |amp| * |amp| round apart
+    from pow in the last bit for about 5 values in 10,000."""
     states, _, mags = _kept(states, np.asarray(amps, dtype=complex))
-    return states, list(map(math.pow, mags.tolist(), itertools.repeat(2.0)))
+    return states, np.float_power(mags, 2.0).tolist()
 
 
 class SplitMix64:
@@ -1560,10 +1561,10 @@ def inverse_cdf_counts(weights, shots: int, seed: int) -> list[int]:
 
     Draw k is the k-th `SplitMix64(seed).next_double()` scaled by the
     weights' total; its index is `bisect_right` of it in the running sums,
-    clamped to the last index.  The stream is counter-based, so
-    `_splitmix64_doubles` computes it as arrays, bit-identical to the
-    scalar generator, in chunks of _DRAW_CHUNK draws, in two arrays the
-    thread keeps; memory does not grow with `shots`.
+    clamped to the last positive weight's index.  The stream is
+    counter-based, so `_splitmix64_doubles` computes it as arrays,
+    bit-identical to the scalar generator, in chunks of _DRAW_CHUNK draws,
+    in two arrays the thread keeps; memory does not grow with `shots`.
 
     Each chunk is counted without a search per draw, as #{d < c[i]} for
     each running sum c[i] but the last (the edges).  For non-decreasing
@@ -1571,9 +1572,11 @@ def inverse_cdf_counts(weights, shots: int, seed: int) -> list[int]:
     the differences of those counts are the per-index counts, and the last
     index takes the rest.  Every draw is fl(fl(w 2^-53) total) for a 53-bit
     word w, so it lies in [0, top], top = fl((1 - 2^-53) total): an edge
-    <= 0 has no draw below it and one past top has all of them.  The sums
-    never decrease, so only the live edges between that prefix and suffix
-    are counted, and with none live (a point mass) nothing is drawn.  A
+    <= 0 has no draw below it and one past top has all of them.  A
+    subnormal total is its own top, so a draw can equal it and pass the
+    zero weights after the last positive one; the clamp keeps it there.
+    The sums never decrease, so only the live edges between that prefix and
+    suffix are counted, and with none live (a point mass) nothing is drawn.  A
     chunk of more than _DRAWS_PER_EDGE = 3,000 draws per live edge takes
     one `count_nonzero(draws < c[i])` pass per edge;
     any other is sorted once and each c[i] located by `searchsorted`.  Both
@@ -1615,6 +1618,8 @@ def inverse_cdf_counts(weights, shots: int, seed: int) -> list[int]:
         raise InvalidSpec(f"sampling weights must be finite and >= 0; {where}")
     # Every draw lies in [0, top]: edges[:lo] are <= 0 and edges[hi:] > top.
     lo, hi = edges.searchsorted((0.0, (1.0 - 2.0**-53) * total), side="right").tolist()
+    # No draw past the last positive weight (a subnormal total's top is it).
+    hi = min(hi, len(weights) - 1 - int((weights[::-1] > 0).argmax()))
     live = edges[lo:hi]
     # below[i]: draws at indices < i, so the counts are its differences.
     below = np.zeros(len(weights) + 1, dtype=np.int64)

@@ -252,6 +252,25 @@ def round_trip(twin, vector):
     return exact(twin.items()), twin.channels, twin.polarized, twin == vector
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_probability_squares_match_abs_squared_bit_for_bit(monkeypatch):
+    # 10^6 magnitudes log-uniform over 1e-300..1 at random phases, plus the
+    # edge values on each axis; |amp| * |amp| and np.power each round apart
+    # from abs(amp) ** 2 on hundreds of them.  The cut is lowered to 0 so
+    # that the squares of every magnitude are read.
+    rng = np.random.default_rng(30)
+    mags = 10.0 ** rng.uniform(-300.0, 0.0, 10**6)
+    phases = rng.uniform(0.0, 2 * math.pi, mags.size)
+    edges = np.array([0.0, 5e-324, sys.float_info.min, 1.0, math.nextafter(1.0, 0.0)])
+    amps = np.concatenate([mags * np.exp(1j * phases), edges, 1j * edges])
+    monkeypatch.setattr(simulate, "PRUNE_TOL", 0.0)
+    states = range(amps.size)
+    kept, squares = simulate._probabilities(states, amps)
+    assert kept is states and all(type(p) is float for p in squares)
+    want = [abs(a) ** 2 for a in amps.tolist()]
+    assert list(map(float.hex, squares)) == list(map(float.hex, want))
+
+
 def test_distribution_builds_no_dict_for_the_evolved_vector(monkeypatch):
     u = random_unitary(np.random.default_rng(11), 6)
     psi = StateVector({make_state((1, 1, 1, 0, 0, 0)): 0.6, make_state((2, 0, 0, 0, 0, 1)): 0.8j})
@@ -717,13 +736,15 @@ def counts_each_way(weights, shots, seed):
 
 
 def scalar_inverse_cdf_counts(weights, shots, seed):
-    """One `SplitMix64.next_double` and one bisection per shot."""
+    """One `SplitMix64.next_double` and one bisection per shot, clamped to
+    the last positive weight (the last index when all weights are zero)."""
     counts = [0] * len(weights)
     cumulative = list(itertools.accumulate(weights))
+    last = max((i for i, w in enumerate(weights) if w > 0), default=len(weights) - 1)
     rng = SplitMix64(seed)
     for _ in range(shots):
         index = bisect.bisect_right(cumulative, rng.next_double() * cumulative[-1])
-        counts[min(index, len(weights) - 1)] += 1
+        counts[min(index, last)] += 1
     return counts
 
 
@@ -745,8 +766,8 @@ def test_inverse_cdf_counts_match_scalar_reference(seed):
         [0.0] * 6,
         [0.3],
         [1e-300, 3e-301, 0.0, 2e-300],  # a total whose draws go subnormal
-        # Subnormal point masses: a draw rounds up to the total and lands on
-        # the last index, so the edge equal to the largest draw stays live.
+        # Subnormal point masses: a draw can round up to the total, past
+        # the zero weights after the mass.
         [0.0, 5e-324, 0.0],
         [0.0, 3e-320],
         [2e-323, 0.0, 0.0],
@@ -760,13 +781,25 @@ def test_inverse_cdf_counts_match_scalar_reference(seed):
     assert counts_each_way([0.0] * 6, 9, seed) == [[0] * 5 + [9]] * 2
 
 
-def test_subnormal_point_masses_put_draws_past_the_mass():
-    # fl(u * 5e-324) is 5e-324 for u > 1/2: bisect_right puts it past every
-    # edge, so draws reach the zero weights after the mass.
-    for weights, mass in (([0.0, 5e-324, 0.0], 1), ([2e-323, 0.0, 0.0], 0)):
-        want = scalar_inverse_cdf_counts(weights, 300, 11)
-        assert want[mass] > 0 and want[-1] > 0 and want[mass] + want[-1] == 300
-        assert counts_each_way(weights, 300, 11) == [want, want]
+def test_subnormal_totals_put_no_draw_past_the_last_positive_weight():
+    # fl(u * total) rounds up to a subnormal total for some u < 1 (for 5e-324
+    # every u > 1/2), and bisect_right puts such a draw past every edge; the
+    # clamp keeps it on the last positive weight, not the zeros after it.
+    for weights, shots in (
+        ([0.0, 5e-324, 0.0], 300),
+        ([2e-323, 0.0, 0.0], 300),
+        ([0.0, 3e-320, 0.0, 0.0], 70_000),
+    ):
+        total = sum(weights)
+        rng = SplitMix64(11)
+        assert any(rng.next_double() * total == total for _ in range(shots))
+        want = [shots if w else 0 for w in weights]
+        assert scalar_inverse_cdf_counts(weights, shots, 11) == want
+        assert counts_each_way(weights, shots, 11) == [want, want]
+    weights = [0.0, 5e-324, 0.0, 5e-324, 0.0, 0.0]
+    want = scalar_inverse_cdf_counts(weights, 300, 11)
+    assert want[1] > 0 and want[3] > 0 and want[1] + want[3] == 300
+    assert counts_each_way(weights, 300, 11) == [want, want]
 
 
 @pytest.mark.parametrize(
