@@ -6,6 +6,7 @@ post-selection, dual-rail qubit gates built from linear optics, and prebuilt
 Grover search pipelines.
 """
 
+from ._sampling import SplitMix64
 from .circuit import Circuit, PlacedComponent
 from .components import (
     BeamSplitter,
@@ -33,7 +34,6 @@ from .errors import (
     SimulatorError,
     TooLarge,
 )
-from .expansion import oracle_evolve
 from .fock import FockState, Polarization, StateVector, make_state
 from .grover import (
     DualRailGroverResult,
@@ -58,15 +58,13 @@ from .qubits import (
     single_qubit_gate,
     toffoli_decomposed,
 )
+from .reference import amplitude, oracle_evolve, permanent
 from .simulate import (
     Distribution,
     SampleCount,
-    SplitMix64,
-    amplitude,
     batch_amplitudes,
     distribution,
     evolve,
-    permanent,
     sample,
     sector_basis,
 )

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from . import grover as grover_mod
+from ._sampling import require_shots
 from .circuit import Circuit
 from .components import (
     BeamSplitter,
@@ -35,7 +36,7 @@ from .fock import FockState, StateVector
 from .notation import format_state, parse_state
 from .postselect import Processor, parse_postselect, require_min_photons
 from .qubits import GateSequence, NonCodeword, PolarizationEncoding, data_bits
-from .simulate import require_shots, sample
+from .simulate import sample
 from .simulate import batch_amplitudes  # noqa: F401  (bench/test_bench.py checks this binding)
 
 

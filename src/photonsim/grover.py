@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._sampling import inverse_cdf_counts, require_seed, require_shots
 from .circuit import Circuit
 from .components import (
     BeamSplitter,
@@ -32,7 +33,7 @@ from .errors import InvalidSpec
 from .fock import PRUNE_TOL, FockState, StateVector
 from .postselect import Processor
 from .qubits import GateSequence, NonCodeword, data_bits
-from .simulate import distribution, inverse_cdf_counts, require_seed, require_shots
+from .simulate import distribution
 from .simulate import batch_amplitudes  # noqa: F401  (bench/test_bench.py checks this binding)
 
 TARGETS = ("00", "01", "10", "11")

@@ -24,13 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._sectors import _sector
 from .circuit import Circuit
 from .components import require_integer
 from .errors import EvalError, InvalidSpec, RegisterMismatch
 from .fock import FockState, StateVector
 from .notation import Scanner
-from .simulate import Distribution, _circuit_arrays, _probabilities, require_normalized
-from .simulate import admissible_outcomes  # noqa: F401  (public here; one enumerator with sector_basis)
+from .simulate import Distribution, _circuit_arrays, _count, _probabilities, require_normalized
 from .simulate import batch_amplitudes  # noqa: F401  (bench/test_bench.py checks this binding)
 
 _OPS = ("==", "<=", ">=", "<", ">")
@@ -129,6 +129,23 @@ def parse_postselect(text: str) -> PostSelect:
             break
     sc.end()
     return PostSelect(tuple(clauses))
+
+
+def admissible_outcomes(channels: int, polarized: bool, n: int, expr):
+    """Sector outcomes satisfying the predicate `expr`, in canonical order;
+    every outcome of the sector when `expr` is None.  The enumeration is the
+    one `sector_basis` runs (see `_sectors._sector`).  On the first
+    `next()`, InvalidSpec comes when a count is not a nonnegative integer,
+    `polarized` is not a bool or `expr` is neither None nor a PostSelect,
+    and RegisterMismatch for an odd channel count on a polarized register."""
+    n, channels = _count(n, "photon number"), _count(channels, "channel count")
+    if not isinstance(polarized, bool):
+        raise InvalidSpec(f"polarized must be a bool, got {polarized!r}")
+    if polarized and channels % 2:
+        raise RegisterMismatch(f"polarized register needs an even channel count, got {channels}")
+    if expr is not None and not isinstance(expr, PostSelect):
+        raise InvalidSpec(f"predicate must be a PostSelect or None, got {type(expr).__name__}")
+    yield from map(tuple, _sector(channels, polarized, n, expr).rows.tolist())
 
 
 @dataclass(frozen=True)

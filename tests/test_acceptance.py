@@ -17,7 +17,6 @@ from photonsim.components import (
     half_wave_plate,
 )
 from photonsim.errors import ParseError
-from photonsim.expansion import oracle_evolve
 from photonsim.fock import FockState, StateVector, make_state
 from photonsim.grover import (
     TARGETS,
@@ -40,7 +39,8 @@ from photonsim.qubits import (
     single_qubit_gate,
     toffoli_decomposed,
 )
-from photonsim.simulate import distribution, evolve, permanent, sample, sector_basis
+from photonsim.reference import oracle_evolve, permanent
+from photonsim.simulate import distribution, evolve, sample, sector_basis
 
 ROOT2 = math.sqrt(2.0)
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)

@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from photonsim import simulate
+from photonsim import _kernels
 from photonsim.cli import load_circuit_file
 from photonsim.fock import FockState, StateVector
 from photonsim.grover import dual_rail_grover_3q
@@ -107,7 +107,7 @@ def test_heralded_cnot_block_bunched_source(source):
 
 def served_by(kernel, rows, n):
     """Whether `_kernel` picks `kernel`, a class, for these target rows."""
-    return type(simulate._kernel(np.array(rows), n)) is kernel
+    return type(_kernels._kernel(np.array(rows), n)) is kernel
 
 
 @pytest.mark.parametrize("source", [(3, 2, 0, 0, 0), (5, 0, 0, 0)])
@@ -115,7 +115,7 @@ def test_bunched_sources_over_their_whole_sector(source):
     u = random_unitary(np.random.default_rng(sum(source) + len(source)), len(source))
     got = state_amplitudes(u, StateVector.basis(FockState(source)), None)
     targets = [t.occupations for t, _ in got]
-    assert served_by(simulate._Tables, targets, 5)
+    assert served_by(_kernels._Tables, targets, 5)
     exact = [mp_amplitude(u, source, t) for t in targets]
     assert relative_error([a for _, a in got], exact) <= TOL
 
@@ -124,7 +124,7 @@ def test_twelve_photon_bunched_source():
     source = (4, 3, 3, 2, 0)
     targets = [(12, 0, 0, 0, 0), (3, 3, 3, 3, 0), (2, 2, 2, 3, 3), (0, 0, 0, 0, 12)]
     u = random_unitary(np.random.default_rng(12), 5)
-    assert served_by(simulate._Tables, targets, 12)
+    assert served_by(_kernels._Tables, targets, 12)
     got = batch_amplitudes(u, FockState(source), [FockState(t) for t in targets])
     exact = [mp_amplitude(u, source, t) for t in targets]
     assert relative_error(got, exact) <= TOL
@@ -137,16 +137,16 @@ def test_two_heralded_cnots_under_their_four_heralds():
     heralds = parse_postselect("[4]==1 & [5]==1 & [6]==1 & [7]==1")
     got = state_amplitudes(u, StateVector.basis(FockState(source)), heralds)
     targets = [t.occupations for t, _ in got]
-    assert len(targets) == 10 and served_by(simulate._Tables, targets, 6)
+    assert len(targets) == 10 and served_by(_kernels._Tables, targets, 6)
     exact = [mp_amplitude(u, source, t) for t in targets]
     assert relative_error([a for _, a in got], exact) <= TOL
 
 
 @pytest.mark.parametrize("target, kernel", [
     # 22 x (3 x 2^10 - 1) = 67,562 table entries against 2^11 x 35 = 71,680
-    ((2,) + (1,) * 10 + (0,) * 11, simulate._Tables),
+    ((2,) + (1,) * 10 + (0,) * 11, _kernels._Tables),
     # 22 x (2^12 - 1) = 90,090 against 2^11 x 35 + 6,000 = 77,680
-    ((1,) * 12 + (0,) * 10, simulate._Plan),
+    ((1,) * 12 + (0,) * 10, _kernels._Plan),
 ])
 def test_one_twelve_photon_target_on_each_side_of_the_kernel_choice(target, kernel):
     source = (1,) * 12 + (0,) * 10

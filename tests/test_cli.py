@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonsim import cli, grover, simulate
+from photonsim import _kernels, _sectors, cli, grover
 from photonsim.cli import _build_parser, load_circuit_file, main
 from photonsim.errors import InvalidSpec, ParseError
 from photonsim.notation import parse_state
@@ -307,7 +307,7 @@ def test_bad_input_state_exits_2(capsys):
 def test_simulate_over_the_work_bound_exits_3(capsys, monkeypatch):
     # |1,0,1,0> on h.json: 2 photons over the 4-channel sector, whose SLOS
     # tables hold 4 + 10 rows of 4 entries.
-    monkeypatch.setattr(simulate, "_MAX_WORK", 0)
+    monkeypatch.setattr(_kernels, "_MAX_WORK", 0)
     code, out, err = run_cli(
         capsys, "simulate", "--circuit", str(DATA / "h.json"), "--input", "|1,0,1,0>"
     )
@@ -315,9 +315,20 @@ def test_simulate_over_the_work_bound_exits_3(capsys, monkeypatch):
     assert err == "error: the expansion needs 4 x 14 = 56 vector elements, more than the 0 allowed\n"
 
 
+def test_simulate_of_171_photons_exits_3(capsys, tmp_path):
+    circuit = tmp_path / "c.json"
+    circuit.write_text(json.dumps({"modes": 3, "components": [
+        {"type": "bs", "anchor": 0, "convention": "h"},
+        {"type": "perm", "anchor": 1, "target": [1, 0]}]}))
+    code, out, err = run_cli(capsys, "simulate", "--circuit", str(circuit),
+                             "--input", "|171,0,0>", "--postselect", "[0]==171")
+    assert code == 3 and out == ""
+    assert err.startswith("error: the stepwise evolution reaches ")
+
+
 def test_simulate_past_the_enumeration_budget_exits_3(capsys, monkeypatch):
     # 86,493,225 outcomes keep [0]==0; the lowered budget refuses them early.
-    monkeypatch.setattr(simulate, "_ENUMERATION_BYTES", 1 << 20)
+    monkeypatch.setattr(_sectors, "_ENUMERATION_BYTES", 1 << 20)
     code, out, err = run_cli(
         capsys, "simulate", "--circuit", str(DATA / "wide20.json"),
         "--input", "|" + ",".join(["1"] * 12 + ["0"] * 8) + ">", "--postselect", "[0]==0",
@@ -334,7 +345,7 @@ def test_enumeration_budget_counts_the_steps_it_keeps(capsys, monkeypatch):
     rows = [1] + [math.comb(12 + c, c) for c in range(1, 19)]
     summed = [16 * sum(rows[:c]) + 200 * rows[c] for c in range(19)]
     for budget in (1 << 20, 1_250_000, 5 << 20):
-        monkeypatch.setattr(simulate, "_ENUMERATION_BYTES", budget)
+        monkeypatch.setattr(_sectors, "_ENUMERATION_BYTES", budget)
         code, out, err = run_cli(
             capsys, "simulate", "--circuit", str(DATA / "wide20.json"),
             "--input", "|" + ",".join(["1"] * 12 + ["0"] * 8) + ">", "--postselect", "[0]==0",

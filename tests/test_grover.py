@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from photonsim.circuit import Circuit
-from photonsim import grover, simulate
+from photonsim import _kernels, _sampling, _sectors, _stepper, grover, simulate
 from photonsim.components import Permutation
 from photonsim.errors import InvalidSpec, TooLarge
 from photonsim.fock import FockState, StateVector
@@ -168,7 +168,7 @@ def test_dual_rail_search_work(monkeypatch):
     # photons, so each needs its square and its cube.
     build = grover._three_qubit_sequence().build()
     source = StateVector.basis(build.input_state((0, 0, 0)))
-    monkeypatch.setattr(simulate, "_MAX_WORK", (1 << 16) * 178 - 1)
+    monkeypatch.setattr(_kernels, "_MAX_WORK", (1 << 16) * 178 - 1)
     with pytest.raises(TooLarge, match=r"2\^16 x 178 = 11665408 vector elements"):
         simulate.state_amplitudes(build.circuit.compile(), source, build.condition)
 
@@ -180,11 +180,11 @@ def test_dual_rail_search_stepwise_work(monkeypatch):
     # count, 20 channels x (56 outcomes - 2 + the 2^17 sub-multisets of a
     # collision-free outcome) SLOS table entries, passes it too, so the
     # search is refused.
-    monkeypatch.setattr(simulate, "_MAX_WORK", 5706)
+    monkeypatch.setattr(_kernels, "_MAX_WORK", 5706)
     with pytest.raises(TooLarge, match="reaches 5707 vector elements at block 31 and the global "
                                        "route at least 2622520, more than the 5706 allowed"):
         dual_rail_grover_3q()
-    monkeypatch.setattr(simulate, "_MAX_WORK", 5707)
+    monkeypatch.setattr(_kernels, "_MAX_WORK", 5707)
     assert abs(dual_rail_grover_3q().data_probabilities["01"] - 1.0) < 1e-12
 
 
@@ -194,10 +194,10 @@ def test_dual_rail_search_runs_six_local_sweeps(monkeypatch):
     # inputs (44 without the pruning).  A warm call replays every step's
     # kept plan and runs none, with the same result.
     calls = []
-    for kernel in (simulate._Plan, simulate._Tables):
+    for kernel in (_kernels._Plan, _kernels._Tables):
         monkeypatch.setattr(kernel, "amplitudes",
                             lambda *args, original=kernel.amplitudes: calls.append(1) or original(*args))
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     result = dual_rail_grover_3q()
     assert len(calls) == 6
     assert abs(result.success_probability - (2 / 27) ** 7) <= 1e-12 * (2 / 27) ** 7
@@ -291,7 +291,7 @@ def test_pruning_keeps_the_search_exact(monkeypatch):
                           build.condition)
     pruned = processor.amplitudes()
     counts = [dual_rail_grover_3q(1000, seed).counts for seed in range(10)]
-    monkeypatch.setattr(simulate, "_PRUNE_NORM", 0.0)
+    monkeypatch.setattr(_stepper, "_PRUNE_NORM", 0.0)
     exact = processor.amplitudes()
     norm = math.sqrt(sum(abs(a) ** 2 for _, a in exact))
     assert [s for s, _ in pruned] == [s for s, _ in exact]
@@ -317,7 +317,7 @@ def test_the_polarization_search_draws_nothing(shots, monkeypatch):
     def no_draws(*args):
         raise AssertionError("drew for a point mass")
 
-    monkeypatch.setattr(simulate, "_splitmix64_doubles", no_draws)
+    monkeypatch.setattr(_sampling, "_splitmix64_doubles", no_draws)
     for target in TARGETS:
         for variant in VARIANTS:
             result = run_grover(target, variant, shots=shots, seed=5)

@@ -13,8 +13,8 @@ import pytest
 import photonsim
 from photonsim.circuit import Circuit
 from photonsim.cli import load_circuit_file
-from photonsim.components import BeamSplitter
-from photonsim import simulate
+from photonsim.components import BeamSplitter, Permutation
+from photonsim import _kernels, _sectors, simulate
 from photonsim.errors import EvalError, InvalidSpec, ParseError, RegisterMismatch, TooLarge
 from photonsim.fock import PRUNE_TOL, FockState, StateVector, make_state
 from photonsim.postselect import (
@@ -25,6 +25,7 @@ from photonsim.postselect import (
     parse_postselect,
 )
 from photonsim.qubits import GateSequence
+from photonsim.reference import amplitude
 from photonsim.simulate import sector_basis
 
 DATA = Path(__file__).parent / "data"
@@ -293,12 +294,12 @@ def test_success_probability_conserves_mass():
 def test_processor_reports_the_work_bound(monkeypatch):
     # |1,1> with [0]>=0 keeps the whole sector, whose SLOS tables hold the 2
     # one-photon and 3 two-photon rows of 2 entries each: 10.
-    monkeypatch.setattr(simulate, "_MAX_WORK", 9)
+    monkeypatch.setattr(_kernels, "_MAX_WORK", 9)
     circuit = Circuit(2).add(0, BeamSplitter.h())
     proc = Processor(circuit, StateVector.basis(make_state((1, 1))), parse_postselect("[0]>=0"))
     with pytest.raises(TooLarge, match="^the expansion needs 2 x 5 = 10 vector elements, more than the 9"):
         proc.amplitudes()
-    monkeypatch.setattr(simulate, "_MAX_WORK", 10)
+    monkeypatch.setattr(_kernels, "_MAX_WORK", 10)
     assert len(proc.amplitudes()) == 3
 
 
@@ -306,7 +307,7 @@ def test_processor_refuses_a_huge_sector_before_enumerating_it(monkeypatch):
     # 12 photons on 20 modes keep C(30, 12) = 86,493,225 outcomes under
     # [0]==0; the enumeration ran before any work check and died of
     # MemoryError.  The budget is lowered to refuse after a few thousand rows.
-    monkeypatch.setattr(simulate, "_ENUMERATION_BYTES", 1 << 20)
+    monkeypatch.setattr(_sectors, "_ENUMERATION_BYTES", 1 << 20)
     circuit = Circuit(20).add(0, BeamSplitter.h())
     state = StateVector.basis(make_state((1,) * 12 + (0,) * 8))
     with pytest.raises(TooLarge, match="the outcome enumeration reaches .* rows at channel"):
@@ -414,3 +415,43 @@ def test_run_reads_the_amplitude_arrays_bit_for_bit(case):
     dist, got = proc.run()
     assert kept and got.hex() == success.hex()
     assert [(s, p.hex()) for s, p in dist.entries.items()] == [(s, (p / success).hex()) for s, p in kept]
+
+
+def test_171_photons_on_the_stepwise_route_are_refused():
+    # [0]==171 closes after the splitter, so the stepper runs it: the
+    # block's 171-photon kernel states its count, 2^170 x 174, and so does
+    # the global route's, and both pass the limit.
+    circuit = Circuit(3).add(0, BeamSplitter.h()).add(1, Permutation((1, 0)))
+    state = StateVector.basis(FockState((171, 0, 0)))
+    with pytest.raises(TooLarge, match=r"^the stepwise evolution reaches \d+ vector elements at "
+                                       r"block 0 and the global route at least \d+, more than the "
+                                       r"17179869184 allowed$"):
+        Processor(circuit, state, parse_postselect("[0]==171")).amplitudes()
+
+
+@pytest.mark.parametrize("occupations", [(169, 1, 1), (168, 2, 1)])
+def test_171_photons_evolve_stepwise_when_the_splitter_meets_few(occupations):
+    # The splitter meets 2 or 3 photons and the permutation moves the rest,
+    # so no kernel sees 171 photons: each outcome's amplitude is the
+    # splitter's, from its local input to the outcome's channels 0 and 2.
+    circuit = Circuit(3).add(1, BeamSplitter.h()).add(0, Permutation((1, 0)))
+    state = StateVector.basis(FockState(occupations))
+    amps = Processor(circuit, state, parse_postselect("[2]==1")).amplitudes()
+    assert len(amps) == 171
+    local = FockState(occupations[1:])
+    for outcome, amp in amps:
+        a, b, c = outcome.occupations
+        want = amplitude(BeamSplitter.h().matrix(), local, FockState((a, c))) if b == occupations[0] else 0
+        assert abs(amp - want) <= 1e-15
+
+
+def test_admissible_outcomes_checks_the_register_and_predicate():
+    # Each check comes on the first next(), as the count checks do.
+    for args, error in [((3, True, 1, None), RegisterMismatch),
+                        ((4, 1, 1, None), InvalidSpec),
+                        ((4, True, 1, "[0]==1"), InvalidSpec)]:
+        outcomes = admissible_outcomes(*args)
+        with pytest.raises(error):
+            next(outcomes)
+    assert list(admissible_outcomes(4, True, 1, parse_postselect("[0]==1"))) == [
+        (1, 0, 0, 0), (0, 1, 0, 0)]

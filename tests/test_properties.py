@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from photonsim import qubits, simulate
+from photonsim import _kernels, _sectors, _stepper, postselect, qubits, simulate
 from photonsim.circuit import Circuit
 from photonsim.components import (
     BeamSplitter,
@@ -31,11 +31,11 @@ from photonsim.components import (
     PolarizingBeamSplitter,
     WavePlate,
 )
-from photonsim.expansion import oracle_evolve
 from photonsim.fock import PRUNE_TOL, FockState, StateVector
 from photonsim.postselect import Clause, PostSelect, Processor, parse_postselect
 from photonsim.qubits import GateSequence
-from photonsim.simulate import amplitude, batch_amplitudes, sector_basis
+from photonsim.reference import amplitude, oracle_evolve
+from photonsim.simulate import batch_amplitudes, sector_basis
 
 SETTINGS = settings(max_examples=50, derandomize=True, deadline=None, database=None)
 
@@ -67,7 +67,7 @@ def sweeps(draw):
 def test_kernel_matches_the_scalar_reference(case, chunk_bits):
     # Chunks of 2 or 4 subsets split every sweep of 2 or more photons.
     u, source, targets = case
-    with mock.patch.object(simulate, "_CHUNK_BITS", chunk_bits):
+    with mock.patch.object(_kernels, "_CHUNK_BITS", chunk_bits):
         got = batch_amplitudes(u, source, targets)
     assert len(got) == len(targets)
     for target, amp in zip(targets, got):
@@ -80,7 +80,7 @@ def test_sector_enumeration_matches_brute_force(n, channels):
     sector = [occ for occ in itertools.product(range(n + 1), repeat=channels) if sum(occ) == n]
     canonical = sorted(sector, reverse=True)
     assert list(sector_basis(n, channels)) == canonical
-    assert simulate._outcomes(channels, n, None).tolist() == [list(o) for o in canonical]
+    assert _sectors._outcomes(channels, n, None).tolist() == [list(o) for o in canonical]
 
 
 def sandwich(register, slots):
@@ -203,10 +203,10 @@ def gate_circuits(draw):
 def stepwise(blocks, state, condition):
     """The stepper alone, under the work limit, with no hand-off to the
     global sweep: the route tests reach it directly."""
-    sector = simulate._sector(state.channels, state.polarized, state.require_sector(), condition)
+    sector = _sectors._sector(state.channels, state.polarized, state.require_sector(), condition)
     blocks = list(blocks)
-    program, mats = simulate._program(simulate._route(blocks, sector), blocks)
-    amps = simulate._stepwise(program, mats, state, sector, simulate._MAX_WORK)
+    program, mats = _stepper._program(_stepper._route(blocks, sector), blocks)
+    amps = _stepper._stepwise(program, mats, state, sector, _kernels._MAX_WORK)
     return list(zip(sector.states(), amps.tolist()))
 
 
@@ -271,7 +271,7 @@ def test_kept_structure_changes_no_result(case, predicated):
         calls.append(lambda: stepwise(circuit.blocks(), state, condition))
     cold = []
     for call in calls:
-        simulate._STRUCTURES.clear()
+        _sectors._STRUCTURES.clear()
         cold.append(call())
     assert [call() for call in reversed(calls)] == cold[::-1]
 
@@ -310,17 +310,17 @@ def test_the_one_enumerator_lists_exactly_what_the_predicate_keeps(case):
     modes, polarized, n, expr, chans, m = case
     channels = 2 * modes if polarized else modes
     kept = [occ for occ in product_table(n, channels) if expr.evaluate(FockState(occ, polarized))]
-    assert list(simulate.admissible_outcomes(channels, polarized, n, expr)) == kept
+    assert list(postselect.admissible_outcomes(channels, polarized, n, expr)) == kept
     # A block's local outputs: the enumerator over its columns of the
     # lowered weights, for the clauses that read no other column, against
     # the block's composition table filtered by those clauses.
-    weights, lo, hi = simulate._lower(expr, channels, polarized, n)
+    weights, lo, hi = _sectors._lower(expr, channels, polarized, n)
     inside = weights[:, chans].sum(axis=1) == weights.sum(axis=1)
     local = (weights[inside][:, chans], lo[inside], hi[inside])
     outs = np.array(product_table(m, len(chans)), dtype=np.int64)
     sums = outs @ local[0].T
     want = outs[((sums >= local[1]) & (sums <= local[2])).all(axis=1)]
-    assert np.array_equal(simulate._local_sector(len(chans), m, local).rows, want)
+    assert np.array_equal(_sectors._local_sector(len(chans), m, local).rows, want)
 
 
 @st.composite
@@ -388,7 +388,7 @@ def sector_rows(draw):
     and a random nonempty selection of its sector's rows in random order."""
     modes, n = draw(st.integers(1, 6)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = simulate._outcomes(modes, n, None)
+    rows = _sectors._outcomes(modes, n, None)
     rows = rows[rng.permutation(len(rows))[: draw(st.integers(1, len(rows)))]]
     source = FockState(np.bincount(rng.integers(0, modes, n), minlength=modes))
     return random_unitary(rng, modes), source, rows
@@ -403,8 +403,8 @@ def test_both_kernels_agree_with_the_expansion_oracle(case):
     oracle = oracle_evolve(u, source)
     want = np.array([oracle.amplitude(FockState(r)) for r in rows.tolist()])
     dropped = want == 0
-    plan = simulate._plan(rows, source.n)
-    tables = simulate._tables(rows, source.n, 1 << 62)
+    plan = _kernels._plan(rows, source.n)
+    tables = _kernels._tables(rows, source.n, 1 << 62)
     for kernel in (plan, tables):
         got = kernel.amplitudes(u, source.occupations)
         assert np.all(np.abs(got - want)[~dropped] <= 1e-13)
@@ -424,7 +424,7 @@ def sorted_prune(rows, amps):
     in their order."""
     weight = amps.real**2 + amps.imag**2
     order = np.argsort(weight, kind="stable")
-    cut = np.searchsorted(np.cumsum(weight[order]), simulate._PRUNE_NORM**2 * weight.sum(), side="right")
+    cut = np.searchsorted(np.cumsum(weight[order]), _stepper._PRUNE_NORM**2 * weight.sum(), side="right")
     keep = np.sort(order[cut:])
     return rows[keep], amps[keep]
 
@@ -453,7 +453,7 @@ def test_the_threshold_prune_cuts_as_the_sorted_one(amps):
     # bit for bit, in every case.
     amps = np.array(amps, dtype=complex)
     rows = np.arange(2 * len(amps)).reshape(len(amps), 2)
-    keep = simulate._prune(amps)
+    keep = _stepper._prune(amps)
     got = (rows, amps) if keep is None else (rows[keep], amps[keep])
     want = sorted_prune(rows, amps)
     assert got[0].tolist() == want[0].tolist()

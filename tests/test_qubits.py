@@ -13,7 +13,7 @@ from photonsim.errors import (
     RegisterMismatch,
     TooLarge,
 )
-from photonsim import simulate
+from photonsim import _stepper
 from photonsim.fock import FockState, StateVector, make_state
 from photonsim.postselect import Processor
 from photonsim.qubits import (
@@ -455,7 +455,7 @@ def test_pruning_keeps_the_forty_photon_circuit_exact(monkeypatch):
         return processor.amplitudes(), [sample(dist, 1000, seed).counts for seed in range(10)]
 
     pruned, counts = run()
-    monkeypatch.setattr(simulate, "_PRUNE_NORM", 0.0)
+    monkeypatch.setattr(_stepper, "_PRUNE_NORM", 0.0)
     exact, exact_counts = run()
     norm = math.sqrt(sum(abs(a) ** 2 for _, a in exact))
     assert [s for s, _ in pruned] == [s for s, _ in exact]

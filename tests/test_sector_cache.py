@@ -2,7 +2,7 @@
 FockStates and trie plans, keyed by (channels, polarization, photon number,
 predicate), and the route records and step programs of circuits under a
 predicate.  Its keys must not collide, its rows are read-only and it holds
-at most simulate._STRUCTURE_BYTES.  That it changes no result is a
+at most _kernels._STRUCTURE_BYTES.  That it changes no result is a
 property in test_properties.py."""
 
 import itertools
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonsim import grover, simulate
+from photonsim import _kernels, _sectors, _stepper, grover, simulate
 from photonsim.circuit import Circuit
 from photonsim.components import BeamSplitter, GenericUnitary, Permutation
 from photonsim.errors import NotUnitary, TooLarge
@@ -35,7 +35,7 @@ def brute(channels, polarized, n, expr):
 
 def test_keys_do_not_collide():
     # An operator, the polarization and the photon number each change the key.
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     cases = [
         (3, False, 2, parse_postselect("[0]==1")),
         (3, False, 2, parse_postselect("[0]>=1")),
@@ -58,12 +58,12 @@ def test_keys_do_not_collide():
 
 
 def test_kept_rows_are_read_only():
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     bell = GateSequence(2).gate("H", 0).cnot(0, 1, "heralded").build()
     state = StateVector.basis(FockState((1, 0, 1, 0) + bell.herald_input))
     Processor(bell.circuit, state, parse_postselect("[4]==1 & [5]==1")).amplitudes()
     # Step programs are kept alongside; they hold no outcome rows.
-    records = [r for r in simulate._STRUCTURES._records.values() if isinstance(r, simulate._Sector)]
+    records = [r for r in _sectors._STRUCTURES._records.values() if isinstance(r, _sectors._Sector)]
     assert records
     for record in records:
         assert not record.rows.flags.writeable
@@ -75,29 +75,29 @@ def test_kept_rows_are_read_only():
 def test_a_sector_over_the_byte_bound_is_not_kept(monkeypatch):
     enumerations = []
 
-    def counted(*args, original=simulate._outcomes):
+    def counted(*args, original=_sectors._outcomes):
         enumerations.append(args)
         return original(*args)
 
-    monkeypatch.setattr(simulate, "_outcomes", counted)
+    monkeypatch.setattr(_sectors, "_outcomes", counted)
     u = BeamSplitter.h().matrix()
     pair, single = (StateVector.basis(make_state(occ)) for occ in ((1, 1), (1, 0)))
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     first = distribution(u, pair)
     assert distribution(u, pair) == first and len(enumerations) == 1
-    held = simulate._STRUCTURES.held
-    assert held == sum(r.nbytes for r in simulate._STRUCTURES._records.values()) > 0
+    held = _sectors._STRUCTURES.held
+    assert held == sum(r.nbytes for r in _sectors._STRUCTURES._records.values()) > 0
     # One byte short: computed and returned, but not kept.
-    simulate._STRUCTURES.clear()
-    monkeypatch.setattr(simulate, "_STRUCTURE_BYTES", held - 1)
+    _sectors._STRUCTURES.clear()
+    monkeypatch.setattr(_kernels, "_STRUCTURE_BYTES", held - 1)
     assert distribution(u, pair) == first and distribution(u, pair) == first
-    assert len(enumerations) == 3 and simulate._STRUCTURES.held == 0
+    assert len(enumerations) == 3 and _sectors._STRUCTURES.held == 0
     # Room for that sector alone: the least recently used goes first.
-    monkeypatch.setattr(simulate, "_STRUCTURE_BYTES", held)
+    monkeypatch.setattr(_kernels, "_STRUCTURE_BYTES", held)
     distribution(u, pair)
     distribution(u, single)
-    assert list(simulate._STRUCTURES._records) == [(2, False, 1, None)]
-    assert simulate._STRUCTURES.held <= held
+    assert list(_sectors._STRUCTURES._records) == [(2, False, 1, None)]
+    assert _sectors._STRUCTURES.held <= held
 
 
 def test_predicates_built_from_lists_are_keys():
@@ -125,11 +125,11 @@ def test_threads_share_the_kept_structure(monkeypatch):
     pair = GateSequence(2).gate("H", 0).cnot(0, 1, "heralded").cnot(1, 0, "heralded").build()
     stepped = Processor(pair.circuit, StateVector.basis(pair.input_state((0, 0))), pair.condition)
     calls = [lambda case=case: call(*case) for case in sectors] + [stepped.amplitudes]
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     want = [f() for f in calls]
     assert programs()
-    monkeypatch.setattr(simulate, "_STRUCTURE_BYTES", 2 * simulate._STRUCTURES.held // 3)
-    simulate._STRUCTURES.clear()
+    monkeypatch.setattr(_kernels, "_STRUCTURE_BYTES", 2 * _sectors._STRUCTURES.held // 3)
+    _sectors._STRUCTURES.clear()
     results, errors = [], []
 
     def worker(seed):
@@ -152,8 +152,8 @@ def test_threads_share_the_kept_structure(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == [] and len(results) == 160 and all(results)
-    kept = simulate._STRUCTURES._records.values()
-    assert simulate._STRUCTURES.held == sum(r.nbytes for r in kept) <= simulate._STRUCTURE_BYTES
+    kept = _sectors._STRUCTURES._records.values()
+    assert _sectors._STRUCTURES.held == sum(r.nbytes for r in kept) <= _kernels._STRUCTURE_BYTES
     assert all(r.kept for r in kept)
 
 
@@ -163,19 +163,20 @@ def search():
     return list(build.circuit.blocks()), StateVector.basis(build.input_state((0, 0, 0))), build.condition
 
 
-def programs(kind=simulate._Program):
+def programs(kind=_stepper._Program):
     """The kept step programs."""
-    return [r for r in simulate._STRUCTURES._records.values() if isinstance(r, kind)]
+    return [r for r in _sectors._STRUCTURES._records.values() if isinstance(r, kind)]
 
 
 def test_a_warm_search_checks_no_block_and_builds_no_program(monkeypatch):
     dual_rail_grover_3q()
     calls = {"require_unitary": 0, "_Program": 0}
-    for name in calls:
-        def counted(*args, name=name, original=getattr(simulate, name)):
+    for module, name in ((simulate, "require_unitary"), (_stepper, "require_unitary"),
+                         (_stepper, "_Program")):
+        def counted(*args, name=name, original=getattr(module, name)):
             calls[name] += 1
             return original(*args)
-        monkeypatch.setattr(simulate, name, counted)
+        monkeypatch.setattr(module, name, counted)
     dual_rail_grover_3q()
     assert calls == {"require_unitary": 0, "_Program": 0}
 
@@ -189,43 +190,43 @@ def test_a_kept_program_changes_no_result(monkeypatch):
         out = [dual_rail_grover_3q(1000, seed) for seed in range(3)]
         out.append(simulate.circuit_amplitudes(blocks, state, condition))
         with monkeypatch.context() as patch:
-            patch.setattr(simulate, "_MAX_WORK", 5706)
+            patch.setattr(_kernels, "_MAX_WORK", 5706)
             with pytest.raises(TooLarge) as refused:
                 dual_rail_grover_3q()
         return out, str(refused.value)
 
     dual_rail_grover_3q()
     warm = results()
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     assert results() == warm
     assert warm[1].startswith("the stepwise evolution reaches 5707 vector elements at block 31 ")
 
 
 def test_program_bytes_are_counted_and_evicted(monkeypatch):
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     first = dual_rail_grover_3q(1000, 4)
     [program] = programs()
-    arrays = simulate._arrays((program.start, program.steps))
+    arrays = _stepper._arrays((program.start, program.steps))
     assert program.kept and program.nbytes > sum(a.nbytes for a in arrays) > 0
     assert not any(a.flags.writeable for a in arrays)
-    kept = simulate._STRUCTURES._records.values()
-    assert simulate._STRUCTURES.held == sum(r.nbytes for r in kept)
+    kept = _sectors._STRUCTURES._records.values()
+    assert _sectors._STRUCTURES.held == sum(r.nbytes for r in kept)
     # A cap below the program's bytes: each call builds one, which is used
     # and not kept, with the same result.
-    monkeypatch.setattr(simulate, "_STRUCTURE_BYTES", program.nbytes - 1)
-    simulate._STRUCTURES.clear()
+    monkeypatch.setattr(_kernels, "_STRUCTURE_BYTES", program.nbytes - 1)
+    _sectors._STRUCTURES.clear()
     built = []
 
-    def build(*args, original=simulate._Program):
+    def build(*args, original=_stepper._Program):
         built.append(original(*args))
         return built[-1]
 
-    monkeypatch.setattr(simulate, "_Program", build)
+    monkeypatch.setattr(_stepper, "_Program", build)
     assert dual_rail_grover_3q(1000, 4) == first and dual_rail_grover_3q(1000, 4) == first
     assert len(built) == 2 and not programs() and not any(p.kept for p in built)
     assert [p.nbytes for p in built] == [program.nbytes] * 2
-    kept = simulate._STRUCTURES._records.values()
-    assert simulate._STRUCTURES.held == sum(r.nbytes for r in kept) <= program.nbytes - 1
+    kept = _sectors._STRUCTURES._records.values()
+    assert _sectors._STRUCTURES.held == sum(r.nbytes for r in kept) <= program.nbytes - 1
 
 
 def test_a_changed_block_gets_its_own_unitarity_check():
@@ -250,15 +251,15 @@ def test_the_global_route_keeps_no_block():
     u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
     processor = Processor(Circuit(4).add(0, GenericUnitary(u)),
                           StateVector.basis(FockState((1, 1, 0, 0))), parse_postselect("[0]==1"))
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     processor.amplitudes()
-    [route] = programs(simulate._Route)
+    [route] = programs(_stepper._Route)
     assert not route.early and not programs()
 
     def parts(key):
         return [p for part in key for p in parts(part)] if isinstance(key, tuple) else [key]
 
-    assert not any(isinstance(p, bytes) for key in simulate._STRUCTURES._records for p in parts(key))
+    assert not any(isinstance(p, bytes) for key in _sectors._STRUCTURES._records for p in parts(key))
 
 
 def truth_tables():
@@ -279,7 +280,7 @@ def stepwise_count(monkeypatch, call):
     cap that each charge raises to the count so far."""
     spent = []
 
-    def counted(program, mats, state, sector, cap, over=None, original=simulate._stepwise):
+    def counted(program, mats, state, sector, cap, over=None, original=_stepper._stepwise):
         return original(program, mats, state, sector, 0, lambda count, step: spent.append(count) or count)
 
     with monkeypatch.context() as patch:
@@ -299,7 +300,7 @@ def test_replayed_steps_match_the_unplanned_ones_in_any_order(monkeypatch):
             if limit is None:
                 return processor.amplitudes()
             with monkeypatch.context() as patch:
-                patch.setattr(simulate, "_MAX_WORK", limit)
+                patch.setattr(_kernels, "_MAX_WORK", limit)
                 with pytest.raises(TooLarge) as refused:
                     processor.amplitudes()
             return str(refused.value)
@@ -309,12 +310,12 @@ def test_replayed_steps_match_the_unplanned_ones_in_any_order(monkeypatch):
         results = []
         for order, clear in ((words, True), (words[::-1], False), (words[::-1], True)):
             if clear:
-                simulate._STRUCTURES.clear()
+                _sectors._STRUCTURES.clear()
             results.append({w: (run(w, limits[w]), run(w)) for w in order})
             assert sum(len(p.plans) for p in programs()) > 0
         assert results[0] == results[1] == results[2]
         for w in words:
-            simulate._STRUCTURES.clear()
+            _sectors._STRUCTURES.clear()
             assert run(w, limits[w]) == results[0][w][0]
             assert run(w, limits[w]).startswith(f"the stepwise evolution reaches {limits[w] + 1} ")
 
@@ -322,16 +323,16 @@ def test_replayed_steps_match_the_unplanned_ones_in_any_order(monkeypatch):
 def test_a_replayed_zero_product_runs_the_unplanned_step(monkeypatch):
     # A product that comes out exactly zero would drop its row in the
     # unplanned step, so the step runs unplanned and keeps the plan it had.
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     want = dual_rail_grover_3q(1000, 5)
     [program] = programs()
     key, plan = next((k, p) for k, p in program.plans.items()
-                     if isinstance(p, simulate._StepPlan) and p.source is not None)
+                     if isinstance(p, _stepper._StepPlan) and p.source is not None)
     factor = plan.factor.copy()
     factor[0] = 0
     monkeypatch.setattr(plan, "factor", factor)
     calls = []
-    monkeypatch.setattr(simulate, "_local_parts", lambda *args, original=simulate._local_parts:
+    monkeypatch.setattr(_stepper, "_local_parts", lambda *args, original=_stepper._local_parts:
                         calls.append(1) or original(*args))
     assert dual_rail_grover_3q(1000, 5) == want
     assert len(calls) == 1 and program.plans[key].factor is factor
@@ -342,17 +343,17 @@ def test_monomial_steps_keep_read_only_plans(monkeypatch):
     # factors (None for the 7 whose phases are all 1), read-only, as all 33
     # plans are; a warm call adds none, takes no phase power and gives the
     # same result.
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     want = dual_rail_grover_3q(1000, 6)
     [program] = programs()
     kept, planned = dict(program.plans), program.planned
     moves = [v for (step, _), v in kept.items()
              if step < len(program.steps) and program.steps[step][1] is not None]
     assert len(moves) == 14 and sum(plan.factor is None for plan in moves) == 7
-    arrays = simulate._arrays(list(kept.values()))
+    arrays = _stepper._arrays(list(kept.values()))
     assert arrays and not any(a.flags.writeable for a in arrays)
     powers = []
-    monkeypatch.setattr(simulate.np, "prod", lambda *args, original=np.prod, **kw:
+    monkeypatch.setattr(_stepper.np, "prod", lambda *args, original=np.prod, **kw:
                         powers.append(1) or original(*args, **kw))
     assert dual_rail_grover_3q(1000, 6) == want
     assert powers == [] and program.planned == planned
@@ -364,11 +365,11 @@ def test_threads_build_and_replay_the_same_plans():
     # Four threads run the search from a cleared structure, so they build,
     # publish and replay the same step plans at once; every result equals
     # the serial one, and the plans are counted once.
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     want = [dual_rail_grover_3q(1000, seed) for seed in range(4)]
     [program] = programs()
     plans = len(program.plans)
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     results, errors = [], []
 
     def worker(seed):
@@ -392,8 +393,8 @@ def test_threads_build_and_replay_the_same_plans():
     assert errors == [] and len(results) == 40 and all(results)
     [program] = programs()
     assert len(program.plans) == plans and program.planned == plan_bytes(program)
-    kept = simulate._STRUCTURES._records.values()
-    assert simulate._STRUCTURES.held == sum(r.nbytes for r in kept)
+    kept = _sectors._STRUCTURES._records.values()
+    assert _sectors._STRUCTURES.held == sum(r.nbytes for r in kept)
 
 
 def test_a_circuit_keeps_its_block_keys():
@@ -401,7 +402,7 @@ def test_a_circuit_keeps_its_block_keys():
     # kept with its blocks; a list of the same pairs finds the same program.
     blocks, state, condition = search()
     kept = grover._search_build().circuit.blocks()
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     want = simulate.circuit_amplitudes(kept, state, condition)
     assert {"channels", "arrays", "data"} <= set(vars(kept))
     data = kept.data
@@ -416,7 +417,7 @@ def test_kept_block_arrays_are_read_only():
     # caller's array keeps its flags.
     real = np.array([[0.0, 1.0], [1.0, 0.0]])
     mine = np.array([[0, 1], [1, 0]], dtype=complex)
-    blocks = simulate._as_blocks([((0, 1), real), ((1, 2), mine)])
+    blocks = _stepper._as_blocks([((0, 1), real), ((1, 2), mine)])
     converted, same = blocks.arrays
     assert same is mine and mine.flags.writeable
     assert not converted.flags.writeable
@@ -427,26 +428,26 @@ def test_kept_block_arrays_are_read_only():
 def test_a_programs_plans_stay_within_their_share(monkeypatch):
     # Past _PLAN_SHARE a step keeps no plan and runs unplanned, with the
     # same result; the bytes kept are the ones counted.
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     want = dual_rail_grover_3q(1000, 3)
     [program] = programs()
     full = program.planned
     assert len(program.plans) == 33
     for share in (0, full // 2):
-        monkeypatch.setattr(simulate, "_PLAN_SHARE", share)
-        simulate._STRUCTURES.clear()
+        monkeypatch.setattr(_stepper, "_PLAN_SHARE", share)
+        _sectors._STRUCTURES.clear()
         for _ in range(2):
             assert dual_rail_grover_3q(1000, 3) == want
         [program] = programs()
         assert program.planned == plan_bytes(program) <= share and len(program.plans) < 33
         assert bool(program.plans) == (share > 0)
-        kept = simulate._STRUCTURES._records.values()
-        assert simulate._STRUCTURES.held == sum(r.nbytes for r in kept)
+        kept = _sectors._STRUCTURES._records.values()
+        assert _sectors._STRUCTURES.held == sum(r.nbytes for r in kept)
 
 
 def plan_bytes(program):
     """The bytes of a program's plans, by the rule `_keep` counts them with."""
-    return sum(simulate._kept_bytes(1, simulate._arrays(plan), key[1:])
+    return sum(_stepper._kept_bytes(1, _stepper._arrays(plan), key[1:])
                for key, plan in program.plans.items())
 
 
@@ -454,19 +455,19 @@ def test_kept_bytes_follow_one_rule():
     # A search's route, program and plans each count their arrays' data,
     # their keys' bytes and _ENTRY_BYTES per block or plan, and the
     # structure holds exactly the bytes its records count.
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     dual_rail_grover_3q(1000, 2)
-    [route], [program] = programs(simulate._Route), programs()
-    blocks, entry = len(program.steps), simulate._ENTRY_BYTES
+    [route], [program] = programs(_stepper._Route), programs()
+    blocks, entry = len(program.steps), _stepper._ENTRY_BYTES
     assert route.nbytes == blocks * entry + route.closes.nbytes
     data = sum(len(d) for _, d in grover._search_build().circuit.blocks().data)
-    arrays = simulate._arrays((program.start, program.steps))
+    arrays = _stepper._arrays((program.start, program.steps))
     assert program.nbytes - program.planned == blocks * entry + data + sum(a.nbytes for a in arrays)
     assert program.planned == plan_bytes(program) == sum(
-        entry + len(rows) + sum(a.nbytes for a in simulate._arrays(plan))
+        entry + len(rows) + sum(a.nbytes for a in _stepper._arrays(plan))
         for (_, rows), plan in program.plans.items())
-    kept = simulate._STRUCTURES._records.values()
-    assert simulate._STRUCTURES.held == sum(r.nbytes for r in kept)
+    kept = _sectors._STRUCTURES._records.values()
+    assert _sectors._STRUCTURES.held == sum(r.nbytes for r in kept)
 
 
 def heralded_chain():
@@ -478,7 +479,7 @@ def heralded_chain():
 def test_a_warm_search_finds_each_plan_by_its_key(monkeypatch):
     # A warm search looks up each of its 33 plans by its key and finds it,
     # runs no unplanned step, adds no plan and counts no more bytes.
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     want = dual_rail_grover_3q(1000, 4)
     [program] = programs()
     assert len(program.plans) == 33 and program.planned == plan_bytes(program)
@@ -492,7 +493,7 @@ def test_a_warm_search_finds_each_plan_by_its_key(monkeypatch):
             return super().get(key, default)
 
     monkeypatch.setattr(program, "plans", Counted(program.plans))
-    monkeypatch.setattr(simulate, "_local_parts", lambda *args: pytest.fail("an unplanned step"))
+    monkeypatch.setattr(_stepper, "_local_parts", lambda *args: pytest.fail("an unplanned step"))
     assert dual_rail_grover_3q(1000, 4) == want
     assert Counted.found == [True] * 33 and program.planned == planned
     assert program.plans.keys() == kept.keys()
@@ -520,9 +521,9 @@ def test_a_link_holds_for_the_cut_it_was_made_under(drawn):
 
     want = {}
     for c in inputs:
-        simulate._STRUCTURES.clear()
+        _sectors._STRUCTURES.clear()
         want[c] = run(c)
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     for c in [1.0, -1.0, 1j] * 2:
         assert run(c) == want[c]
     [program] = programs()
@@ -539,14 +540,14 @@ def test_a_link_holds_through_a_projection():
     circuit = (Circuit(3).add(0, BeamSplitter.rx(0.7)).add(1, Permutation((1, 0)))
                .add(0, BeamSplitter.rx(0.3)))
     state, condition = StateVector.basis(make_state((1, 1, 0))), parse_postselect("[2]<=1")
-    sector = simulate._sector(3, False, 2, condition)
+    sector = _sectors._sector(3, False, 2, condition)
     blocks = circuit.blocks()
 
     def run():
-        program, mats = simulate._program(simulate._route(blocks, sector), blocks)
-        return simulate._stepwise(program, mats, state, sector, simulate._MAX_WORK)
+        program, mats = _stepper._program(_stepper._route(blocks, sector), blocks)
+        return _stepper._stepwise(program, mats, state, sector, _kernels._MAX_WORK)
 
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     cold = run()
     [program] = programs()
     swap = program.plans[next(key for key in program.plans if key[0] == 1)]
@@ -574,11 +575,11 @@ def test_inputs_whose_rows_meet_follow_the_same_links():
 
     want, keys = {}, {}
     for word in words:
-        simulate._STRUCTURES.clear()
+        _sectors._STRUCTURES.clear()
         want[word] = run(word)
         [program] = programs()
         keys[word] = set(program.plans)
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     for word in words + words[::-1]:
         assert run(word) == want[word]
     [program] = programs()
@@ -589,22 +590,54 @@ def test_inputs_whose_rows_meet_follow_the_same_links():
 def test_a_linked_search_refuses_as_a_cold_one(monkeypatch):
     # One below its count, a warm search that replays its plans is refused
     # at the same count and block as a cold one.
-    simulate._STRUCTURES.clear()
-    monkeypatch.setattr(simulate, "_MAX_WORK", 5706)
+    _sectors._STRUCTURES.clear()
+    monkeypatch.setattr(_kernels, "_MAX_WORK", 5706)
     refusals = []
     for _ in range(3):  # cold, then on the plans the first kept
         with pytest.raises(TooLarge) as refused:
             dual_rail_grover_3q()
         refusals.append(str(refused.value))
     assert refusals == [refusals[0]] * 3 and "reaches 5707 vector elements at block 31" in refusals[0]
-    monkeypatch.setattr(simulate, "_MAX_WORK", 5707)
-    simulate._STRUCTURES.clear()
+    monkeypatch.setattr(_kernels, "_MAX_WORK", 5707)
+    _sectors._STRUCTURES.clear()
     want = dual_rail_grover_3q()
     [program] = programs()
     assert len(program.plans) == 33
-    monkeypatch.setattr(simulate, "_MAX_WORK", 5706)
+    monkeypatch.setattr(_kernels, "_MAX_WORK", 5706)
     with pytest.raises(TooLarge) as refused:
         dual_rail_grover_3q()
     assert str(refused.value) == refusals[0]
-    monkeypatch.setattr(simulate, "_MAX_WORK", 5707)
+    monkeypatch.setattr(_kernels, "_MAX_WORK", 5707)
     assert dual_rail_grover_3q() == want
+
+
+def test_a_product_that_rounds_to_zero_keeps_no_plan(monkeypatch):
+    # The first block's off-diagonal 5e-324 times 0.3 rounds to zero, so
+    # `_expand` drops that product and its arrays hold for these amplitudes
+    # only: the step keeps no plan and runs unplanned on every call.  The
+    # stepper's count then passes the global kernel's least, so the
+    # outcomes go to the global route.
+    _sectors._STRUCTURES.clear()
+    circuit = Circuit(3).add(0, GenericUnitary([[1, -5e-324], [5e-324, 1]])).add(1, BeamSplitter.h())
+    state = StateVector({make_state((1, 0, 1)): 0.3, make_state((0, 1, 1)): 0.91 ** 0.5})
+    condition = parse_postselect("[0]<=1")
+    exact = []
+
+    def expand(*args, original=_stepper._expand):
+        arrays, products, whole = original(*args)
+        exact.append(whole)
+        return arrays, products, whole
+
+    monkeypatch.setattr(_stepper, "_expand", expand)
+    first = Processor(circuit, state, condition).amplitudes()
+    [program] = programs()
+    assert not [key for key in program.plans if key[0] == 0]
+    assert Processor(circuit, state, condition).amplitudes() == first
+    assert exact == [False, False]
+    assert first == state_amplitudes(circuit.compile(), state, condition)
+
+
+def test_state_vector_repr_lists_its_terms_in_canonical_order():
+    state = StateVector({make_state((0, 1, 1)): 0.8, make_state((1, 0, 1)): 0.6j})
+    assert repr(state) == "StateVector((0+0.6j)*|1,0,1> + (0.8+0j)*|0,1,1>)"
+    assert repr(StateVector({}, channels=2)) == "StateVector(0)"

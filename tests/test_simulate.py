@@ -22,23 +22,21 @@ from hypothesis import strategies as st
 from photonsim.circuit import Circuit
 from photonsim.components import BeamSplitter, GenericUnitary, Permutation, PhaseShifter
 from photonsim.errors import InvalidSpec, MixedSector, NotUnitary, RegisterMismatch, TooLarge
-from photonsim.expansion import oracle_evolve
 from photonsim.fock import PRUNE_TOL, FockState, StateVector, make_state
 from photonsim.postselect import Processor, admissible_outcomes, parse_postselect
+from photonsim._sampling import SplitMix64
+from photonsim.reference import amplitude, oracle_evolve, permanent
 from photonsim.simulate import (
     Distribution,
     SampleCount,
-    SplitMix64,
-    amplitude,
     batch_amplitudes,
     distribution,
     evolve,
-    permanent,
     sample,
     sector_basis,
     state_amplitudes,
 )
-from photonsim import simulate
+from photonsim import _kernels, _sampling, _sectors, _stepper, simulate
 
 
 def naive_permanent(a):
@@ -136,11 +134,11 @@ def test_sector_enumerators_check_their_counts(n, channels, message):
     # A negative count yielded a row of -2 photons or a numpy reshape error,
     # and a bool passed as 1.  Both stay generators: the check comes on the
     # first next(), and no record is built or kept.
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     for outcomes in (sector_basis(n, channels), admissible_outcomes(channels, False, n, None)):
         with pytest.raises(InvalidSpec, match=message):
             next(outcomes)
-    assert not simulate._STRUCTURES._records
+    assert not _sectors._STRUCTURES._records
     assert list(sector_basis(np.int64(2), np.int64(2))) == [(2, 0), (1, 1), (0, 2)]
 
 
@@ -148,16 +146,16 @@ def test_sector_enumeration_byte_budget(monkeypatch):
     # Two photons on 3 channels grow 3, 6 and 6 rows of 8 x (3 + 4) bytes,
     # and each step keeps 16 bytes a row: the last step holds 6 x 56 bytes
     # and the 16 x (3 + 6) kept before it.
-    simulate._STRUCTURES.clear()
-    monkeypatch.setattr(simulate, "_ENUMERATION_BYTES", 6 * 56 + 16 * 9)
+    _sectors._STRUCTURES.clear()
+    monkeypatch.setattr(_sectors, "_ENUMERATION_BYTES", 6 * 56 + 16 * 9)
     assert len(list(sector_basis(2, 3))) == 6
-    simulate._STRUCTURES.clear()
-    monkeypatch.setattr(simulate, "_ENUMERATION_BYTES", 6 * 56 + 16 * 9 - 1)
+    _sectors._STRUCTURES.clear()
+    monkeypatch.setattr(_sectors, "_ENUMERATION_BYTES", 6 * 56 + 16 * 9 - 1)
     with pytest.raises(TooLarge, match="reaches 6 rows at channel 2 of 3, 480 bytes, more than the 479"):
         list(sector_basis(2, 3))
     # C(41, 12) = 7.1e9 rows; the budget is lowered so that the refusal
     # comes after a few thousand rows instead of millions.
-    monkeypatch.setattr(simulate, "_ENUMERATION_BYTES", 1 << 20)
+    monkeypatch.setattr(_sectors, "_ENUMERATION_BYTES", 1 << 20)
     with pytest.raises(TooLarge, match="rows at channel 4 of 30"):
         next(sector_basis(12, 30))
 
@@ -168,20 +166,20 @@ def test_window_plans_sweep_as_one_node_per_op(n, monkeypatch):
     # are short; with _VIEW_BYTES at 0 every row counts as long.
     modes = {2: 91, 3: 23, 4: 12, 5: 8, 6: 6, 7: 5}.get(n, 4)
     rng = np.random.default_rng(n)
-    rows = simulate._outcomes(modes, n, None)
+    rows = _sectors._outcomes(modes, n, None)
     u = random_unitary(rng, modes)
     source = rows[len(rows) // 3].tolist()
-    plan = simulate._plan(rows, n)
+    plan = _kernels._plan(rows, n)
     assert plan.leaves > plan.width if n < 12 else plan.width == 1
-    monkeypatch.setattr(simulate, "_VIEW_BYTES", 0)
-    single = simulate._plan(rows, n)
+    monkeypatch.setattr(_kernels, "_VIEW_BYTES", 0)
+    single = _kernels._plan(rows, n)
     assert single.width == 1
-    assert np.array_equal(simulate._sweep(u, source, plan), simulate._sweep(u, source, single))
+    assert np.array_equal(_kernels._sweep(u, source, plan), _kernels._sweep(u, source, single))
 
 
 @pytest.mark.parametrize("n", [11, 12, 13, 14, 20])
 def test_plans_from_2_to_the_11_subsets_keep_one_node_per_op(n):
-    plan = simulate._plan(simulate._outcomes(3, n, None), n)
+    plan = _kernels._plan(_sectors._outcomes(3, n, None), n)
     assert (plan.width == 1) == (n >= 12)
 
 
@@ -363,7 +361,7 @@ def test_sample_reads_program_built_distributions_without_sorting(monkeypatch):
             assert list(got.counts.items()) == list(want.counts.items())
             # The comprehension sample used to build its counts with.
             ordered = built.items()
-            counts = simulate.inverse_cdf_counts([p for _, p in ordered], 5000, seed)
+            counts = _sampling.inverse_cdf_counts([p for _, p in ordered], 5000, seed)
             old = {s: c for (s, _), c in zip(ordered, counts) if c}
             assert got == SampleCount(old, 5000, seed)
             assert list(got.counts.items()) == list(old.items())
@@ -392,23 +390,23 @@ def test_batch_amplitudes_work_bound(monkeypatch):
     u = BeamSplitter.h().matrix()
     src = make_state((1, 1))
     targets = [make_state(occ) for occ in sector_basis(2, 2)]
-    monkeypatch.setattr(simulate, "_MAX_WORK", 9)
+    monkeypatch.setattr(_kernels, "_MAX_WORK", 9)
     with pytest.raises(TooLarge, match=r"^the expansion needs 2 x 5 = 10 vector elements, "
                                        r"more than the 9 allowed$"):
         batch_amplitudes(u, src, targets)
-    monkeypatch.setattr(simulate, "_MAX_WORK", 10)
+    monkeypatch.setattr(_kernels, "_MAX_WORK", 10)
     assert abs(batch_amplitudes(u, src, targets)[1]) < 1e-12
     # Targets outside the sector cost nothing.
-    monkeypatch.setattr(simulate, "_MAX_WORK", 0)
+    monkeypatch.setattr(_kernels, "_MAX_WORK", 0)
     assert batch_amplitudes(u, src, [make_state((1, 0))]) == [0j]
 
 
 def test_distribution_reports_the_work_bound(monkeypatch):
-    monkeypatch.setattr(simulate, "_MAX_WORK", 9)
+    monkeypatch.setattr(_kernels, "_MAX_WORK", 9)
     u = BeamSplitter.h().matrix()
     with pytest.raises(TooLarge, match="^the expansion needs 2 x 5 = 10 vector elements"):
         distribution(u, StateVector.basis(make_state((1, 1))))
-    monkeypatch.setattr(simulate, "_MAX_WORK", 10)
+    monkeypatch.setattr(_kernels, "_MAX_WORK", 10)
     # Hong-Ou-Mandel: |1,1> leaves as |2,0> or |0,2>.
     assert len(distribution(u, StateVector.basis(make_state((1, 1)))).entries) == 2
 
@@ -419,18 +417,18 @@ def test_distribution_counts_the_sector_before_enumerating(monkeypatch):
     # entries, past the structure budget, so the count is the Glynn plan's:
     # per subset 160 factor rows, 3,350,478 trie nodes and 2,042,975 leaves.
     # No sector is kept, so an enumeration would show.
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
 
     def no_enumeration(*args):
         raise AssertionError("the sector was enumerated")
 
-    monkeypatch.setattr(simulate, "_outcomes", no_enumeration)
+    monkeypatch.setattr(_sectors, "_outcomes", no_enumeration)
     huge = StateVector.basis(make_state((16,) + (0,) * 9))
     with pytest.raises(TooLarge, match=r"^the sweep needs 2\^15 x 5393613 = 176737910784 vector "
                                        r"elements, more than the 17179869184 allowed$"):
         distribution(np.eye(10), huge)
     # |1,1>: 2 x 5 SLOS table entries, against the limit read now.
-    monkeypatch.setattr(simulate, "_MAX_WORK", 9)
+    monkeypatch.setattr(_kernels, "_MAX_WORK", 9)
     with pytest.raises(TooLarge, match=r"^the expansion needs 2 x 5 = 10 vector elements, more "
                                        r"than the 9"):
         distribution(BeamSplitter.h().matrix(), StateVector.basis(make_state((1, 1))))
@@ -442,11 +440,22 @@ def test_work_counts_each_power_step(monkeypatch):
     # one target sum.  Its SLOS tables hold (3,0,0), (2,0,0) and (1,0,0),
     # 3 entries each, so they serve it.
     rows = np.array([[3, 0, 0]])
-    plan = simulate._plan(rows, 3)
+    plan = _kernels._plan(rows, 3)
     assert (plan.work, plan.count) == (28, "the sweep needs 2^2 x 7")
-    monkeypatch.setattr(simulate, "_MAX_WORK", 8)
+    monkeypatch.setattr(_kernels, "_MAX_WORK", 8)
     with pytest.raises(TooLarge, match=r"^the expansion needs 3 x 3 = 9 vector elements"):
         batch_amplitudes(np.eye(3), make_state((1, 1, 1)), [make_state((3, 0, 0))])
+
+
+def test_171_photons_are_refused_with_the_sweep_count():
+    # 171! leaves float range: the SLOS tables are ruled out and the Glynn
+    # plan's t_j! saturate at inf, so the plan still states its count,
+    # which the limit refuses before any sweep.
+    big = make_state((171, 0))
+    assert _kernels._plan(np.array([[171, 0]]), 171).t_norm.tolist() == [math.inf]
+    with pytest.raises(TooLarge, match=r"^the sweep needs 2\^170 x 174 = \d+ vector elements, "
+                                       r"more than the 17179869184 allowed$"):
+        batch_amplitudes(np.eye(2), big, [big])
 
 
 def test_state_amplitudes_are_linear_in_the_terms():
@@ -483,8 +492,8 @@ def each_kernel(u, src, targets):
     """The amplitudes of the targets in the source's sector from the Glynn
     plan and from the SLOS tables, both, whichever `_kernel` would pick."""
     rows = np.array([t.occupations for t in targets if t.n == src.n])
-    plan = simulate._plan(rows, src.n)
-    tables = simulate._tables(rows, src.n, 1 << 62)
+    plan = _kernels._plan(rows, src.n)
+    tables = _kernels._tables(rows, src.n, 1 << 62)
     return [kernel.amplitudes(u, src.occupations) for kernel in (plan, tables)]
 
 
@@ -542,7 +551,7 @@ def test_batch_amplitudes_herald_pinned_targets():
 def test_batch_amplitudes_source_wider_than_one_chunk():
     # Glynn sweeps the 14 columns after the first of 15 photons, more than
     # the chunk width, so the sweep runs in several chunks.
-    assert 14 > simulate._CHUNK_BITS
+    assert 14 > _kernels._CHUNK_BITS
     rng = np.random.default_rng(14)
     u = random_unitary(rng, 16)
     src = make_state((1,) * 14 + (1, 0))
@@ -557,7 +566,7 @@ def test_batch_amplitudes_source_wider_than_one_chunk():
 def test_batch_amplitudes_many_chunks_match_oracle(monkeypatch):
     # A two-bit chunk forces every multi-photon Glynn sweep through several
     # chunks; the batch call takes whichever kernel `_kernel` picks.
-    monkeypatch.setattr(simulate, "_CHUNK_BITS", 2)
+    monkeypatch.setattr(_kernels, "_CHUNK_BITS", 2)
     rng = np.random.default_rng(15)
     for _ in range(10):
         modes = int(rng.integers(2, 5))
@@ -730,8 +739,8 @@ def counts_each_way(weights, shots, seed):
     got = []
     for per_edge in (0, 1 << 62):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulate, "_DRAWS_PER_EDGE", per_edge)
-            got.append(simulate.inverse_cdf_counts(weights, shots, seed))
+            mp.setattr(_sampling, "_DRAWS_PER_EDGE", per_edge)
+            got.append(_sampling.inverse_cdf_counts(weights, shots, seed))
     return got
 
 
@@ -753,11 +762,11 @@ def test_inverse_cdf_counts_match_scalar_reference(seed):
     # The doubles themselves, since a low-bit error rarely moves a count.
     ref = SplitMix64(seed)
     want = [ref.next_double() for _ in range(200)]
-    assert simulate._splitmix64_doubles(seed, 1, 201).tolist() == want
-    assert simulate._splitmix64_doubles(seed, 151, 201).tolist() == want[150:]
+    assert _sampling._splitmix64_doubles(seed, 1, 201).tolist() == want
+    assert _sampling._splitmix64_doubles(seed, 151, 201).tolist() == want[150:]
     # Scaled draws, subnormal products included, are next_double() * scale.
     for scale in (0.0, 5e-324, 1e-310, 1e-300, 2**-969, 3.0, 1.7e308):
-        got = simulate._splitmix64_doubles(seed, 1, 201, scale).tolist()
+        got = _sampling._splitmix64_doubles(seed, 1, 201, scale).tolist()
         assert list(map(float.hex, got)) == [(d * scale).hex() for d in want]
     rng = np.random.default_rng(abs(seed) % 2**32)
     cases = [
@@ -815,9 +824,9 @@ def test_subnormal_totals_put_no_draw_past_the_last_positive_weight():
 def test_leading_and_trailing_zeros_across_draw_chunks(weights, monkeypatch):
     # Edges <= 0 and past the largest draw are not counted, only set.
     want = scalar_inverse_cdf_counts(weights, 70_000, 29)
-    assert 70_000 > simulate._DRAW_CHUNK
+    assert 70_000 > _sampling._DRAW_CHUNK
     assert counts_each_way(weights, 70_000, 29) == [want, want]
-    monkeypatch.setattr(simulate, "_DRAW_CHUNK", 7)
+    monkeypatch.setattr(_sampling, "_DRAW_CHUNK", 7)
     for shots in (6, 7, 8, 50):
         want = scalar_inverse_cdf_counts(weights, shots, -3)
         assert counts_each_way(weights, shots, -3) == [want, want]
@@ -827,15 +836,15 @@ def test_no_draw_is_computed_when_no_edge_is_live(monkeypatch):
     def no_draws(*args):
         raise AssertionError("drew for a point mass")
 
-    monkeypatch.setattr(simulate, "_splitmix64_doubles", no_draws)
+    monkeypatch.setattr(_sampling, "_splitmix64_doubles", no_draws)
     assert counts_each_way([0.0, 0.0, 0.9999999999999998, 0.0], 10**6, 5) == [[0, 0, 10**6, 0]] * 2
-    assert simulate.inverse_cdf_counts([0.0, 1e300], 2**63 - 1, 1) == [0, 2**63 - 1]
-    assert simulate.inverse_cdf_counts([0.0] * 3, 10**9, 1) == [0, 0, 10**9]
-    assert simulate.inverse_cdf_counts([0.0, 1.0], 0, 1) == [0, 0]
+    assert _sampling.inverse_cdf_counts([0.0, 1e300], 2**63 - 1, 1) == [0, 2**63 - 1]
+    assert _sampling.inverse_cdf_counts([0.0] * 3, 10**9, 1) == [0, 0, 10**9]
+    assert _sampling.inverse_cdf_counts([0.0, 1.0], 0, 1) == [0, 0]
 
 
 def test_inverse_cdf_counts_across_draw_chunks(monkeypatch):
-    monkeypatch.setattr(simulate, "_DRAW_CHUNK", 7)
+    monkeypatch.setattr(_sampling, "_DRAW_CHUNK", 7)
     weights = [0.1, 0.0, 0.25, 0.4, 0.05, 0.2]
     for seed in (3, -(2**70)):
         want = scalar_inverse_cdf_counts(weights, 50, seed)
@@ -860,12 +869,12 @@ def test_inverse_cdf_counts_match_per_draw_search_over_a_haar_distribution():
     weights = [p for _, p in dist.items()]
     assert len(weights) == 2002
     shots, seed = 100_000, 9301
-    assert shots > simulate._DRAW_CHUNK
+    assert shots > _sampling._DRAW_CHUNK
     cumulative = np.array(list(itertools.accumulate(weights)))
-    draws = simulate._splitmix64_doubles(seed, 1, shots + 1) * cumulative[-1]
+    draws = _sampling._splitmix64_doubles(seed, 1, shots + 1) * cumulative[-1]
     index = np.minimum(np.searchsorted(cumulative, draws, side="right"), len(weights) - 1)
     want = np.bincount(index, minlength=len(weights)).tolist()
-    assert simulate.inverse_cdf_counts(weights, shots, seed) == want
+    assert _sampling.inverse_cdf_counts(weights, shots, seed) == want
     assert counts_each_way(weights, shots, seed) == [want, want]
     got = sample(dist, shots, seed)
     assert got.counts == {s: c for (s, _), c in zip(dist.items(), want) if c}
@@ -875,14 +884,14 @@ def test_few_edge_counts_match_per_draw_search_across_draw_chunks():
     # Four labels, as a search reads them, with a zero weight: 3 edges and
     # more than two full chunks of draws.
     weights = [0.25, 0.0, 0.6, 0.15]
-    shots, seed = 2 * simulate._DRAW_CHUNK + 12_345, 4177
-    assert simulate._DRAW_CHUNK > 3 * simulate._DRAWS_PER_EDGE
+    shots, seed = 2 * _sampling._DRAW_CHUNK + 12_345, 4177
+    assert _sampling._DRAW_CHUNK > 3 * _sampling._DRAWS_PER_EDGE
     cumulative = np.array(list(itertools.accumulate(weights)))
-    draws = simulate._splitmix64_doubles(seed, 1, shots + 1) * cumulative[-1]
+    draws = _sampling._splitmix64_doubles(seed, 1, shots + 1) * cumulative[-1]
     index = np.minimum(np.searchsorted(cumulative, draws, side="right"), len(weights) - 1)
     want = np.bincount(index, minlength=len(weights)).tolist()
     assert want[1] == 0 and sum(want) == shots
-    assert simulate.inverse_cdf_counts(weights, shots, seed) == want
+    assert _sampling.inverse_cdf_counts(weights, shots, seed) == want
     assert counts_each_way(weights, shots, seed) == [want, want]
 
 
@@ -892,13 +901,13 @@ def test_the_crossover_sorts_only_chunks_with_few_draws_per_edge(monkeypatch):
     calls = []
     search = np.searchsorted
     monkeypatch.setattr(np, "searchsorted", lambda *a, **k: calls.append(1) or search(*a, **k))
-    simulate.inverse_cdf_counts([0.1, 0.2, 0.3, 0.4], 100_000, 1)
+    _sampling.inverse_cdf_counts([0.1, 0.2, 0.3, 0.4], 100_000, 1)
     assert not calls
-    simulate.inverse_cdf_counts([1.0] * 2002, 100_000, 1)
+    _sampling.inverse_cdf_counts([1.0] * 2002, 100_000, 1)
     assert len(calls) == 2
     calls.clear()
-    monkeypatch.setattr(simulate, "_DRAWS_PER_EDGE", 1 << 62)
-    simulate.inverse_cdf_counts([0.1, 0.2, 0.3, 0.4], 100_000, 1)
+    monkeypatch.setattr(_sampling, "_DRAWS_PER_EDGE", 1 << 62)
+    _sampling.inverse_cdf_counts([0.1, 0.2, 0.3, 0.4], 100_000, 1)
     assert len(calls) == 2
 
 
@@ -917,7 +926,7 @@ def test_inverse_cdf_counts_property_with_zeros_and_plateaus(weights, shots, see
     # Zeros make plateaus in the running sums, so several edges coincide;
     # all-zero weights put every draw exactly on the edges.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_DRAW_CHUNK", 7)
+        mp.setattr(_sampling, "_DRAW_CHUNK", 7)
         got = counts_each_way(weights, shots, seed)
     want = scalar_inverse_cdf_counts(weights, shots, seed)
     assert got == [want, want]
@@ -929,7 +938,7 @@ def test_inverse_cdf_counts_property_with_zeros_and_plateaus(weights, shots, see
 )
 def test_inverse_cdf_counts_reject_bad_weights(weights):
     with pytest.raises(InvalidSpec, match="sampling weights must be finite and >= 0"):
-        simulate.inverse_cdf_counts(weights, 0, 1)
+        _sampling.inverse_cdf_counts(weights, 0, 1)
 
 
 @pytest.mark.parametrize(
@@ -948,13 +957,13 @@ def test_inverse_cdf_counts_reject_bad_weights(weights):
 def test_inverse_cdf_counts_reject_weights_that_are_not_a_sequence_of_reals(weights, shown):
     with pytest.raises(InvalidSpec, match=re.escape(
             f"sampling weights must be a 1-D sequence of real numbers, got {shown}")):
-        simulate.inverse_cdf_counts(weights, 3, 1)
+        _sampling.inverse_cdf_counts(weights, 3, 1)
 
 
 def test_inverse_cdf_counts_accept_integer_and_float32_weights():
     want = scalar_inverse_cdf_counts([1.0, 0.0, 3.0], 40, 2)
-    assert simulate.inverse_cdf_counts([1, 0, 3], 40, 2) == want
-    assert simulate.inverse_cdf_counts(np.array([1, 0, 3], np.float32), 40, 2) == want
+    assert _sampling.inverse_cdf_counts([1, 0, 3], 40, 2) == want
+    assert _sampling.inverse_cdf_counts(np.array([1, 0, 3], np.float32), 40, 2) == want
 
 
 @pytest.mark.parametrize("dist", [{FockState((1, 0)): 1.0}, [0.5, 0.5], None])
@@ -964,10 +973,10 @@ def test_sample_rejects_what_is_not_a_distribution(dist):
 
 
 def test_shots_past_int64_fail_before_any_draw(monkeypatch):
-    monkeypatch.setattr(simulate, "_splitmix64_doubles", None)
+    monkeypatch.setattr(_sampling, "_splitmix64_doubles", None)
     dist = Distribution({FockState((1, 0)): 0.5, FockState((0, 1)): 0.5}, 1)
     message = re.escape("shots must be at most 2^63 - 1, got 9223372036854775808")
-    for call in (lambda: simulate.inverse_cdf_counts([0.5, 0.5], 2**63, 1),
+    for call in (lambda: _sampling.inverse_cdf_counts([0.5, 0.5], 2**63, 1),
                  lambda: sample(dist, 2**63, 1)):
         with pytest.raises(ValueError, match=message):
             call()
@@ -1005,7 +1014,7 @@ def test_sample_rejects_a_nan_probability():
 )
 def test_inverse_cdf_counts_reject_non_integer_shots_and_seeds(shots, seed, message):
     with pytest.raises(ValueError, match=message):
-        simulate.inverse_cdf_counts([0.5, 0.5], shots, seed)
+        _sampling.inverse_cdf_counts([0.5, 0.5], shots, seed)
 
 
 @pytest.mark.parametrize("seed", [np.int64(3), np.int64(-7), np.uint32(2**32 - 1)])
@@ -1016,14 +1025,14 @@ def test_scalar_and_array_streams_agree_on_numpy_seeds(seed):
     want = [plain.next_double() for _ in range(50)]
     ref = SplitMix64(seed)
     assert [ref.next_double() for _ in range(50)] == want
-    assert simulate._splitmix64_doubles(seed, 1, 51).tolist() == want
+    assert _sampling._splitmix64_doubles(seed, 1, 51).tolist() == want
 
 
 def test_inverse_cdf_counts_accept_numpy_integers():
     weights = [0.2, 0.0, 0.5, 0.3]
     want = scalar_inverse_cdf_counts(weights, 40, -1)
-    assert simulate.inverse_cdf_counts(weights, np.int64(40), np.int64(-1)) == want
-    assert simulate.inverse_cdf_counts(weights, np.uint32(40), -1) == want
+    assert _sampling.inverse_cdf_counts(weights, np.int64(40), np.int64(-1)) == want
+    assert _sampling.inverse_cdf_counts(weights, np.uint32(40), -1) == want
 
 
 def test_threads_draw_into_their_own_kept_arrays():
@@ -1031,14 +1040,14 @@ def test_threads_draw_into_their_own_kept_arrays():
     # chunks of different lengths give the counts a lone call gives.
     weights = [0.1, 0.4, 0.2, 0.3]
     cases = [(shots, seed) for shots in (1_000, 70_000, 200_001) for seed in (3, 4)]
-    want = [simulate.inverse_cdf_counts(weights, *case) for case in cases]
+    want = [_sampling.inverse_cdf_counts(weights, *case) for case in cases]
     results, errors = [], []
 
     def worker(offset):
         try:
             for i in range(12):
                 k = (offset + i) % len(cases)
-                results.append(simulate.inverse_cdf_counts(weights, *cases[k]) == want[k])
+                results.append(_sampling.inverse_cdf_counts(weights, *cases[k]) == want[k])
         except Exception as error:  # reported below
             errors.append(error)
 
@@ -1079,7 +1088,7 @@ def test_row_ids_past_int64_keys():
     # themselves are compared.
     rows = np.random.default_rng(5).integers(0, 10, size=(200, 21))
     rows = np.concatenate([rows, rows[::3]])
-    first, inverse = simulate._row_ids(rows)
+    first, inverse = _kernels._row_ids(rows)
     assert np.array_equal(rows[first][inverse], rows)
     assert len(first) == len(np.unique(rows, axis=0)) == 200
     # Packed anyway, column 20's place 10^20 would wrap mod 2^64 to a key
@@ -1089,7 +1098,7 @@ def test_row_ids_past_int64_keys():
     rows[1] = 9
     rows[2, 20] = 1
     rows[3, : len(wrapped)] = wrapped
-    first, _ = simulate._row_ids(rows)
+    first, _ = _kernels._row_ids(rows)
     assert len(first) == 4
 
 
@@ -1099,7 +1108,7 @@ def test_ids_equal_np_unique(size, low, high):
     # One stable argsort, a neighbour compare and a cumsum give np.unique's
     # first copies and inverse, for one key, all-equal keys and repeats.
     keys = np.random.default_rng(size).integers(low, high, size=size)
-    first, inverse = simulate._ids(keys)
+    first, inverse = _kernels._ids(keys)
     _, want_first, want_inverse = np.unique(keys, return_index=True, return_inverse=True)
     assert first.tolist() == want_first.tolist()
     assert inverse.tolist() == want_inverse.tolist()
@@ -1121,11 +1130,11 @@ def test_expand_numbers_outer_rows_past_int64_keys(monkeypatch):
     table = rng.normal(size=(len(rows), 10)) + 1j * rng.normal(size=(len(rows), 10))
     amps = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
     calls = []
-    original = simulate._ids
-    monkeypatch.setattr(simulate, "_ids", lambda keys: calls.append(1) or original(keys))
-    (new, _, _, pairs), products, _ = simulate._expand(rows, amps, [20, 21],
+    original = _kernels._ids
+    monkeypatch.setattr(_stepper, "_ids", lambda keys: calls.append(1) or original(keys))
+    (new, _, _, pairs), products, _ = _stepper._expand(rows, amps, [20, 21],
                                                        [(np.arange(len(rows)), outs, table)])
-    summed = simulate._sum(pairs, products, len(new))
+    summed = _stepper._sum(pairs, products, len(new))
     assert len(calls) == 2
     want: dict = {}
     for r, row in enumerate(rows.tolist()):
@@ -1149,16 +1158,16 @@ def test_one_bincount_sums_as_one_per_part():
         want = np.empty(count + 1, dtype=complex)
         want.real = np.bincount(inverse, products.real, count + 1)
         want.imag = np.bincount(inverse, products.imag, count + 1)
-        assert simulate._sum(pairs, products, count + 1).tobytes() == want.tobytes()
+        assert _stepper._sum(pairs, products, count + 1).tobytes() == want.tobytes()
 
 
 def stepwise(blocks, state, condition):
     """The stepper alone, under the work limit, with no hand-off to the
     global sweep: the route tests reach it directly."""
-    sector = simulate._sector(state.channels, state.polarized, state.require_sector(), condition)
+    sector = _sectors._sector(state.channels, state.polarized, state.require_sector(), condition)
     blocks = list(blocks)
-    program, mats = simulate._program(simulate._route(blocks, sector), blocks)
-    amps = simulate._stepwise(program, mats, state, sector, simulate._MAX_WORK)
+    program, mats = _stepper._program(_stepper._route(blocks, sector), blocks)
+    amps = _stepper._stepwise(program, mats, state, sector, _kernels._MAX_WORK)
     return list(zip(sector.states(), amps.tolist()))
 
 
@@ -1200,14 +1209,14 @@ def test_stepwise_route_hands_a_costlier_circuit_to_the_global_sweep(monkeypatch
     # least the global kernel can cost, so that kernel runs instead, on the
     # outcomes the stepper already has.  No kernel is kept yet, and the
     # block's own is never built.
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     circuit, state, condition = wide_blocks_case()
     calls = {"_kernel": 0, "_evaluate": 0}
-    for name in calls:
-        def counted(*args, name=name, original=getattr(simulate, name)):
+    for module, name in ((_sectors, "_kernel"), (_kernels, "_kernel"), (simulate, "_evaluate")):
+        def counted(*args, name=name, original=getattr(module, name)):
             calls[name] += 1
             return original(*args)
-        monkeypatch.setattr(simulate, name, counted)
+        monkeypatch.setattr(module, name, counted)
     amps = Processor(circuit, state, condition).amplitudes()
     assert calls == {"_kernel": 1, "_evaluate": 1}
     expected = state_amplitudes(circuit.compile(), state, condition)
@@ -1218,10 +1227,11 @@ def test_stepwise_route_hands_a_costlier_circuit_to_the_global_sweep(monkeypatch
 def test_stepwise_route_refuses_when_both_routes_pass_the_limit(monkeypatch):
     # The first block's 6435 local outputs pass the limit, and so does the
     # global route's least count, 9 x 6689: refused before any kernel.
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     circuit, state, condition = wide_blocks_case()
-    monkeypatch.setattr(simulate, "_MAX_WORK", 6434)
-    monkeypatch.setattr(simulate, "_kernel", None)
+    monkeypatch.setattr(_kernels, "_MAX_WORK", 6434)
+    monkeypatch.setattr(_sectors, "_kernel", None)
+    monkeypatch.setattr(_kernels, "_kernel", None)
     with pytest.raises(TooLarge, match="reaches 6435 vector elements at block 0 and the global "
                                        "route at least 60201, more than the 6434 allowed"):
         Processor(circuit, state, condition).amplitudes()
@@ -1234,7 +1244,7 @@ def test_prune_drops_rows_within_the_norm_budget(scale):
     # with the state, and the kept rows keep their order.
     amps = scale * np.array([1e-13, 1.0, 4e-15j, 0.5, 3e-15])
     rows = np.arange(10).reshape(5, 2)
-    keep = simulate._prune(amps)
+    keep = _stepper._prune(amps)
     kept, kept_amps = rows[keep], amps[keep]
     assert kept.tolist() == [[0, 1], [2, 3], [6, 7]]
     assert kept_amps.tolist() == amps[[0, 1, 3]].tolist()
@@ -1248,15 +1258,15 @@ def test_stepwise_route_resumes_past_its_first_cap(monkeypatch, limit, spent, st
     # outputs and their kernel's 102952.  Within the limit it raises its
     # cap to the limit and goes on from where it stopped, so block 1's
     # 6435 x 6435 local outputs pass it, in the same stepwise run.
-    simulate._STRUCTURES.clear()
+    _sectors._STRUCTURES.clear()
     circuit, state, condition = wide_blocks_case()
-    monkeypatch.setattr(simulate, "_MAX_WORK", limit)
+    monkeypatch.setattr(_kernels, "_MAX_WORK", limit)
     calls = {"_stepwise": 0, "_local_parts": 0}
-    for name in calls:
-        def counted(*args, name=name, original=getattr(simulate, name)):
+    for module, name in ((simulate, "_stepwise"), (_stepper, "_local_parts")):
+        def counted(*args, name=name, original=getattr(module, name)):
             calls[name] += 1
             return original(*args)
-        monkeypatch.setattr(simulate, name, counted)
+        monkeypatch.setattr(module, name, counted)
     with pytest.raises(TooLarge, match=f"reaches {spent} vector elements at block {step} and the "
                                        f"global route at least 115821, more than the {limit} allowed"):
         Processor(circuit, state, condition).amplitudes()
