@@ -3,7 +3,7 @@
 `_outcomes` lists the occupations of a photon-number sector that satisfy a
 predicate lowered by `_lower`, one integer row each, in canonical order.  A
 `_Sector` holds what no unitary changes about them: the rows, their
-FockStates and their kernel.  `_STRUCTURES` keeps those records, and the
+FockStates with the index of their rows, and their kernel.  `_STRUCTURES` keeps those records, and the
 stepper's route and program records, by key for every call in the process,
 within `_kernels._STRUCTURE_BYTES`.
 """
@@ -115,22 +115,32 @@ class _Sector:
     """What no unitary changes about the outcomes of a photon-number sector
     under a predicate: its `_STRUCTURES` key, the predicate's lowering (None
     without one), their rows in canonical order, read-only, and, built on
-    first use, their FockStates, kernel and least kernel count."""
+    first use, their FockStates with the index of their rows, kernel and
+    least kernel count."""
 
     def __init__(self, key, lowered, n: int, polarized: bool, rows: np.ndarray):
         rows.setflags(write=False)
         self.key, self.lowered, self.rows, self.n, self.polarized = key, lowered, rows, n, polarized
         self.nbytes = rows.nbytes
         self.kept = False  # whether _STRUCTURES counts it
-        self._states = self._kernel = self._least = None
+        self._states = self._index = self._kernel = self._least = None
 
     def states(self) -> tuple:
         """One FockState per row."""
         if self._states is None:
-            self._states = tuple(FockState._unchecked(occ, self.polarized)
-                                 for occ in map(tuple, self.rows.tolist()))
-            _STRUCTURES.grew(self, _states_bytes(self._states))
+            states = tuple(FockState._unchecked(occ, self.polarized)
+                           for occ in map(tuple, self.rows.tolist()))
+            # The index first: a thread that sees the states sees it too.
+            self._index = dict(zip(states, range(len(states))))
+            self._states = states
+            _STRUCTURES.grew(self, _states_bytes(states, self._index))
         return self._states
+
+    def index(self) -> dict:
+        """{FockState: row number} over the rows, built with `states`: the
+        one place where the record's outcomes are hashed."""
+        self.states()
+        return self._index
 
     def kernel(self):
         """The rows' kernel (see `_kernel`); None when there is nothing to sweep."""
@@ -159,13 +169,16 @@ class _Sector:
         return self._least
 
 
-def _states_bytes(states: tuple) -> int:
-    """The bytes a tuple of same-register FockStates holds."""
+def _states_bytes(states: tuple, index: dict) -> int:
+    """The bytes a tuple of same-register FockStates and their row index
+    hold: each state, its occupations, its hash and its row number."""
+    held = sys.getsizeof(states) + sys.getsizeof(index)
     if not states:
-        return sys.getsizeof(states)
+        return held
     s = states[0]
-    each = sys.getsizeof(s) + sys.getsizeof(s.occupations) + sys.getsizeof(hash(s))
-    return sys.getsizeof(states) + len(states) * each
+    each = (sys.getsizeof(s) + sys.getsizeof(s.occupations) + sys.getsizeof(hash(s))
+            + sys.getsizeof(len(states)))
+    return held + len(states) * each
 
 
 class _Structures:

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import ItemsView, Iterable, Mapping, ValuesView
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import InvalidOccupation, InvalidSpec, MixedSector, RegisterMismatch
 
@@ -119,17 +121,88 @@ def canonical_items(pairs) -> list:
     return sorted(pairs, key=lambda kv: kv[0].occupations, reverse=True)
 
 
+class Outcomes(Mapping):
+    """A read-only mapping of outcomes to values: a sector record, the rows
+    of it kept (None when every row is) and one float, int or complex array
+    of their values.
+
+    The record (`_sectors._Sector`) holds its FockStates in canonical order
+    and a {FockState: row} index, each built once, so a view is made and
+    read without hashing a FockState; a lookup hashes the state it looks
+    up.  The view iterates in canonical order, each value a Python float,
+    int or complex.  It equals a plain dict of the same items, either way
+    round, shows as that dict, and pickles and copies as one.  Item
+    assignment raises TypeError.
+    """
+
+    __slots__ = ("record", "rows", "array")
+
+    def __init__(self, record, rows, array):
+        self.record, self.rows, self.array = record, rows, array
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __iter__(self):
+        states = self.record.states()
+        if self.rows is None:
+            return iter(states)
+        return map(states.__getitem__, self.rows.tolist())
+
+    def __getitem__(self, state):
+        row = self.record.index().get(state)
+        if row is not None and self.rows is not None:
+            at = int(self.rows.searchsorted(row))
+            row = at if at < len(self.rows) and self.rows[at] == row else None
+        if row is None:
+            raise KeyError(state)
+        return self.array[row].item()
+
+    def items(self):
+        return _Items(self)
+
+    def values(self):
+        return _Values(self)
+
+    def subset(self, keep, values) -> "Outcomes":
+        """The outcomes where the bool array `keep` is set, with their
+        entries of `values`, an array of one value per outcome here."""
+        if keep.all():
+            return Outcomes(self.record, self.rows, values)
+        at = np.flatnonzero(keep)
+        return Outcomes(self.record, at if self.rows is None else self.rows[at], values[at])
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+    def __reduce__(self):
+        return dict, (list(self.items()),)
+
+
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.array.tolist())
+
+
+class _Values(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping.array.tolist())
+
+
 class StateVector:
     """Sparse complex superposition of Fock states on one register.
 
     Amplitudes below PRUNE_TOL in magnitude are dropped; a NaN or infinite
     one raises InvalidSpec, as no comparison with PRUNE_TOL can judge it.
     `channels` and `polarized` default to the states' register; an explicit
-    value that does not fit them raises RegisterMismatch.  A vector from
-    `_from_arrays` builds its dict when first read (see `__getattr__`)."""
+    value that does not fit them raises RegisterMismatch.  The terms of a
+    vector that `simulate.evolve` makes are an `Outcomes` view."""
 
-    # Pickle and copy read the slots in order: `_amp` first builds the dict.
-    __slots__ = ("_amp", "_pending", "channels", "polarized")
+    __slots__ = ("_amp", "channels", "polarized")
 
     def __init__(
         self,
@@ -155,30 +228,9 @@ class StateVector:
                     amp[state] = a
         if channels is None:
             raise RegisterMismatch("empty state vector needs an explicit channel count")
-        self._amp, self._pending = amp, None
+        self._amp = amp
         self.channels = channels
         self.polarized = bool(polarized)
-
-    @classmethod
-    def _from_arrays(cls, states, amplitudes, channels: int, polarized: bool) -> "StateVector":
-        """The vector of `states` (FockStates that fit the register) and a
-        complex array of their `amplitudes`, each at least PRUNE_TOL in
-        magnitude, as `simulate.evolve` makes them, without the checks."""
-        vector = object.__new__(cls)
-        vector._pending = states, amplitudes
-        vector.channels, vector.polarized = channels, polarized
-        return vector
-
-    def __getattr__(self, name):
-        # Only an unset slot gets here: the first read of `_amp` builds the
-        # dict and drops the arrays; racing threads build equal dicts.
-        if name != "_amp":
-            raise AttributeError(f"'StateVector' object has no attribute {name!r}")
-        pending = self._pending
-        if pending is not None:
-            self._amp = dict(zip(pending[0], pending[1].tolist()))
-            self._pending = None
-        return self._amp
 
     @classmethod
     def basis(cls, state: FockState) -> "StateVector":
@@ -194,6 +246,8 @@ class StateVector:
     @property
     def sector(self) -> int | None:
         """Common photon number of all terms, or None if mixed/empty."""
+        if isinstance(self._amp, Outcomes):  # one sector record's terms
+            return self._amp.record.n if self._amp else None
         counts = {s.n for s in self._amp}
         if len(counts) == 1:
             return counts.pop()
@@ -215,13 +269,12 @@ class StateVector:
         return self * (1.0 / nrm)
 
     def __len__(self) -> int:
-        pending = self._pending  # a count needs no dict
-        return len(self._amp) if pending is None else len(pending[0])
+        return len(self._amp)
 
     def __add__(self, other: "StateVector") -> "StateVector":
         if self.channels != other.channels or self.polarized != other.polarized:
             raise RegisterMismatch("adding state vectors from different registers")
-        out = dict(self._amp)
+        out = dict(self._amp.items())
         for state, a in other._amp.items():
             out[state] = out.get(state, 0j) + a
         return StateVector(out, channels=self.channels, polarized=self.polarized)

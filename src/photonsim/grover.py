@@ -30,10 +30,10 @@ from .components import (
     half_wave_plate,
 )
 from .errors import InvalidSpec
-from .fock import PRUNE_TOL, FockState, StateVector
+from .fock import FockState, StateVector
 from .postselect import Processor
 from .qubits import GateSequence, NonCodeword, data_bits
-from .simulate import distribution
+from .simulate import _kept, _probabilities, distribution
 from .simulate import batch_amplitudes  # noqa: F401  (bench/test_bench.py checks this binding)
 
 TARGETS = ("00", "01", "10", "11")
@@ -245,19 +245,16 @@ def dual_rail_grover_3q(shots: int = 0, seed: int = 0) -> DualRailGroverResult:
     makes the overall sign meaningful.  Bad shots or seeds fail first.
     """
     shots, seed = require_shots(shots), require_seed(seed)
-    states, amps = _search_processor()._arrays()
-    # |amp| and |amp|^2 bit for bit as abs(a) and abs(a) ** 2 (`_probabilities`).
-    magnitudes = np.hypot(amps.real, amps.imag)
-    squares = np.float_power(magnitudes, 2.0).tolist()
-    success = sum(squares)
+    outcomes = _search_processor()._arrays()
+    # The success sums every outcome's |amp|^2, the rest reads those kept.
+    success = sum(_probabilities(outcomes).values())
     root = math.sqrt(success)
+    kept = _kept(outcomes)
     probabilities: dict[str, float] = {}
     amplitudes: dict[str, complex] = {}
     data_probabilities: dict[str, float] = {}
     leak = 0.0
-    for state, amp, magnitude, square in zip(states, amps.tolist(), magnitudes.tolist(), squares):
-        if magnitude < PRUNE_TOL:
-            continue
+    for (state, amp), square in zip(kept.items(), _probabilities(kept).values()):
         p = square / success
         bits = data_bits(state, 3)
         if bits is NonCodeword:

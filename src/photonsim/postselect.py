@@ -24,13 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sectors import _sector
+from ._sectors import _Sector, _sector
 from .circuit import Circuit
 from .components import require_integer
 from .errors import EvalError, InvalidSpec, RegisterMismatch
-from .fock import FockState, StateVector
+from .fock import FockState, Outcomes, StateVector
 from .notation import Scanner
-from .simulate import Distribution, _circuit_arrays, _count, _probabilities, require_normalized
+from .simulate import (Distribution, _circuit_arrays, _count, _kept, _probabilities,
+                       require_normalized)
 from .simulate import batch_amplitudes  # noqa: F401  (bench/test_bench.py checks this binding)
 
 _OPS = ("==", "<=", ">=", "<", ">")
@@ -173,12 +174,11 @@ class Processor:
         NotUnitary for a non-unitary block or U and TooLarge above the work
         limit.
         """
-        states, amps = self._arrays()
-        return list(zip(states, amps.tolist()))
+        return list(self._arrays().items())
 
-    def _arrays(self) -> tuple[tuple, np.ndarray]:
-        """`amplitudes` as the outcomes' FockStates and their amplitudes,
-        one complex array, from the array core of `circuit_amplitudes`."""
+    def _arrays(self) -> Outcomes:
+        """`amplitudes` as a view of the amplitude array over the sector
+        record's rows, from the array core of `circuit_amplitudes`."""
         require_min_photons(self.min_detected_photons)
         state, circuit = self.input_state, self.circuit
         n = state.require_sector()
@@ -191,7 +191,8 @@ class Processor:
         if self.postselect is not None:
             self.postselect.require_modes(circuit.modes)
         if n < self.min_detected_photons:
-            return (), np.zeros(0, dtype=complex)
+            nothing = _Sector(None, None, n, state.polarized, np.zeros((0, state.channels), np.int64))
+            return Outcomes(nothing, None, np.zeros(0, dtype=complex))
         return _circuit_arrays(circuit.blocks(), state, self.postselect)
 
     def run(self) -> tuple[Distribution, float]:
@@ -200,17 +201,17 @@ class Processor:
         Outcomes of `amplitudes` whose amplitude is below fock.PRUNE_TOL are
         dropped, and the rest get |amp|^2 as `distribution` takes it (see
         `simulate._probabilities`), read from the amplitude array, not the
-        list.  Without a predicate the raw distribution is returned with
-        success 1.  With one, kept probabilities are renormalized and success
-        is their raw sum.  Too few photons for `min_detected_photons` give an
-        empty distribution with success 0.
+        list; the entries are a view over the sector record.  Without a
+        predicate the raw distribution is returned with success 1.  With
+        one, kept probabilities are renormalized and success is their raw
+        left-to-right sum.  Too few photons for `min_detected_photons` give
+        an empty distribution with success 0.
         """
         n = self.input_state.sector
-        states, kept = _probabilities(*self._arrays())
+        kept = _probabilities(_kept(self._arrays()))
         if self.postselect is None and n >= self.min_detected_photons:
-            return Distribution(dict(zip(states, kept)), n, _canonical=True), 1.0
-        success = sum(kept)
-        if success == 0.0:
-            return Distribution({}, n, _canonical=True), 0.0
-        return Distribution({s: p / success for s, p in zip(states, kept)}, n,
-                            _canonical=True), success
+            return Distribution(kept, n), 1.0
+        success = sum(kept.values())
+        if success == 0.0:  # nothing kept
+            return Distribution(kept, n), 0.0
+        return Distribution(Outcomes(kept.record, kept.rows, kept.array / success), n), success

@@ -14,8 +14,9 @@ references are in `reference`.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+import reprlib
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from ._stepper import _PastLimit, _as_blocks, _program, _route, _stepwise
 from .circuit import compile_blocks
 from .components import UNITARY_TOL, require_integer, require_unitary
 from .errors import InvalidSpec, RegisterMismatch, TooLarge
-from .fock import PRUNE_TOL, FockState, StateVector, canonical_items
+from .fock import PRUNE_TOL, FockState, Outcomes, StateVector, canonical_items
 from .reference import amplitude, permanent  # noqa: F401  (bench/tracing.py's LAYERS names them here)
 
 
@@ -83,17 +84,15 @@ def _count(value, what: str) -> int:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Probabilities over same-sector Fock states."""
+    """Probabilities over same-sector Fock states.  The program's builders
+    give `entries` as a read-only `Outcomes` view in canonical order; a
+    mapping built by hand is checked and sorted where `sample` reads it."""
 
-    entries: dict[FockState, float]
+    entries: Mapping[FockState, float]
     sector: int
-    # Set by the builders whose entries are already in canonical order.
-    _canonical: bool = field(default=False, compare=False, repr=False)
 
     def items(self) -> list[tuple[FockState, float]]:
         """The entries in canonical order."""
-        if self._canonical:
-            return list(self.entries.items())
         return canonical_items(self.entries.items())
 
     def total(self) -> float:
@@ -161,13 +160,12 @@ def circuit_amplitudes(blocks, state: StateVector, predicate) -> list[tuple[Fock
     points: a segment meets more distinct local inputs, which made the
     three-qubit search 2x slower.
     """
-    states, amps = _circuit_arrays(blocks, state, predicate)
-    return list(zip(states, amps.tolist()))
+    return list(_circuit_arrays(blocks, state, predicate).items())
 
 
-def _circuit_arrays(blocks, state: StateVector, predicate) -> tuple[tuple, np.ndarray]:
-    """`circuit_amplitudes` as the outcomes' FockStates, the sector record's
-    tuple, and their amplitudes, one complex array."""
+def _circuit_arrays(blocks, state: StateVector, predicate) -> Outcomes:
+    """`circuit_amplitudes` as a view of the amplitude array over the
+    sector record's rows."""
     n = state.require_sector()
     blocks = _as_blocks(blocks)
     sector = None
@@ -194,11 +192,11 @@ def _circuit_arrays(blocks, state: StateVector, predicate) -> tuple[tuple, np.nd
             try:
                 amps = _stepwise(*_program(route, blocks), state, sector,
                                  min(lower, _kernels._MAX_WORK), over)
-                return sector.states(), amps
+                return Outcomes(sector, None, amps)
             except _PastLimit:
                 pass
     sector, amps = _swept(compile_blocks(blocks, state.channels), state, n, predicate, sector)
-    return sector.states(), amps
+    return Outcomes(sector, None, amps)
 
 
 def require_normalized(state: StateVector):
@@ -213,60 +211,54 @@ def evolve(matrix, state: StateVector) -> StateVector:
 
     Every outcome of the input's sector comes from the kernel of
     `state_amplitudes`; those with |amp| >= fock.PRUNE_TOL are kept (see
-    `_kept`), in canonical order, as the sector record's FockStates and the
-    amplitude array, without the StateVector's per-state checks.  The
-    vector builds its dict from them when first read (see
-    `StateVector._from_arrays`).
+    `_kept`), without the StateVector's per-state checks, as its terms: an
+    `Outcomes` view of the amplitude array over the sector record.
     """
     n = state.require_sector()
     sector, amps = _swept(_channel_unitary(matrix, state.channels), state, n, None)
-    states, amps, _ = _kept(sector.states(), amps)
-    return StateVector._from_arrays(states, amps, state.channels, state.polarized)
+    vector = StateVector(None, state.channels, state.polarized)
+    vector._amp = _kept(Outcomes(sector, None, amps))
+    return vector
 
 
 def distribution(matrix, state: StateVector) -> Distribution:
     """Output probability distribution of a normalized state vector.
 
-    The entries come from the arrays of the vector `evolve` returns, in its
-    canonical order, so that vector's dict is not built.  Raises MixedSector
-    when the input has no fixed photon number and InvalidSpec when it is not
+    The entries are the squares of the terms of the vector `evolve`
+    returns, a view over the same outcomes.  Raises MixedSector when the
+    input has no fixed photon number and InvalidSpec when it is not
     normalized.
     """
     n = state.require_sector()
     require_normalized(state)
-    evolved = evolve(matrix, state)
-    # The arrays are gone only when something read the vector first.
-    states, amps = evolved._pending or (list(evolved._amp), list(evolved._amp.values()))
-    return Distribution(dict(zip(*_probabilities(states, amps))), n, _canonical=True)
+    return Distribution(_probabilities(evolve(matrix, state)._amp), n)
 
 
-def _kept(states, amps: np.ndarray):
-    """(states, amplitudes, |amplitudes|) of the `states` whose amplitude in
-    the complex array `amps` has |amp| >= fock.PRUNE_TOL.  np.hypot takes
-    |amp| from the C hypot, as Python's abs() does, so the cut is the same."""
-    mags = np.hypot(amps.real, amps.imag)
-    keep = mags >= PRUNE_TOL
-    if keep.all():
-        return states, amps, mags
-    return list(itertools.compress(states, keep.tolist())), amps[keep], mags[keep]
+def _kept(amplitudes: Outcomes) -> Outcomes:
+    """The outcomes of an amplitude view whose |amp| >= fock.PRUNE_TOL.
+    np.hypot takes |amp| from the C hypot, as Python's abs() does, so the
+    cut is the same."""
+    amps = amplitudes.array
+    return amplitudes.subset(np.hypot(amps.real, amps.imag) >= PRUNE_TOL, amps)
 
 
-def _probabilities(states, amps):
-    """The `states` whose amplitude in `amps` has |amp| >= fock.PRUNE_TOL
-    (see `_kept`), and their |amp|^2 as Python floats, each bit-identical to
-    abs(amp) ** 2.  `** 2` on a float calls the C pow, and so does
-    np.float_power's float64 loop, once per element, with no SIMD variant.
-    np.power (a SIMD square for exponent 2) and |amp| * |amp| round apart
-    from pow in the last bit for about 5 values in 10,000."""
-    states, _, mags = _kept(states, np.asarray(amps, dtype=complex))
-    return states, np.float_power(mags, 2.0).tolist()
+def _probabilities(amplitudes: Outcomes) -> Outcomes:
+    """|amp|^2 of each amplitude of the view, over the same outcomes, each
+    bit-identical to abs(amp) ** 2.  `** 2` on a float calls the C pow, and
+    so does np.float_power's float64 loop, once per element, with no SIMD
+    variant.  np.power (a SIMD square for exponent 2) and |amp| * |amp|
+    round apart from pow in the last bit for about 5 values in 10,000."""
+    amps = amplitudes.array
+    return Outcomes(amplitudes.record, amplitudes.rows,
+                    np.float_power(np.hypot(amps.real, amps.imag), 2.0))
 
 
 @dataclass(frozen=True)
 class SampleCount:
-    """Observed outcome counts from a finite number of shots."""
+    """Observed outcome counts from a finite number of shots; `sample`
+    gives `counts` as a read-only `Outcomes` view in canonical order."""
 
-    counts: dict[FockState, int]
+    counts: Mapping[FockState, int]
     shots: int
     seed: int
 
@@ -276,13 +268,44 @@ class SampleCount:
 
 def sample(dist: Distribution, shots: int, seed: int) -> SampleCount:
     """Draw `shots` outcomes by `inverse_cdf_counts` over the canonical
-    outcome order; outcomes never drawn are left out of the counts.  A
-    distribution already in canonical order is read as it stands.  Raises
-    InvalidSpec for a `dist` that is not a Distribution."""
+    outcome order; outcomes never drawn are left out of the counts, a view
+    over the distribution's record.  Raises InvalidSpec for a `dist` that
+    is not a Distribution and for hand-built entries that `_indexed`
+    rejects."""
     if not isinstance(dist, Distribution):
         raise InvalidSpec(f"sample needs a Distribution, got {type(dist).__name__}")
     shots, seed = require_shots(shots), require_seed(seed)
-    entries = dist.entries if dist._canonical else dict(dist.items())
-    counts = inverse_cdf_counts(np.fromiter(entries.values(), float, len(entries)), shots, seed)
-    return SampleCount(dict(zip(itertools.compress(entries, counts), filter(None, counts))),
-                       shots, seed)
+    entries = _indexed(dist)
+    counts = np.array(inverse_cdf_counts(entries.array, shots, seed), dtype=np.int64)
+    return SampleCount(entries.subset(counts > 0, counts), shots, seed)
+
+
+def _indexed(dist: Distribution) -> Outcomes:
+    """The entries of `dist` as a view in canonical order: the program's
+    view as it stands, or a hand-built mapping, checked and sorted into a
+    record of its own, not kept, on every call.  Raises InvalidSpec unless that
+    mapping's keys are FockStates of one register, each with `dist.sector`
+    photons, and its values integers or floats."""
+    entries = dist.entries
+    if isinstance(entries, Outcomes):
+        return entries
+    if not isinstance(entries, Mapping):
+        raise InvalidSpec(f"distribution entries must be a mapping, got {type(entries).__name__}")
+    first = next(iter(entries), None)
+    for s in entries:
+        if not isinstance(s, FockState):
+            raise InvalidSpec(f"distribution outcomes must be FockStates, got {reprlib.repr(s)}")
+        if (s.channels, s.polarized, s.n) != (first.channels, first.polarized, dist.sector):
+            raise InvalidSpec(f"outcome {s} lies off the {dist.sector!r}-photon sector "
+                              f"of the register of {first}")
+    ordered = canonical_items(entries.items())
+    try:
+        values = np.array([p for _, p in ordered])
+    except ValueError:  # a ragged nesting
+        values = None
+    if values is None or values.ndim != 1 or values.dtype.kind not in "iuf":
+        raise InvalidSpec("distribution probabilities must be integers or floats, "
+                          f"got {reprlib.repr(list(entries.values()))}")
+    rows = np.array([s.occupations for s, _ in ordered], dtype=np.int64)
+    polarized = first is not None and first.polarized
+    return Outcomes(_Sector(None, None, dist.sector, polarized, rows), None, values)

@@ -9,7 +9,7 @@ from photonsim.circuit import Circuit
 from photonsim import _kernels, _sampling, _sectors, _stepper, grover, simulate
 from photonsim.components import Permutation
 from photonsim.errors import InvalidSpec, TooLarge
-from photonsim.fock import FockState, StateVector
+from photonsim.fock import PRUNE_TOL, FockState, StateVector
 from photonsim.postselect import Processor
 from photonsim.grover import (
     DETECTION_MODE,
@@ -217,7 +217,7 @@ def test_dual_rail_search_reads_the_amplitude_arrays_bit_for_bit():
     success = sum(abs(a) ** 2 for _, a in outcomes)
     probabilities, amplitudes, pairs, leak = {}, {}, {}, 0.0
     for state, amp in outcomes:
-        if abs(amp) < grover.PRUNE_TOL:
+        if abs(amp) < PRUNE_TOL:
             continue
         p = abs(amp) ** 2 / success
         bits = grover.data_bits(state, 3)

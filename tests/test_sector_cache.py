@@ -92,9 +92,10 @@ def test_a_sector_over_the_byte_bound_is_not_kept(monkeypatch):
     monkeypatch.setattr(_kernels, "_STRUCTURE_BYTES", held - 1)
     assert distribution(u, pair) == first and distribution(u, pair) == first
     assert len(enumerations) == 3 and _sectors._STRUCTURES.held == 0
-    # Room for that sector alone: the least recently used goes first.
+    # Room for that sector alone: the least recently used goes first.  The
+    # comparison reads the entries, which builds the states as above.
     monkeypatch.setattr(_kernels, "_STRUCTURE_BYTES", held)
-    distribution(u, pair)
+    assert distribution(u, pair) == first
     distribution(u, single)
     assert list(_sectors._STRUCTURES._records) == [(2, False, 1, None)]
     assert _sectors._STRUCTURES.held <= held

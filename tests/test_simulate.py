@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from photonsim.circuit import Circuit
 from photonsim.components import BeamSplitter, GenericUnitary, Permutation, PhaseShifter
 from photonsim.errors import InvalidSpec, MixedSector, NotUnitary, RegisterMismatch, TooLarge
-from photonsim.fock import PRUNE_TOL, FockState, StateVector, make_state
+from photonsim.fock import PRUNE_TOL, FockState, Outcomes, StateVector, make_state
 from photonsim.postselect import Processor, admissible_outcomes, parse_postselect
 from photonsim._sampling import SplitMix64
 from photonsim.reference import amplitude, oracle_evolve, permanent
@@ -211,13 +211,11 @@ def assert_evolved_bits(u, psi):
     listed = StateVector(dict(amplitudes), channels=psi.channels, polarized=psi.polarized)
     evolved = evolve(u, psi)
     assert (evolved.channels, evolved.polarized) == (listed.channels, listed.polarized)
-    assert len(evolved) == len(listed)  # counted from the arrays
-    assert_unbuilt(evolved)
-    assert evolved == listed
     assert len(evolved) == len(listed)
+    assert evolved == listed
     assert exact(evolved._amp.items()) == exact(listed._amp.items())
-    # Each read gives the same first on a fresh vector, whose dict it builds,
-    # then again on the built vector, as on the checked construction.
+    # Each read gives the same first on a fresh vector, then again on the
+    # same vector, as on the checked construction.
     outside = FockState((0,) * psi.channels, psi.polarized)
     probes = [s for s, _ in amplitudes[:3]] + [outside]
     reads = {
@@ -232,39 +230,29 @@ def assert_evolved_bits(u, psi):
     for name, read in reads.items():
         fresh = evolve(u, psi)
         before = read(fresh)
-        assert fresh._pending is None, name
         assert before == read(fresh) == read(listed), name
-
-
-def assert_unbuilt(vector):
-    """The vector holds its pending arrays and no dict."""
-    assert vector._pending is not None
-    with pytest.raises(AttributeError):
-        StateVector._amp.__get__(vector)  # the slot itself, past __getattr__
 
 
 def round_trip(twin, vector):
     """What a copy of `vector` reads: its terms' bits and its register, and
     whether it equals the original."""
-    assert twin._pending is None
     return exact(twin.items()), twin.channels, twin.polarized, twin == vector
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_probability_squares_match_abs_squared_bit_for_bit(monkeypatch):
+def test_probability_squares_match_abs_squared_bit_for_bit():
     # 10^6 magnitudes log-uniform over 1e-300..1 at random phases, plus the
     # edge values on each axis; |amp| * |amp| and np.power each round apart
-    # from abs(amp) ** 2 on hundreds of them.  The cut is lowered to 0 so
-    # that the squares of every magnitude are read.
+    # from abs(amp) ** 2 on hundreds of them.  The squares of every
+    # magnitude are read: the cut at PRUNE_TOL is `_kept`'s.
     rng = np.random.default_rng(30)
     mags = 10.0 ** rng.uniform(-300.0, 0.0, 10**6)
     phases = rng.uniform(0.0, 2 * math.pi, mags.size)
     edges = np.array([0.0, 5e-324, sys.float_info.min, 1.0, math.nextafter(1.0, 0.0)])
     amps = np.concatenate([mags * np.exp(1j * phases), edges, 1j * edges])
-    monkeypatch.setattr(simulate, "PRUNE_TOL", 0.0)
-    states = range(amps.size)
-    kept, squares = simulate._probabilities(states, amps)
-    assert kept is states and all(type(p) is float for p in squares)
+    got = simulate._probabilities(Outcomes(None, None, amps))
+    squares = list(got.values())
+    assert got.rows is None and len(got) == amps.size and all(type(p) is float for p in squares)
     want = [abs(a) ** 2 for a in amps.tolist()]
     assert list(map(float.hex, squares)) == list(map(float.hex, want))
 
@@ -285,25 +273,30 @@ def test_distribution_builds_no_dict_for_the_evolved_vector(monkeypatch):
         monkeypatch.setattr(simulate, "evolve", capture)
         got = distribution(u, psi)
         [vector] = vectors
-        if first_read is not StateVector.items:
-            assert_unbuilt(vector)
         assert exact(got.entries.items()) == exact(want.items())
+        assert list(got.entries) == [s for s, _ in vector.items()]
         assert vector == StateVector(dict(state_amplitudes(u, psi, None)))
 
 
-def test_threads_reading_one_pending_vector_get_equal_dicts():
+def test_threads_reading_one_evolved_vector_get_equal_terms():
+    # The record is cleared before each evolve, so the readers race to
+    # build its states and index.
     u = random_unitary(np.random.default_rng(12), 8)
     psi = StateVector.basis(make_state((1, 1, 1, 1, 0, 0, 0, 0)))
-    want = exact(dict(state_amplitudes(u, psi, None)).items())
+    listed = dict(state_amplitudes(u, psi, None))
+    want = exact(listed.items())
+    probes = list(listed)[::7]
+    looked_up = [listed[s] for s in probes]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            vector, barrier, dicts = evolve(u, psi), threading.Barrier(4), []
+            _sectors._STRUCTURES.clear()
+            vector, barrier, terms = evolve(u, psi), threading.Barrier(4), []
 
             def reader():
                 barrier.wait(timeout=60)
-                dicts.append(vector._amp)
+                terms.append((exact(vector._amp.items()), [vector.amplitude(s) for s in probes]))
 
             threads = [threading.Thread(target=reader) for _ in range(4)]
             for thread in threads:
@@ -311,8 +304,7 @@ def test_threads_reading_one_pending_vector_get_equal_dicts():
             for thread in threads:
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
-            assert len(dicts) == 4 and all(exact(d.items()) == want for d in dicts)
-            assert vector._pending is None
+            assert len(terms) == 4 and all(items == want and amps == looked_up for items, amps in terms)
     finally:
         sys.setswitchinterval(interval)
 
@@ -347,10 +339,10 @@ def test_sample_reads_program_built_distributions_without_sorting(monkeypatch):
     sort = simulate.canonical_items
     monkeypatch.setattr(simulate, "canonical_items", lambda pairs: calls.append(1) or sort(pairs))
     for built in (distribution(u, psi), run):
-        # The order flag is private: it shows in no field, == or repr.
+        # The view shows as its dict, in repr and ==.
         assert repr(Distribution(dict(built.entries), built.sector)) == repr(built)
         # The same entries from an unordered dict: equal, and sorted on use.
-        user = Distribution(dict(reversed(built.entries.items())), built.sector)
+        user = Distribution(dict(reversed(list(built.entries.items()))), built.sector)
         assert user == built
         for seed in range(10):
             calls.clear()
